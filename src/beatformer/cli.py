@@ -31,11 +31,12 @@ from .model import ModelConfig, build_model, count_params, format_param_report, 
 from .tensor import grad_check
 from .train import (
     TrainConfig,
-    evaluate,
     history_to_csv,
+    infer,
     load_checkpoint,
     predict,
     restore_model,
+    score_logits,
     train_loop,
 )
 
@@ -302,9 +303,9 @@ def cmd_eval(args) -> int:
         normed = data_mod.apply_per_sample(test_ds)
     else:
         normed = data_mod.apply_normalizer(test_ds, ckpt.norm_stats())
-    loss, acc = evaluate(model, normed)
-    probs = predict(model, normed.features)
-    preds = np.argmax(probs, axis=1)
+    logits = infer(model, normed.features)
+    loss, acc = score_logits(logits, normed.labels)
+    preds = np.argmax(logits, axis=1)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)

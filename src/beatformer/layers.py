@@ -15,8 +15,9 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
     add,
-    concat_cols,
+    attention,
     first_rows,
+    linear,
     matmul,
     mean_rows,
     mul,
@@ -54,40 +55,42 @@ def _check_mode(mode: str) -> None:
 
 @dataclass
 class AttentionParams:
-    """Per-head query/key/value projections plus the shared output projection."""
+    """Packed query/key/value projection plus the output projection.
 
-    w_q: list[Tensor]  # h matrices of (d_model, d_head)
-    w_k: list[Tensor]
-    w_v: list[Tensor]
-    b_q: list[Tensor]  # h vectors of (d_head,)
-    b_k: list[Tensor]
-    b_v: list[Tensor]
-    w_o: Tensor  # (h * d_head, d_model)
+    The columns of ``w_qkv`` and ``b_qkv`` are ordered q|k|v, then head, then
+    position within the head: head i's query matrix is
+    ``w_qkv[:, i * d_head:(i + 1) * d_head]`` and its key matrix starts
+    ``heads * d_head`` columns later.
+    """
+
+    w_qkv: Tensor  # (d_model, 3 * heads * d_head)
+    b_qkv: Tensor  # (3 * heads * d_head,)
+    w_o: Tensor  # (heads * d_head, d_model)
     b_o: Tensor  # (d_model,)
+    heads: int
 
     def __post_init__(self):
-        h = len(self.w_q)
-        if not (len(self.w_k) == len(self.w_v) == h) or h == 0:
-            raise ConfigError("attention projections must have one matrix per head")
-        d_head = self.w_q[0].shape[1]
-        if self.w_o.shape[0] != h * d_head:
+        width = self.w_qkv.shape[1]
+        if self.heads < 1 or width % (3 * self.heads):
             raise ConfigError(
-                f"output projection expects {h * d_head} input columns "
+                f"packed projection width {width} is not 3 * heads * head size "
+                f"for {self.heads} heads"
+            )
+        if self.b_qkv.shape != (width,):
+            raise ConfigError(f"packed bias must have shape ({width},), got {self.b_qkv.shape}")
+        if self.w_o.shape[0] != width // 3:
+            raise ConfigError(
+                f"output projection expects {width // 3} input columns "
                 f"(heads * head size), got {self.w_o.shape[0]}"
             )
 
     @property
-    def heads(self) -> int:
-        return len(self.w_q)
+    def d_head(self) -> int:
+        return self.w_qkv.shape[1] // (3 * self.heads)
 
     def tensors(self):
-        for i in range(self.heads):
-            yield f"head{i}.w_q", self.w_q[i]
-            yield f"head{i}.b_q", self.b_q[i]
-            yield f"head{i}.w_k", self.w_k[i]
-            yield f"head{i}.b_k", self.b_k[i]
-            yield f"head{i}.w_v", self.w_v[i]
-            yield f"head{i}.b_v", self.b_v[i]
+        yield "w_qkv", self.w_qkv
+        yield "b_qkv", self.b_qkv
         yield "w_o", self.w_o
         yield "b_o", self.b_o
 
@@ -155,24 +158,28 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
 
 
 def patch_embed(signal, patch_len: int, w: Tensor, b: Tensor) -> Tensor:
-    """Split a 1-D signal into contiguous patches and embed each linearly.
+    """Split signals into contiguous patches and embed each linearly.
 
-    The signal is right-padded with zeros to a multiple of ``patch_len``;
-    token t is patch_t @ w + b, giving ceil(L / patch_len) tokens.
+    ``signal`` is one rank-1 signal or a rank-2 batch of them. Each is
+    right-padded with zeros to a multiple of ``patch_len``; token t is
+    patch_t @ w + b, giving ceil(L / patch_len) token rows per signal,
+    stacked sample after sample.
     """
     sig = signal.data if isinstance(signal, Tensor) else np.asarray(signal, dtype=np.float64)
-    if sig.ndim != 1:
-        raise ShapeError(f"patch_embed expects a rank-1 signal, got shape {sig.shape}")
-    length = sig.shape[0]
+    if sig.ndim not in (1, 2):
+        raise ShapeError(
+            f"patch_embed expects a rank-1 signal or a rank-2 batch, got shape {sig.shape}"
+        )
+    rows = sig.reshape(-1, sig.shape[-1])
+    length = rows.shape[1]
     if patch_len <= 0 or patch_len > length:
         raise ConfigError(f"patch_len must lie in [1, {length}], got {patch_len}")
     if patch_len != w.shape[0]:
         raise ShapeError(f"embedding matrix expects patches of {w.shape[0]}, got {patch_len}")
     n_tokens = -(-length // patch_len)
-    padded = np.zeros(n_tokens * patch_len)
-    padded[:length] = sig
-    patches = Tensor(padded.reshape(n_tokens, patch_len))
-    return add(matmul(patches, w), b)
+    padded = np.zeros((rows.shape[0], n_tokens * patch_len))
+    padded[:, :length] = rows
+    return linear(Tensor(padded.reshape(-1, patch_len)), w, b)
 
 
 def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
@@ -212,28 +219,26 @@ def multi_head_attention(
     dropout_p: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
+    batch: int = 1,
 ) -> Tensor:
     """Self-attention over the token rows of ``x`` with h parallel heads.
 
-    Each head projects x into its own query/key/value spaces, the head
-    outputs are concatenated and projected back to d_model, and dropout is
-    applied to the sublayer output in train mode.
+    ``x`` stacks the tokens of ``batch`` samples, (batch * t, d_model); tokens
+    attend only within their own sample. One packed projection gives every
+    head's queries, keys and values, the heads' outputs are projected back to
+    d_model, and dropout is applied to the sublayer output in train mode.
     """
-    heads = []
-    for i in range(params.heads):
-        q = add(matmul(x, params.w_q[i]), params.b_q[i])
-        k = add(matmul(x, params.w_k[i]), params.b_k[i])
-        v = add(matmul(x, params.w_v[i]), params.b_v[i])
-        out, _ = scaled_dot_attention(q, k, v)
-        heads.append(out)
-    combined = add(matmul(concat_cols(heads), params.w_o), params.b_o)
+    if x.shape[0] % batch:
+        raise ShapeError(f"{x.shape[0]} token rows do not split into {batch} samples")
+    qkv = linear(x, params.w_qkv, params.b_qkv)
+    heads = attention(qkv, batch, x.shape[0] // batch, params.heads, params.d_head)
+    combined = linear(heads, params.w_o, params.b_o)
     return dropout(combined, dropout_p, mode, rng or np.random.default_rng())
 
 
 def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
     """Position-wise FFN: relu(x w1 + b1) w2 + b2, identical at every token."""
-    hidden = relu(add(matmul(x, params.w1), params.b1))
-    return add(matmul(hidden, params.w2), params.b2)
+    return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
 
 
 def encoder_block(
@@ -242,14 +247,16 @@ def encoder_block(
     dropout_p: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
+    batch: int = 1,
 ) -> Tensor:
     """Post-norm encoder block: LN(x + MHA(x)) then LN(a + FFN(a)).
 
-    Dropout hits each sublayer output before its residual sum (the MHA
-    applies its own; the FFN's is applied here).
+    ``x`` stacks the tokens of ``batch`` samples, as in
+    :func:`multi_head_attention`. Dropout hits each sublayer output before its
+    residual sum (the MHA applies its own; the FFN's is applied here).
     """
     rng = rng or np.random.default_rng()
-    attn_out = multi_head_attention(x, params.attn, dropout_p, mode, rng)
+    attn_out = multi_head_attention(x, params.attn, dropout_p, mode, rng, batch)
     a = _layer_norm(add(x, attn_out), params.ln1_gamma, params.ln1_beta, LN_EPS)
     ffn_out = dropout(feed_forward(a, params), dropout_p, mode, rng)
     return _layer_norm(add(a, ffn_out), params.ln2_gamma, params.ln2_beta, LN_EPS)

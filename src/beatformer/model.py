@@ -10,14 +10,12 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import (
-    LN_EPS,
     AttentionParams,
     EncoderBlockParams,
     HeadParams,
     classification_head,
     dropout,
     encoder_block,
-    feed_forward,
     patch_embed,
     positional_embedding,
     sinusoidal_table,
@@ -25,17 +23,10 @@ from .layers import (
 from .tensor import (
     Tensor,
     add,
-    bmm,
-    concat_cols,
-    first_rows,
-    layer_norm,
-    matmul,
+    linear,
     mean_axis1,
     relu,
     reshape,
-    scale,
-    softmax_last,
-    swap_last,
     tile_rows,
 )
 
@@ -198,15 +189,16 @@ def build_model(config: ModelConfig) -> Model:
 
     blocks = []
     for _ in range(config.encoder_layers):
+        # one Glorot draw per head and projection, q heads then k then v,
+        # packed side by side in that order
+        per_head = [_glorot(rng, config.d_model, config.d_head).data
+                    for _ in range(3 * config.heads)]
         attn = AttentionParams(
-            w_q=[_glorot(rng, config.d_model, config.d_head) for _ in range(config.heads)],
-            w_k=[_glorot(rng, config.d_model, config.d_head) for _ in range(config.heads)],
-            w_v=[_glorot(rng, config.d_model, config.d_head) for _ in range(config.heads)],
-            b_q=[_zeros(config.d_head) for _ in range(config.heads)],
-            b_k=[_zeros(config.d_head) for _ in range(config.heads)],
-            b_v=[_zeros(config.d_head) for _ in range(config.heads)],
+            w_qkv=Tensor(np.hstack(per_head), needs_grad=True),
+            b_qkv=_zeros(3 * config.heads * config.d_head),
             w_o=_glorot(rng, config.heads * config.d_head, config.d_model),
             b_o=_zeros(config.d_model),
+            heads=config.heads,
         )
         blocks.append(
             EncoderBlockParams(
@@ -240,29 +232,6 @@ def build_model(config: ModelConfig) -> Model:
     return model
 
 
-def _batched_attention(x2, params: AttentionParams, b: int, t: int,
-                       dropout_p: float, mode: str, rng) -> Tensor:
-    """Multi-head self-attention over a (B*T, d_model) token matrix."""
-    d_head = params.w_q[0].shape[1]
-    heads = []
-    for i in range(params.heads):
-        q = reshape(add(matmul(x2, params.w_q[i]), params.b_q[i]), (b, t, d_head))
-        k = reshape(add(matmul(x2, params.w_k[i]), params.b_k[i]), (b, t, d_head))
-        v = reshape(add(matmul(x2, params.w_v[i]), params.b_v[i]), (b, t, d_head))
-        weights = softmax_last(scale(bmm(q, swap_last(k)), 1.0 / math.sqrt(d_head)))
-        heads.append(reshape(bmm(weights, v), (b * t, d_head)))
-    combined = add(matmul(concat_cols(heads), params.w_o), params.b_o)
-    return dropout(combined, dropout_p, mode, rng)
-
-
-def _batched_block(x2, block: EncoderBlockParams, b: int, t: int,
-                   dropout_p: float, mode: str, rng) -> Tensor:
-    attn_out = _batched_attention(x2, block.attn, b, t, dropout_p, mode, rng)
-    a = layer_norm(add(x2, attn_out), block.ln1_gamma, block.ln1_beta, LN_EPS)
-    ffn_out = dropout(feed_forward(a, block), dropout_p, mode, rng)
-    return layer_norm(add(a, ffn_out), block.ln2_gamma, block.ln2_beta, LN_EPS)
-
-
 def forward(
     model: Model,
     features,
@@ -287,19 +256,15 @@ def forward(
     rng = rng or np.random.default_rng()
     b, t = feats.shape[0], cfg.n_tokens
 
-    padded = np.zeros((b, t * cfg.patch_len))
-    padded[:, : cfg.input_len] = feats
-    patches = Tensor(padded.reshape(b * t, cfg.patch_len))
-    x2 = add(matmul(patches, model.embed_w), model.embed_b)
-    x2 = add(x2, tile_rows(first_rows(model.pos_table, t), b))
+    x2 = patch_embed(feats, cfg.patch_len, model.embed_w, model.embed_b)
+    x2 = add(x2, tile_rows(positional_embedding(t, model.pos_table), b))
     for block in model.blocks:
-        x2 = _batched_block(x2, block, b, t, cfg.dropout_p, mode, rng)
+        x2 = encoder_block(x2, block, cfg.dropout_p, mode, rng, batch=b)
 
     h = mean_axis1(reshape(x2, (b, t, cfg.d_model)))
     for w, bias in model.head.hidden:
-        h = relu(add(matmul(h, w), bias))
-        h = dropout(h, cfg.dropout_p, mode, rng)
-    return add(matmul(h, model.head.out_w), model.head.out_b)
+        h = dropout(relu(linear(h, w, bias)), cfg.dropout_p, mode, rng)
+    return linear(h, model.head.out_w, model.head.out_b)
 
 
 def forward_sample(
@@ -308,7 +273,11 @@ def forward_sample(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Reference single-sample pass built from the layer functions directly."""
+    """One signal's (n_classes,) logits from the single-sample layer functions.
+
+    The encoder blocks run the same code as :func:`forward` with a batch of
+    one; the pooled head is :func:`~beatformer.layers.classification_head`.
+    """
     cfg = model.config
     rng = rng or np.random.default_rng()
     x = patch_embed(np.asarray(signal, dtype=np.float64), cfg.patch_len,

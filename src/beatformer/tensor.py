@@ -7,11 +7,13 @@ gradients into the ``grad`` arrays of the tensors that need them. Repeated
 backward calls accumulate; call :func:`zero_grads` between steps.
 
 Storage is row-major (C-contiguous) float64 throughout. Rank 0..3 is
-supported; the model only ever needs rank <= 2 plus scalar losses.
+supported; fused ops such as :func:`attention` use higher-rank arrays only
+inside the op.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,6 +29,8 @@ __all__ = [
     "zero_grads",
     "record_op",
     "matmul",
+    "linear",
+    "attention",
     "vecmat",
     "transpose",
     "add",
@@ -35,16 +39,12 @@ __all__ = [
     "relu",
     "elementwise",
     "softmax_rows",
-    "softmax_last",
     "layer_norm",
     "mean_rows",
     "mean_axis1",
     "sum_all",
     "first_rows",
     "stack_rows",
-    "concat_cols",
-    "bmm",
-    "swap_last",
     "reshape",
     "tile_rows",
     "grad_check",
@@ -183,10 +183,12 @@ def backward(tape: GradTape, loss: Tensor) -> None:
             if g is None or not inp.needs_grad:
                 continue
             key = id(inp)
+            # out of place: a backward rule may hand the same array to several
+            # inputs (add's does), so a stored adjoint is never written into
             if key in adjoints:
-                adjoints[key] += g
+                adjoints[key] = adjoints[key] + g
             else:
-                adjoints[key] = np.array(g, dtype=np.float64, copy=True)
+                adjoints[key] = g
                 tensors[key] = inp
     # only tape leaves (parameters, manual inputs) get their grad slot filled;
     # intermediates produced by recorded ops are transient
@@ -233,6 +235,75 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _out(a.data @ b.data, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Y = X @ W + b for a rank-2 X, recorded as one op.
+
+    The bias row is added in place to the product; its gradient is the column
+    sum of dY, while dX = dY @ W^T and dW = X^T @ dY.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear needs rank-2 input and weight, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+
+    def bwd(g):
+        gx = g @ w.data.T if x.needs_grad else None
+        gw = x.data.T @ g if w.needs_grad else None
+        gb = g.sum(axis=0) if b.needs_grad else None
+        return gx, gw, gb
+
+    return _out(y, (x, w, b), bwd)
+
+
+def attention(qkv: Tensor, b: int, t: int, heads: int, d_head: int) -> Tensor:
+    """Multi-head self-attention softmax(Q K^T / sqrt(d_head)) V as one op.
+
+    ``qkv`` is the packed (b*t, 3*heads*d_head) projection of ``b`` samples
+    of ``t`` tokens each, its columns ordered q|k|v, then head, then position
+    within the head. Tokens attend only within their own sample. The result
+    is (b*t, heads*d_head) with the heads side by side. The backward reuses
+    the saved attention weights and writes dQ, dK and dV into one buffer laid
+    out like ``qkv``.
+    """
+    width = 3 * heads * d_head
+    if qkv.data.ndim != 2 or qkv.shape != (b * t, width):
+        raise ShapeError(
+            f"attention needs a ({b * t}, {width}) packed projection for {b} samples of "
+            f"{t} tokens and {heads} heads of size {d_head}, got {qkv.shape}"
+        )
+    s = 1.0 / math.sqrt(d_head)
+    # (b, heads, t, d_head) views into the packed columns, no copies
+    q, k, v = qkv.data.reshape(b, t, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
+    weights = np.matmul(q, k.swapaxes(-1, -2))
+    weights *= s
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = np.empty((b, t, heads, d_head))
+    np.matmul(weights, v, out=out.transpose(0, 2, 1, 3))
+
+    def bwd(g):
+        g_out = g.reshape(b, t, heads, d_head).transpose(0, 2, 1, 3)
+        grad = np.empty((b, t, 3, heads, d_head))
+        gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
+        np.matmul(weights.swapaxes(-1, -2), g_out, out=gv)
+        g_scores = np.matmul(g_out, v.swapaxes(-1, -2))
+        # softmax backward, W * (dW - rowsum(dW * W)), then the 1/sqrt(d) scale;
+        # einsum forms the row sums without a (b, heads, t, t) temporary
+        g_scores -= np.einsum("...ij,...ij->...i", g_scores, weights)[..., None]
+        g_scores *= weights
+        g_scores *= s
+        np.matmul(g_scores, k, out=gq)
+        np.matmul(g_scores.swapaxes(-1, -2), q, out=gk)
+        return (grad.reshape(b * t, width),)
+
+    return _out(out.reshape(b * t, heads * d_head), (qkv,), bwd)
 
 
 def vecmat(v: Tensor, w: Tensor) -> Tensor:
@@ -308,7 +379,10 @@ def elementwise(op_tag: str, a: Tensor, b=None) -> Tensor:
     return fn(a) if b is None else fn(a, b)
 
 
-def _softmax_impl(x: Tensor) -> Tensor:
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax with per-row max subtraction for overflow safety."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {x.shape}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -318,20 +392,6 @@ def _softmax_impl(x: Tensor) -> Tensor:
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _out(y, (x,), bwd)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {x.shape}")
-    return _softmax_impl(x)
-
-
-def softmax_last(x: Tensor) -> Tensor:
-    """Softmax over the last axis of a rank-2 or rank-3 tensor."""
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"softmax_last needs a rank-2 or rank-3 tensor, got {x.shape}")
-    return _softmax_impl(x)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -412,30 +472,6 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     return _out(np.stack([r.data for r in rows]), tuple(rows), bwd)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul on rank-3 tensors sharing the leading axis."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ShapeError(f"bmm needs rank-3 tensors, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
-
-    def bwd(g):
-        ga = g @ b.data.swapaxes(1, 2) if a.needs_grad else None
-        gb = a.data.swapaxes(1, 2) @ g if b.needs_grad else None
-        return ga, gb
-
-    return _out(a.data @ b.data, (a, b), bwd)
-
-
-def swap_last(a: Tensor) -> Tensor:
-    """Transpose the trailing two axes of a rank-3 tensor."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"swap_last needs a rank-3 tensor, got {a.shape}")
-    return _out(
-        np.ascontiguousarray(a.data.swapaxes(1, 2)), (a,), lambda g: (g.swapaxes(1, 2),)
-    )
-
-
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     """Size-preserving reshape (row-major order unchanged)."""
     shape = tuple(int(s) for s in shape)
@@ -467,27 +503,6 @@ def mean_axis1(x: Tensor) -> Tensor:
         return (np.broadcast_to(g[:, None, :] / t, x.shape).copy(),)
 
     return _out(x.data.mean(axis=1), (x,), bwd)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-2 tensors with equal row counts along the last axis."""
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    n = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != n:
-            raise ShapeError(f"concat_cols parts must be rank-2 with {n} rows, got {p.shape}")
-    widths = [p.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-
-    def bwd(g):
-        pieces = np.split(g, splits, axis=1)
-        return tuple(
-            np.ascontiguousarray(piece) if p.needs_grad else None
-            for piece, p in zip(pieces, parts)
-        )
-
-    return _out(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,10 @@ __all__ = [
     "EpochStats",
     "Checkpoint",
     "sparse_ce_loss",
+    "infer",
+    "score_logits",
     "evaluate",
+    "predict",
     "train_loop",
     "save_checkpoint",
     "load_checkpoint",
@@ -42,7 +45,7 @@ __all__ = [
 ]
 
 CKPT_MAGIC = b"BEATCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -162,27 +165,31 @@ def history_to_csv(history: Sequence[EpochStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def infer(model: Model, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Eval-mode logits, one row per input row, computed ``batch_size`` rows at a time."""
+    return np.vstack([
+        forward(model, features[start : start + batch_size], mode="eval").data
+        for start in range(0, features.shape[0], batch_size)
+    ])
+
+
+def score_logits(logits: np.ndarray, labels) -> tuple[float, float]:
+    """Mean cross-entropy and accuracy of a set of logits against true labels."""
+    loss = sparse_ce_loss(Tensor(logits), labels).item()
+    preds = np.argmax(logits, axis=1)  # ties resolve to the lowest class id
+    return loss, float((preds == labels).mean())
+
+
 def evaluate(model: Model, ds: Dataset, batch_size: int = 256) -> tuple[float, float]:
     """Eval-mode loss and accuracy over the whole dataset, exact cover."""
-    total_loss = 0.0
-    correct = 0
-    for batch in batches(ds, batch_size):
-        logits = forward(model, batch.features, mode="eval")
-        total_loss += sparse_ce_loss(logits, batch.labels).item() * batch.n
-        preds = np.argmax(logits.data, axis=1)  # ties resolve to the lowest class id
-        correct += int((preds == batch.labels).sum())
-    return total_loss / ds.n, correct / ds.n
+    return score_logits(infer(model, ds.features, batch_size), ds.labels)
 
 
 def predict(model: Model, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Eval-mode softmax probabilities, one row per input row."""
-    probs = []
-    for start in range(0, features.shape[0], batch_size):
-        logits = forward(model, features[start : start + batch_size], mode="eval").data
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs.append(e / e.sum(axis=1, keepdims=True))
-    return np.vstack(probs)
+    logits = infer(model, features, batch_size)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass

@@ -193,10 +193,46 @@ class TestEvalCommand:
         )
         assert counts.sum() == 80  # every test sample scored
 
+    def test_one_forward_pass_per_256_rows(self, corpus, tmp_path, monkeypatch, capsys):
+        import beatformer.train as train_mod
+
+        out = corpus["dir"] / "run10"
+        assert run_train(corpus, out) == 0
+        big = tmp_path / "big.csv"
+        write_beats_csv(big, synthetic_beats(300, seed=54, proportions=[0.2] * 5))
+        calls = []
+        original = train_mod.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "forward", counting_forward)
+        capsys.readouterr()  # drain the training output
+        assert main(["eval", str(out / "checkpoint.bin"), "--data-test", str(big),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert len(calls) == 2  # ceil(300 / 256)
+        assert "test loss " in capsys.readouterr().out
+
     def test_bad_checkpoint_exits_2(self, corpus, tmp_path):
         junk = tmp_path / "junk.bin"
         junk.write_bytes(b"garbage")
         assert main(["eval", str(junk), "--data-test", corpus["test"]]) == 2
+
+
+def test_version_1_checkpoint_exits_2_naming_both_versions(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run11"
+    assert run_train(corpus, out) == 0
+    blob = bytearray((out / "checkpoint.bin").read_bytes())
+    blob[8:12] = (1).to_bytes(4, "little")  # format version follows the 8-byte magic
+    old = tmp_path / "v1.bin"
+    old.write_bytes(blob)
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(old), "--data-test", corpus["test"]],
+                 ["predict", str(old), corpus["test"]]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "version 1" in err and "expected 2" in err
 
 
 class TestPredictCommand:

@@ -23,12 +23,12 @@ from beatformer.tensor import GradTape, Tensor, backward, grad_check, mul, sum_a
 
 
 def identity_attention(d):
-    eye = lambda: Tensor(np.eye(d), needs_grad=True)
-    zeros = lambda: Tensor(np.zeros(d), needs_grad=True)
+    """One head whose query, key, value and output projections are all I_d."""
     return AttentionParams(
-        w_q=[eye()], w_k=[eye()], w_v=[eye()],
-        b_q=[zeros()], b_k=[zeros()], b_v=[zeros()],
-        w_o=eye(), b_o=zeros(),
+        w_qkv=Tensor(np.hstack([np.eye(d)] * 3), needs_grad=True),
+        b_qkv=Tensor(np.zeros(3 * d), needs_grad=True),
+        w_o=Tensor(np.eye(d), needs_grad=True), b_o=Tensor(np.zeros(d), needs_grad=True),
+        heads=1,
     )
 
 
@@ -169,16 +169,12 @@ class TestMultiHeadAttention:
 
     def test_zero_projections_give_zero_output(self):
         d, h, dh = 4, 2, 2
-        zmat = lambda r, c: Tensor(np.zeros((r, c)), needs_grad=True)
-        zvec = lambda n: Tensor(np.zeros(n), needs_grad=True)
         params = AttentionParams(
-            w_q=[zmat(d, dh) for _ in range(h)],
-            w_k=[zmat(d, dh) for _ in range(h)],
-            w_v=[zmat(d, dh) for _ in range(h)],
-            b_q=[zvec(dh) for _ in range(h)],
-            b_k=[zvec(dh) for _ in range(h)],
-            b_v=[zvec(dh) for _ in range(h)],
-            w_o=zmat(h * dh, d), b_o=zvec(d),
+            w_qkv=Tensor(np.zeros((d, 3 * h * dh)), needs_grad=True),
+            b_qkv=Tensor(np.zeros(3 * h * dh), needs_grad=True),
+            w_o=Tensor(np.zeros((h * dh, d)), needs_grad=True),
+            b_o=Tensor(np.zeros(d), needs_grad=True),
+            heads=h,
         )
         x = Tensor(np.random.default_rng(1).normal(size=(5, d)))
         out = multi_head_attention(x, params)
@@ -189,15 +185,13 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(heads)
         d = 6
         params = AttentionParams(
-            w_q=[Tensor(rng.normal(size=(d, d_head))) for _ in range(heads)],
-            w_k=[Tensor(rng.normal(size=(d, d_head))) for _ in range(heads)],
-            w_v=[Tensor(rng.normal(size=(d, d_head))) for _ in range(heads)],
-            b_q=[Tensor(np.zeros(d_head)) for _ in range(heads)],
-            b_k=[Tensor(np.zeros(d_head)) for _ in range(heads)],
-            b_v=[Tensor(np.zeros(d_head)) for _ in range(heads)],
+            w_qkv=Tensor(rng.normal(size=(d, 3 * heads * d_head))),
+            b_qkv=Tensor(np.zeros(3 * heads * d_head)),
             w_o=Tensor(rng.normal(size=(heads * d_head, d))),
             b_o=Tensor(np.zeros(d)),
+            heads=heads,
         )
+        assert params.d_head == d_head
         x = Tensor(rng.normal(size=(7, d)))
         assert multi_head_attention(x, params).shape == (7, d)
 
@@ -205,12 +199,29 @@ class TestMultiHeadAttention:
         d = 4
         with pytest.raises(ConfigError):
             AttentionParams(
-                w_q=[Tensor(np.zeros((d, 2)))], w_k=[Tensor(np.zeros((d, 2)))],
-                w_v=[Tensor(np.zeros((d, 2)))],
-                b_q=[Tensor(np.zeros(2))], b_k=[Tensor(np.zeros(2))],
-                b_v=[Tensor(np.zeros(2))],
+                w_qkv=Tensor(np.zeros((d, 3 * 2))), b_qkv=Tensor(np.zeros(3 * 2)),
                 w_o=Tensor(np.zeros((3, d))), b_o=Tensor(np.zeros(d)),
+                heads=1,
             )
+
+    def test_packed_width_must_split_into_heads(self):
+        d = 4
+        with pytest.raises(ConfigError, match="heads"):
+            AttentionParams(
+                w_qkv=Tensor(np.zeros((d, 3 * 5))), b_qkv=Tensor(np.zeros(3 * 5)),
+                w_o=Tensor(np.zeros((5, d))), b_o=Tensor(np.zeros(d)),
+                heads=2,
+            )
+
+    def test_batch_of_samples_matches_each_alone(self):
+        model = build_model(tiny_config(seed=12))
+        attn = model.blocks[0].attn
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3 * 5, 8))
+        batched = multi_head_attention(Tensor(x), attn, batch=3).data
+        for i in range(3):
+            alone = multi_head_attention(Tensor(x[i * 5:(i + 1) * 5]), attn).data
+            np.testing.assert_allclose(batched[i * 5:(i + 1) * 5], alone, rtol=0, atol=1e-12)
 
 
 class TestFeedForward:

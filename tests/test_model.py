@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from beatformer.errors import ConfigError, ShapeError
+from beatformer.tensor import GradTape
+from beatformer.train import sparse_ce_loss
 from beatformer.model import (
     REFERENCE_PARAM_COUNT,
     ModelConfig,
@@ -17,6 +19,8 @@ from beatformer.model import (
     parameter_breakdown,
     tiny_config,
 )
+
+from reference import reference_forward
 
 
 class TestModelConfig:
@@ -171,7 +175,40 @@ class TestForward:
         )
         np.testing.assert_allclose(batched, reference, atol=1e-12)
 
+    @pytest.mark.parametrize("cfg,b", [(tiny_config(seed=12), 4), (ModelConfig(seed=13), 3)],
+                             ids=["tiny-b4", "default-b3"])
+    def test_matches_plain_numpy_reference(self, cfg, b):
+        model = build_model(cfg)
+        # perturb the zero/one-initialized biases, norms and positional rows,
+        # so every parameter shapes the logits
+        rng = np.random.default_rng(6)
+        for _, t in model.parameters():
+            if t.data.ndim == 1 or t is model.pos_table:
+                t.data += rng.normal(scale=0.1, size=t.shape)
+        batch = rng.normal(size=(b, cfg.input_len))
+        np.testing.assert_allclose(forward(model, batch, mode="eval").data,
+                                   reference_forward(model, batch), rtol=0, atol=1e-12)
+
     def test_rank1_input_promoted(self):
         model = build_model(tiny_config(seed=11))
         out = forward(model, np.zeros(187))
         assert out.shape == (1, 5)
+
+
+def test_default_train_step_tape_and_parameter_counts():
+    """Pins the fused layout: 62 tape records per train step, 57 parameter tensors.
+
+    Per step: embedding, positional slice, tiling and sum (4); per block the
+    QKV projection, attention, output projection, dropout, residual, norm, two
+    FFN projections with a ReLU, dropout, residual and norm (12, times 4);
+    the head's reshape, pooling, two dense+ReLU+dropout layers and the output
+    projection (9); the loss (1).
+    """
+    model = build_model(ModelConfig())
+    assert len(model.parameters()) == 57
+    rng = np.random.default_rng(0)
+    batch = rng.normal(size=(32, 187))
+    labels = rng.integers(0, 5, size=32)
+    with GradTape() as tape:
+        sparse_ce_loss(forward(model, batch, mode="train", rng=rng), labels)
+    assert len(tape) == 62

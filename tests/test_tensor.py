@@ -10,12 +10,13 @@ from beatformer.tensor import (
     GradTape,
     Tensor,
     add,
+    attention,
     backward,
-    concat_cols,
     elementwise,
     first_rows,
     grad_check,
     layer_norm,
+    linear,
     matmul,
     mean_rows,
     mul,
@@ -84,6 +85,61 @@ class TestMatmul:
         ones = np.ones((2, 2))
         np.testing.assert_allclose(a.grad, ones @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ ones)
+
+
+class TestLinear:
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(8)
+        x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        np.testing.assert_array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+
+    def test_bias_gradient_is_column_sum(self):
+        x = Tensor(np.ones((3, 2)))
+        w = Tensor(np.ones((2, 2)), needs_grad=True)
+        b = Tensor(np.zeros(2), needs_grad=True)
+        zero_grads([w, b])
+        with GradTape() as tape:
+            loss = sum_all(mul(linear(x, w, b), Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])))
+        backward(tape, loss)
+        np.testing.assert_array_equal(b.grad, [9.0, 12.0])
+        assert x.grad is None
+
+    def test_shapes_validated(self):
+        with pytest.raises(ShapeError, match="inner"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="bias"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+
+
+class TestAttention:
+    def test_matches_per_sample_per_head_loop(self):
+        b, t, heads, d = 3, 4, 2, 5
+        rng = np.random.default_rng(9)
+        qkv = rng.normal(size=(b * t, 3 * heads * d))
+        got = attention(Tensor(qkv), b, t, heads, d).data
+        assert got.shape == (b * t, heads * d)
+        for i in range(b):
+            rows = qkv[i * t:(i + 1) * t]
+            for h in range(heads):
+                q, k, v = (rows[:, (j * heads + h) * d:(j * heads + h + 1) * d] for j in range(3))
+                z = q @ k.T / math.sqrt(d)
+                w = np.exp(z - z.max(axis=1, keepdims=True))
+                w /= w.sum(axis=1, keepdims=True)
+                np.testing.assert_allclose(got[i * t:(i + 1) * t, h * d:(h + 1) * d], w @ v,
+                                           rtol=0, atol=1e-12)
+
+    def test_samples_do_not_mix(self):
+        rng = np.random.default_rng(10)
+        qkv = rng.normal(size=(2 * 3, 3 * 4))
+        both = attention(Tensor(qkv), 2, 3, 1, 4).data
+        second = attention(Tensor(qkv[3:]), 1, 3, 1, 4).data
+        np.testing.assert_allclose(both[3:], second, rtol=0, atol=1e-15)
+
+    def test_packed_width_validated(self):
+        with pytest.raises(ShapeError, match="packed"):
+            attention(Tensor(np.zeros((6, 11))), 2, 3, 1, 4)
+        with pytest.raises(ShapeError, match="packed"):
+            attention(Tensor(np.zeros((5, 12))), 2, 3, 1, 4)
 
 
 class TestSoftmaxRows:
@@ -219,6 +275,25 @@ class TestBackward:
         backward(tape, loss)
         assert w.grad == pytest.approx(5.0)
 
+    def test_fan_in_through_one_op(self):
+        # add's backward hands the same array to both inputs; accumulating into
+        # it in place would report 4 here instead of 3
+        x = Tensor([1.0, -2.0], needs_grad=True)
+        zero_grads([x])
+        with GradTape() as tape:
+            loss = sum_all(add(add(x, x), x))
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_fan_in_through_two_ops(self):
+        # loss = sum(2x + x*x)  =>  dloss/dx = 2 + 2x
+        x = Tensor([1.5, -2.0, 0.0], needs_grad=True)
+        zero_grads([x])
+        with GradTape() as tape:
+            loss = sum_all(add(scale(x, 2.0), mul(x, x)))
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [5.0, -2.0, 2.0])
+
     def test_constant_inputs_are_skipped(self):
         c = Tensor([1.0, 2.0])  # needs_grad False
         w = Tensor([3.0, 4.0], needs_grad=True)
@@ -277,17 +352,6 @@ class TestStructuralOps:
     def test_stack_rows(self):
         rows = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0])]
         np.testing.assert_array_equal(stack_rows(rows).data, [[1, 2], [3, 4]])
-
-    def test_concat_cols_backward_splits(self):
-        a = Tensor(np.ones((2, 2)), needs_grad=True)
-        b = Tensor(np.ones((2, 3)), needs_grad=True)
-        zero_grads([a, b])
-        with GradTape() as tape:
-            out = concat_cols([a, b])
-            loss = sum_all(mul(out, Tensor(np.arange(10.0).reshape(2, 5))))
-        backward(tape, loss)
-        np.testing.assert_array_equal(a.grad, [[0, 1], [5, 6]])
-        np.testing.assert_array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
 
     def test_vecmat(self):
         v = Tensor([1.0, 2.0])
@@ -352,9 +416,10 @@ class TestGradCheck:
 
 
 @pytest.mark.parametrize("op_name", ["matmul", "add", "mul", "relu", "scale", "softmax",
-                                     "layer_norm", "mean_rows", "transpose", "concat",
-                                     "stack", "first_rows", "vecmat", "bmm", "swap_last",
-                                     "reshape", "tile_rows", "mean_axis1", "softmax_last"])
+                                     "layer_norm", "mean_rows", "transpose", "stack",
+                                     "first_rows", "vecmat", "reshape", "tile_rows",
+                                     "mean_axis1", "linear", "attention",
+                                     "attention_one_head"])
 def test_every_op_matches_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
 
@@ -406,11 +471,6 @@ def test_every_op_matches_finite_differences(op_name):
         weight = Tensor(rng.normal(size=(4, 3)))
         f = lambda: sum_all(mul(transpose(a), weight))
         params = [a]
-    elif op_name == "concat":
-        a, b = t((2, 3)), t((2, 2))
-        weight = Tensor(rng.normal(size=(2, 5)))
-        f = lambda: sum_all(mul(concat_cols([a, b]), weight))
-        params = [a, b]
     elif op_name == "stack":
         a, b = t((4,)), t((4,))
         weight = Tensor(rng.normal(size=(2, 4)))
@@ -426,20 +486,6 @@ def test_every_op_matches_finite_differences(op_name):
         weight = Tensor(rng.normal(size=3))
         f = lambda: sum_all(mul(vecmat(a, w), weight))
         params = [a, w]
-    elif op_name == "bmm":
-        from beatformer.tensor import bmm
-
-        a, b = t((2, 3, 4)), t((2, 4, 5))
-        weight = Tensor(rng.normal(size=(2, 3, 5)))
-        f = lambda: sum_all(mul(bmm(a, b), weight))
-        params = [a, b]
-    elif op_name == "swap_last":
-        from beatformer.tensor import swap_last
-
-        a = t((2, 3, 4))
-        weight = Tensor(rng.normal(size=(2, 4, 3)))
-        f = lambda: sum_all(mul(swap_last(a), weight))
-        params = [a]
     elif op_name == "reshape":
         from beatformer.tensor import reshape
 
@@ -461,13 +507,21 @@ def test_every_op_matches_finite_differences(op_name):
         weight = Tensor(rng.normal(size=(2, 3)))
         f = lambda: sum_all(mul(mean_axis1(a), weight))
         params = [a]
-    else:  # softmax_last on a rank-3 tensor
-        from beatformer.tensor import softmax_last
-
-        a = t((2, 3, 5))
-        weight = Tensor(rng.normal(size=(2, 3, 5)))
-        f = lambda: sum_all(mul(softmax_last(a), weight))
-        params = [a]
+    elif op_name == "linear":
+        x, w, b = t((5, 4)), t((4, 3)), t((3,))
+        weight = Tensor(rng.normal(size=(5, 3)))
+        f = lambda: sum_all(mul(linear(x, w, b), weight))
+        params = [x, w, b]
+    elif op_name == "attention":  # 2 samples of 5 tokens, 2 heads of size 3
+        qkv = t((2 * 5, 3 * 2 * 3))
+        weight = Tensor(rng.normal(size=(2 * 5, 2 * 3)))
+        f = lambda: sum_all(mul(attention(qkv, 2, 5, 2, 3), weight))
+        params = [qkv]
+    else:  # attention_one_head: one sample, one head
+        qkv = t((5, 3 * 4))
+        weight = Tensor(rng.normal(size=(5, 4)))
+        f = lambda: sum_all(mul(attention(qkv, 1, 5, 1, 4), weight))
+        params = [qkv]
 
     report = grad_check(f, params, eps=1e-5, tol=1e-4)
     assert report.passed, report.summary()
