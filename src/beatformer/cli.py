@@ -277,9 +277,7 @@ def cmd_train(args) -> int:
         return EXIT_NUMERIC
 
     _write(os.path.join(out_dir, "history.csv"), history_to_csv(history))
-    best = restore_model(ckpt)
-    probs = predict(best, val_part.features)
-    text = _report_files(out_dir, np.argmax(probs, axis=1), val_part.labels)
+    text = _report_files(out_dir, np.argmax(ckpt.val_logits, axis=1), val_part.labels)
     print(f"best validation loss {ckpt.best_val_loss:.6f} at epoch {ckpt.epoch}")
     print(text)
     print(f"artifacts written to {out_dir}/")

@@ -15,6 +15,7 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
     add,
+    add_layer_norm,
     attention,
     first_rows,
     linear,
@@ -27,7 +28,6 @@ from .tensor import (
     transpose,
     vecmat,
 )
-from .tensor import layer_norm as _layer_norm
 
 LN_EPS = 1e-6
 
@@ -253,13 +253,14 @@ def encoder_block(
 
     ``x`` stacks the tokens of ``batch`` samples, as in
     :func:`multi_head_attention`. Dropout hits each sublayer output before its
-    residual sum (the MHA applies its own; the FFN's is applied here).
+    residual sum (the MHA applies its own; the FFN's is applied here). Each
+    residual sum and its LayerNorm are one :func:`~beatformer.tensor.add_layer_norm`.
     """
     rng = rng or np.random.default_rng()
     attn_out = multi_head_attention(x, params.attn, dropout_p, mode, rng, batch)
-    a = _layer_norm(add(x, attn_out), params.ln1_gamma, params.ln1_beta, LN_EPS)
+    a = add_layer_norm(x, attn_out, params.ln1_gamma, params.ln1_beta, LN_EPS)
     ffn_out = dropout(feed_forward(a, params), dropout_p, mode, rng)
-    return _layer_norm(add(a, ffn_out), params.ln2_gamma, params.ln2_beta, LN_EPS)
+    return add_layer_norm(a, ffn_out, params.ln2_gamma, params.ln2_beta, LN_EPS)
 
 
 def classification_head(

@@ -39,7 +39,7 @@ __all__ = [
     "relu",
     "elementwise",
     "softmax_rows",
-    "layer_norm",
+    "add_layer_norm",
     "mean_rows",
     "mean_axis1",
     "sum_all",
@@ -168,6 +168,12 @@ def backward(tape: GradTape, loss: Tensor) -> None:
     The records are replayed exactly once each, in reverse recording order.
     Each call adds one full gradient into the grad buffers; use
     :func:`zero_grads` between optimizer steps.
+
+    The adjoint of an op's output is dropped as soon as that op's record has
+    run: every consumer was recorded later and has already added into it, so
+    backward holds only the adjoints still waiting for their producer, not one
+    per recorded op. Adjoints of tape leaves are kept until they are added into
+    the grad slots at the end.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -175,7 +181,7 @@ def backward(tape: GradTape, loss: Tensor) -> None:
     tensors: dict[int, Tensor] = {id(loss): loss}
     produced = {id(rec.out) for rec in tape._records}
     for rec in reversed(tape._records):
-        out_adj = adjoints.get(id(rec.out))
+        out_adj = adjoints.pop(id(rec.out), None)
         if out_adj is None:
             continue  # not on any path to the loss
         grads = rec.backward_fn(out_adj)
@@ -184,7 +190,8 @@ def backward(tape: GradTape, loss: Tensor) -> None:
                 continue
             key = id(inp)
             # out of place: a backward rule may hand the same array to several
-            # inputs (add's does), so a stored adjoint is never written into
+            # inputs (add's and add_layer_norm's do), so a stored adjoint is
+            # never written into
             if key in adjoints:
                 adjoints[key] = adjoints[key] + g
             else:
@@ -394,40 +401,52 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _out(y, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then scale and shift: gamma * x_hat + beta."""
+def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
+                   eps: float = 1e-6) -> Tensor:
+    """Residual sum then LayerNorm over the last axis, gamma * x_hat + beta of x + y.
+
+    One record replaces an ``add`` feeding a LayerNorm. The forward centres
+    x + y in one buffer and scales it in place into x_hat; the backward works
+    in place on g * gamma and hands the same dX array to both inputs.
+    """
     if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
+        raise ConfigError(f"add_layer_norm eps must be > 0, got {eps}")
+    if x.shape != y.shape:
+        raise ShapeError(f"add_layer_norm residual shapes disagree: {x.shape} + {y.shape}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
-            f"layer_norm gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
+            f"add_layer_norm gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    # mean and variance summed exactly as np.mean and np.var sum them
+    xhat = x.data + y.data
+    xhat -= xhat.sum(axis=-1, keepdims=True) / d
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        ggamma = (g * xhat).sum(axis=lead) if gamma.needs_grad else None
+        tmp = g * xhat
+        ggamma = tmp.sum(axis=lead) if gamma.needs_grad else None
         gbeta = g.sum(axis=lead) if beta.needs_grad else None
-        if x.needs_grad:
-            gx_hat = g * gamma.data
-            gx = (
-                inv
-                / d
-                * (
-                    d * gx_hat
-                    - gx_hat.sum(axis=-1, keepdims=True)
-                    - xhat * (gx_hat * xhat).sum(axis=-1, keepdims=True)
-                )
-            )
-        else:
-            gx = None
-        return gx, ggamma, gbeta
+        if not (x.needs_grad or y.needs_grad):
+            return None, None, ggamma, gbeta
+        # dX = inv / d * (d * dX_hat - sum(dX_hat) - x_hat * sum(dX_hat * x_hat))
+        gx = g * gamma.data
+        sum_gx = gx.sum(axis=-1, keepdims=True)
+        np.multiply(gx, xhat, out=tmp)
+        sum_gx_xhat = tmp.sum(axis=-1, keepdims=True)
+        gx *= d
+        gx -= sum_gx
+        np.multiply(xhat, sum_gx_xhat, out=tmp)
+        gx -= tmp
+        gx *= inv / d
+        return gx, gx, ggamma, gbeta
 
-    return _out(gamma.data * xhat + beta.data, (x, gamma, beta), bwd)
+    return _out(out, (x, y, gamma, beta), bwd)
 
 
 def mean_rows(x: Tensor) -> Tensor:

@@ -11,7 +11,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -204,6 +204,9 @@ class Checkpoint:
     best_val_loss: float
     epoch: int
     seed: int
+    # the validation logits these weights gave at ``epoch``; kept in memory for
+    # the run's report, never written to the checkpoint file
+    val_logits: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def norm_stats(self) -> NormStats:
         return NormStats(mean=self.norm_mean, std=self.norm_std, fitted_on=self.norm_fitted_on)
@@ -224,8 +227,10 @@ def train_loop(
     """Run the full training schedule; return the best checkpoint and history.
 
     The checkpoint (in memory, and on disk when a path is given) is replaced
-    only when validation loss strictly improves. A non-finite training loss
-    aborts with the offending epoch/batch in the message.
+    only when validation loss strictly improves, and carries the validation
+    logits it was scored on. A non-finite training loss aborts with the
+    offending epoch/batch in the message, a non-finite validation loss with
+    the epoch.
     """
     violations = cfg.validate()
     if violations:
@@ -278,7 +283,10 @@ def train_loop(
             preds = np.argmax(logits.data, axis=1)
             epoch_correct += int((preds == batch.labels).sum())
 
-        val_loss, val_acc = evaluate(model, val_ds)
+        val_logits = infer(model, val_ds.features)
+        val_loss, val_acc = score_logits(val_logits, val_ds.labels)
+        if not math.isfinite(val_loss):
+            raise NumericalError(f"non-finite validation loss {val_loss} at epoch {epoch}")
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -298,6 +306,7 @@ def train_loop(
                 best_val_loss=val_loss,
                 epoch=epoch,
                 seed=cfg.seed,
+                val_logits=val_logits,
             )
             if checkpoint_path is not None:
                 save_checkpoint(best, checkpoint_path)

@@ -31,7 +31,7 @@ from beatformer.model import (
     parameter_breakdown,
     tiny_config,
 )
-from beatformer.tensor import Tensor, grad_check
+from beatformer.tensor import Tensor, attention, grad_check
 from beatformer.train import (
     TrainConfig,
     evaluate,
@@ -41,7 +41,6 @@ from beatformer.train import (
     sparse_ce_loss,
     train_loop,
 )
-from beatformer.layers import scaled_dot_attention
 
 from conftest import (
     REAL_TEST_COUNTS,
@@ -88,20 +87,28 @@ def test_c1_gradient_correctness():
 
 
 def test_c2_attention_weight_invariants():
-    """Attention weights are row-stochastic on 1,000 random (Q, K, V) triples."""
+    """The model's attention weights are row-stochastic on 1,000 random instances.
+
+    Checks the fused ``attention`` op the encoder runs. With a head size equal
+    to the token count and every head's value block set to the identity, the
+    op's output for sample i, head j is that head's t x t weight matrix itself.
+    """
     started = time.perf_counter()
     rng = np.random.default_rng(7)
+    multi = 0
     for _ in range(1000):
+        b = int(rng.integers(1, 4))
+        heads = int(rng.integers(1, 4))
         t = int(rng.integers(1, 9))
-        d_k = int(rng.integers(1, 9))
-        d_v = int(rng.integers(1, 9))
-        q = Tensor(rng.normal(scale=4.0, size=(t, d_k)))
-        k = Tensor(rng.normal(scale=4.0, size=(t, d_k)))
-        v = Tensor(rng.normal(size=(t, d_v)))
-        _, weights = scaled_dot_attention(q, k, v)
-        w = weights.data
-        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)
+        qkv = np.empty((b, t, 3, heads, t))  # columns q|k|v, head, d_head = t
+        qkv[:, :, :2] = rng.normal(scale=4.0, size=(b, t, 2, heads, t))
+        qkv[:, :, 2] = np.eye(t)[None, :, None, :]
+        out = attention(Tensor(qkv.reshape(b * t, 3 * heads * t)), b, t, heads, t)
+        w = out.data.reshape(b, t, heads, t)  # [sample, query, head, key]
+        assert np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-9)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
+        multi += b > 1 and heads > 1
+    assert multi > 100  # batches of several samples with several heads are covered
     elapsed = time.perf_counter() - started
     _passed(2, f"1,000 random attention instances row-stochastic in {elapsed:.1f}s")
 

@@ -90,6 +90,35 @@ class TestTrainCommand:
         assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
         assert (out_a / "checkpoint.bin").read_bytes() == (out_b / "checkpoint.bin").read_bytes()
 
+    def test_report_is_the_restored_checkpoint_on_the_validation_split(self, corpus, tmp_path):
+        # the report comes from the logits scored at the best epoch; it must be
+        # byte-identical to restoring checkpoint.bin and predicting the
+        # validation split again, which is what train did before
+        from beatformer import data as data_mod
+        from beatformer.cli import _report_files
+        from beatformer.train import load_checkpoint, predict, restore_model
+
+        out = corpus["dir"] / "run_report"
+        assert run_train(corpus, out) == 0
+        ckpt = load_checkpoint(str(out / "checkpoint.bin"))
+        full = data_mod.load_csv(corpus["train"])
+        val_n = round(0.1 * full.n)
+        _, val = data_mod.stratified_split(full, full.n - val_n, 7)
+        val = data_mod.apply_normalizer(val, ckpt.norm_stats())
+        probs = predict(restore_model(ckpt), val.features)
+        _report_files(str(tmp_path), np.argmax(probs, axis=1), val.labels)
+        for name in ("report.txt", "report.csv", "confusion.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_report_needs_no_second_validation_pass(self, corpus, monkeypatch):
+        import beatformer.cli as cli_mod
+
+        def no_restore(ckpt):
+            raise AssertionError("train restored the checkpoint to rescore validation")
+
+        monkeypatch.setattr(cli_mod, "restore_model", no_restore)
+        assert run_train(corpus, corpus["dir"] / "run_one_pass") == 0
+
     def test_missing_csv_exits_2_without_partial_outputs(self, corpus):
         out = corpus["dir"] / "run2"
         code = main(["train", "--config", corpus["cfg"], "--out", str(out),

@@ -273,7 +273,7 @@ class TestEncoderBlock:
 
     def test_zero_sublayers_reduce_to_double_layer_norm(self):
         from beatformer.layers import LN_EPS
-        from beatformer.tensor import layer_norm
+        from beatformer.tensor import add_layer_norm
 
         model = build_model(tiny_config(seed=6))
         block = model.blocks[0]
@@ -285,7 +285,9 @@ class TestEncoderBlock:
         got = encoder_block(x, block).data
         ones = Tensor(np.ones(8))
         zeros = Tensor(np.zeros(8))
-        expected = layer_norm(layer_norm(x, ones, zeros, LN_EPS), ones, zeros, LN_EPS).data
+        no_residual = Tensor(np.zeros((4, 8)))
+        once = add_layer_norm(x, no_residual, ones, zeros, LN_EPS)
+        expected = add_layer_norm(once, no_residual, ones, zeros, LN_EPS).data
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 

@@ -196,11 +196,12 @@ class TestForward:
 
 
 def test_default_train_step_tape_and_parameter_counts():
-    """Pins the fused layout: 62 tape records per train step, 57 parameter tensors.
+    """Pins the fused layout: 54 tape records per train step, 57 parameter tensors.
 
     Per step: embedding, positional slice, tiling and sum (4); per block the
-    QKV projection, attention, output projection, dropout, residual, norm, two
-    FFN projections with a ReLU, dropout, residual and norm (12, times 4);
+    QKV projection, attention, output projection, dropout, residual sum with
+    its norm, two FFN projections with a ReLU, dropout, residual sum with its
+    norm (10, times 4);
     the head's reshape, pooling, two dense+ReLU+dropout layers and the output
     projection (9); the loss (1).
     """
@@ -211,4 +212,4 @@ def test_default_train_step_tape_and_parameter_counts():
     labels = rng.integers(0, 5, size=32)
     with GradTape() as tape:
         sparse_ce_loss(forward(model, batch, mode="train", rng=rng), labels)
-    assert len(tape) == 62
+    assert len(tape) == 54

@@ -10,12 +10,12 @@ from beatformer.tensor import (
     GradTape,
     Tensor,
     add,
+    add_layer_norm,
     attention,
     backward,
     elementwise,
     first_rows,
     grad_check,
-    layer_norm,
     linear,
     matmul,
     mean_rows,
@@ -170,6 +170,11 @@ class TestSoftmaxRows:
         )
 
 
+def layer_norm(x, gamma, beta, eps):
+    """LayerNorm alone: the fused residual op with a zero residual."""
+    return add_layer_norm(x, Tensor(np.zeros(x.shape)), gamma, beta, eps=eps)
+
+
 class TestLayerNorm:
     def test_constant_input_yields_beta(self):
         x = Tensor(np.full(6, 3.7))
@@ -197,6 +202,38 @@ class TestLayerNorm:
     def test_eps_must_be_positive(self):
         with pytest.raises(ConfigError):
             layer_norm(Tensor([1.0, 2.0]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), eps=0.0)
+
+    def test_residual_shapes_must_agree(self):
+        with pytest.raises(ShapeError, match="residual"):
+            add_layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)),
+                           Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+    def test_fused_op_is_bit_equal_to_add_then_unfused_layer_norm(self):
+        # the unfused formulas with np.mean / np.var, as an add op followed by a
+        # LayerNorm op computed them; the fused op must not change a single bit
+        rng = np.random.default_rng(14)
+        x, y = rng.normal(size=(2, 17, 8))
+        gamma, beta = rng.normal(size=(2, 8))
+        g = rng.normal(size=(17, 8))
+        s = x + y
+        inv = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + 1e-6)
+        xhat = (s - s.mean(axis=-1, keepdims=True)) * inv
+        gxh = g * gamma
+        want_gx = inv / 8 * (8 * gxh - gxh.sum(axis=-1, keepdims=True)
+                             - xhat * (gxh * xhat).sum(axis=-1, keepdims=True))
+
+        tx, ty = Tensor(x, needs_grad=True), Tensor(y, needs_grad=True)
+        tg, tb = Tensor(gamma, needs_grad=True), Tensor(beta, needs_grad=True)
+        zero_grads([tx, ty, tg, tb])
+        with GradTape() as tape:
+            out = add_layer_norm(tx, ty, tg, tb, eps=1e-6)
+            loss = sum_all(mul(out, Tensor(g)))
+        backward(tape, loss)
+        np.testing.assert_array_equal(out.data, gamma * xhat + beta)
+        np.testing.assert_array_equal(tx.grad, want_gx)
+        np.testing.assert_array_equal(ty.grad, want_gx)
+        np.testing.assert_array_equal(tg.grad, (g * xhat).sum(axis=0))
+        np.testing.assert_array_equal(tb.grad, g.sum(axis=0))
 
 
 class TestElementwise:
@@ -303,6 +340,36 @@ class TestBackward:
         backward(tape, loss)
         assert c.grad is None
         np.testing.assert_array_equal(w.grad, [1.0, 2.0])
+
+    def test_peak_memory_does_not_grow_with_chain_length(self):
+        import tracemalloc
+
+        array_bytes = 512 * 512 * 8
+
+        def backward_peak(n_ops):
+            x = Tensor(np.ones((512, 512)), needs_grad=True)
+            zero_grads([x])
+            with GradTape() as tape:
+                h = x
+                for _ in range(n_ops):
+                    h = scale(h, 1.0)
+                loss = sum_all(h)
+            tracemalloc.start()
+            try:
+                backward(tape, loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(x.grad, 1.0)
+            return peak
+
+        # each adjoint is dropped once its producer has run, so backward holds
+        # a few arrays at a time, not one per op in the chain
+        short, long = backward_peak(4), backward_peak(32)
+        assert long - short <= 2 * array_bytes, (
+            f"backward peak grew from {short / array_bytes:.1f} to "
+            f"{long / array_bytes:.1f} arrays of 512x512"
+        )
 
     def test_independent_tapes_in_parallel_threads(self):
         import threading
@@ -416,9 +483,9 @@ class TestGradCheck:
 
 
 @pytest.mark.parametrize("op_name", ["matmul", "add", "mul", "relu", "scale", "softmax",
-                                     "layer_norm", "mean_rows", "transpose", "stack",
-                                     "first_rows", "vecmat", "reshape", "tile_rows",
-                                     "mean_axis1", "linear", "attention",
+                                     "layer_norm", "add_layer_norm", "mean_rows",
+                                     "transpose", "stack", "first_rows", "vecmat", "reshape",
+                                     "tile_rows", "mean_axis1", "linear", "attention",
                                      "attention_one_head"])
 def test_every_op_matches_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
@@ -456,11 +523,16 @@ def test_every_op_matches_finite_differences(op_name):
         weight = Tensor(rng.normal(size=(3, 5)))
         f = lambda: sum_all(mul(softmax_rows(a), weight))
         params = [a]
-    elif op_name == "layer_norm":
+    elif op_name == "layer_norm":  # the fused op with a constant zero residual
         a, g, b = t((3, 6)), t((6,)), t((6,))
         weight = Tensor(rng.normal(size=(3, 6)))
         f = lambda: sum_all(mul(layer_norm(a, g, b, eps=1e-5), weight))
         params = [a, g, b]
+    elif op_name == "add_layer_norm":
+        a, r, g, b = t((3, 6)), t((3, 6)), t((6,)), t((6,))
+        weight = Tensor(rng.normal(size=(3, 6)))
+        f = lambda: sum_all(mul(add_layer_norm(a, r, g, b, eps=1e-5), weight))
+        params = [a, r, g, b]
     elif op_name == "mean_rows":
         a = t((4, 3))
         weight = Tensor(rng.normal(size=3))

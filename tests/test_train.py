@@ -22,9 +22,11 @@ from beatformer.train import (
     TrainConfig,
     evaluate,
     history_to_csv,
+    infer,
     load_checkpoint,
     restore_model,
     save_checkpoint,
+    score_logits,
     sparse_ce_loss,
     train_loop,
 )
@@ -248,6 +250,24 @@ class TestTrainLoop:
             with pytest.raises(NumericalError, match=r"epoch 0, batch 0"):
                 train_loop(model, cfg, train, val)
 
+    def test_non_finite_validation_loss_aborts_with_the_epoch(self):
+        train, val = quick_sets()
+        val.features[0, 0] = np.inf
+        model = build_model(tiny_config(seed=7))
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=2)
+        with np.errstate(invalid="ignore"):  # the injected inf is the point
+            with pytest.raises(NumericalError, match=r"validation loss nan at epoch 0"):
+                train_loop(model, cfg, train, val)
+
+    def test_best_checkpoint_carries_its_validation_logits(self):
+        train, val = quick_sets()
+        model = build_model(tiny_config(seed=4))
+        cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3, seed=9)
+        ckpt, history = train_loop(model, cfg, train, val)
+        logits = infer(restore_model(ckpt), val.features)
+        np.testing.assert_array_equal(ckpt.val_logits, logits)
+        assert score_logits(ckpt.val_logits, val.labels)[0] == ckpt.best_val_loss
+
     def test_invalid_train_config_rejected(self):
         train, val = quick_sets()
         model = build_model(tiny_config(seed=8))
@@ -262,13 +282,13 @@ class TestTrainLoop:
         import beatformer.train as train_mod
 
         fake_losses = iter([0.5, 0.4, 0.45])
-        real_evaluate = train_mod.evaluate
+        real_score = train_mod.score_logits
 
-        def fake_eval(m, ds, batch_size=256):
-            _, acc = real_evaluate(m, ds, batch_size)
+        def fake_score(logits, labels):
+            _, acc = real_score(logits, labels)
             return next(fake_losses), acc
 
-        monkeypatch.setattr(train_mod, "evaluate", fake_eval)
+        monkeypatch.setattr(train_mod, "score_logits", fake_score)
         original_save = train_mod.save_checkpoint
         monkeypatch.setattr(
             train_mod, "save_checkpoint",
