@@ -247,8 +247,6 @@ def cmd_train(args) -> int:
         val_n = max(1, round(resolved["val_fraction"] * working.n))
         train_part, val_part = data_mod.stratified_split(working, working.n - val_n, seed)
         if resolved["normalization"] == "per_sample":
-            train_part = data_mod.apply_per_sample(train_part)
-            val_part = data_mod.apply_per_sample(val_part)
             stats = data_mod.NormStats(
                 mean=np.zeros(resolved["input_len"]),
                 std=np.ones(resolved["input_len"]),
@@ -256,8 +254,8 @@ def cmd_train(args) -> int:
             )
         else:
             stats = data_mod.fit_normalizer(train_part)
-            train_part = data_mod.apply_normalizer(train_part, stats)
-            val_part = data_mod.apply_normalizer(val_part, stats)
+        train_part = data_mod.apply_normalizer(train_part, stats)
+        val_part = data_mod.apply_normalizer(val_part, stats)
 
         model = build_model(_model_config(resolved))
         print(format_param_report(model))
@@ -297,10 +295,7 @@ def cmd_eval(args) -> int:
         return _fail(str(err))
 
     model = restore_model(ckpt)
-    if ckpt.norm_fitted_on == data_mod.PER_SAMPLE_NORM_ID:
-        normed = data_mod.apply_per_sample(test_ds)
-    else:
-        normed = data_mod.apply_normalizer(test_ds, ckpt.norm_stats())
+    normed = data_mod.apply_normalizer(test_ds, ckpt.norm_stats())
     logits = infer(model, normed.features)
     loss, acc = score_logits(logits, normed.labels)
     preds = np.argmax(logits, axis=1)
@@ -325,12 +320,7 @@ def cmd_predict(args) -> int:
         return _fail(str(err))
 
     model = restore_model(ckpt)
-    if ckpt.norm_fitted_on == data_mod.PER_SAMPLE_NORM_ID:
-        normed = data_mod.per_sample_normalize(features)
-    else:
-        stats = ckpt.norm_stats()
-        normed = (features - stats.mean) / stats.std
-    probs = predict(model, normed)
+    probs = predict(model, data_mod.normalize(features, ckpt.norm_stats()))
     preds = np.argmax(probs, axis=1)
 
     lines = ["index,predicted_class," + ",".join(f"p{c}" for c in range(probs.shape[1]))]

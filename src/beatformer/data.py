@@ -33,10 +33,10 @@ __all__ = [
     "load_csv",
     "load_features",
     "fit_normalizer",
+    "normalize",
     "apply_normalizer",
     "PER_SAMPLE_NORM_ID",
     "per_sample_normalize",
-    "apply_per_sample",
     "class_counts",
     "stratified_subset",
     "stratified_split",
@@ -72,7 +72,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-feature mean and (floored) population std, fit on one training split."""
+    """Per-feature mean and (floored) population std, fit on one training split.
+
+    ``fitted_on`` equal to :data:`PER_SAMPLE_NORM_ID` marks per-sample mode
+    instead, where :func:`normalize` ignores the mean and std.
+    """
 
     mean: np.ndarray
     std: np.ndarray
@@ -155,16 +159,6 @@ def fit_normalizer(train: Dataset) -> NormStats:
     return NormStats(mean=mean, std=std, fitted_on=train.source or "unnamed")
 
 
-def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
-    """Standardize columns with the given (train-fitted) stats; labels untouched."""
-    return Dataset(
-        features=(ds.features - stats.mean) / stats.std,
-        labels=ds.labels.copy(),
-        source=ds.source,
-        norm_id=stats.fitted_on,
-    )
-
-
 # sentinel norm id marking per-sample (row-wise) standardization; checkpoints
 # carry it so eval/predict reapply the same transform
 PER_SAMPLE_NORM_ID = "per-sample"
@@ -179,12 +173,20 @@ def per_sample_normalize(features: np.ndarray) -> np.ndarray:
     return (features - mean) / std
 
 
-def apply_per_sample(ds: Dataset) -> Dataset:
+def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Apply ``stats``: row-wise when they mark per-sample mode, else column-wise."""
+    if stats.fitted_on == PER_SAMPLE_NORM_ID:
+        return per_sample_normalize(features)
+    return (features - stats.mean) / stats.std
+
+
+def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
+    """Normalize with the given (train-fitted) stats via :func:`normalize`; labels untouched."""
     return Dataset(
-        features=per_sample_normalize(ds.features),
+        features=normalize(ds.features, stats),
         labels=ds.labels.copy(),
         source=ds.source,
-        norm_id=PER_SAMPLE_NORM_ID,
+        norm_id=stats.fitted_on,
     )
 
 

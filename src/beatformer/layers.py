@@ -1,4 +1,4 @@
-"""Neural building blocks: patch embedding, attention, FFN, encoder block, head.
+"""Neural building blocks: patch embedding, attention, FFN, encoder block.
 
 All functions are pure graph builders over :mod:`beatformer.tensor` ops; they
 take parameter containers plus a mode flag ("train" enables dropout, "eval"
@@ -12,22 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import (
-    Tensor,
-    add,
-    add_layer_norm,
-    attention,
-    first_rows,
-    linear,
-    matmul,
-    mean_rows,
-    mul,
-    relu,
-    scale,
-    softmax_rows,
-    transpose,
-    vecmat,
-)
+from .tensor import Tensor, add_layer_norm, attention, linear, mul, relu
 
 LN_EPS = 1e-6
 
@@ -39,12 +24,9 @@ __all__ = [
     "dropout",
     "patch_embed",
     "sinusoidal_table",
-    "positional_embedding",
-    "scaled_dot_attention",
     "multi_head_attention",
     "feed_forward",
     "encoder_block",
-    "classification_head",
 ]
 
 
@@ -192,27 +174,6 @@ def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
     return table
 
 
-def positional_embedding(t: int, table: Tensor) -> Tensor:
-    """First ``t`` rows of the additive positional table."""
-    return first_rows(table, t)
-
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor):
-    """weights = softmax_rows(Q K^T / sqrt(d_k)); out = weights V.
-
-    Returns (out, weights); the weights are exposed for inspection and the
-    row-stochasticity checks.
-    """
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query/key widths disagree: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key/value row counts disagree: {k.shape} vs {v.shape}")
-    d_k = q.shape[1]
-    logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
-    weights = softmax_rows(logits)
-    return matmul(weights, v), weights
-
-
 def multi_head_attention(
     x: Tensor,
     params: AttentionParams,
@@ -262,21 +223,3 @@ def encoder_block(
     ffn_out = dropout(feed_forward(a, params), dropout_p, mode, rng)
     return add_layer_norm(a, ffn_out, params.ln2_gamma, params.ln2_beta, LN_EPS)
 
-
-def classification_head(
-    x: Tensor,
-    params: HeadParams,
-    dropout_p: float = 0.0,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Mean-pool the tokens, run the dense ReLU stack, emit raw class logits.
-
-    Softmax is deliberately left to the loss / prediction consumers.
-    """
-    rng = rng or np.random.default_rng()
-    h = mean_rows(x)
-    for w, b in params.hidden:
-        h = relu(add(vecmat(h, w), b))
-        h = dropout(h, dropout_p, mode, rng)
-    return add(vecmat(h, params.out_w), params.out_b)

@@ -13,11 +13,9 @@ from .layers import (
     AttentionParams,
     EncoderBlockParams,
     HeadParams,
-    classification_head,
     dropout,
     encoder_block,
     patch_embed,
-    positional_embedding,
     sinusoidal_table,
 )
 from .tensor import (
@@ -43,7 +41,6 @@ __all__ = [
     "tiny_config",
     "build_model",
     "forward",
-    "forward_sample",
     "count_params",
     "parameter_breakdown",
     "format_param_report",
@@ -242,8 +239,7 @@ def forward(
 
     Samples are processed independently (attention only ever mixes tokens of
     the same sample), so each row's logits depend only on that row and the
-    parameters; the batch is vectorized purely as an optimization and agrees
-    with :func:`forward_sample` run row by row.
+    parameters; a single sample is a batch of one.
     """
     cfg = model.config
     feats = np.asarray(features, dtype=np.float64)
@@ -257,7 +253,7 @@ def forward(
     b, t = feats.shape[0], cfg.n_tokens
 
     x2 = patch_embed(feats, cfg.patch_len, model.embed_w, model.embed_b)
-    x2 = add(x2, tile_rows(positional_embedding(t, model.pos_table), b))
+    x2 = add(x2, tile_rows(model.pos_table, b))
     for block in model.blocks:
         x2 = encoder_block(x2, block, cfg.dropout_p, mode, rng, batch=b)
 
@@ -265,27 +261,6 @@ def forward(
     for w, bias in model.head.hidden:
         h = dropout(relu(linear(h, w, bias)), cfg.dropout_p, mode, rng)
     return linear(h, model.head.out_w, model.head.out_b)
-
-
-def forward_sample(
-    model: Model,
-    signal,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """One signal's (n_classes,) logits from the single-sample layer functions.
-
-    The encoder blocks run the same code as :func:`forward` with a batch of
-    one; the pooled head is :func:`~beatformer.layers.classification_head`.
-    """
-    cfg = model.config
-    rng = rng or np.random.default_rng()
-    x = patch_embed(np.asarray(signal, dtype=np.float64), cfg.patch_len,
-                    model.embed_w, model.embed_b)
-    x = add(x, positional_embedding(cfg.n_tokens, model.pos_table))
-    for block in model.blocks:
-        x = encoder_block(x, block, cfg.dropout_p, mode, rng)
-    return classification_head(x, model.head, cfg.dropout_p, mode, rng)
 
 
 def count_params(model: Model) -> int:

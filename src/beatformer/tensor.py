@@ -28,23 +28,13 @@ __all__ = [
     "backward",
     "zero_grads",
     "record_op",
-    "matmul",
     "linear",
     "attention",
-    "vecmat",
-    "transpose",
     "add",
     "mul",
-    "scale",
     "relu",
-    "elementwise",
-    "softmax_rows",
     "add_layer_norm",
-    "mean_rows",
     "mean_axis1",
-    "sum_all",
-    "first_rows",
-    "stack_rows",
     "reshape",
     "tile_rows",
     "grad_check",
@@ -229,21 +219,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C = A @ B for rank-2 tensors; dA = dC @ B^T, dB = A^T @ dC."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 tensors, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    def bwd(g):
-        ga = g @ b.data.T if a.needs_grad else None
-        gb = a.data.T @ g if b.needs_grad else None
-        return ga, gb
-
-    return _out(a.data @ b.data, (a, b), bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Y = X @ W + b for a rank-2 X, recorded as one op.
 
@@ -313,27 +288,6 @@ def attention(qkv: Tensor, b: int, t: int, heads: int, d_head: int) -> Tensor:
     return _out(out.reshape(b * t, heads * d_head), (qkv,), bwd)
 
 
-def vecmat(v: Tensor, w: Tensor) -> Tensor:
-    """y = v @ W for a rank-1 vector and rank-2 matrix."""
-    if v.data.ndim != 1 or w.data.ndim != 2:
-        raise ShapeError(f"vecmat needs (vector, matrix), got {v.shape} and {w.shape}")
-    if v.shape[0] != w.shape[0]:
-        raise ShapeError(f"vecmat inner dimensions disagree: {v.shape} @ {w.shape}")
-
-    def bwd(g):
-        gv = g @ w.data.T if v.needs_grad else None
-        gw = np.outer(v.data, g) if w.needs_grad else None
-        return gv, gw
-
-    return _out(v.data @ w.data, (v, w), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got {a.shape}")
-    return _out(np.ascontiguousarray(a.data.T), (a,), lambda g: (g.T,))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with trailing-axis broadcast (e.g. matrix + bias row)."""
     try:
@@ -364,41 +318,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _out(data, (a, b), bwd)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _out(a.data * s, (a,), lambda g: (g * s,))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     # np.maximum (not where) so NaN propagates instead of being silently zeroed
     return _out(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
-_ELEMENTWISE = {"add": add, "mul": mul, "relu": relu, "scale": scale}
-
-
-def elementwise(op_tag: str, a: Tensor, b=None) -> Tensor:
-    """Tag-dispatched elementwise op: 'add', 'mul', 'relu', 'scale'."""
-    if op_tag not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op {op_tag!r}")
-    fn = _ELEMENTWISE[op_tag]
-    return fn(a) if b is None else fn(a, b)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        # dX = Y * (g - sum(g * Y, last axis))
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return _out(y, (x,), bwd)
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
@@ -447,48 +370,6 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
         return gx, gx, ggamma, gbeta
 
     return _out(out, (x, y, gamma, beta), bwd)
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    """Column means of a rank-2 tensor; the global-average-pool primitive."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_rows needs a rank-2 tensor, got {x.shape}")
-    m = x.shape[0]
-    return _out(x.data.mean(axis=0), (x,), lambda g: (np.broadcast_to(g / m, x.shape).copy(),))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    return _out(np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
-
-
-def first_rows(table: Tensor, t: int) -> Tensor:
-    """First ``t`` rows of a rank-2 tensor; backward scatters into those rows."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"first_rows needs a rank-2 tensor, got {table.shape}")
-    if not 0 < t <= table.shape[0]:
-        raise ConfigError(f"requested {t} rows from a table of {table.shape[0]}")
-
-    def bwd(g):
-        full = np.zeros_like(table.data)
-        full[:t] = g
-        return (full,)
-
-    return _out(table.data[:t].copy(), (table,), bwd)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors of equal length into a rank-2 tensor."""
-    if not rows:
-        raise ShapeError("stack_rows needs at least one row")
-    width = rows[0].shape[0]
-    for r in rows:
-        if r.data.ndim != 1 or r.shape[0] != width:
-            raise ShapeError(f"stack_rows rows must all be rank-1 of length {width}, got {r.shape}")
-
-    def bwd(g):
-        return tuple(g[i] if r.needs_grad else None for i, r in enumerate(rows))
-
-    return _out(np.stack([r.data for r in rows]), tuple(rows), bwd)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from beatformer.data import Dataset
+from beatformer.tensor import Tensor, record_op
 
 # per-class sizes of the real train/test splits (used for proportions and
 # for the ingestion-fidelity criterion when the real files are available)
@@ -57,6 +58,13 @@ def synthetic_beats(n: int, seed: int, proportions=None, source: str = "syntheti
     mask = np.arange(187)[None, :] < valid[:, None]
     features = signal * mask
     return Dataset(features=features, labels=labels, source=source)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Sum of every element as one taped scalar op: the loss most tests backpropagate."""
+    out = Tensor(np.asarray(x.data.sum()), needs_grad=x.needs_grad)
+    record_op(out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
+    return out
 
 
 def write_beats_csv(path, ds: Dataset) -> None:

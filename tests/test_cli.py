@@ -264,6 +264,49 @@ def test_version_1_checkpoint_exits_2_naming_both_versions(corpus, tmp_path, cap
         assert "version 1" in err and "expected 2" in err
 
 
+def test_per_sample_checkpoint_eval_and_predict_reapply_the_row_transform(corpus, tmp_path,
+                                                                         capsys):
+    from beatformer.data import load_csv, per_sample_normalize
+    from beatformer.metrics import (
+        classification_report,
+        confusion_matrix,
+        confusion_to_csv,
+        format_report,
+        report_to_csv,
+    )
+    from beatformer.train import infer, load_checkpoint, predict, restore_model
+
+    cfg = tmp_path / "persample.cfg"
+    cfg.write_text(TINY_MODEL_LINES
+                   + f"\ndata_train = {corpus['train']}\nnormalization = per_sample\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 "--epochs", "2", "--seed", "7"]) == 0
+    checkpoint = str(out / "checkpoint.bin")
+    model = restore_model(load_checkpoint(checkpoint))
+    test = load_csv(corpus["test"])
+    normed = per_sample_normalize(test.features)
+
+    eval_out = tmp_path / "eval"
+    assert main(["eval", checkpoint, "--data-test", corpus["test"],
+                 "--out", str(eval_out)]) == 0
+    cm = confusion_matrix(np.argmax(infer(model, normed), axis=1), test.labels)
+    report = classification_report(cm)
+    assert (eval_out / "confusion.csv").read_text() == confusion_to_csv(cm)
+    assert (eval_out / "report.csv").read_text() == report_to_csv(report)
+    assert (eval_out / "report.txt").read_text() == format_report(report) + "\n"
+
+    capsys.readouterr()  # drain the train and eval output
+    assert main(["predict", checkpoint, corpus["test"]]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    probs = predict(model, normed)
+    # %.17g round-trips every float64 exactly
+    np.testing.assert_array_equal([[float(p) for p in row[2:]] for row in rows], probs)
+    assert [int(row[1]) for row in rows] == list(np.argmax(probs, axis=1))
+    # the stored identity mean and std alone would give other probabilities
+    assert not np.array_equal(probs, predict(model, test.features))
+
+
 class TestPredictCommand:
     def test_probabilities_shape_and_sum(self, corpus, capsys):
         out = corpus["dir"] / "run6"

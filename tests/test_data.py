@@ -166,13 +166,25 @@ class TestNormalizer:
         np.testing.assert_array_equal(normed.labels, synth_train.labels)
 
     def test_per_sample_normalization(self):
-        from beatformer.data import PER_SAMPLE_NORM_ID, apply_per_sample
+        from beatformer.data import PER_SAMPLE_NORM_ID, NormStats
 
         ds = synthetic_beats(40, seed=8)
-        normed = apply_per_sample(ds)
+        # the mean and std are ignored in per-sample mode
+        stats = NormStats(mean=np.full(187, 9.0), std=np.full(187, 9.0),
+                          fitted_on=PER_SAMPLE_NORM_ID)
+        normed = apply_normalizer(ds, stats)
         assert normed.norm_id == PER_SAMPLE_NORM_ID
         np.testing.assert_allclose(normed.features.mean(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(normed.features.std(axis=1), 1.0, atol=1e-6)
+
+    def test_normalize_picks_the_transform_from_the_stats(self, synth_train):
+        from beatformer.data import PER_SAMPLE_NORM_ID, NormStats, normalize, per_sample_normalize
+
+        stats = fit_normalizer(synth_train)
+        feats = synth_train.features[:20]
+        np.testing.assert_array_equal(normalize(feats, stats), (feats - stats.mean) / stats.std)
+        per_sample = NormStats(mean=stats.mean, std=stats.std, fitted_on=PER_SAMPLE_NORM_ID)
+        np.testing.assert_array_equal(normalize(feats, per_sample), per_sample_normalize(feats))
 
     def test_per_sample_constant_row_floored(self):
         from beatformer.data import per_sample_normalize

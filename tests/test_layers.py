@@ -5,21 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from beatformer.errors import ConfigError, ShapeError
+from beatformer.errors import ConfigError, ConfigMismatchError, ShapeError
 from beatformer.layers import (
     AttentionParams,
-    classification_head,
     dropout,
     encoder_block,
     feed_forward,
     multi_head_attention,
     patch_embed,
-    positional_embedding,
-    scaled_dot_attention,
     sinusoidal_table,
 )
-from beatformer.model import build_model, tiny_config
-from beatformer.tensor import GradTape, Tensor, backward, grad_check, mul, sum_all, zero_grads
+from beatformer.model import build_model, forward, tiny_config
+from beatformer.tensor import (
+    Tensor,
+    add,
+    attention,
+    grad_check,
+    mean_axis1,
+    mul,
+    tile_rows,
+)
+
+from conftest import sum_all
 
 
 def identity_attention(d):
@@ -66,27 +73,40 @@ class TestPatchEmbed:
 
 
 class TestPositionalEmbedding:
+    """The table is added to every sample's tokens as ``add(x, tile_rows(table, b))``."""
+
     def test_zero_table_is_identity(self):
-        table = Tensor(np.zeros((17, 8)))
-        np.testing.assert_array_equal(positional_embedding(17, table).data, np.zeros((17, 8)))
+        tokens = Tensor(np.random.default_rng(0).normal(size=(2 * 17, 8)))
+        out = add(tokens, tile_rows(Tensor(np.zeros((17, 8))), 2))
+        np.testing.assert_array_equal(out.data, tokens.data)
 
     def test_slicing_contract(self):
-        table = Tensor(np.random.default_rng(0).normal(size=(20, 64)))
-        out = positional_embedding(17, table)
-        assert out.shape == (17, 64)
-        np.testing.assert_array_equal(out.data, table.data[:17])
+        # each sample's block of token rows gets the whole table, row t at token t
+        table = Tensor(np.random.default_rng(0).normal(size=(17, 64)))
+        out = tile_rows(table, 3)
+        assert out.shape == (3 * 17, 64)
+        for i in range(3):
+            np.testing.assert_array_equal(out.data[i * 17:(i + 1) * 17], table.data)
 
     def test_identical_patches_distinct_positions(self):
         table = Tensor(np.arange(8.0).reshape(4, 2))
         tokens = Tensor(np.ones((4, 2)))
-        from beatformer.tensor import add
-
-        embedded = add(tokens, positional_embedding(4, table)).data
+        embedded = add(tokens, tile_rows(table, 1)).data
         assert not np.array_equal(embedded[0], embedded[1])
 
     def test_too_many_rows(self):
-        with pytest.raises(ConfigError):
-            positional_embedding(5, Tensor(np.zeros((4, 2))))
+        # the table has exactly n_tokens rows; a checkpoint with any other
+        # count is refused instead of being sliced or padded
+        from beatformer.train import Checkpoint, restore_model
+
+        model = build_model(tiny_config(input_len=44))
+        params = {name: t.data for name, t in model.parameters()}
+        params["pos.table"] = np.zeros((5, 8))
+        ckpt = Checkpoint(config=model.config, params=params, norm_mean=np.zeros(44),
+                          norm_std=np.ones(44), norm_fitted_on="x", best_val_loss=1.0,
+                          epoch=0, seed=0)
+        with pytest.raises(ConfigMismatchError, match="pos.table"):
+            restore_model(ckpt)
 
     def test_sinusoidal_table_shape_and_range(self):
         t = sinusoidal_table(17, 8)
@@ -95,69 +115,84 @@ class TestPositionalEmbedding:
         assert not np.array_equal(t[0], t[1])
 
 
+def scaled_dot_attention(q, k, v):
+    """:func:`~beatformer.tensor.attention` on one sample and one head.
+
+    ``q``, ``k`` and ``v`` are the (t, d) query, key and value blocks, packed
+    side by side into the op's (t, 3 * d) input.
+    """
+    q, k, v = (np.asarray(m, dtype=np.float64) for m in (q, k, v))
+    return attention(Tensor(np.hstack([q, k, v])), 1, q.shape[0], 1, q.shape[1]).data
+
+
+def attention_weights(q, k):
+    """The (t, t) weights of :func:`scaled_dot_attention` for square (t, t) q and k.
+
+    With the identity as the values, the op's output is its weight matrix.
+    """
+    return scaled_dot_attention(q, k, np.eye(len(q)))
+
+
 class TestScaledDotAttention:
+    """softmax(Q K^T / sqrt(d)) V invariants, checked on the fused op the encoder runs."""
+
     def test_single_row(self):
-        q = Tensor([[1.0, 2.0]])
-        k = Tensor([[0.5, -1.0]])
-        v = Tensor([[7.0, 8.0, 9.0]])
-        out, weights = scaled_dot_attention(q, k, v)
-        np.testing.assert_array_equal(weights.data, [[1.0]])
-        np.testing.assert_array_equal(out.data, v.data)
+        q, k, v = [[1.0, 2.0, 3.0]], [[0.5, -1.0, 2.0]], [[7.0, 8.0, 9.0]]
+        out = scaled_dot_attention(q, k, v)
+        np.testing.assert_array_equal(out, v)  # a single key takes weight 1
+        np.testing.assert_array_equal(scaled_dot_attention([[1.0]], [[0.5]], [[1.0]]), [[1.0]])
 
     def test_identical_keys_give_uniform_weights(self):
         rng = np.random.default_rng(3)
-        q = Tensor(rng.normal(size=(3, 4)))
-        k = Tensor(np.tile(rng.normal(size=(1, 4)), (5, 1)))
-        v = Tensor(rng.normal(size=(5, 2)))
-        out, weights = scaled_dot_attention(q, k, v)
-        np.testing.assert_allclose(weights.data, np.full((3, 5), 0.2), atol=1e-12)
-        np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (3, 1)), atol=1e-12)
+        q = rng.normal(size=(5, 5))
+        k = np.tile(rng.normal(size=(1, 5)), (5, 1))
+        v = rng.normal(size=(5, 5))
+        np.testing.assert_allclose(attention_weights(q, k), np.full((5, 5), 0.2), atol=1e-12)
+        np.testing.assert_allclose(scaled_dot_attention(q, k, v),
+                                   np.tile(v.mean(axis=0), (5, 1)), atol=1e-12)
 
     def test_saturated_softmax_case(self):
-        q = Tensor([[10.0, 0.0]])
-        k = Tensor([[10.0, 0.0], [0.0, 10.0]])
-        v = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        out, weights = scaled_dot_attention(q, k, v)
+        # query 0 scores 100 against key 0 and 0 against key 1, before the 1/sqrt(2)
+        q = [[10.0, 0.0], [0.0, 10.0]]
+        k = [[10.0, 0.0], [0.0, 10.0]]
+        weights = attention_weights(q, k)
         z = 100.0 / math.sqrt(2.0)
         expected0 = 1.0 / (1.0 + math.exp(-z))
-        np.testing.assert_allclose(weights.data, [[expected0, 1.0 - expected0]], atol=1e-8)
-        np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-8)
+        assert np.all(np.isfinite(weights))
+        np.testing.assert_allclose(weights[0], [expected0, 1.0 - expected0], atol=1e-8)
+        # the weights are also the output here, since the values are the identity
+        np.testing.assert_allclose(weights[0], [1.0, 0.0], atol=1e-8)
 
     def test_width_mismatch(self):
+        # query, key and value blocks of different widths do not pack into one head
         with pytest.raises(ShapeError):
-            scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                                 Tensor(np.zeros((2, 4))))
+            attention(Tensor(np.hstack([np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4))])),
+                      1, 2, 1, 4)
 
     def test_row_stochastic_on_random_inputs(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            t, dk, dv = rng.integers(1, 7, size=3)
-            q = Tensor(rng.normal(scale=3.0, size=(t, dk)))
-            k = Tensor(rng.normal(scale=3.0, size=(t, dk)))
-            v = Tensor(rng.normal(size=(t, dv)))
-            _, weights = scaled_dot_attention(q, k, v)
-            np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(weights.data >= 0.0) and np.all(weights.data <= 1.0)
+            t = int(rng.integers(1, 7))
+            weights = attention_weights(rng.normal(scale=3.0, size=(t, t)),
+                                        rng.normal(scale=3.0, size=(t, t)))
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+            assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
 
     def test_query_permutation_equivariance(self):
         rng = np.random.default_rng(5)
-        q = rng.normal(size=(6, 4))
-        k = Tensor(rng.normal(size=(6, 4)))
-        v = Tensor(rng.normal(size=(6, 3)))
+        q, k, v = rng.normal(size=(3, 6, 4))
         perm = rng.permutation(6)
-        out, _ = scaled_dot_attention(Tensor(q), k, v)
-        out_p, _ = scaled_dot_attention(Tensor(q[perm]), k, v)
-        np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-12)
+        out = scaled_dot_attention(q, k, v)
+        out_p = scaled_dot_attention(q[perm], k, v)
+        np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
     def test_joint_key_value_permutation_invariance(self):
         rng = np.random.default_rng(6)
-        q = Tensor(rng.normal(size=(4, 4)))
-        k = rng.normal(size=(6, 4))
-        v = rng.normal(size=(6, 3))
+        q, k, v = rng.normal(size=(3, 6, 4))
         perm = rng.permutation(6)
-        out, _ = scaled_dot_attention(q, Tensor(k), Tensor(v))
-        out_p, _ = scaled_dot_attention(q, Tensor(k[perm]), Tensor(v[perm]))
-        np.testing.assert_allclose(out_p.data, out.data, atol=1e-12)
+        out = scaled_dot_attention(q, k, v)
+        out_p = scaled_dot_attention(q, k[perm], v[perm])
+        np.testing.assert_allclose(out_p, out, atol=1e-12)
 
 
 class TestMultiHeadAttention:
@@ -292,27 +327,27 @@ class TestEncoderBlock:
 
 
 class TestClassificationHead:
+    """The head :func:`~beatformer.model.forward` runs on the pooled tokens."""
+
     def test_zero_weights_yield_biases(self):
         model = build_model(tiny_config(seed=7))
         head = model.head
         for _, t in head.tensors():
             t.data[...] = 0.0
         head.out_b.data[...] = [0.1, 0.2, 0.3, 0.4, 0.5]
-        x = Tensor(np.random.default_rng(11).normal(size=(4, 8)))
-        logits = classification_head(x, head)
-        np.testing.assert_allclose(logits.data, [0.1, 0.2, 0.3, 0.4, 0.5])
+        x = np.random.default_rng(11).normal(size=(4, 187))
+        logits = forward(model, x)
+        np.testing.assert_allclose(logits.data, np.tile([0.1, 0.2, 0.3, 0.4, 0.5], (4, 1)))
 
     def test_pooling_of_identical_rows(self):
-        from beatformer.tensor import mean_rows
-
         row = np.random.default_rng(12).normal(size=8)
-        x = Tensor(np.tile(row, (5, 1)))
-        np.testing.assert_allclose(mean_rows(x).data, row, atol=1e-12)
+        x = Tensor(np.tile(row, (2, 5, 1)))
+        np.testing.assert_allclose(mean_axis1(x).data, np.tile(row, (2, 1)), atol=1e-12)
 
     def test_default_config_emits_five_logits(self):
         model = build_model(tiny_config(seed=8))
-        x = Tensor(np.random.default_rng(13).normal(size=(17, 8)))
-        assert classification_head(x, model.head).shape == (5,)
+        x = np.random.default_rng(13).normal(size=187)
+        assert forward(model, x).shape == (1, 5)
 
 
 class TestDropout:
@@ -351,8 +386,6 @@ def test_whole_stack_gradient_check():
     rng = np.random.default_rng(99)
     batch = rng.normal(size=(2, 44))
     weight = Tensor(rng.normal(size=(2, 5)))
-
-    from beatformer.model import forward
 
     def f():
         return sum_all(mul(forward(model, batch, mode="eval"), weight))

@@ -15,7 +15,6 @@ from beatformer.model import (
     count_params,
     format_param_report,
     forward,
-    forward_sample,
     parameter_breakdown,
     tiny_config,
 )
@@ -170,9 +169,8 @@ class TestForward:
         model = build_model(tiny_config(seed=10))
         batch = np.random.default_rng(5).normal(size=(4, 187))
         batched = forward(model, batch, mode="eval").data
-        reference = np.stack(
-            [forward_sample(model, batch[i], mode="eval").data for i in range(4)]
-        )
+        reference = np.vstack([forward(model, batch[i:i + 1], mode="eval").data
+                               for i in range(4)])
         np.testing.assert_allclose(batched, reference, atol=1e-12)
 
     @pytest.mark.parametrize("cfg,b", [(tiny_config(seed=12), 4), (ModelConfig(seed=13), 3)],
@@ -196,9 +194,9 @@ class TestForward:
 
 
 def test_default_train_step_tape_and_parameter_counts():
-    """Pins the fused layout: 54 tape records per train step, 57 parameter tensors.
+    """Pins the fused layout: 53 tape records per train step, 57 parameter tensors.
 
-    Per step: embedding, positional slice, tiling and sum (4); per block the
+    Per step: embedding, positional tiling and sum (3); per block the
     QKV projection, attention, output projection, dropout, residual sum with
     its norm, two FFN projections with a ReLU, dropout, residual sum with its
     norm (10, times 4);
@@ -212,4 +210,4 @@ def test_default_train_step_tape_and_parameter_counts():
     labels = rng.integers(0, 5, size=32)
     with GradTape() as tape:
         sparse_ce_loss(forward(model, batch, mode="train", rng=rng), labels)
-    assert len(tape) == 54
+    assert len(tape) == 53
