@@ -20,7 +20,6 @@ from .metrics import (
     classification_report,
     confusion_matrix,
     format_report,
-    normalize_by_predicted,
 )
 from .model import (
     Model,
@@ -35,7 +34,6 @@ from .train import (
     Adam,
     Checkpoint,
     TrainConfig,
-    evaluate,
     load_checkpoint,
     restore_model,
     save_checkpoint,

@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +28,15 @@ from .metrics import (
     format_report,
     report_to_csv,
 )
-from .model import ModelConfig, build_model, count_params, format_param_report, tiny_config
+from .model import (
+    ModelConfig,
+    build_model,
+    count_params,
+    field_casters,
+    field_text,
+    format_param_report,
+    tiny_config,
+)
 from .tensor import grad_check
 from .train import (
     TrainConfig,
@@ -50,46 +59,54 @@ EXIT_NUMERIC = 3
 GRADCHECK_TOL = 1e-4
 
 
-def _parse_units(value: str) -> tuple:
-    return tuple(int(u) for u in str(value).split(",") if str(u).strip())
+@dataclass(frozen=True)
+class RunConfig:
+    """Run-level settings: input files, validation carve-out, normalization, output."""
+
+    val_fraction: float = 0.1
+    normalization: str = "standard"  # or per_sample
+    subset: int = 0  # 0 = use the full training file
+    out: str = "run"
+    data_train: str = ""
+    data_test: str = ""
+
+    def validate(self) -> list[str]:
+        """Return every constraint violation (empty list when valid)."""
+        bad = []
+        if not 0.0 < self.val_fraction < 1.0:
+            bad.append(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+        if self.subset < 0:
+            bad.append(f"subset must be >= 0, got {self.subset}")
+        if self.normalization not in ("standard", "per_sample"):
+            bad.append(
+                f"normalization must be 'standard' or 'per_sample', got {self.normalization!r}"
+            )
+        return bad
 
 
-def _parse_weights(value) -> tuple:
-    if value is None or value == "" or value == ():
-        return ()
-    if isinstance(value, tuple):
-        return tuple(float(w) for w in value)
-    return tuple(float(w) for w in str(value).split(",") if str(w).strip())
+# Every config-file key is a field of one of these dataclasses, which hold its
+# type and default. The key is the field name, except where FILE_KEYS renames
+# it; ``seed`` is a field of two configs and one key feeds both.
+CONFIGS = (ModelConfig, TrainConfig, RunConfig)
+FILE_KEYS = {"dropout_p": "dropout"}
 
 
-# key -> (caster, default); the single source of truth for config files
-SCHEMA = {
-    "input_len": (int, 187),
-    "patch_len": (int, 11),
-    "d_model": (int, 64),
-    "d_head": (int, 16),
-    "heads": (int, 8),
-    "encoder_layers": (int, 4),
-    "d_ff": (int, 128),
-    "mlp_units": (_parse_units, (128, 64)),
-    "n_classes": (int, 5),
-    "dropout": (float, 0.15),
-    "positional": (str, "learned"),
-    "epochs": (int, 100),
-    "batch_size": (int, 32),
-    "lr": (float, 1e-4),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "eps": (float, 1e-7),
-    "val_fraction": (float, 0.1),
-    "class_weights": (_parse_weights, ()),  # empty = unweighted loss
-    "normalization": (str, "standard"),  # or per_sample
-    "seed": (int, 0),
-    "subset": (int, 0),  # 0 = use the full training file
-    "out": (str, "run"),
-    "data_train": (str, ""),
-    "data_test": (str, ""),
-}
+def _schema() -> dict:
+    schema = {}
+    for cls in CONFIGS:
+        casters = field_casters(cls)
+        for f in fields(cls):
+            schema[FILE_KEYS.get(f.name, f.name)] = (casters[f.name], f.default)
+    return schema
+
+
+# key -> (caster, default)
+SCHEMA = _schema()
+
+
+def build_config(cls, resolved: dict):
+    """An instance of one of :data:`CONFIGS` from resolved config values."""
+    return cls(**{f.name: resolved[FILE_KEYS.get(f.name, f.name)] for f in fields(cls)})
 
 
 def parse_config_file(path: str) -> tuple[dict, list[str]]:
@@ -132,18 +149,8 @@ def resolve_config(file_values: dict, overrides: dict) -> tuple[dict, list[str]]
         else:
             resolved[key] = default
 
-    model_cfg = _model_config(resolved)
-    violations.extend(model_cfg.validate())
-    violations.extend(_train_config(resolved).validate())
-    if not 0.0 < resolved["val_fraction"] < 1.0:
-        violations.append(f"val_fraction must lie in (0, 1), got {resolved['val_fraction']}")
-    if resolved["subset"] < 0:
-        violations.append(f"subset must be >= 0, got {resolved['subset']}")
-    if resolved["normalization"] not in ("standard", "per_sample"):
-        violations.append(
-            f"normalization must be 'standard' or 'per_sample', got "
-            f"{resolved['normalization']!r}"
-        )
+    for cls in CONFIGS:
+        violations.extend(build_config(cls, resolved).validate())
     if resolved["class_weights"] and len(resolved["class_weights"]) != resolved["n_classes"]:
         violations.append(
             f"class_weights needs {resolved['n_classes']} entries, got "
@@ -152,44 +159,8 @@ def resolve_config(file_values: dict, overrides: dict) -> tuple[dict, list[str]]
     return resolved, violations
 
 
-def _model_config(resolved: dict) -> ModelConfig:
-    return ModelConfig(
-        input_len=resolved["input_len"],
-        patch_len=resolved["patch_len"],
-        d_model=resolved["d_model"],
-        d_head=resolved["d_head"],
-        heads=resolved["heads"],
-        encoder_layers=resolved["encoder_layers"],
-        d_ff=resolved["d_ff"],
-        mlp_units=tuple(resolved["mlp_units"]),
-        n_classes=resolved["n_classes"],
-        dropout_p=resolved["dropout"],
-        positional=resolved["positional"],
-        seed=resolved["seed"],
-    )
-
-
-def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        lr=resolved["lr"],
-        beta1=resolved["beta1"],
-        beta2=resolved["beta2"],
-        eps=resolved["eps"],
-        seed=resolved["seed"],
-        class_weights=resolved["class_weights"] or None,
-    )
-
-
 def format_resolved(resolved: dict) -> str:
-    lines = []
-    for key in sorted(SCHEMA):
-        value = resolved[key]
-        if key in ("mlp_units", "class_weights"):
-            value = ",".join(str(u) for u in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {field_text(resolved[key])}\n" for key in sorted(SCHEMA))
 
 
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
@@ -228,28 +199,28 @@ def cmd_train(args) -> int:
     violations.extend(more)
     if violations:
         return _fail("invalid configuration:\n  " + "\n  ".join(violations))
-    if not resolved["data_train"]:
+    model_cfg, train_cfg, run = (build_config(cls, resolved) for cls in CONFIGS)
+    if not run.data_train:
         return _fail("no training CSV given (set data_train or pass --data-train)")
-    if not os.path.exists(resolved["data_train"]):
-        return _fail(f"training CSV not found: {resolved['data_train']}")
+    if not os.path.exists(run.data_train):
+        return _fail(f"training CSV not found: {run.data_train}")
 
     # provenance first: the resolved config lands before any real work
-    out_dir = resolved["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, "config.resolved"), format_resolved(resolved))
+    os.makedirs(run.out, exist_ok=True)
+    _write(os.path.join(run.out, "config.resolved"), format_resolved(resolved))
 
-    seed = resolved["seed"]
+    seed = train_cfg.seed
     try:
-        train_full = data_mod.load_csv(resolved["data_train"])
+        train_full = data_mod.load_csv(run.data_train)
         working = train_full
-        if resolved["subset"]:
-            working = data_mod.stratified_subset(train_full, resolved["subset"], seed)
-        val_n = max(1, round(resolved["val_fraction"] * working.n))
+        if run.subset:
+            working = data_mod.stratified_subset(train_full, run.subset, seed)
+        val_n = max(1, round(run.val_fraction * working.n))
         train_part, val_part = data_mod.stratified_split(working, working.n - val_n, seed)
-        if resolved["normalization"] == "per_sample":
+        if run.normalization == "per_sample":
             stats = data_mod.NormStats(
-                mean=np.zeros(resolved["input_len"]),
-                std=np.ones(resolved["input_len"]),
+                mean=np.zeros(model_cfg.input_len),
+                std=np.ones(model_cfg.input_len),
                 fitted_on=data_mod.PER_SAMPLE_NORM_ID,
             )
         else:
@@ -257,15 +228,15 @@ def cmd_train(args) -> int:
         train_part = data_mod.apply_normalizer(train_part, stats)
         val_part = data_mod.apply_normalizer(val_part, stats)
 
-        model = build_model(_model_config(resolved))
+        model = build_model(model_cfg)
         print(format_param_report(model))
         print(f"training on {train_part.n} samples, validating on {val_part.n}")
         ckpt, history = train_loop(
             model,
-            _train_config(resolved),
+            train_cfg,
             train_part,
             val_part,
-            checkpoint_path=os.path.join(out_dir, "checkpoint.bin"),
+            checkpoint_path=os.path.join(run.out, "checkpoint.bin"),
             norm_stats=stats,
         )
     except DataError as err:
@@ -274,11 +245,11 @@ def cmd_train(args) -> int:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    _write(os.path.join(out_dir, "history.csv"), history_to_csv(history))
-    text = _report_files(out_dir, np.argmax(ckpt.val_logits, axis=1), val_part.labels)
+    _write(os.path.join(run.out, "history.csv"), history_to_csv(history))
+    text = _report_files(run.out, np.argmax(ckpt.val_logits, axis=1), val_part.labels)
     print(f"best validation loss {ckpt.best_val_loss:.6f} at epoch {ckpt.epoch}")
     print(text)
-    print(f"artifacts written to {out_dir}/")
+    print(f"artifacts written to {run.out}/")
     return EXIT_OK
 
 
@@ -295,7 +266,7 @@ def cmd_eval(args) -> int:
         return _fail(str(err))
 
     model = restore_model(ckpt)
-    normed = data_mod.apply_normalizer(test_ds, ckpt.norm_stats())
+    normed = data_mod.apply_normalizer(test_ds, ckpt.norm)
     logits = infer(model, normed.features)
     loss, acc = score_logits(logits, normed.labels)
     preds = np.argmax(logits, axis=1)
@@ -320,7 +291,7 @@ def cmd_predict(args) -> int:
         return _fail(str(err))
 
     model = restore_model(ckpt)
-    probs = predict(model, data_mod.normalize(features, ckpt.norm_stats()))
+    probs = predict(model, data_mod.normalize(features, ckpt.norm))
     preds = np.argmax(probs, axis=1)
 
     lines = ["index,predicted_class," + ",".join(f"p{c}" for c in range(probs.shape[1]))]
@@ -401,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(fn=cmd_predict)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    gc.add_argument("--config", help="config file (seed and dimensions)")
+    gc.add_argument("--config", help="config file (only its seed is read)")
     gc.add_argument("--seed", type=int, help="seed for the check model and probe batch")
     gc.set_defaults(fn=cmd_gradcheck)
     return parser

@@ -51,7 +51,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     source: str = ""
-    norm_id: Optional[str] = None  # id of the NormStats already applied, if any
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -186,7 +185,6 @@ def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
         features=normalize(ds.features, stats),
         labels=ds.labels.copy(),
         source=ds.source,
-        norm_id=stats.fitted_on,
     )
 
 
@@ -234,10 +232,10 @@ def stratified_split(ds: Dataset, n: int, seed: int) -> tuple[Dataset, Dataset]:
     mask = np.ones(ds.n, dtype=bool)
     mask[picked] = False
     rest_idx = np.nonzero(mask)[0]
-    picked_ds = Dataset(ds.features[picked], ds.labels[picked], ds.source, ds.norm_id)
+    picked_ds = Dataset(ds.features[picked], ds.labels[picked], ds.source)
     rest_ds = None
     if rest_idx.size:
-        rest_ds = Dataset(ds.features[rest_idx], ds.labels[rest_idx], ds.source, ds.norm_id)
+        rest_ds = Dataset(ds.features[rest_idx], ds.labels[rest_idx], ds.source)
     return picked_ds, rest_ds
 
 

@@ -1,8 +1,7 @@
 """Confusion matrix, per-class precision/recall/F1, and report formatting.
 
 Convention, used everywhere: confusion rows are the true class, columns the
-predicted class. "Normalized by predicted instances" therefore means column
-normalization. Metrics with a zero denominator are reported as 0 and flagged.
+predicted class. Metrics with a zero denominator are reported as 0 and flagged.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "ClassMetrics",
     "MetricsReport",
     "confusion_matrix",
-    "normalize_by_predicted",
     "classification_report",
     "format_report",
     "report_to_csv",
@@ -65,14 +63,6 @@ def confusion_matrix(preds, labels, k: int = 5) -> np.ndarray:
     cm = np.zeros((k, k), dtype=np.int64)
     np.add.at(cm, (labels, preds), 1)
     return cm
-
-
-def normalize_by_predicted(cm: np.ndarray) -> np.ndarray:
-    """Scale each column to sum to 1; all-zero columns stay all-zero."""
-    cm = np.asarray(cm, dtype=np.float64)
-    col_sums = cm.sum(axis=0, keepdims=True)
-    safe = np.where(col_sums > 0, col_sums, 1.0)
-    return cm / safe
 
 
 def classification_report(cm: np.ndarray, class_names=CLASS_NAMES) -> MetricsReport:

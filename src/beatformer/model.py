@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,6 +38,8 @@ REFERENCE_PARAM_COUNT = 36_301
 
 __all__ = [
     "ModelConfig",
+    "field_casters",
+    "field_text",
     "Model",
     "tiny_config",
     "build_model",
@@ -46,6 +49,29 @@ __all__ = [
     "format_param_report",
     "REFERENCE_PARAM_COUNT",
 ]
+
+
+def field_casters(cls) -> dict:
+    """Field name -> parser of the field's text form, taken from its type.
+
+    ``int``, ``float`` and ``str`` fields parse with the type itself; a
+    ``tuple[T, ...]`` field parses a comma list of ``T`` (empty text is ``()``).
+    """
+    casters = {}
+    for name, tp in typing.get_type_hints(cls).items():
+        if typing.get_origin(tp) is tuple:
+            elem = typing.get_args(tp)[0]
+            casters[name] = lambda text, elem=elem: tuple(
+                elem(u) for u in str(text).split(",") if u.strip()
+            )
+        else:
+            casters[name] = tp
+    return casters
+
+
+def field_text(value) -> str:
+    """Text form of a config value, the inverse of :func:`field_casters`."""
+    return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
 
 
 @dataclass(frozen=True)
@@ -92,26 +118,14 @@ class ModelConfig:
             bad.append(f"positional must be 'learned' or 'sinusoidal', got {self.positional!r}")
         return bad
 
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["mlp_units"] = ",".join(str(u) for u in self.mlp_units)
-        return d
+    def to_dict(self) -> dict[str, str]:
+        return {f.name: field_text(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        kwargs = dict(d)
-        units = kwargs.get("mlp_units")
-        if isinstance(units, str):
-            kwargs["mlp_units"] = tuple(int(u) for u in units.split(",") if u.strip())
-        elif units is not None:
-            kwargs["mlp_units"] = tuple(int(u) for u in units)
-        for name in ("input_len", "patch_len", "d_model", "d_head", "heads",
-                     "encoder_layers", "d_ff", "n_classes", "seed"):
-            if name in kwargs:
-                kwargs[name] = int(kwargs[name])
-        if "dropout_p" in kwargs:
-            kwargs["dropout_p"] = float(kwargs["dropout_p"])
-        return cls(**kwargs)
+        """Inverse of :meth:`to_dict`; raises ``ValueError`` on an unparsable value."""
+        casters = field_casters(cls)
+        return cls(**{k: casters[k](v) for k, v in d.items()})
 
 
 def tiny_config(input_len: int = 187, **overrides) -> ModelConfig:

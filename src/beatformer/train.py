@@ -11,7 +11,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "sparse_ce_loss",
     "infer",
     "score_logits",
-    "evaluate",
     "predict",
     "train_loop",
     "save_checkpoint",
@@ -57,9 +56,9 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-7
     seed: int = 0
-    # optional per-class loss weights (imbalance remedy); None reproduces the
+    # optional per-class loss weights (imbalance remedy); empty reproduces the
     # unweighted objective, which is the default
-    class_weights: Optional[tuple] = None
+    class_weights: tuple[float, ...] = ()
 
     def validate(self) -> list[str]:
         bad = []
@@ -75,7 +74,7 @@ class TrainConfig:
                 bad.append(f"{name} must lie in [0, 1), got {v}")
         if not self.eps > 0:
             bad.append(f"eps must be > 0, got {self.eps}")
-        if self.class_weights is not None and any(w <= 0 for w in self.class_weights):
+        if any(w <= 0 for w in self.class_weights):
             bad.append(f"class_weights must all be > 0, got {self.class_weights}")
         return bad
 
@@ -180,11 +179,6 @@ def score_logits(logits: np.ndarray, labels) -> tuple[float, float]:
     return loss, float((preds == labels).mean())
 
 
-def evaluate(model: Model, ds: Dataset, batch_size: int = 256) -> tuple[float, float]:
-    """Eval-mode loss and accuracy over the whole dataset, exact cover."""
-    return score_logits(infer(model, ds.features, batch_size), ds.labels)
-
-
 def predict(model: Model, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Eval-mode softmax probabilities, one row per input row."""
     logits = infer(model, features, batch_size)
@@ -198,18 +192,13 @@ class Checkpoint:
 
     config: ModelConfig
     params: dict[str, np.ndarray]
-    norm_mean: np.ndarray
-    norm_std: np.ndarray
-    norm_fitted_on: str
+    norm: NormStats
     best_val_loss: float
     epoch: int
     seed: int
     # the validation logits these weights gave at ``epoch``; kept in memory for
     # the run's report, never written to the checkpoint file
     val_logits: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def norm_stats(self) -> NormStats:
-        return NormStats(mean=self.norm_mean, std=self.norm_std, fitted_on=self.norm_fitted_on)
 
 
 def _snapshot(model: Model) -> dict[str, np.ndarray]:
@@ -235,7 +224,7 @@ def train_loop(
     violations = cfg.validate()
     if violations:
         raise ConfigError(violations)
-    if cfg.class_weights is not None and len(cfg.class_weights) != model.config.n_classes:
+    if cfg.class_weights and len(cfg.class_weights) != model.config.n_classes:
         raise ConfigError(
             f"class_weights has {len(cfg.class_weights)} entries for "
             f"{model.config.n_classes} classes"
@@ -252,9 +241,7 @@ def train_loop(
     best = Checkpoint(
         config=model.config,
         params=_snapshot(model),
-        norm_mean=np.asarray(stats.mean, dtype=np.float64),
-        norm_std=np.asarray(stats.std, dtype=np.float64),
-        norm_fitted_on=stats.fitted_on,
+        norm=stats,
         best_val_loss=math.inf,
         epoch=-1,
         seed=cfg.seed,
@@ -270,7 +257,7 @@ def train_loop(
             zero_grads(params)
             with GradTape() as tape:
                 logits = forward(model, batch.features, mode="train", rng=dropout_rng)
-                loss = sparse_ce_loss(logits, batch.labels, cfg.class_weights)
+                loss = sparse_ce_loss(logits, batch.labels, cfg.class_weights or None)
             loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise NumericalError(
@@ -297,17 +284,8 @@ def train_loop(
             )
         )
         if val_loss < best.best_val_loss:
-            best = Checkpoint(
-                config=model.config,
-                params=_snapshot(model),
-                norm_mean=best.norm_mean,
-                norm_std=best.norm_std,
-                norm_fitted_on=best.norm_fitted_on,
-                best_val_loss=val_loss,
-                epoch=epoch,
-                seed=cfg.seed,
-                val_logits=val_logits,
-            )
+            best = replace(best, params=_snapshot(model), best_val_loss=val_loss,
+                           epoch=epoch, val_logits=val_logits)
             if checkpoint_path is not None:
                 save_checkpoint(best, checkpoint_path)
 
@@ -331,7 +309,7 @@ def _meta_text(ckpt: Checkpoint) -> str:
     pairs["best_val_loss"] = float(ckpt.best_val_loss).hex()
     pairs["epoch"] = ckpt.epoch
     pairs["run_seed"] = ckpt.seed
-    pairs["norm_fitted_on"] = ckpt.norm_fitted_on
+    pairs["norm_fitted_on"] = ckpt.norm.fitted_on
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
 
@@ -349,8 +327,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Atomic write: serialize to a temp file, then rename over the target."""
     meta = _meta_text(ckpt).encode("utf-8")
     tensors = dict(ckpt.params)
-    tensors["norm.mean"] = ckpt.norm_mean
-    tensors["norm.std"] = ckpt.norm_std
+    tensors["norm.mean"] = ckpt.norm.mean
+    tensors["norm.std"] = ckpt.norm.std
 
     blob = bytearray()
     blob += CKPT_MAGIC
@@ -401,7 +379,7 @@ class _Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
 
-def load_checkpoint(path: str, expected_config: Optional[ModelConfig] = None) -> Checkpoint:
+def load_checkpoint(path: str) -> Checkpoint:
     """Parse and validate a checkpoint file; fail closed on any corruption."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
@@ -415,30 +393,35 @@ def load_checkpoint(path: str, expected_config: Optional[ModelConfig] = None) ->
             f"checkpoint format version {version} unsupported (expected {CKPT_VERSION})"
         )
     meta_len = reader.u64("meta length")
+    meta_offset = reader.offset
     try:
         meta = _parse_meta(reader.take(meta_len, "meta").decode("utf-8"))
     except UnicodeDecodeError:
         raise CheckpointError("meta block is not valid UTF-8", offset=reader.offset) from None
 
-    config_keys = ModelConfig().__dict__.keys()
-    missing = [k for k in list(config_keys) + ["best_val_loss", "epoch", "run_seed",
-                                               "norm_fitted_on"] if k not in meta]
+    config_keys = [f.name for f in fields(ModelConfig)]
+    missing = [k for k in config_keys + ["best_val_loss", "epoch", "run_seed",
+                                         "norm_fitted_on"] if k not in meta]
     if missing:
         raise CheckpointError(f"meta block missing keys: {', '.join(missing)}")
-    config = ModelConfig.from_dict({k: meta[k] for k in config_keys})
-    if expected_config is not None and config != expected_config:
-        diffs = [
-            f"{k}: stored {getattr(config, k)!r} vs expected {getattr(expected_config, k)!r}"
-            for k in config_keys
-            if getattr(config, k) != getattr(expected_config, k)
-        ]
-        raise ConfigMismatchError("checkpoint config mismatch: " + "; ".join(diffs))
+    try:
+        config = ModelConfig.from_dict({k: meta[k] for k in config_keys})
+        best_val_loss = float.fromhex(meta["best_val_loss"])
+        epoch = int(meta["epoch"])
+        seed = int(meta["run_seed"])
+    except (ValueError, OverflowError) as err:
+        raise CheckpointError(f"meta block holds an unparsable value: {err}",
+                              offset=meta_offset) from None
 
     n_tensors = reader.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         name_len = reader.u32("tensor name length")
-        name = reader.take(name_len, "tensor name").decode("utf-8")
+        name_offset = reader.offset
+        try:
+            name = reader.take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not valid UTF-8", offset=name_offset) from None
         rank = reader.u32(f"rank of {name}")
         if rank > 3:
             raise CheckpointError(f"tensor {name} has rank {rank} > 3", offset=reader.offset)
@@ -457,12 +440,11 @@ def load_checkpoint(path: str, expected_config: Optional[ModelConfig] = None) ->
     return Checkpoint(
         config=config,
         params={k: v for k, v in tensors.items() if not k.startswith("norm.")},
-        norm_mean=tensors["norm.mean"],
-        norm_std=tensors["norm.std"],
-        norm_fitted_on=meta["norm_fitted_on"],
-        best_val_loss=float.fromhex(meta["best_val_loss"]),
-        epoch=int(meta["epoch"]),
-        seed=int(meta["run_seed"]),
+        norm=NormStats(mean=tensors["norm.mean"], std=tensors["norm.std"],
+                       fitted_on=meta["norm_fitted_on"]),
+        best_val_loss=best_val_loss,
+        epoch=epoch,
+        seed=seed,
     )
 
 

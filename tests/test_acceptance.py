@@ -34,10 +34,11 @@ from beatformer.model import (
 from beatformer.tensor import Tensor, attention, grad_check
 from beatformer.train import (
     TrainConfig,
-    evaluate,
+    infer,
     load_checkpoint,
     restore_model,
     save_checkpoint,
+    score_logits,
     sparse_ce_loss,
     train_loop,
 )
@@ -206,7 +207,7 @@ def _desk_protocol(train_source, test_source, epochs, seed=11):
     cfg = TrainConfig(epochs=epochs, batch_size=32, lr=1e-4, seed=seed)
     ckpt, history = train_loop(model, cfg, train_part, val_part)
     best = restore_model(ckpt)
-    loss, acc = evaluate(best, test_part)
+    loss, acc = score_logits(infer(best, test_part.features), test_part.labels)
     return acc, test_part, history
 
 

@@ -1,11 +1,21 @@
 """End-to-end CLI tests on small synthetic corpora."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from beatformer.cli import main, parse_config_file, resolve_config
+from beatformer.cli import (
+    SCHEMA,
+    RunConfig,
+    format_resolved,
+    main,
+    parse_config_file,
+    resolve_config,
+)
+from beatformer.model import ModelConfig
+from beatformer.train import TrainConfig
 
 from conftest import synthetic_beats, write_beats_csv
 
@@ -71,6 +81,119 @@ class TestConfigHandling:
         assert resolved["seed"] == 1  # unset flag leaves file value
 
 
+DEFAULT_RESOLVED = """\
+batch_size = 32
+beta1 = 0.9
+beta2 = 0.999
+class_weights = 
+d_ff = 128
+d_head = 16
+d_model = 64
+data_test = 
+data_train = 
+dropout = 0.15
+encoder_layers = 4
+epochs = 100
+eps = 1e-07
+heads = 8
+input_len = 187
+lr = 0.0001
+mlp_units = 128,64
+n_classes = 5
+normalization = standard
+out = run
+patch_len = 11
+positional = learned
+seed = 0
+subset = 0
+val_fraction = 0.1
+"""
+
+EVERY_KEY = """\
+input_len = 176
+patch_len = 16
+d_model = 32
+d_head = 8
+heads = 4
+encoder_layers = 2
+d_ff = 48
+mlp_units = 24, 12
+n_classes = 3
+dropout = 0.2
+positional = sinusoidal
+epochs = 7
+batch_size = 24
+lr = 5e-4
+beta1 = 0.85
+beta2 = 0.995
+eps = 1e-8
+val_fraction = 0.25
+class_weights = 1,2.5,0.5
+normalization = per_sample
+seed = 11
+subset = 400
+out = runs/x
+data_train = a.csv
+data_test = b.csv
+"""
+
+EVERY_KEY_RESOLVED = """\
+batch_size = 24
+beta1 = 0.85
+beta2 = 0.995
+class_weights = 1.0,2.5,0.5
+d_ff = 48
+d_head = 8
+d_model = 32
+data_test = b.csv
+data_train = a.csv
+dropout = 0.2
+encoder_layers = 2
+epochs = 7
+eps = 1e-08
+heads = 4
+input_len = 176
+lr = 0.0005
+mlp_units = 24,12
+n_classes = 3
+normalization = per_sample
+out = runs/x
+patch_len = 16
+positional = sinusoidal
+seed = 11
+subset = 400
+val_fraction = 0.25
+"""
+
+
+class TestSchema:
+    def test_default_resolved_text(self):
+        resolved, violations = resolve_config({}, {})
+        assert violations == []
+        assert format_resolved(resolved) == DEFAULT_RESOLVED
+
+    def test_every_key_resolved_text(self, tmp_path):
+        cfg = tmp_path / "every.cfg"
+        cfg.write_text(EVERY_KEY)
+        values, violations = parse_config_file(str(cfg))
+        assert violations == [] and len(values) == 25
+        resolved, violations = resolve_config(values, {})
+        assert violations == []
+        assert format_resolved(resolved) == EVERY_KEY_RESOLVED
+
+    def test_keys_are_the_config_fields(self):
+        names = {f.name for cls in (ModelConfig, TrainConfig, RunConfig) for f in fields(cls)}
+        assert set(SCHEMA) == (names - {"dropout_p"}) | {"dropout"}
+        assert len(SCHEMA) == 25
+
+    def test_a_field_shared_by_two_configs_has_one_default(self):
+        defaults = {}  # field name -> its default in each config that has it
+        for cls in (ModelConfig, TrainConfig, RunConfig):
+            for f in fields(cls):
+                defaults.setdefault(f.name, []).append(f.default)
+        assert {name: d for name, d in defaults.items() if len(d) > 1} == {"seed": [0, 0]}
+
+
 class TestTrainCommand:
     def test_artifacts_and_exit_code(self, corpus):
         out = corpus["dir"] / "run1"
@@ -104,7 +227,7 @@ class TestTrainCommand:
         full = data_mod.load_csv(corpus["train"])
         val_n = round(0.1 * full.n)
         _, val = data_mod.stratified_split(full, full.n - val_n, 7)
-        val = data_mod.apply_normalizer(val, ckpt.norm_stats())
+        val = data_mod.apply_normalizer(val, ckpt.norm)
         probs = predict(restore_model(ckpt), val.features)
         _report_files(str(tmp_path), np.argmax(probs, axis=1), val.labels)
         for name in ("report.txt", "report.csv", "confusion.csv"):
@@ -262,6 +385,39 @@ def test_version_1_checkpoint_exits_2_naming_both_versions(corpus, tmp_path, cap
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "version 1" in err and "expected 2" in err
+
+
+def test_unparsable_checkpoint_meta_exits_2_naming_the_offset(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run12"
+    assert run_train(corpus, out) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob.count(b"d_model = 8\n") == 1
+    bad = tmp_path / "bad_meta.bin"
+    bad.write_bytes(blob.replace(b"d_model = 8\n", b"d_model = x\n"))  # same length
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(bad), "--data-test", corpus["test"]],
+                 ["predict", str(bad), corpus["test"]]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        # the meta block follows the magic, the version and its own length
+        assert "'x'" in err and "byte offset 20" in err
+
+
+def test_non_utf8_tensor_name_exits_2_naming_the_offset(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run13"
+    assert run_train(corpus, out) == 0
+    blob = bytearray((out / "checkpoint.bin").read_bytes())
+    start = blob.find(b"embed.w")
+    assert start > 0 and blob.count(b"embed.w") == 1
+    blob[start] = 0xFF
+    bad = tmp_path / "bad_name.bin"
+    bad.write_bytes(blob)
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(bad), "--data-test", corpus["test"]],
+                 ["predict", str(bad), corpus["test"]]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and f"byte offset {start}" in err
 
 
 def test_per_sample_checkpoint_eval_and_predict_reapply_the_row_transform(corpus, tmp_path,

@@ -149,7 +149,6 @@ class TestNormalizer:
         stats = NormStats(mean=np.zeros(187), std=np.ones(187), fitted_on="id")
         normed = apply_normalizer(synth_train, stats)
         np.testing.assert_array_equal(normed.features, synth_train.features)
-        assert normed.norm_id == "id"
 
     def test_test_set_uses_train_stats(self):
         train = synthetic_beats(500, seed=1)
@@ -158,7 +157,6 @@ class TestNormalizer:
         normed_test = apply_normalizer(test, stats)
         # a shifted test set keeps its offset: the transform used train stats
         assert abs(normed_test.features.mean()) > 0.5
-        assert normed_test.norm_id == stats.fitted_on
 
     def test_labels_untouched(self, synth_train):
         stats = fit_normalizer(synth_train)
@@ -173,7 +171,6 @@ class TestNormalizer:
         stats = NormStats(mean=np.full(187, 9.0), std=np.full(187, 9.0),
                           fitted_on=PER_SAMPLE_NORM_ID)
         normed = apply_normalizer(ds, stats)
-        assert normed.norm_id == PER_SAMPLE_NORM_ID
         np.testing.assert_allclose(normed.features.mean(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(normed.features.std(axis=1), 1.0, atol=1e-6)
 

@@ -97,13 +97,14 @@ class TestPositionalEmbedding:
     def test_too_many_rows(self):
         # the table has exactly n_tokens rows; a checkpoint with any other
         # count is refused instead of being sliced or padded
+        from beatformer.data import NormStats
         from beatformer.train import Checkpoint, restore_model
 
         model = build_model(tiny_config(input_len=44))
         params = {name: t.data for name, t in model.parameters()}
         params["pos.table"] = np.zeros((5, 8))
-        ckpt = Checkpoint(config=model.config, params=params, norm_mean=np.zeros(44),
-                          norm_std=np.ones(44), norm_fitted_on="x", best_val_loss=1.0,
+        norm = NormStats(mean=np.zeros(44), std=np.ones(44), fitted_on="x")
+        ckpt = Checkpoint(config=model.config, params=params, norm=norm, best_val_loss=1.0,
                           epoch=0, seed=0)
         with pytest.raises(ConfigMismatchError, match="pos.table"):
             restore_model(ckpt)

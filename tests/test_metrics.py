@@ -10,7 +10,6 @@ from beatformer.metrics import (
     confusion_matrix,
     confusion_to_csv,
     format_report,
-    normalize_by_predicted,
     report_to_csv,
 )
 
@@ -74,27 +73,6 @@ class TestConfusionMatrix:
         preds = rng.integers(0, 5, size=321)
         labels = rng.integers(0, 5, size=321)
         assert confusion_matrix(preds, labels).sum() == 321
-
-
-class TestNormalizeByPredicted:
-    def test_diagonal_maps_to_identity_pattern(self):
-        cm = np.diag([3, 1, 0, 2, 5])
-        normed = normalize_by_predicted(cm)
-        for c in (0, 1, 3, 4):
-            assert normed[c, c] == 1.0
-        np.testing.assert_array_equal(normed[:, 2], np.zeros(5))
-
-    def test_columns_sum_to_one_or_zero(self):
-        rng = np.random.default_rng(1)
-        cm = rng.integers(0, 10, size=(5, 5))
-        cm[:, 3] = 0
-        sums = normalize_by_predicted(cm).sum(axis=0)
-        for c in range(5):
-            assert sums[c] == pytest.approx(1.0) or sums[c] == 0.0
-
-    def test_two_class_hand_case(self):
-        normed = normalize_by_predicted(np.array([[1, 1], [1, 3]]))
-        np.testing.assert_allclose(normed, [[0.5, 0.25], [0.5, 0.75]])
 
 
 class TestClassificationReport:

@@ -1,6 +1,7 @@
 """Tests for the tensor engine: forward values, backward rules, gradient checks."""
 
 import ast
+import importlib
 import math
 import zlib
 from pathlib import Path
@@ -571,3 +572,28 @@ def test_every_exported_op_is_called_by_the_model():
     ops = set(tensor_mod.__all__) - ENGINE_API
     assert ops, "tensor exports no ops"
     assert not ops - called, f"ops with no caller in layers, model or train: {sorted(ops - called)}"
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Every ``Name`` and ``Attribute`` a module uses, except inside the
+    top-level definition of that same name (a function naming itself)."""
+    refs = set()
+    for top in tree.body:
+        own = {top.name} if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else set()
+        refs |= {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(top)
+                 if isinstance(node, (ast.Name, ast.Attribute))} - own
+    return refs
+
+
+@pytest.mark.parametrize("module", ["train", "data", "metrics"])
+def test_every_public_name_is_reached_from_the_package(module):
+    """Each name in ``__all__`` is used by a ``src`` module other than
+    ``__init__.py``, or by its own module outside its definition."""
+    package = Path(tensor_mod.__file__).parent
+    refs = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            refs |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    exported = set(importlib.import_module(f"beatformer.{module}").__all__)
+    assert not exported - refs, f"{module} exports names nothing uses: {sorted(exported - refs)}"

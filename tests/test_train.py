@@ -20,7 +20,6 @@ from beatformer.train import (
     Adam,
     Checkpoint,
     TrainConfig,
-    evaluate,
     history_to_csv,
     infer,
     load_checkpoint,
@@ -181,7 +180,7 @@ class TestEvaluate:
             t.data[...] = 0.0
         model.head.out_b.data[...] = [0.0, 0.0, 1.0, 0.0, 0.0]  # always predicts V
         ds = synthetic_beats(200, seed=5)
-        loss, acc = evaluate(model, ds)
+        loss, acc = score_logits(infer(model, ds.features), ds.labels)
         freq = (ds.labels == 2).mean()
         assert acc == pytest.approx(freq)
         assert math.isfinite(loss)
@@ -189,14 +188,15 @@ class TestEvaluate:
     def test_short_tail_batch_weighted_correctly(self):
         model = build_model(tiny_config(seed=2))
         ds = synthetic_beats(33, seed=6)
-        loss_batched, acc_batched = evaluate(model, ds, batch_size=32)
-        loss_whole, acc_whole = evaluate(model, ds, batch_size=33)
+        loss_batched, acc_batched = score_logits(infer(model, ds.features, 32), ds.labels)
+        loss_whole, acc_whole = score_logits(infer(model, ds.features, 33), ds.labels)
         assert loss_batched == pytest.approx(loss_whole, abs=1e-12)
         assert acc_batched == acc_whole
 
     def test_accuracy_bounds(self):
         model = build_model(tiny_config(seed=3))
-        _, acc = evaluate(model, synthetic_beats(64, seed=7))
+        ds = synthetic_beats(64, seed=7)
+        _, acc = score_logits(infer(model, ds.features), ds.labels)
         assert 0.0 <= acc <= 1.0
 
 
@@ -318,8 +318,8 @@ class TestCheckpointIO:
         assert loaded.best_val_loss == ckpt.best_val_loss
         assert loaded.epoch == ckpt.epoch
         assert loaded.seed == ckpt.seed
-        assert loaded.norm_fitted_on == ckpt.norm_fitted_on
-        np.testing.assert_array_equal(loaded.norm_mean, ckpt.norm_mean)
+        assert loaded.norm.fitted_on == ckpt.norm.fitted_on
+        np.testing.assert_array_equal(loaded.norm.mean, ckpt.norm.mean)
 
         batch = np.random.default_rng(0).normal(size=(3, 187))
         a = forward(restore_model(ckpt), batch, mode="eval").data
@@ -357,14 +357,22 @@ class TestCheckpointIO:
             load_checkpoint(path)
 
     def test_config_mismatch_on_load(self, tmp_path):
+        # a stored config that disagrees with the stored tensors is refused
+        # when the model is rebuilt from it
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
         save_checkpoint(ckpt, path)
-        other = tiny_config(d_model=16)
-        with pytest.raises(ConfigMismatchError, match="d_model"):
-            load_checkpoint(path, expected_config=other)
-        # matching expectation loads fine
-        load_checkpoint(path, expected_config=ckpt.config)
+        blob = open(path, "rb").read()
+        assert blob.count(b"d_model = 8\n") == 1
+        with open(path, "wb") as fh:
+            fh.write(blob.replace(b"d_model = 8\n", b"d_model = 9\n"))
+        loaded = load_checkpoint(path)
+        assert loaded.config.d_model == 9
+        with pytest.raises(ConfigMismatchError, match="embed.w"):
+            restore_model(loaded)
+        # the untouched file restores fine
+        save_checkpoint(ckpt, path)
+        restore_model(load_checkpoint(path))
 
     def test_no_temp_files_left_behind(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
@@ -394,5 +402,5 @@ def test_evaluating_restored_checkpoint_reproduces_best_val_loss(tmp_path):
     cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3, seed=17)
     ckpt, history = train_loop(model, cfg, train_part, val_part)
     restored = restore_model(ckpt)
-    loss, _ = evaluate(restored, val_part)
+    loss, _ = score_logits(infer(restored, val_part.features), val_part.labels)
     assert loss == pytest.approx(ckpt.best_val_loss, abs=1e-9)
