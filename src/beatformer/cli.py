@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import os
 import sys
@@ -110,8 +111,12 @@ def build_config(cls, resolved: dict):
 
 
 def parse_config_file(path: str) -> tuple[dict, list[str]]:
-    """Read ``key = value`` lines; return raw string values plus violations."""
+    """Read ``key = value`` lines; return raw string values plus violations.
+
+    A key given twice is a violation naming both lines, not a silent override.
+    """
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     violations: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -127,6 +132,12 @@ def parse_config_file(path: str) -> tuple[dict, list[str]]:
                 if key not in SCHEMA:
                     violations.append(f"{path}:{lineno}: unknown key {key!r}")
                     continue
+                if key in first_line:
+                    violations.append(
+                        f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}"
+                    )
+                    continue
+                first_line[key] = lineno
                 values[key] = value.strip()
     except OSError as err:
         violations.append(f"cannot read config file {path}: {err}")
@@ -378,7 +389,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameter numbers (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_heap() -> None:
+    """Fix glibc's trim and mmap thresholds, so freed numpy buffers get reused.
+
+    Every inference block and train step frees megabytes of arrays that the
+    next one allocates again. By default glibc adapts both thresholds to the
+    largest buffer freed so far, so whether those buffers stay mapped depends
+    on what the process ran before: measured on a default-config 1-epoch
+    ``train``, from about 3k to about 240k minor page faults per command.
+    Fixed thresholds keep buffers up to 32 MiB on the heap and up to 64 MiB
+    of freed heap for reuse. Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    keep_freed_heap()
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)

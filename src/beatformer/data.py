@@ -92,8 +92,14 @@ class Batch:
         return self.features.shape[0]
 
 
-def _parse_rows(path: str, n_fields: int):
+def _parse_rows(path: str, n_fields: int) -> tuple[np.ndarray, list[int]]:
+    """The file's rows as a float64 matrix, plus each row's 1-based line number.
+
+    Every field must be a finite number; blank lines are skipped, so errors
+    name lines through the returned line numbers, not matrix row indices.
+    """
     rows = []
+    linenos = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -108,21 +114,30 @@ def _parse_rows(path: str, n_fields: int):
                 rows.append(np.array(fields, dtype=np.float64))
             except ValueError:
                 raise DataError(f"{path}: row {lineno} contains a non-numeric field") from None
+            linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.vstack(rows)
+    matrix = np.vstack(rows)
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"{path}: row {linenos[row]} column {col + 1} holds non-finite value "
+            f"{float(matrix[row, col])}"
+        )
+    return matrix, linenos
 
 
 def load_csv(path: str) -> Dataset:
     """Read a labeled beat file: 188 fields per row, last field is the label."""
-    matrix = _parse_rows(path, N_FEATURES + 1)
+    matrix, linenos = _parse_rows(path, N_FEATURES + 1)
     features = matrix[:, :N_FEATURES]
     raw_labels = matrix[:, N_FEATURES]
     labels = np.rint(raw_labels).astype(np.int64)
     bad = np.nonzero((labels < 0) | (labels >= N_CLASSES))[0]
     if bad.size:
         raise DataError(
-            f"{path}: row {bad[0] + 1} label {raw_labels[bad[0]]!r} outside {{0..4}}"
+            f"{path}: row {linenos[bad[0]]} label {float(raw_labels[bad[0]])} outside {{0..4}}"
         )
     return Dataset(features=features, labels=labels, source=path)
 
@@ -131,7 +146,7 @@ def load_features(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Read a prediction input: rows of 187 fields, or 188 with the label kept."""
     with open(path, "r", encoding="utf-8") as fh:
         first = None
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 first = line.strip()
                 break
@@ -140,9 +155,10 @@ def load_features(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
     n_fields = len(first.split(","))
     if n_fields not in (N_FEATURES, N_FEATURES + 1):
         raise DataError(
-            f"{path}: row 1 has {n_fields} fields, expected {N_FEATURES} or {N_FEATURES + 1}"
+            f"{path}: row {lineno} has {n_fields} fields, "
+            f"expected {N_FEATURES} or {N_FEATURES + 1}"
         )
-    matrix = _parse_rows(path, n_fields)
+    matrix, _ = _parse_rows(path, n_fields)
     if n_fields == N_FEATURES:
         return matrix, None
     return matrix[:, :N_FEATURES], np.rint(matrix[:, N_FEATURES]).astype(np.int64)

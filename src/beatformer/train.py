@@ -46,6 +46,16 @@ __all__ = [
 CKPT_MAGIC = b"BEATCKPT"
 CKPT_VERSION = 2
 
+# Rows per tape-free forward in :func:`infer`. The largest activation of a
+# block is the packed QKV projection: at the default config a 64-row block
+# holds 64 * 17 = 1,088 token rows of 3 * 8 * 16 = 384 float64, i.e.
+# 1,088 * 384 * 8 B = 3.2 MiB (256 rows: 12.75 MiB), so a forward's working
+# set stays near cache size and its peak heap is a quarter of what 256-row
+# blocks took. Each row's logits depend only on that row, so any block size of
+# two or more rows gives the same bits (a one-row matmul goes to BLAS gemv,
+# which rounds differently).
+INFER_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -66,16 +76,17 @@ class TrainConfig:
             bad.append(f"epochs must be a positive integer, got {self.epochs!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             bad.append(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not self.lr > 0:
-            bad.append(f"lr must be > 0, got {self.lr}")
+        # inf passes a bare "> 0": an infinite eps zeroes every Adam update
+        if not 0 < self.lr < math.inf:
+            bad.append(f"lr must be finite and > 0, got {self.lr}")
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 bad.append(f"{name} must lie in [0, 1), got {v}")
-        if not self.eps > 0:
-            bad.append(f"eps must be > 0, got {self.eps}")
-        if any(w <= 0 for w in self.class_weights):
-            bad.append(f"class_weights must all be > 0, got {self.class_weights}")
+        if not 0 < self.eps < math.inf:
+            bad.append(f"eps must be finite and > 0, got {self.eps}")
+        if not all(0 < w < math.inf for w in self.class_weights):
+            bad.append(f"class_weights must all be finite and > 0, got {self.class_weights}")
         return bad
 
 
@@ -164,7 +175,8 @@ def history_to_csv(history: Sequence[EpochStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def infer(model: Model, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def infer(model: Model, features: np.ndarray,
+          batch_size: int = INFER_BLOCK_ROWS) -> np.ndarray:
     """Eval-mode logits, one row per input row, computed ``batch_size`` rows at a time."""
     return np.vstack([
         forward(model, features[start : start + batch_size], mode="eval").data
@@ -179,7 +191,8 @@ def score_logits(logits: np.ndarray, labels) -> tuple[float, float]:
     return loss, float((preds == labels).mean())
 
 
-def predict(model: Model, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict(model: Model, features: np.ndarray,
+            batch_size: int = INFER_BLOCK_ROWS) -> np.ndarray:
     """Eval-mode softmax probabilities, one row per input row."""
     logits = infer(model, features, batch_size)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -422,6 +435,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             name = reader.take(name_len, "tensor name").decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError("tensor name is not valid UTF-8", offset=name_offset) from None
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor name {name!r}", offset=name_offset)
         rank = reader.u32(f"rank of {name}")
         if rank > 3:
             raise CheckpointError(f"tensor {name} has rank {rank} > 3", offset=reader.offset)

@@ -72,6 +72,32 @@ class TestConfigHandling:
         text = "\n".join(all_violations)
         assert "wat" in text and "banana" in text and "epochs" in text
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "inf"), ("eps", "inf"), ("class_weights", "1,inf,1,1,1"),
+        ("class_weights", "1,1,nan,1,1"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
+        _, violations = resolve_config({key: value}, {})
+        assert len(violations) == 1 and violations[0].startswith(f"{key} must")
+        assert "finite" in violations[0]
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"{key} = {value}\ndata_train = {tmp_path / 'absent.csv'}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("epochs = 3\n# a comment\nlr = 1e-3\nepochs = 5\n")
+        values, violations = parse_config_file(str(cfg))
+        assert violations == [f"{cfg}:4: key 'epochs' repeats line 1"]
+        assert values["epochs"] == "3"
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "key 'epochs' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_overrides_win(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("epochs = 50\nseed = 1\n")
@@ -345,7 +371,7 @@ class TestEvalCommand:
         )
         assert counts.sum() == 80  # every test sample scored
 
-    def test_one_forward_pass_per_256_rows(self, corpus, tmp_path, monkeypatch, capsys):
+    def test_one_forward_pass_per_block(self, corpus, tmp_path, monkeypatch, capsys):
         import beatformer.train as train_mod
 
         out = corpus["dir"] / "run10"
@@ -363,13 +389,41 @@ class TestEvalCommand:
         capsys.readouterr()  # drain the training output
         assert main(["eval", str(out / "checkpoint.bin"), "--data-test", str(big),
                      "--out", str(tmp_path / "eval")]) == 0
-        assert len(calls) == 2  # ceil(300 / 256)
+        assert train_mod.INFER_BLOCK_ROWS == 64
+        assert len(calls) == 5  # ceil(300 / 64); a second pass would make 10
         assert "test loss " in capsys.readouterr().out
+
+    def test_non_finite_field_exits_2_naming_line_and_column(self, corpus, tmp_path,
+                                                             capsys):
+        out = corpus["dir"] / "run14"
+        assert run_train(corpus, out) == 0
+        lines = (corpus["dir"] / "test.csv").read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[20] = "nan"
+        lines[4] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()  # drain the training output
+        for argv in (["eval", str(out / "checkpoint.bin"), "--data-test", str(bad)],
+                     ["predict", str(out / "checkpoint.bin"), str(bad)],
+                     ["train", "--config", corpus["cfg"], "--data-train", str(bad),
+                      "--out", str(tmp_path / "retrain")]):
+            assert main(argv) == 2
+            assert "row 5 column 21 holds non-finite value nan" in capsys.readouterr().err
 
     def test_bad_checkpoint_exits_2(self, corpus, tmp_path):
         junk = tmp_path / "junk.bin"
         junk.write_bytes(b"garbage")
         assert main(["eval", str(junk), "--data-test", corpus["test"]]) == 2
+
+
+def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch):
+    import beatformer.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.ctypes, "CDLL", lambda name: object())
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"garbage")
+    assert main(["predict", str(junk), str(junk)]) == 2
 
 
 def test_version_1_checkpoint_exits_2_naming_both_versions(corpus, tmp_path, capsys):
@@ -418,6 +472,22 @@ def test_non_utf8_tensor_name_exits_2_naming_the_offset(corpus, tmp_path, capsys
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "not valid UTF-8" in err and f"byte offset {start}" in err
+
+
+def test_duplicate_tensor_name_exits_2_naming_the_offset(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run15"
+    assert run_train(corpus, out) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob.count(b"block0.ffn.b1") == 1 and blob.count(b"block0.ffn.b2") == 1
+    start = blob.find(b"block0.ffn.b2")  # stored after block0.ffn.b1
+    bad = tmp_path / "dup.bin"
+    bad.write_bytes(blob.replace(b"block0.ffn.b2", b"block0.ffn.b1"))  # same length
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(bad), "--data-test", corpus["test"]],
+                 ["predict", str(bad), corpus["test"]]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "duplicate tensor name 'block0.ffn.b1'" in err and f"byte offset {start}" in err
 
 
 def test_per_sample_checkpoint_eval_and_predict_reapply_the_row_transform(corpus, tmp_path,

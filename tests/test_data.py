@@ -62,6 +62,25 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="outside"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("column, value", [(11, "nan"), (11, "inf"), (188, "nan"),
+                                               (1, "-inf")])
+    def test_non_finite_field_names_line_and_column(self, tmp_path, column, value):
+        path = tmp_path / "bad.csv"
+        row = make_row(1.0)
+        row[column - 1] = value
+        # the blank line makes file line 3 the matrix's second row
+        path.write_text(",".join(map(str, make_row(0.0))) + "\n\n" + ",".join(map(str, row))
+                        + "\n")
+        with pytest.raises(DataError, match=f"row 3 column {column} holds non-finite"):
+            load_csv(str(path))
+
+    def test_bad_label_names_the_file_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n" + ",".join(map(str, make_row(0.0))) + "\n"
+                        + ",".join(map(str, make_row(7.0))) + "\n")
+        with pytest.raises(DataError, match="row 3 label 7.0 outside"):
+            load_csv(str(path))
+
     def test_label_rounding(self, tmp_path):
         path = tmp_path / "round.csv"
         write_rows(path, [make_row(2.0000001), make_row(3.9999999)])
@@ -101,6 +120,15 @@ class TestLoadFeatures:
         feats, labels = load_features(str(path))
         assert feats.shape == (2, 187)
         np.testing.assert_array_equal(labels, [1, 4])
+
+    @pytest.mark.parametrize("width", [187, 188])
+    def test_non_finite_field_rejected(self, tmp_path, width):
+        path = tmp_path / "feat.csv"
+        row = [0.5] * width
+        row[40] = "inf"
+        write_rows(path, [[0.5] * width, row])
+        with pytest.raises(DataError, match="row 2 column 41 holds non-finite value inf"):
+            load_features(str(path))
 
     def test_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "feat.csv"

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from beatformer.errors import (
     ConfigMismatchError,
     NumericalError,
 )
-from beatformer.model import build_model, forward, tiny_config
+from beatformer.model import ModelConfig, build_model, forward, tiny_config
 from beatformer.tensor import GradTape, Tensor, backward, zero_grads
 from beatformer.train import (
     Adam,
@@ -192,6 +193,29 @@ class TestEvaluate:
         loss_whole, acc_whole = score_logits(infer(model, ds.features, 33), ds.labels)
         assert loss_batched == pytest.approx(loss_whole, abs=1e-12)
         assert acc_batched == acc_whole
+
+    def test_block_size_changes_no_logit(self):
+        model = build_model(ModelConfig())
+        features = synthetic_beats(300, seed=8).features
+        whole = infer(model, features, 300)
+        for rows in (7, 64, 256):
+            np.testing.assert_array_equal(infer(model, features, rows), whole)
+        # numpy hands a one-row matmul (the classifier head of a one-row block)
+        # to BLAS gemv rather than gemm, which sums in another order
+        np.testing.assert_allclose(infer(model, features[:20], 1), whole[:20],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_default_blocks_bound_peak_memory(self):
+        model = build_model(ModelConfig())
+        features = synthetic_beats(512, seed=9).features
+        tracemalloc.start()
+        try:
+            infer(model, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 6.0 MiB in 64-row blocks; 256-row blocks peaked at 23.7 MiB
+        assert peak <= 8 * 2**20
 
     def test_accuracy_bounds(self):
         model = build_model(tiny_config(seed=3))
