@@ -269,6 +269,7 @@ def cmd_eval(args) -> int:
         return _fail("no test CSV given (pass --data-test)")
     try:
         ckpt = load_checkpoint(args.checkpoint)
+        model = restore_model(ckpt)
     except (CheckpointError, OSError) as err:
         return _fail(str(err))
     try:
@@ -276,7 +277,6 @@ def cmd_eval(args) -> int:
     except DataError as err:
         return _fail(str(err))
 
-    model = restore_model(ckpt)
     normed = data_mod.apply_normalizer(test_ds, ckpt.norm)
     logits = infer(model, normed.features)
     loss, acc = score_logits(logits, normed.labels)
@@ -294,6 +294,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
+        model = restore_model(ckpt)
     except (CheckpointError, OSError) as err:
         return _fail(str(err))
     try:
@@ -301,7 +302,6 @@ def cmd_predict(args) -> int:
     except DataError as err:
         return _fail(str(err))
 
-    model = restore_model(ckpt)
     probs = predict(model, data_mod.normalize(features, ckpt.norm))
     preds = np.argmax(probs, axis=1)
 
@@ -327,7 +327,8 @@ def cmd_gradcheck(args) -> int:
     if violations:
         return _fail("invalid configuration:\n  " + "\n  ".join(violations))
 
-    # small verification variant: 4 tokens, dropout disabled via eval mode
+    # small verification variant: 4 tokens; a forward without a generator
+    # applies no dropout
     cfg = tiny_config(input_len=44, seed=resolved["seed"])
     model = build_model(cfg)
     rng = np.random.default_rng(resolved["seed"])
@@ -338,7 +339,7 @@ def cmd_gradcheck(args) -> int:
     from .train import sparse_ce_loss
 
     def target():
-        return sparse_ce_loss(forward(model, batch, mode="eval"), labels)
+        return sparse_ce_loss(forward(model, batch), labels)
 
     names = [name for name, _ in model.parameters()]
     report = grad_check(target, model.param_tensors(), eps=1e-5, tol=GRADCHECK_TOL,

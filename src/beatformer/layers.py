@@ -1,8 +1,9 @@
 """Neural building blocks: patch embedding, attention, FFN, encoder block.
 
-All functions are pure graph builders over :mod:`beatformer.tensor` ops; they
-take parameter containers plus a mode flag ("train" enables dropout, "eval"
-is deterministic) and an rng for the dropout masks.
+All functions are pure graph builders over :mod:`beatformer.tensor` ops over
+parameter containers. Those that apply dropout take a generator for its masks:
+with one they are a training forward, without one (the default) they are
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, add_layer_norm, attention, linear, mul, relu
+from .tensor import Tensor, add_layer_norm, attention, embed_tokens, linear, relu
 
 LN_EPS = 1e-6
 
@@ -21,18 +22,13 @@ __all__ = [
     "AttentionParams",
     "EncoderBlockParams",
     "HeadParams",
-    "dropout",
+    "dropout_mask",
     "patch_embed",
     "sinusoidal_table",
     "multi_head_attention",
     "feed_forward",
     "encoder_block",
 ]
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
 @dataclass
@@ -128,23 +124,26 @@ class HeadParams:
         yield "out.b", self.out_b
 
 
-def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: in train mode keep with prob 1-p and rescale by 1/(1-p)."""
+def dropout_mask(shape: tuple, p: float,
+                 rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout mask: keep with prob 1-p, kept entries scaled by 1/(1-p).
+
+    ``None`` (no dropout) when there is no generator or p is 0; no draw is
+    made then.
+    """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must lie in [0, 1), got {p}")
-    _check_mode(mode)
-    if mode == "eval" or p == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return mul(x, Tensor(mask))
+    if rng is None or p == 0.0:
+        return None
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
 
-def patch_embed(signal, patch_len: int, w: Tensor, b: Tensor) -> Tensor:
-    """Split signals into contiguous patches and embed each linearly.
+def patch_embed(signal, patch_len: int, w: Tensor, b: Tensor, pos: Tensor) -> Tensor:
+    """Split signals into contiguous patches and embed each, with its position.
 
     ``signal`` is one rank-1 signal or a rank-2 batch of them. Each is
     right-padded with zeros to a multiple of ``patch_len``; token t is
-    patch_t @ w + b, giving ceil(L / patch_len) token rows per signal,
+    patch_t @ w + b + pos[t], giving ceil(L / patch_len) token rows per signal,
     stacked sample after sample.
     """
     sig = signal.data if isinstance(signal, Tensor) else np.asarray(signal, dtype=np.float64)
@@ -159,9 +158,11 @@ def patch_embed(signal, patch_len: int, w: Tensor, b: Tensor) -> Tensor:
     if patch_len != w.shape[0]:
         raise ShapeError(f"embedding matrix expects patches of {w.shape[0]}, got {patch_len}")
     n_tokens = -(-length // patch_len)
+    if pos.shape[0] != n_tokens:
+        raise ShapeError(f"positional table has {pos.shape[0]} rows for {n_tokens} tokens")
     padded = np.zeros((rows.shape[0], n_tokens * patch_len))
     padded[:, :length] = rows
-    return linear(Tensor(padded.reshape(-1, patch_len)), w, b)
+    return embed_tokens(Tensor(padded.reshape(-1, patch_len)), w, b, pos)
 
 
 def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
@@ -174,27 +175,19 @@ def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
     return table
 
 
-def multi_head_attention(
-    x: Tensor,
-    params: AttentionParams,
-    dropout_p: float = 0.0,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    batch: int = 1,
-) -> Tensor:
+def multi_head_attention(x: Tensor, params: AttentionParams, batch: int = 1) -> Tensor:
     """Self-attention over the token rows of ``x`` with h parallel heads.
 
     ``x`` stacks the tokens of ``batch`` samples, (batch * t, d_model); tokens
     attend only within their own sample. One packed projection gives every
-    head's queries, keys and values, the heads' outputs are projected back to
-    d_model, and dropout is applied to the sublayer output in train mode.
+    head's queries, keys and values, and the heads' outputs are projected back
+    to d_model.
     """
     if x.shape[0] % batch:
         raise ShapeError(f"{x.shape[0]} token rows do not split into {batch} samples")
     qkv = linear(x, params.w_qkv, params.b_qkv)
     heads = attention(qkv, batch, x.shape[0] // batch, params.heads, params.d_head)
-    combined = linear(heads, params.w_o, params.b_o)
-    return dropout(combined, dropout_p, mode, rng or np.random.default_rng())
+    return linear(heads, params.w_o, params.b_o)
 
 
 def feed_forward(x: Tensor, params: EncoderBlockParams) -> Tensor:
@@ -206,20 +199,19 @@ def encoder_block(
     x: Tensor,
     params: EncoderBlockParams,
     dropout_p: float = 0.0,
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
     batch: int = 1,
 ) -> Tensor:
     """Post-norm encoder block: LN(x + MHA(x)) then LN(a + FFN(a)).
 
     ``x`` stacks the tokens of ``batch`` samples, as in
-    :func:`multi_head_attention`. Dropout hits each sublayer output before its
-    residual sum (the MHA applies its own; the FFN's is applied here). Each
-    residual sum and its LayerNorm are one :func:`~beatformer.tensor.add_layer_norm`.
+    :func:`multi_head_attention`. Each residual step is one
+    :func:`~beatformer.tensor.add_layer_norm`; with a generator, dropout
+    hits each sublayer output inside it, LN(x + Dropout(sublayer(x))).
     """
-    rng = rng or np.random.default_rng()
-    attn_out = multi_head_attention(x, params.attn, dropout_p, mode, rng, batch)
-    a = add_layer_norm(x, attn_out, params.ln1_gamma, params.ln1_beta, LN_EPS)
-    ffn_out = dropout(feed_forward(a, params), dropout_p, mode, rng)
-    return add_layer_norm(a, ffn_out, params.ln2_gamma, params.ln2_beta, LN_EPS)
-
+    attn_out = multi_head_attention(x, params.attn, batch)
+    keep = dropout_mask(attn_out.shape, dropout_p, rng)
+    a = add_layer_norm(x, attn_out, params.ln1_gamma, params.ln1_beta, LN_EPS, keep)
+    ffn_out = feed_forward(a, params)
+    keep = dropout_mask(ffn_out.shape, dropout_p, rng)
+    return add_layer_norm(a, ffn_out, params.ln2_gamma, params.ln2_beta, LN_EPS, keep)

@@ -14,20 +14,12 @@ from .layers import (
     AttentionParams,
     EncoderBlockParams,
     HeadParams,
-    dropout,
+    dropout_mask,
     encoder_block,
     patch_embed,
     sinusoidal_table,
 )
-from .tensor import (
-    Tensor,
-    add,
-    linear,
-    mean_axis1,
-    relu,
-    reshape,
-    tile_rows,
-)
+from .tensor import Tensor, linear, mean_tokens, relu
 
 logger = logging.getLogger(__name__)
 
@@ -243,17 +235,14 @@ def build_model(config: ModelConfig) -> Model:
     return model
 
 
-def forward(
-    model: Model,
-    features,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+def forward(model: Model, features, rng: np.random.Generator | None = None) -> Tensor:
     """Batch forward pass: (B, input_len) features to (B, n_classes) logits.
 
     Samples are processed independently (attention only ever mixes tokens of
     the same sample), so each row's logits depend only on that row and the
-    parameters; a single sample is a batch of one.
+    parameters; a single sample is a batch of one. With a generator this is a
+    training forward, which draws its dropout masks from it; without one it is
+    deterministic.
     """
     cfg = model.config
     feats = np.asarray(features, dtype=np.float64)
@@ -263,17 +252,16 @@ def forward(
         raise ShapeError(
             f"expected features of width {cfg.input_len}, got shape {feats.shape}"
         )
-    rng = rng or np.random.default_rng()
-    b, t = feats.shape[0], cfg.n_tokens
+    b = feats.shape[0]
 
-    x2 = patch_embed(feats, cfg.patch_len, model.embed_w, model.embed_b)
-    x2 = add(x2, tile_rows(model.pos_table, b))
+    x2 = patch_embed(feats, cfg.patch_len, model.embed_w, model.embed_b, model.pos_table)
     for block in model.blocks:
-        x2 = encoder_block(x2, block, cfg.dropout_p, mode, rng, batch=b)
+        x2 = encoder_block(x2, block, cfg.dropout_p, rng, batch=b)
 
-    h = mean_axis1(reshape(x2, (b, t, cfg.d_model)))
+    h = mean_tokens(x2, b)
     for w, bias in model.head.hidden:
-        h = dropout(relu(linear(h, w, bias)), cfg.dropout_p, mode, rng)
+        h = linear(h, w, bias)
+        h = relu(h, dropout_mask(h.shape, cfg.dropout_p, rng))
     return linear(h, model.head.out_w, model.head.out_b)
 
 

@@ -29,14 +29,11 @@ __all__ = [
     "zero_grads",
     "record_op",
     "linear",
+    "embed_tokens",
     "attention",
-    "add",
-    "mul",
     "relu",
     "add_layer_norm",
-    "mean_axis1",
-    "reshape",
-    "tile_rows",
+    "mean_tokens",
     "grad_check",
     "GradCheckReport",
 ]
@@ -46,8 +43,8 @@ class Tensor:
     """Dense float64 array with an optional gradient slot.
 
     ``needs_grad`` marks trainable parameters; op outputs inherit it from
-    their inputs so backward can skip constants (input patches, dropout
-    masks) entirely.
+    their inputs so backward can skip constants (input patches, a fixed
+    positional table) entirely.
     """
 
     __slots__ = ("data", "grad", "needs_grad")
@@ -180,8 +177,8 @@ def backward(tape: GradTape, loss: Tensor) -> None:
                 continue
             key = id(inp)
             # out of place: a backward rule may hand the same array to several
-            # inputs (add's and add_layer_norm's do), so a stored adjoint is
-            # never written into
+            # inputs (add_layer_norm's does without a dropout mask), so a
+            # stored adjoint is never written into
             if key in adjoints:
                 adjoints[key] = adjoints[key] + g
             else:
@@ -204,43 +201,63 @@ def _out(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Y = X @ W + b for a rank-2 X, recorded as one op.
+def _affine(x: Tensor, w: Tensor, b: Tensor, op: str):
+    """X @ W + b for a rank-2 X, and the rule mapping dY to (dX, dW, db).
 
     The bias row is added in place to the product; its gradient is the column
     sum of dY, while dX = dY @ W^T and dW = X^T @ dY.
     """
     if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"linear needs rank-2 input and weight, got {x.shape} and {w.shape}")
+        raise ShapeError(f"{op} needs rank-2 input and weight, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}")
+        raise ShapeError(f"{op} inner dimensions disagree: {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
-        raise ShapeError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
+        raise ShapeError(f"{op} bias must have shape ({w.shape[1]},), got {b.shape}")
     y = x.data @ w.data
     y += b.data
 
-    def bwd(g):
+    def grads(g):
         gx = g @ w.data.T if x.needs_grad else None
         gw = x.data.T @ g if w.needs_grad else None
         gb = g.sum(axis=0) if b.needs_grad else None
         return gx, gw, gb
 
-    return _out(y, (x, w, b), bwd)
+    return y, grads
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Y = X @ W + b for a rank-2 X, recorded as one op."""
+    y, grads = _affine(x, w, b, "linear")
+    # a closure of linear's own, so a profiled tape record is named after the op
+    return _out(y, (x, w, b), lambda g: grads(g))
+
+
+def embed_tokens(patches: Tensor, w: Tensor, b: Tensor, pos: Tensor) -> Tensor:
+    """Token embeddings patches @ W + b plus each token's positional row, as one op.
+
+    ``patches`` stacks the (t, patch_len) patch rows of each sample, sample
+    after sample, and ``pos`` is the (t, d) positional table: token i of every
+    sample gets row i. The table's gradient is dY summed over the samples.
+    """
+    if pos.data.ndim != 2 or pos.shape[1] != w.shape[-1]:
+        raise ShapeError(f"embed_tokens table must have {w.shape[-1]} columns, got {pos.shape}")
+    t, d = pos.shape
+    if patches.shape[0] % t:
+        raise ShapeError(f"{patches.shape[0]} patch rows do not split into samples of {t} tokens")
+    y, grads = _affine(patches, w, b, "embed_tokens")
+    tokens = y.reshape(-1, t, d)
+    tokens += pos.data
+
+    def bwd(g):
+        gpos = g.reshape(-1, t, d).sum(axis=0) if pos.needs_grad else None
+        return (*grads(g), gpos)
+
+    return _out(y, (patches, w, b, pos), bwd)
 
 
 def attention(qkv: Tensor, b: int, t: int, heads: int, d_head: int) -> Tensor:
@@ -288,61 +305,41 @@ def attention(qkv: Tensor, b: int, t: int, heads: int, d_head: int) -> Tensor:
     return _out(out.reshape(b * t, heads * d_head), (qkv,), bwd)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum with trailing-axis broadcast (e.g. matrix + bias row)."""
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}") from None
-
-    def bwd(g):
-        ga = _unbroadcast(g, a.shape) if a.needs_grad else None
-        gb = _unbroadcast(g, b.shape) if b.needs_grad else None
-        return ga, gb
-
-    return _out(data, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product with trailing-axis broadcast."""
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul shapes incompatible: {a.shape} * {b.shape}") from None
-
-    def bwd(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.needs_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.needs_grad else None
-        return ga, gb
-
-    return _out(data, (a, b), bwd)
-
-
-def relu(a: Tensor) -> Tensor:
+def relu(a: Tensor, keep: Optional[np.ndarray] = None) -> Tensor:
+    """max(a, 0), times the dropout mask ``keep`` when one is given."""
+    if keep is not None and keep.shape != a.shape:
+        raise ShapeError(f"relu dropout mask has shape {keep.shape}, expected {a.shape}")
     mask = a.data > 0
     # np.maximum (not where) so NaN propagates instead of being silently zeroed
-    return _out(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
+    out = np.maximum(a.data, 0.0)
+    if keep is None:
+        return _out(out, (a,), lambda g: (g * mask,))
+    out *= keep
+    return _out(out, (a,), lambda g: (g * keep * mask,))
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
-                   eps: float = 1e-6) -> Tensor:
+                   eps: float = 1e-6, keep: Optional[np.ndarray] = None) -> Tensor:
     """Residual sum then LayerNorm over the last axis, gamma * x_hat + beta of x + y.
 
-    One record replaces an ``add`` feeding a LayerNorm. The forward centres
-    x + y in one buffer and scales it in place into x_hat; the backward works
-    in place on g * gamma and hands the same dX array to both inputs.
+    With a dropout mask ``keep`` the sum is x + keep * y: the post-norm
+    residual step LN(x + Dropout(y)). The forward centres the sum in one
+    buffer and scales it in place into x_hat; the backward works in place on
+    g * gamma and, without a mask, hands the same dX array to both inputs.
     """
     if eps <= 0:
         raise ConfigError(f"add_layer_norm eps must be > 0, got {eps}")
     if x.shape != y.shape:
         raise ShapeError(f"add_layer_norm residual shapes disagree: {x.shape} + {y.shape}")
+    if keep is not None and keep.shape != y.shape:
+        raise ShapeError(f"add_layer_norm dropout mask has shape {keep.shape}, expected {y.shape}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"add_layer_norm gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
     # mean and variance summed exactly as np.mean and np.var sum them
-    xhat = x.data + y.data
+    xhat = x.data + (y.data if keep is None else y.data * keep)
     xhat -= xhat.sum(axis=-1, keepdims=True) / d
     out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + eps)
@@ -367,42 +364,19 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
         np.multiply(xhat, sum_gx_xhat, out=tmp)
         gx -= tmp
         gx *= inv / d
-        return gx, gx, ggamma, gbeta
+        return gx, (gx if keep is None else gx * keep), ggamma, gbeta
 
     return _out(out, (x, y, gamma, beta), bwd)
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    """Size-preserving reshape (row-major order unchanged)."""
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} ({a.size} elements) into {shape}")
-    return _out(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def tile_rows(a: Tensor, reps: int) -> Tensor:
-    """Stack ``reps`` copies of a rank-2 tensor along the row axis."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"tile_rows needs a rank-2 tensor, got {a.shape}")
-    if reps < 1:
-        raise ShapeError(f"tile_rows needs reps >= 1, got {reps}")
-
-    def bwd(g):
-        return (g.reshape(reps, a.shape[0], a.shape[1]).sum(axis=0),)
-
-    return _out(np.tile(a.data, (reps, 1)), (a,), bwd)
-
-
-def mean_axis1(x: Tensor) -> Tensor:
-    """Mean over the middle axis of a rank-3 tensor: (B, T, d) -> (B, d)."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"mean_axis1 needs a rank-3 tensor, got {x.shape}")
-    t = x.shape[1]
-
-    def bwd(g):
-        return (np.broadcast_to(g[:, None, :] / t, x.shape).copy(),)
-
-    return _out(x.data.mean(axis=1), (x,), bwd)
+def mean_tokens(x: Tensor, b: int) -> Tensor:
+    """Each sample's token mean, (b * t, d) token rows to (b, d), as one op."""
+    if x.data.ndim != 2 or b < 1 or x.shape[0] % b:
+        raise ShapeError(f"mean_tokens needs rank-2 rows that split into {b} samples, "
+                         f"got {x.shape}")
+    t = x.shape[0] // b
+    return _out(x.data.reshape(b, t, -1).mean(axis=1), (x,),
+                lambda g: (np.repeat(g / t, t, axis=0),))
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ CKPT_VERSION = 2
 # 1,088 * 384 * 8 B = 3.2 MiB (256 rows: 12.75 MiB), so a forward's working
 # set stays near cache size and its peak heap is a quarter of what 256-row
 # blocks took. Each row's logits depend only on that row, so any block size of
-# two or more rows gives the same bits (a one-row matmul goes to BLAS gemv,
-# which rounds differently).
+# two or more rows gives the same bits. A one-row matmul goes to BLAS gemv,
+# which rounds differently, so :func:`infer` folds a one-row last block into
+# the block before it; a one-row input still runs gemv.
 INFER_BLOCK_ROWS = 64
 
 
@@ -177,11 +178,18 @@ def history_to_csv(history: Sequence[EpochStats]) -> str:
 
 def infer(model: Model, features: np.ndarray,
           batch_size: int = INFER_BLOCK_ROWS) -> np.ndarray:
-    """Eval-mode logits, one row per input row, computed ``batch_size`` rows at a time."""
-    return np.vstack([
-        forward(model, features[start : start + batch_size], mode="eval").data
-        for start in range(0, features.shape[0], batch_size)
-    ])
+    """Deterministic logits, one row per input row, computed ``batch_size`` rows at a time.
+
+    A last block of one row joins the block before it (see
+    :data:`INFER_BLOCK_ROWS`).
+    """
+    n = features.shape[0]
+    starts = list(range(0, n, batch_size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [n]
+    return np.vstack([forward(model, features[start:end]).data
+                      for start, end in zip(starts, ends)])
 
 
 def score_logits(logits: np.ndarray, labels) -> tuple[float, float]:
@@ -193,7 +201,7 @@ def score_logits(logits: np.ndarray, labels) -> tuple[float, float]:
 
 def predict(model: Model, features: np.ndarray,
             batch_size: int = INFER_BLOCK_ROWS) -> np.ndarray:
-    """Eval-mode softmax probabilities, one row per input row."""
+    """Deterministic softmax probabilities, one row per input row."""
     logits = infer(model, features, batch_size)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -269,7 +277,7 @@ def train_loop(
         ):
             zero_grads(params)
             with GradTape() as tape:
-                logits = forward(model, batch.features, mode="train", rng=dropout_rng)
+                logits = forward(model, batch.features, dropout_rng)
                 loss = sparse_ce_loss(logits, batch.labels, cfg.class_weights or None)
             loss_value = loss.item()
             if not math.isfinite(loss_value):
@@ -425,6 +433,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (ValueError, OverflowError) as err:
         raise CheckpointError(f"meta block holds an unparsable value: {err}",
                               offset=meta_offset) from None
+    violations = config.validate()
+    if violations:
+        raise CheckpointError(f"meta block holds an invalid config: {'; '.join(violations)}",
+                              offset=meta_offset)
 
     n_tensors = reader.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}

@@ -67,6 +67,25 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b as one taped op. Its backward hands the same array to both inputs,
+    as ``add_layer_norm``'s does, which the engine's fan-in tests rely on.
+
+    An operand that needs a gradient must have the output's shape; a constant
+    may broadcast.
+    """
+    out = Tensor(a.data + b.data, needs_grad=a.needs_grad or b.needs_grad)
+    record_op(out, (a, b), lambda g: (g, g))
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """a * b (elementwise) as one taped op; the same shape rule as :func:`add`."""
+    out = Tensor(a.data * b.data, needs_grad=a.needs_grad or b.needs_grad)
+    record_op(out, (a, b), lambda g: (g * b.data, g * a.data))
+    return out
+
+
 def write_beats_csv(path, ds: Dataset) -> None:
     """Serialize a Dataset in the 188-column on-disk format."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -71,7 +71,7 @@ def test_c1_gradient_correctness():
     labels = rng.integers(0, cfg.n_classes, size=2)
 
     def target():
-        return sparse_ce_loss(forward(model, batch, mode="eval"), labels)
+        return sparse_ce_loss(forward(model, batch), labels)
 
     report = grad_check(
         target,
@@ -301,8 +301,8 @@ def test_c7_checkpoint_semantics(tmp_path):
     save_checkpoint(ckpt, str(path))
     loaded = load_checkpoint(str(path))
     probe = np.random.default_rng(0).normal(size=(4, 187))
-    before = forward(restore_model(ckpt), probe, mode="eval").data
-    after = forward(restore_model(loaded), probe, mode="eval").data
+    before = forward(restore_model(ckpt), probe).data
+    after = forward(restore_model(loaded), probe).data
     np.testing.assert_array_equal(before, after)
     _passed(7, "save/load round trip bit-identical; best val loss is the "
                "running minimum")

@@ -457,6 +457,36 @@ def test_unparsable_checkpoint_meta_exits_2_naming_the_offset(corpus, tmp_path, 
         assert "'x'" in err and "byte offset 20" in err
 
 
+def test_checkpoint_config_that_disagrees_with_its_tensors_exits_2(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run16"
+    assert run_train(corpus, out) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob.count(b"d_model = 8\n") == 1
+    bad = tmp_path / "wider.bin"
+    bad.write_bytes(blob.replace(b"d_model = 8\n", b"d_model = 9\n"))  # same length
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(bad), "--data-test", corpus["test"]],
+                 ["predict", str(bad), corpus["test"]]):
+        assert main(argv) == 2
+        assert "parameter embed.w has shape (11, 8), expected (11, 9)" in capsys.readouterr().err
+
+
+def test_invalid_stored_config_exits_2_naming_the_offset(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run17"
+    assert run_train(corpus, out) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob.count(b"heads = 2\n") == 1
+    bad = tmp_path / "no_heads.bin"
+    bad.write_bytes(blob.replace(b"heads = 2\n", b"heads = 0\n"))  # parses, fails validate
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(bad), "--data-test", corpus["test"]],
+                 ["predict", str(bad), corpus["test"]]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "heads" in err and "byte offset 20" in err
+        assert "invalid configuration" not in err
+
+
 def test_non_utf8_tensor_name_exits_2_naming_the_offset(corpus, tmp_path, capsys):
     out = corpus["dir"] / "run13"
     assert run_train(corpus, out) == 0
@@ -591,7 +621,7 @@ class TestGradcheckCommand:
 
         original = tensor_mod.relu
 
-        def broken_relu(a):
+        def broken_relu(a, keep=None):
             mask = a.data > 0
             return tensor_mod._out(
                 np.maximum(a.data, 0.0), (a,), lambda g: (g * mask * 1.75,)

@@ -8,7 +8,7 @@ import pytest
 from beatformer.errors import ConfigError, ConfigMismatchError, ShapeError
 from beatformer.layers import (
     AttentionParams,
-    dropout,
+    dropout_mask,
     encoder_block,
     feed_forward,
     multi_head_attention,
@@ -16,17 +16,9 @@ from beatformer.layers import (
     sinusoidal_table,
 )
 from beatformer.model import build_model, forward, tiny_config
-from beatformer.tensor import (
-    Tensor,
-    add,
-    attention,
-    grad_check,
-    mean_axis1,
-    mul,
-    tile_rows,
-)
+from beatformer.tensor import Tensor, attention, embed_tokens, grad_check, mean_tokens
 
-from conftest import sum_all
+from conftest import mul, sum_all
 
 
 def identity_attention(d):
@@ -43,21 +35,23 @@ class TestPatchEmbed:
     def test_187_divides_into_17_tokens(self):
         w = Tensor(np.zeros((11, 4)))
         b = Tensor(np.zeros(4))
-        out = patch_embed(np.arange(187.0), 11, w, b)
+        out = patch_embed(np.arange(187.0), 11, w, b, Tensor(np.zeros((17, 4))))
         assert out.shape == (17, 4)
+        with pytest.raises(ShapeError, match="17 tokens"):
+            patch_embed(np.arange(187.0), 11, w, b, Tensor(np.zeros((16, 4))))
 
     def test_identity_embedding_recovers_patches(self):
         w = Tensor(np.eye(11))
         b = Tensor(np.zeros(11))
         sig = np.arange(22.0)
-        out = patch_embed(sig, 11, w, b)
+        out = patch_embed(sig, 11, w, b, Tensor(np.zeros((2, 11))))
         np.testing.assert_array_equal(out.data, sig.reshape(2, 11))
 
     def test_right_padding(self):
         w = Tensor(np.eye(11))
         b = Tensor(np.zeros(11))
         sig = np.ones(185)
-        out = patch_embed(sig, 11, w, b)
+        out = patch_embed(sig, 11, w, b, Tensor(np.zeros((17, 11))))
         assert out.shape == (17, 11)
         # last two slots of the final patch are the zero padding
         np.testing.assert_array_equal(out.data[-1, -2:], [0.0, 0.0])
@@ -66,32 +60,36 @@ class TestPatchEmbed:
     def test_bad_patch_len(self):
         w = Tensor(np.zeros((11, 4)))
         b = Tensor(np.zeros(4))
+        pos = Tensor(np.zeros((2, 4)))
         with pytest.raises(ConfigError):
-            patch_embed(np.ones(20), 0, w, b)
+            patch_embed(np.ones(20), 0, w, b, pos)
         with pytest.raises(ConfigError):
-            patch_embed(np.ones(20), 21, w, b)
+            patch_embed(np.ones(20), 21, w, b, pos)
 
 
 class TestPositionalEmbedding:
-    """The table is added to every sample's tokens as ``add(x, tile_rows(table, b))``."""
+    """The table is added to every sample's tokens inside ``embed_tokens``."""
 
     def test_zero_table_is_identity(self):
-        tokens = Tensor(np.random.default_rng(0).normal(size=(2 * 17, 8)))
-        out = add(tokens, tile_rows(Tensor(np.zeros((17, 8))), 2))
-        np.testing.assert_array_equal(out.data, tokens.data)
+        rng = np.random.default_rng(0)
+        patches = Tensor(rng.normal(size=(2 * 17, 11)))
+        w, b = Tensor(rng.normal(size=(11, 8))), Tensor(rng.normal(size=8))
+        out = embed_tokens(patches, w, b, Tensor(np.zeros((17, 8))))
+        np.testing.assert_array_equal(out.data, patches.data @ w.data + b.data)
 
     def test_slicing_contract(self):
         # each sample's block of token rows gets the whole table, row t at token t
         table = Tensor(np.random.default_rng(0).normal(size=(17, 64)))
-        out = tile_rows(table, 3)
+        out = embed_tokens(Tensor(np.zeros((3 * 17, 11))), Tensor(np.zeros((11, 64))),
+                           Tensor(np.zeros(64)), table)
         assert out.shape == (3 * 17, 64)
         for i in range(3):
             np.testing.assert_array_equal(out.data[i * 17:(i + 1) * 17], table.data)
 
     def test_identical_patches_distinct_positions(self):
         table = Tensor(np.arange(8.0).reshape(4, 2))
-        tokens = Tensor(np.ones((4, 2)))
-        embedded = add(tokens, tile_rows(table, 1)).data
+        embedded = embed_tokens(Tensor(np.ones((4, 2))), Tensor(np.eye(2)),
+                                Tensor(np.zeros(2)), table).data
         assert not np.array_equal(embedded[0], embedded[1])
 
     def test_too_many_rows(self):
@@ -301,11 +299,13 @@ class TestEncoderBlock:
             assert out.shape == (t, d)
 
     def test_eval_mode_deterministic(self):
+        # no generator, no dropout: the same output, also for a high dropout_p
         model = build_model(tiny_config(seed=5))
         x = Tensor(np.random.default_rng(8).normal(size=(4, 8)))
-        a = encoder_block(x, model.blocks[0], dropout_p=0.5, mode="eval").data
-        b = encoder_block(x, model.blocks[0], dropout_p=0.5, mode="eval").data
+        a = encoder_block(x, model.blocks[0], dropout_p=0.5).data
+        b = encoder_block(x, model.blocks[0], dropout_p=0.5).data
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, encoder_block(x, model.blocks[0]).data)
 
     def test_zero_sublayers_reduce_to_double_layer_norm(self):
         from beatformer.layers import LN_EPS
@@ -342,8 +342,8 @@ class TestClassificationHead:
 
     def test_pooling_of_identical_rows(self):
         row = np.random.default_rng(12).normal(size=8)
-        x = Tensor(np.tile(row, (2, 5, 1)))
-        np.testing.assert_allclose(mean_axis1(x).data, np.tile(row, (2, 1)), atol=1e-12)
+        x = Tensor(np.tile(row, (2 * 5, 1)))
+        np.testing.assert_allclose(mean_tokens(x, 2).data, np.tile(row, (2, 1)), atol=1e-12)
 
     def test_default_config_emits_five_logits(self):
         model = build_model(tiny_config(seed=8))
@@ -353,30 +353,30 @@ class TestClassificationHead:
 
 class TestDropout:
     def test_eval_mode_identity(self):
-        x = Tensor(np.random.default_rng(14).normal(size=(20, 20)))
-        out = dropout(x, 0.9, "eval", np.random.default_rng(0))
-        assert out is x
+        # without a generator there is no mask, whatever p is
+        assert dropout_mask((20, 20), 0.9, None) is None
 
     def test_p_zero_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        assert dropout(x, 0.0, "train", np.random.default_rng(0)) is x
+        rng = np.random.default_rng(0)
+        assert dropout_mask((3, 3), 0.0, rng) is None
+        # and no draw was made
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_inverted_scaling_preserves_mean(self):
-        rng = np.random.default_rng(15)
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.5, "train", rng)
-        assert abs(out.data.mean() - 1.0) < 0.05
+        mask = dropout_mask((200, 200), 0.5, np.random.default_rng(15))
+        assert set(np.unique(mask)) == {0.0, 2.0}
+        assert abs(mask.mean() - 1.0) < 0.05
 
     def test_invalid_p(self):
-        x = Tensor(np.ones(3))
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                dropout(x, p, "train", np.random.default_rng(0))
+                dropout_mask((3,), p, np.random.default_rng(0))
+            with pytest.raises(ConfigError):
+                dropout_mask((3,), p, None)
 
     def test_seeded_mask_reproducible(self):
-        x = Tensor(np.ones((10, 10)))
-        a = dropout(x, 0.3, "train", np.random.default_rng(42)).data
-        b = dropout(x, 0.3, "train", np.random.default_rng(42)).data
+        a = dropout_mask((10, 10), 0.3, np.random.default_rng(42))
+        b = dropout_mask((10, 10), 0.3, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
 
@@ -389,7 +389,7 @@ def test_whole_stack_gradient_check():
     weight = Tensor(rng.normal(size=(2, 5)))
 
     def f():
-        return sum_all(mul(forward(model, batch, mode="eval"), weight))
+        return sum_all(mul(forward(model, batch), weight))
 
     params = model.param_tensors()
     names = [n for n, _ in model.parameters()]

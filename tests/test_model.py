@@ -125,7 +125,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         row = rng.normal(size=187)
         batch = np.stack([row, rng.normal(size=187), row])
-        logits = forward(model, batch, mode="eval").data
+        logits = forward(model, batch).data
         np.testing.assert_array_equal(logits[0], logits[2])
 
     def test_batch_permutation_equivariance(self):
@@ -133,22 +133,22 @@ class TestForward:
         rng = np.random.default_rng(1)
         batch = rng.normal(size=(6, 187))
         perm = rng.permutation(6)
-        base = forward(model, batch, mode="eval").data
-        permuted = forward(model, batch[perm], mode="eval").data
+        base = forward(model, batch).data
+        permuted = forward(model, batch[perm]).data
         np.testing.assert_array_equal(permuted, base[perm])
 
     def test_eval_forward_pure(self):
         model = build_model(tiny_config(seed=6))
         batch = np.random.default_rng(2).normal(size=(3, 187))
-        a = forward(model, batch, mode="eval").data
-        b = forward(model, batch, mode="eval").data
+        a = forward(model, batch).data
+        b = forward(model, batch).data
         np.testing.assert_array_equal(a, b)
 
     def test_train_mode_reproducible_with_seeded_rng(self):
         model = build_model(tiny_config(seed=7))
         batch = np.random.default_rng(3).normal(size=(3, 187))
-        a = forward(model, batch, mode="train", rng=np.random.default_rng(11)).data
-        b = forward(model, batch, mode="train", rng=np.random.default_rng(11)).data
+        a = forward(model, batch, rng=np.random.default_rng(11)).data
+        b = forward(model, batch, rng=np.random.default_rng(11)).data
         np.testing.assert_array_equal(a, b)
 
     def test_wrong_width_rejected(self):
@@ -168,8 +168,8 @@ class TestForward:
     def test_batched_path_matches_per_sample_reference(self):
         model = build_model(tiny_config(seed=10))
         batch = np.random.default_rng(5).normal(size=(4, 187))
-        batched = forward(model, batch, mode="eval").data
-        reference = np.vstack([forward(model, batch[i:i + 1], mode="eval").data
+        batched = forward(model, batch).data
+        reference = np.vstack([forward(model, batch[i:i + 1]).data
                                for i in range(4)])
         np.testing.assert_allclose(batched, reference, atol=1e-12)
 
@@ -184,7 +184,7 @@ class TestForward:
             if t.data.ndim == 1 or t is model.pos_table:
                 t.data += rng.normal(scale=0.1, size=t.shape)
         batch = rng.normal(size=(b, cfg.input_len))
-        np.testing.assert_allclose(forward(model, batch, mode="eval").data,
+        np.testing.assert_allclose(forward(model, batch).data,
                                    reference_forward(model, batch), rtol=0, atol=1e-12)
 
     def test_rank1_input_promoted(self):
@@ -194,14 +194,14 @@ class TestForward:
 
 
 def test_default_train_step_tape_and_parameter_counts():
-    """Pins the fused layout: 53 tape records per train step, 57 parameter tensors.
+    """Pins the fused layout: 40 tape records per train step, 57 parameter tensors.
 
-    Per step: embedding, positional tiling and sum (3); per block the
-    QKV projection, attention, output projection, dropout, residual sum with
-    its norm, two FFN projections with a ReLU, dropout, residual sum with its
-    norm (10, times 4);
-    the head's reshape, pooling, two dense+ReLU+dropout layers and the output
-    projection (9); the loss (1).
+    Per step: the token embedding with its positions (1); per block the QKV
+    projection, attention, output projection, residual sum with dropout and
+    its norm, two FFN projections with a ReLU, residual sum with dropout and
+    its norm (8, times 4); the token pooling (1); two dense layers, each a
+    projection and a ReLU with dropout (4); the output projection (1); the
+    loss (1).
     """
     model = build_model(ModelConfig())
     assert len(model.parameters()) == 57
@@ -209,5 +209,5 @@ def test_default_train_step_tape_and_parameter_counts():
     batch = rng.normal(size=(32, 187))
     labels = rng.integers(0, 5, size=32)
     with GradTape() as tape:
-        sparse_ce_loss(forward(model, batch, mode="train", rng=rng), labels)
-    assert len(tape) == 53
+        sparse_ce_loss(forward(model, batch, rng=rng), labels)
+    assert len(tape) == 40

@@ -14,21 +14,18 @@ from beatformer.errors import ConfigError, InvalidCheckError, ShapeError
 from beatformer.tensor import (
     GradTape,
     Tensor,
-    add,
     add_layer_norm,
     attention,
     backward,
+    embed_tokens,
     grad_check,
     linear,
-    mean_axis1,
-    mul,
+    mean_tokens,
     relu,
-    reshape,
-    tile_rows,
     zero_grads,
 )
 
-from conftest import sum_all
+from conftest import add, mul, sum_all
 
 
 def naive_matmul(a, b):
@@ -254,32 +251,137 @@ class TestLayerNorm:
         np.testing.assert_array_equal(tg.grad, (g * xhat).sum(axis=0))
         np.testing.assert_array_equal(tb.grad, g.sum(axis=0))
 
+    def test_dropout_mask_is_bit_equal_to_mul_then_add_layer_norm(self):
+        # LN(x + keep * y) as a mul by the constant mask, then the unfused
+        # residual LayerNorm, computed them
+        rng = np.random.default_rng(15)
+        x, y = rng.normal(size=(2, 17, 8))
+        gamma, beta = rng.normal(size=(2, 8))
+        g = rng.normal(size=(17, 8))
+        keep = (rng.random((17, 8)) >= 0.3) / 0.7
+        s = x + y * keep
+        inv = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + 1e-6)
+        xhat = (s - s.mean(axis=-1, keepdims=True)) * inv
+        gxh = g * gamma
+        want_gx = inv / 8 * (8 * gxh - gxh.sum(axis=-1, keepdims=True)
+                             - xhat * (gxh * xhat).sum(axis=-1, keepdims=True))
+
+        tx, ty = Tensor(x, needs_grad=True), Tensor(y, needs_grad=True)
+        tg, tb = Tensor(gamma, needs_grad=True), Tensor(beta, needs_grad=True)
+        zero_grads([tx, ty, tg, tb])
+        with GradTape() as tape:
+            out = add_layer_norm(tx, ty, tg, tb, eps=1e-6, keep=keep)
+            loss = sum_all(mul(out, Tensor(g)))
+        backward(tape, loss)
+        assert len(tape) == 3
+        np.testing.assert_array_equal(out.data, gamma * xhat + beta)
+        np.testing.assert_array_equal(tx.grad, want_gx)
+        np.testing.assert_array_equal(ty.grad, want_gx * keep)
+        np.testing.assert_array_equal(tg.grad, (g * xhat).sum(axis=0))
+        np.testing.assert_array_equal(tb.grad, g.sum(axis=0))
+
 
 class TestElementwise:
     def test_additive_identity(self):
-        x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(add(Tensor(x), Tensor(np.zeros((2, 3)))).data, x)
+        # a zero positional table adds nothing to the embedded patches
+        rng = np.random.default_rng(16)
+        p, w, b = (Tensor(rng.normal(size=shape)) for shape in ((6, 4), (4, 3), (3,)))
+        got = embed_tokens(p, w, b, Tensor(np.zeros((3, 3)))).data
+        np.testing.assert_array_equal(got, linear(p, w, b).data)
 
     def test_relu_definition(self):
         np.testing.assert_array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0, 0, 2])
+        keep = np.array([2.0, 2.0, 0.0])
+        np.testing.assert_array_equal(relu(Tensor([-1.0, 3.0, 2.0]), keep).data, [0, 6, 0])
 
     def test_scale_by_inverse_sqrt(self):
-        got = mul(Tensor([[2.0, 4.0]]), Tensor(1 / math.sqrt(4))).data
+        got = relu(Tensor([[2.0, 4.0]]), np.full((1, 2), 1 / math.sqrt(4))).data
         np.testing.assert_allclose(got, [[1, 2]])
 
     def test_incompatible_shapes(self):
-        with pytest.raises(ShapeError):
-            add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        with pytest.raises(ShapeError, match="mask"):
+            relu(Tensor(np.zeros((2, 3))), np.ones((3, 2)))
+        with pytest.raises(ShapeError, match="mask"):
+            add_layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                           Tensor(np.ones(3)), Tensor(np.zeros(3)), keep=np.ones(3))
+        p, w, b = Tensor(np.zeros((6, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))
+        with pytest.raises(ShapeError, match="columns"):
+            embed_tokens(p, w, b, Tensor(np.zeros((3, 2))))
+        with pytest.raises(ShapeError, match="samples"):
+            embed_tokens(p, w, b, Tensor(np.zeros((4, 3))))
+        with pytest.raises(ShapeError, match="samples"):
+            mean_tokens(Tensor(np.zeros((6, 3))), 4)
 
     def test_bias_broadcast_backward_sums_rows(self):
-        x = Tensor(np.ones((3, 2)), needs_grad=True)
-        b = Tensor([1.0, 2.0], needs_grad=True)
-        zero_grads([x, b])
+        # the positional table is broadcast over the samples, so its gradient
+        # sums each token's rows
+        x = Tensor(np.ones((3, 2)))
+        w = Tensor(np.eye(2), needs_grad=True)
+        b = Tensor(np.zeros(2), needs_grad=True)
+        pos = Tensor([[1.0, 2.0]], needs_grad=True)
+        zero_grads([w, b, pos])
         with GradTape() as tape:
-            loss = sum_all(add(x, b))
+            loss = sum_all(embed_tokens(x, w, b, pos))
         backward(tape, loss)
+        np.testing.assert_array_equal(pos.grad, [[3.0, 3.0]])
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
-        np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+
+
+class TestFusedOpsBitEqual:
+    """Each fused op against the composition of unfused ops it replaced, in
+    plain numpy: output and every gradient equal to the last bit."""
+
+    @staticmethod
+    def run(op, inputs, g):
+        zero_grads([t for t in inputs if t.needs_grad])
+        with GradTape() as tape:
+            out = op()
+            loss = sum_all(mul(out, Tensor(g)))
+        backward(tape, loss)
+        assert len(tape) == 3
+        return out.data
+
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "fixed"])
+    def test_embed_tokens_is_linear_then_tile_rows_then_add(self, learned):
+        rng = np.random.default_rng(17)
+        n, t, k, d = 3, 5, 4, 6
+        p, w, b = rng.normal(size=(n * t, k)), rng.normal(size=(k, d)), rng.normal(size=d)
+        pos = rng.normal(size=(t, d))
+        g = rng.normal(size=(n * t, d))
+        tp, tw, tb = (Tensor(v, needs_grad=True) for v in (p, w, b))
+        tpos = Tensor(pos, needs_grad=learned)
+        y = p @ w
+        y += b
+        out = self.run(lambda: embed_tokens(tp, tw, tb, tpos), (tp, tw, tb, tpos), g)
+        np.testing.assert_array_equal(out, y + np.tile(pos, (n, 1)))
+        np.testing.assert_array_equal(tp.grad, g @ w.T)
+        np.testing.assert_array_equal(tw.grad, p.T @ g)
+        np.testing.assert_array_equal(tb.grad, g.sum(axis=0))
+        if learned:
+            np.testing.assert_array_equal(tpos.grad, g.reshape(n, t, d).sum(axis=0))
+        else:
+            assert tpos.grad is None
+
+    def test_mean_tokens_is_reshape_then_mean_axis1(self):
+        rng = np.random.default_rng(18)
+        n, t, d = 4, 7, 5
+        x = rng.normal(size=(n * t, d))
+        g = rng.normal(size=(n, d))
+        tx = Tensor(x, needs_grad=True)
+        out = self.run(lambda: mean_tokens(tx, n), (tx,), g)
+        np.testing.assert_array_equal(out, x.reshape(n, t, d).mean(axis=1))
+        want = np.broadcast_to(g[:, None, :] / t, (n, t, d)).copy().reshape(n * t, d)
+        np.testing.assert_array_equal(tx.grad, want)
+
+    def test_relu_keep_is_relu_then_mul(self):
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(6, 5))
+        keep = (rng.random((6, 5)) >= 0.15) / 0.85
+        g = rng.normal(size=(6, 5))
+        ta = Tensor(a, needs_grad=True)
+        out = self.run(lambda: relu(ta, keep), (ta,), g)
+        np.testing.assert_array_equal(out, np.maximum(a, 0.0) * keep)
+        np.testing.assert_array_equal(ta.grad, g * keep * (a > 0))
 
 
 class TestBackward:
@@ -410,8 +512,8 @@ class TestBackward:
 class TestStructuralOps:
     def test_mean_rows(self):
         # mean over each sample's token rows
-        x = Tensor([[[1.0, 3.0], [5.0, 7.0]]])
-        np.testing.assert_array_equal(mean_axis1(x).data, [[3.0, 5.0]])
+        x = Tensor([[1.0, 3.0], [5.0, 7.0]])
+        np.testing.assert_array_equal(mean_tokens(x, 1).data, [[3.0, 5.0]])
 
 
 class TestGradCheck:
@@ -470,10 +572,10 @@ class TestGradCheck:
         assert not report.passed
 
 
-@pytest.mark.parametrize("op_name", ["matmul", "add", "mul", "relu", "scale",
-                                     "layer_norm", "add_layer_norm", "reshape",
-                                     "tile_rows", "mean_axis1", "linear", "attention",
-                                     "attention_one_head"])
+@pytest.mark.parametrize("op_name", ["matmul", "relu", "relu_keep", "scale", "layer_norm",
+                                     "add_layer_norm", "add_layer_norm_keep", "embed_tokens",
+                                     "embed_tokens_fixed_table", "mean_tokens", "linear",
+                                     "attention", "attention_one_head"])
 def test_every_op_matches_finite_differences(op_name):
     # a stable seed per case (str hashes are salted per process), so a failure replays
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -486,20 +588,11 @@ def test_every_op_matches_finite_differences(op_name):
         weight = Tensor(rng.normal(size=(3, 2)))
         f = lambda: sum_all(mul(product(a, b), weight))
         params = [a, b]
-    elif op_name == "add":
-        a, b = t((3, 4)), t((4,))
-        weight = Tensor(rng.normal(size=(3, 4)))
-        f = lambda: sum_all(mul(add(a, b), weight))
-        params = [a, b]
-    elif op_name == "mul":
-        a, b = t((3, 4)), t((3, 4))
-        weight = Tensor(rng.normal(size=(3, 4)))
-        f = lambda: sum_all(mul(mul(a, b), weight))
-        params = [a, b]
-    elif op_name == "relu":
+    elif op_name in ("relu", "relu_keep"):
         a = t((3, 4))
+        keep = (rng.random((3, 4)) >= 0.3) / 0.7 if op_name == "relu_keep" else None
         weight = Tensor(rng.normal(size=(3, 4)))
-        f = lambda: sum_all(mul(relu(a), weight))
+        f = lambda: sum_all(mul(relu(a, keep), weight))
         params = [a]
     elif op_name == "scale":  # mul by a constant scalar
         a = t((3, 4))
@@ -511,25 +604,22 @@ def test_every_op_matches_finite_differences(op_name):
         weight = Tensor(rng.normal(size=(3, 6)))
         f = lambda: sum_all(mul(layer_norm(a, g, b, eps=1e-5), weight))
         params = [a, g, b]
-    elif op_name == "add_layer_norm":
+    elif op_name in ("add_layer_norm", "add_layer_norm_keep"):
         a, r, g, b = t((3, 6)), t((3, 6)), t((6,)), t((6,))
+        keep = (rng.random((3, 6)) >= 0.3) / 0.7 if op_name == "add_layer_norm_keep" else None
         weight = Tensor(rng.normal(size=(3, 6)))
-        f = lambda: sum_all(mul(add_layer_norm(a, r, g, b, eps=1e-5), weight))
+        f = lambda: sum_all(mul(add_layer_norm(a, r, g, b, eps=1e-5, keep=keep), weight))
         params = [a, r, g, b]
-    elif op_name == "reshape":
-        a = t((2, 6))
-        weight = Tensor(rng.normal(size=(2, 3, 2)))
-        f = lambda: sum_all(mul(reshape(a, (2, 3, 2)), weight))
-        params = [a]
-    elif op_name == "tile_rows":
-        a = t((3, 2))
-        weight = Tensor(rng.normal(size=(9, 2)))
-        f = lambda: sum_all(mul(tile_rows(a, 3), weight))
-        params = [a]
-    elif op_name == "mean_axis1":
-        a = t((2, 4, 3))
+    elif op_name in ("embed_tokens", "embed_tokens_fixed_table"):  # 3 samples of 2 tokens
+        p, w, b = t((6, 4)), t((4, 3)), t((3,))
+        pos = Tensor(rng.normal(size=(2, 3)), needs_grad=op_name == "embed_tokens")
+        weight = Tensor(rng.normal(size=(6, 3)))
+        f = lambda: sum_all(mul(embed_tokens(p, w, b, pos), weight))
+        params = [p, w, b] + ([pos] if pos.needs_grad else [])
+    elif op_name == "mean_tokens":  # 2 samples of 4 tokens
+        a = t((8, 3))
         weight = Tensor(rng.normal(size=(2, 3)))
-        f = lambda: sum_all(mul(mean_axis1(a), weight))
+        f = lambda: sum_all(mul(mean_tokens(a, 2), weight))
         params = [a]
     elif op_name == "linear":
         x, w, b = t((5, 4)), t((4, 3)), t((3,))
@@ -597,3 +687,39 @@ def test_every_public_name_is_reached_from_the_package(module):
             refs |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     exported = set(importlib.import_module(f"beatformer.{module}").__all__)
     assert not exported - refs, f"{module} exports names nothing uses: {sorted(exported - refs)}"
+
+
+class _UnseededGenerators(ast.NodeVisitor):
+    """Collects ``module.function`` for each ``default_rng()`` call with no
+    seed (or a ``None`` seed) in one module."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.found = []
+
+    def _visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_scope
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        seeds = node.args + [k.value for k in node.keywords]
+        if name == "default_rng" and all(
+                isinstance(a, ast.Constant) and a.value is None for a in seeds):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_no_src_function_draws_from_an_unseeded_generator():
+    """Every generator in ``src`` is seeded: a train forward draws its dropout
+    masks only from the generator it is passed, never from a fresh OS-seeded one."""
+    found = []
+    for path in sorted(Path(tensor_mod.__file__).parent.glob("*.py")):
+        finder = _UnseededGenerators(path.stem)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += finder.found
+    assert not found, f"unseeded np.random.default_rng() in {sorted(found)}"

@@ -205,6 +205,14 @@ class TestEvaluate:
         np.testing.assert_allclose(infer(model, features[:20], 1), whole[:20],
                                    rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_last_row_of_a_file_gets_the_bits_it_gets_in_any_other(self, n):
+        # n = 1 (mod 64) rows would leave a one-row last block, whose matmuls
+        # go to BLAS gemv; infer folds it into the block before
+        model = build_model(ModelConfig())
+        features = synthetic_beats(n, seed=10).features
+        np.testing.assert_array_equal(infer(model, features), infer(model, features, n))
+
     def test_default_blocks_bound_peak_memory(self):
         model = build_model(ModelConfig())
         features = synthetic_beats(512, seed=9).features
@@ -346,8 +354,8 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(loaded.norm.mean, ckpt.norm.mean)
 
         batch = np.random.default_rng(0).normal(size=(3, 187))
-        a = forward(restore_model(ckpt), batch, mode="eval").data
-        b = forward(restore_model(loaded), batch, mode="eval").data
+        a = forward(restore_model(ckpt), batch).data
+        b = forward(restore_model(loaded), batch).data
         np.testing.assert_array_equal(a, b)
 
     def test_truncated_file_fails_closed(self, tmp_path):
