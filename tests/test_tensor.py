@@ -574,8 +574,8 @@ class TestGradCheck:
 
 @pytest.mark.parametrize("op_name", ["matmul", "relu", "relu_keep", "scale", "layer_norm",
                                      "add_layer_norm", "add_layer_norm_keep", "embed_tokens",
-                                     "embed_tokens_fixed_table", "mean_tokens", "linear",
-                                     "attention", "attention_one_head"])
+                                     "embed_tokens_fixed_table", "mean_tokens", "mean_axis1",
+                                     "reshape", "linear", "attention", "attention_one_head"])
 def test_every_op_matches_finite_differences(op_name):
     # a stable seed per case (str hashes are salted per process), so a failure replays
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -616,10 +616,17 @@ def test_every_op_matches_finite_differences(op_name):
         weight = Tensor(rng.normal(size=(6, 3)))
         f = lambda: sum_all(mul(embed_tokens(p, w, b, pos), weight))
         params = [p, w, b] + ([pos] if pos.needs_grad else [])
-    elif op_name == "mean_tokens":  # 2 samples of 4 tokens
-        a = t((8, 3))
-        weight = Tensor(rng.normal(size=(2, 3)))
-        f = lambda: sum_all(mul(mean_tokens(a, 2), weight))
+    elif op_name in ("mean_tokens", "mean_axis1", "reshape"):
+        # mean_tokens pools (b * t, d) rows by viewing them as (b, t, d) and
+        # averaging axis 1. mean_tokens: 2 samples of 4 tokens; mean_axis1: the
+        # token-axis mean alone, one sample of 5 tokens; reshape: the split of
+        # rows into samples, 4 samples of 2 tokens, where each sample's gradient
+        # must land on its own rows
+        b, t_len, d = {"mean_tokens": (2, 4, 3), "mean_axis1": (1, 5, 3),
+                       "reshape": (4, 2, 2)}[op_name]
+        a = t((b * t_len, d))
+        weight = Tensor(rng.normal(size=(b, d)))
+        f = lambda: sum_all(mul(mean_tokens(a, b), weight))
         params = [a]
     elif op_name == "linear":
         x, w, b = t((5, 4)), t((4, 3)), t((3,))
