@@ -184,8 +184,8 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _report_files(out_dir: str, preds, labels) -> str:
-    cm = confusion_matrix(preds, labels)
+def _report_files(out_dir: str, preds, labels, n_classes: int) -> str:
+    cm = confusion_matrix(preds, labels, n_classes)
     report = classification_report(cm)
     text = format_report(report)
     _write(os.path.join(out_dir, "report.txt"), text + "\n")
@@ -222,7 +222,7 @@ def cmd_train(args) -> int:
 
     seed = train_cfg.seed
     try:
-        train_full = data_mod.load_csv(run.data_train)
+        train_full = data_mod.load_csv(run.data_train, model_cfg.input_len, model_cfg.n_classes)
         working = train_full
         if run.subset:
             working = data_mod.stratified_subset(train_full, run.subset, seed)
@@ -257,7 +257,8 @@ def cmd_train(args) -> int:
         return EXIT_NUMERIC
 
     _write(os.path.join(run.out, "history.csv"), history_to_csv(history))
-    text = _report_files(run.out, np.argmax(ckpt.val_logits, axis=1), val_part.labels)
+    text = _report_files(run.out, np.argmax(ckpt.val_logits, axis=1), val_part.labels,
+                         model_cfg.n_classes)
     print(f"best validation loss {ckpt.best_val_loss:.6f} at epoch {ckpt.epoch}")
     print(text)
     print(f"artifacts written to {run.out}/")
@@ -273,7 +274,7 @@ def cmd_eval(args) -> int:
     except (CheckpointError, OSError) as err:
         return _fail(str(err))
     try:
-        test_ds = data_mod.load_csv(args.data_test)
+        test_ds = data_mod.load_csv(args.data_test, ckpt.config.input_len, ckpt.config.n_classes)
     except DataError as err:
         return _fail(str(err))
 
@@ -284,7 +285,7 @@ def cmd_eval(args) -> int:
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
-    text = _report_files(out_dir, preds, normed.labels)
+    text = _report_files(out_dir, preds, normed.labels, ckpt.config.n_classes)
     print(text)
     print(f"\ntest loss {loss:.6f}, test accuracy {acc:.4f}")
     print(f"report files written to {out_dir}/")
@@ -298,7 +299,7 @@ def cmd_predict(args) -> int:
     except (CheckpointError, OSError) as err:
         return _fail(str(err))
     try:
-        features, _ = data_mod.load_features(args.data)
+        features, _ = data_mod.load_features(args.data, ckpt.config.input_len)
     except DataError as err:
         return _fail(str(err))
 
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred = sub.add_parser("predict", help="emit per-row class probabilities")
     pred.add_argument("checkpoint", help="checkpoint file")
-    pred.add_argument("data", help="CSV of 187-field rows (a 188th label field is ignored)")
+    pred.add_argument("data", help="CSV of input_len-field rows (a trailing label is ignored)")
     pred.add_argument("--out", help="write predictions.csv here instead of stdout")
     pred.set_defaults(fn=cmd_predict)
 

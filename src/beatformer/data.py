@@ -1,8 +1,9 @@
 """Heartbeat CSV ingestion, normalization, stratified subsets and batching.
 
-The on-disk format is headerless UTF-8 CSV, 188 numeric fields per row:
-187 amplitude samples followed by an integral class label in {0..4}.
-Class ids map to the five beat categories N, S, V, F, Q in that order.
+The on-disk format is headerless UTF-8 CSV: per row, ``input_len`` samples and
+an integral class label in {0..n_classes-1}, both numbers from the model config.
+The defaults give MIT-BIH's 188 fields with classes N, S, V, F, Q in that order;
+a binary PTB file has the same width and labels 0/1.
 """
 
 from __future__ import annotations
@@ -13,19 +14,16 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DataError
+from .model import ModelConfig
 
-N_FEATURES = 187
 CLASS_NAMES = ("N", "S", "V", "F", "Q")
-N_CLASSES = len(CLASS_NAMES)
 
 # replaces zero standard deviations (constant columns, e.g. the zero-padded
 # tail) so normalization never divides by zero
 STD_FLOOR = 1e-8
 
 __all__ = [
-    "N_FEATURES",
     "CLASS_NAMES",
-    "N_CLASSES",
     "STD_FLOOR",
     "Dataset",
     "NormStats",
@@ -46,7 +44,7 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Labeled beat matrix: (N, 187) features and N integer labels in {0..4}."""
+    """Labeled beat matrix: (N, input_len) features and N non-negative integer labels."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -61,8 +59,8 @@ class Dataset:
             )
         if self.n == 0:
             raise DataError("dataset must contain at least one sample")
-        if self.labels.min() < 0 or self.labels.max() >= N_CLASSES:
-            raise DataError("labels must lie in {0..4}")
+        if self.labels.min() < 0:
+            raise DataError("labels must be non-negative")
 
     @property
     def n(self) -> int:
@@ -128,22 +126,23 @@ def _parse_rows(path: str, n_fields: int) -> tuple[np.ndarray, list[int]]:
     return matrix, linenos
 
 
-def load_csv(path: str) -> Dataset:
-    """Read a labeled beat file: 188 fields per row, last field is the label."""
-    matrix, linenos = _parse_rows(path, N_FEATURES + 1)
-    features = matrix[:, :N_FEATURES]
-    raw_labels = matrix[:, N_FEATURES]
+def load_csv(path: str, input_len: int = ModelConfig.input_len,
+             n_classes: int = ModelConfig.n_classes) -> Dataset:
+    """Read a labeled beat file: ``input_len + 1`` fields per row, last field is the label."""
+    matrix, linenos = _parse_rows(path, input_len + 1)
+    features = matrix[:, :input_len]
+    raw_labels = matrix[:, input_len]
     labels = np.rint(raw_labels).astype(np.int64)
-    bad = np.nonzero((labels < 0) | (labels >= N_CLASSES))[0]
+    bad = np.nonzero((labels < 0) | (labels >= n_classes))[0]
     if bad.size:
-        raise DataError(
-            f"{path}: row {linenos[bad[0]]} label {float(raw_labels[bad[0]])} outside {{0..4}}"
-        )
+        raise DataError(f"{path}: row {linenos[bad[0]]} label {float(raw_labels[bad[0]])} "
+                        f"outside {{0..{n_classes - 1}}}")
     return Dataset(features=features, labels=labels, source=path)
 
 
-def load_features(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Read a prediction input: rows of 187 fields, or 188 with the label kept."""
+def load_features(path: str, input_len: int = ModelConfig.input_len
+                  ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Read a prediction input: rows of ``input_len`` fields, or one more with the label kept."""
     with open(path, "r", encoding="utf-8") as fh:
         first = None
         for lineno, line in enumerate(fh, start=1):
@@ -153,15 +152,15 @@ def load_features(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
     if first is None:
         raise DataError(f"{path}: no data rows")
     n_fields = len(first.split(","))
-    if n_fields not in (N_FEATURES, N_FEATURES + 1):
+    if n_fields not in (input_len, input_len + 1):
         raise DataError(
             f"{path}: row {lineno} has {n_fields} fields, "
-            f"expected {N_FEATURES} or {N_FEATURES + 1}"
+            f"expected {input_len} or {input_len + 1}"
         )
     matrix, _ = _parse_rows(path, n_fields)
-    if n_fields == N_FEATURES:
+    if n_fields == input_len:
         return matrix, None
-    return matrix[:, :N_FEATURES], np.rint(matrix[:, N_FEATURES]).astype(np.int64)
+    return matrix[:, :input_len], np.rint(matrix[:, input_len]).astype(np.int64)
 
 
 def fit_normalizer(train: Dataset) -> NormStats:
@@ -204,8 +203,8 @@ def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
     )
 
 
-def class_counts(ds: Dataset, k: int = N_CLASSES) -> np.ndarray:
-    return np.bincount(ds.labels, minlength=k)
+def class_counts(ds: Dataset) -> np.ndarray:
+    return np.bincount(ds.labels)
 
 
 def _largest_remainder_allocation(counts: np.ndarray, n: int) -> np.ndarray:
@@ -232,11 +231,11 @@ def _largest_remainder_allocation(counts: np.ndarray, n: int) -> np.ndarray:
 
 def stratified_split(ds: Dataset, n: int, seed: int) -> tuple[Dataset, Dataset]:
     """Draw a seeded stratified sample of n rows; return (picked, rest)."""
-    n_present = int((class_counts(ds) > 0).sum())
-    if not max(n_present, 5) <= n <= ds.n:
-        raise DataError(f"subset size must lie in [{max(n_present, 5)}, {ds.n}], got {n}")
-    rng = np.random.default_rng(seed)
     counts = class_counts(ds)
+    n_present = int((counts > 0).sum())
+    if not n_present <= n <= ds.n:
+        raise DataError(f"subset size must lie in [{n_present}, {ds.n}], got {n}")
+    rng = np.random.default_rng(seed)
     alloc = _largest_remainder_allocation(counts, n)
     picked = []
     for c in range(len(counts)):

@@ -48,7 +48,7 @@ class MetricsReport:
     total: int
 
 
-def confusion_matrix(preds, labels, k: int = 5) -> np.ndarray:
+def confusion_matrix(preds, labels, k: int) -> np.ndarray:
     """Count matrix with cell[t][p] = samples of true class t predicted p."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -65,8 +65,10 @@ def confusion_matrix(preds, labels, k: int = 5) -> np.ndarray:
     return cm
 
 
-def classification_report(cm: np.ndarray, class_names=CLASS_NAMES) -> MetricsReport:
+def classification_report(cm: np.ndarray, class_names=None) -> MetricsReport:
     """Per-class and aggregate metrics from a (true x predicted) count matrix.
+
+    Classes are named by ``class_names``, else N, S, V, F, Q if k = 5, else 0..k-1.
 
     Everything is computed in exact rational arithmetic and rounded to float
     once at the end, so identities like weighted recall == accuracy hold
@@ -74,6 +76,7 @@ def classification_report(cm: np.ndarray, class_names=CLASS_NAMES) -> MetricsRep
     """
     cm = np.asarray(cm, dtype=np.int64)
     k = cm.shape[0]
+    names = class_names or (CLASS_NAMES if k == len(CLASS_NAMES) else range(k))
     total = int(cm.sum())
     tp = [int(cm[c, c]) for c in range(k)]
     col = [int(cm[:, c].sum()) for c in range(k)]  # predicted counts
@@ -98,7 +101,7 @@ def classification_report(cm: np.ndarray, class_names=CLASS_NAMES) -> MetricsRep
         f1s.append(f1)
         classes.append(
             ClassMetrics(
-                name=class_names[c] if c < len(class_names) else str(c),
+                name=str(names[c]),
                 precision=float(precision),
                 recall=float(recall),
                 f1=float(f1),

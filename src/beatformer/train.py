@@ -245,11 +245,6 @@ def train_loop(
     violations = cfg.validate()
     if violations:
         raise ConfigError(violations)
-    if cfg.class_weights and len(cfg.class_weights) != model.config.n_classes:
-        raise ConfigError(
-            f"class_weights has {len(cfg.class_weights)} entries for "
-            f"{model.config.n_classes} classes"
-        )
     stats = norm_stats or NormStats(
         mean=np.zeros(model.config.input_len),
         std=np.ones(model.config.input_len),
@@ -478,7 +473,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 def restore_model(ckpt: Checkpoint) -> Model:
     """Rebuild the model from the stored config and load weights bit-exactly."""
     model = build_model(ckpt.config)
-    for name, tensor in model.parameters():
+    named = dict(model.parameters())
+    for name, tensor in named.items():
         if name not in ckpt.params:
             raise ConfigMismatchError(f"checkpoint lacks parameter {name}")
         stored = ckpt.params[name]
@@ -487,4 +483,8 @@ def restore_model(ckpt: Checkpoint) -> Model:
                 f"parameter {name} has shape {stored.shape}, expected {tensor.data.shape}"
             )
         tensor.data[...] = stored
+    leftover = [name for name in ckpt.params if name not in named]
+    if leftover:
+        raise ConfigMismatchError(f"checkpoint holds tensor {leftover[0]}, which its config "
+                                  f"does not name")
     return model

@@ -3,8 +3,9 @@
 The real MIT-BIH/PTB-derived CSVs are not distributable with the repo. Tests
 that need them look for ``mitbih_train.csv`` / ``mitbih_test.csv`` under
 ``$ECG_DATA_DIR`` and skip with a clear reason when absent. Everything else
-runs on a synthetic five-class corpus with the same shape, label taxonomy
-and (by default) the same class imbalance as the real training split.
+runs on the benchmark's synthetic five-class corpus (``bench/corpus.py``),
+with the same shape, label taxonomy and (by default) the same class
+imbalance as the real training split.
 """
 
 import os
@@ -15,48 +16,18 @@ import pytest
 
 from beatformer.data import Dataset
 from beatformer.tensor import Tensor, record_op
-
-# per-class sizes of the real train/test splits (used for proportions and
-# for the ingestion-fidelity criterion when the real files are available)
-REAL_TRAIN_COUNTS = (72471, 2223, 5788, 641, 6431)
-REAL_TEST_COUNTS = (18118, 556, 1448, 162, 1608)
-
-# class-specific waveform knobs: bump center, bump width, ripple frequency
-_TEMPLATES = (
-    (0.22, 0.030, 4.0),
-    (0.40, 0.050, 7.0),
-    (0.58, 0.080, 2.0),
-    (0.74, 0.040, 9.0),
-    (0.10, 0.100, 12.0),
-)
+from bench import corpus as bench_corpus
 
 
-def synthetic_beats(n: int, seed: int, proportions=None, source: str = "synthetic") -> Dataset:
-    """Generate n labeled beats: class-specific bump + ripple, zero-padded tail.
+def synthetic_beats(n: int, seed: int, proportions=None, source: str = "synthetic",
+                    labels=None) -> Dataset:
+    """n labeled beats from :func:`bench.corpus.synthetic_beats`, as a Dataset.
 
-    Shapes are chosen so the classes are cleanly separable; the default label
-    distribution mirrors the real training split's imbalance.
+    Labels are drawn from ``proportions`` (default: the real training split's
+    imbalance) unless given explicitly.
     """
-    rng = np.random.default_rng(seed)
-    if proportions is None:
-        counts = np.array(REAL_TRAIN_COUNTS, dtype=np.float64)
-        proportions = counts / counts.sum()
-    labels = rng.choice(5, size=n, p=proportions)
-    t = np.linspace(0.0, 1.0, 187)
-
-    centers = np.array([_TEMPLATES[c][0] for c in labels])[:, None]
-    widths = np.array([_TEMPLATES[c][1] for c in labels])[:, None]
-    freqs = np.array([_TEMPLATES[c][2] for c in labels])[:, None]
-    amp = rng.uniform(0.8, 1.0, size=(n, 1))
-    bump = amp * np.exp(-((t[None, :] - centers) ** 2) / (2.0 * widths**2))
-    ripple = 0.15 * np.sin(2.0 * np.pi * freqs * t[None, :])
-    noise = rng.normal(scale=0.03, size=(n, 187))
-    signal = np.clip(bump + ripple + noise + 0.2, 0.0, None)
-
-    # zero-padded tail of random onset, like the fixed-width beat records
-    valid = rng.integers(130, 188, size=n)
-    mask = np.arange(187)[None, :] < valid[:, None]
-    features = signal * mask
+    features, labels = bench_corpus.synthetic_beats(n, seed, class_proportions=proportions,
+                                                    labels=labels)
     return Dataset(features=features, labels=labels, source=source)
 
 

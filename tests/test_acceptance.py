@@ -43,9 +43,8 @@ from beatformer.train import (
     train_loop,
 )
 
+from bench.corpus import REAL_TEST_COUNTS, REAL_TRAIN_COUNTS
 from conftest import (
-    REAL_TEST_COUNTS,
-    REAL_TRAIN_COUNTS,
     real_data_dir,
     requires_real_data,
     synthetic_beats,
@@ -121,7 +120,7 @@ def test_c3_metrics_oracle_equivalence():
         n = int(rng.integers(1, 51))
         preds = rng.integers(0, 5, size=n)
         labels = rng.integers(0, 5, size=n)
-        report = classification_report(confusion_matrix(preds, labels))
+        report = classification_report(confusion_matrix(preds, labels, k=5))
 
         # brute-force oracle by direct counting over the raw pairs
         for c in range(5):

@@ -1,7 +1,7 @@
 """End-to-end CLI tests on small synthetic corpora."""
 
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from beatformer.cli import (
     parse_config_file,
     resolve_config,
 )
+from beatformer.data import Dataset
 from beatformer.model import ModelConfig
 from beatformer.train import TrainConfig
 
@@ -255,7 +256,7 @@ class TestTrainCommand:
         _, val = data_mod.stratified_split(full, full.n - val_n, 7)
         val = data_mod.apply_normalizer(val, ckpt.norm)
         probs = predict(restore_model(ckpt), val.features)
-        _report_files(str(tmp_path), np.argmax(probs, axis=1), val.labels)
+        _report_files(str(tmp_path), np.argmax(probs, axis=1), val.labels, 5)
         for name in ("report.txt", "report.csv", "confusion.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
@@ -417,6 +418,126 @@ class TestEvalCommand:
         assert main(["eval", str(junk), "--data-test", corpus["test"]]) == 2
 
 
+@pytest.fixture()
+def binary_corpus(tmp_path):
+    """A PTB-shaped stand-in: 188-field rows whose labels are 0 and 1 only."""
+    paths = {}
+    for name, n, seed in (("train", 240, 55), ("test", 80, 56)):
+        paths[name] = tmp_path / f"binary_{name}.csv"
+        write_beats_csv(paths[name], synthetic_beats(n, seed, labels=np.arange(n) % 2))
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_text(TINY_MODEL_LINES + f"\nn_classes = 2\ndata_train = {paths['train']}\n")
+    return {"train": str(paths["train"]), "test": str(paths["test"]), "cfg": str(cfg)}
+
+
+def first_label_at_least(path, k):
+    """(file line, label) of the first row of ``path`` whose label is >= k."""
+    for lineno, line in enumerate(open(path, encoding="utf-8"), start=1):
+        label = float(line.rsplit(",", 1)[1])
+        if label >= k:
+            return lineno, label
+    raise AssertionError(f"{path} has no label >= {k}")
+
+
+def confusion_rows(path):
+    return [line.split(",") for line in path.read_text().strip().splitlines()]
+
+
+class TestShapeFromModelConfig:
+    def test_binary_train_eval_predict(self, binary_corpus, tmp_path, capsys):
+        out = tmp_path / "binary_run"
+        assert main(["train", "--config", binary_corpus["cfg"], "--out", str(out),
+                     "--epochs", "2", "--seed", "7"]) == 0
+        checkpoint = str(out / "checkpoint.bin")
+        eval_out = tmp_path / "binary_eval"
+        assert main(["eval", checkpoint, "--data-test", binary_corpus["test"],
+                     "--out", str(eval_out)]) == 0
+        for directory in (out, eval_out):
+            rows = confusion_rows(directory / "confusion.csv")
+            assert len(rows) == 2 and all(len(row) == 2 for row in rows)
+            names = [line.split(",")[0]
+                     for line in (directory / "report.csv").read_text().splitlines()[1:3]]
+            assert names == ["0", "1"]
+            text_rows = (directory / "report.txt").read_text().splitlines()[2:4]
+            assert [line.split()[0] for line in text_rows] == ["0", "1"]
+        assert sum(int(v) for row in confusion_rows(eval_out / "confusion.csv")
+                   for v in row) == 80
+        capsys.readouterr()  # drain the train and eval output
+        assert main(["predict", checkpoint, binary_corpus["test"]]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "index,predicted_class,p0,p1"
+        assert len(lines) == 1 + 80
+
+    def test_label_outside_n_classes_exits_2_naming_the_line(self, corpus, binary_corpus,
+                                                            tmp_path, capsys):
+        assert main(["train", "--config", binary_corpus["cfg"], "--data-train",
+                     corpus["train"], "--out", str(tmp_path / "five_as_two")]) == 2
+        lineno, label = first_label_at_least(corpus["train"], 2)
+        assert f"{corpus['train']}: row {lineno} label {label} outside {{0..1}}" in \
+            capsys.readouterr().err
+
+        out = tmp_path / "binary_run"
+        assert main(["train", "--config", binary_corpus["cfg"], "--out", str(out),
+                     "--epochs", "1", "--seed", "7"]) == 0
+        capsys.readouterr()  # drain the training output
+        assert main(["eval", str(out / "checkpoint.bin"), "--data-test", corpus["test"],
+                     "--out", str(tmp_path / "eval")]) == 2
+        lineno, label = first_label_at_least(corpus["test"], 2)
+        assert f"{corpus['test']}: row {lineno} label {label} outside {{0..1}}" in \
+            capsys.readouterr().err
+
+    def test_input_len_that_disagrees_with_the_file_exits_2(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(TINY_MODEL_LINES + f"\ninput_len = 100\ndata_train = {corpus['train']}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"{corpus['train']}: row 1 has 188 fields, expected 101" in capsys.readouterr().err
+
+        # a 100-sample model, trained on 101-field rows, refuses 188-field rows
+        ds = synthetic_beats(240, seed=57, proportions=[0.2] * 5)
+        short_csv = tmp_path / "short.csv"
+        write_beats_csv(short_csv, Dataset(ds.features[:, :100], ds.labels))
+        out = tmp_path / "short_run"
+        assert main(["train", "--config", str(cfg), "--data-train", str(short_csv),
+                     "--out", str(out), "--epochs", "1", "--seed", "7"]) == 0
+        checkpoint = str(out / "checkpoint.bin")
+        capsys.readouterr()  # drain the training output
+        assert main(["eval", checkpoint, "--data-test", corpus["test"],
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert f"{corpus['test']}: row 1 has 188 fields, expected 101" in capsys.readouterr().err
+        assert main(["predict", checkpoint, corpus["test"]]) == 2
+        assert f"{corpus['test']}: row 1 has 188 fields, expected 100 or 101" in \
+            capsys.readouterr().err
+        assert main(["predict", checkpoint, str(short_csv)]) == 0
+
+
+def test_checkpoint_tensor_its_config_does_not_name_exits_2(corpus, tmp_path, capsys):
+    from beatformer.train import load_checkpoint, save_checkpoint
+
+    cfg = tmp_path / "two_blocks.cfg"
+    cfg.write_text(TINY_MODEL_LINES.replace("encoder_layers = 1", "encoder_layers = 2")
+                   + f"\ndata_train = {corpus['train']}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out),
+                 "--epochs", "1", "--seed", "7"]) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob.count(b"encoder_layers = 2\n") == 1
+    fewer_blocks = tmp_path / "one_block.bin"
+    fewer_blocks.write_bytes(blob.replace(b"encoder_layers = 2\n", b"encoder_layers = 1\n"))
+    ckpt = load_checkpoint(str(out / "checkpoint.bin"))
+    assert ckpt.config.positional == "learned"
+    sinusoidal = tmp_path / "sinusoidal.bin"
+    save_checkpoint(replace(ckpt, config=replace(ckpt.config, positional="sinusoidal")),
+                    str(sinusoidal))
+    capsys.readouterr()  # drain the training output
+    for bad, tensor in ((fewer_blocks, "block1.attn.w_qkv"), (sinusoidal, "pos.table")):
+        for argv in (["eval", str(bad), "--data-test", corpus["test"],
+                      "--out", str(tmp_path / "eval")],
+                     ["predict", str(bad), corpus["test"]]):
+            assert main(argv) == 2
+            assert f"checkpoint holds tensor {tensor}, which its config does not name" in \
+                capsys.readouterr().err
+
+
 def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch):
     import beatformer.cli as cli_mod
 
@@ -546,7 +667,7 @@ def test_per_sample_checkpoint_eval_and_predict_reapply_the_row_transform(corpus
     eval_out = tmp_path / "eval"
     assert main(["eval", checkpoint, "--data-test", corpus["test"],
                  "--out", str(eval_out)]) == 0
-    cm = confusion_matrix(np.argmax(infer(model, normed), axis=1), test.labels)
+    cm = confusion_matrix(np.argmax(infer(model, normed), axis=1), test.labels, k=5)
     report = classification_report(cm)
     assert (eval_out / "confusion.csv").read_text() == confusion_to_csv(cm)
     assert (eval_out / "report.csv").read_text() == report_to_csv(report)

@@ -81,6 +81,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3 label 7.0 outside"):
             load_csv(str(path))
 
+    def test_width_and_class_count_come_from_the_arguments(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        write_rows(path, [[0.5] * 100 + [1.0], [0.5] * 100 + [0.0]])
+        ds = load_csv(str(path), input_len=100, n_classes=2)
+        assert ds.features.shape == (2, 100)
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+        write_rows(path, [[0.5] * 100 + [1.0], [0.5] * 100 + [2.0]])
+        with pytest.raises(DataError, match=r"row 2 label 2.0 outside \{0..1\}"):
+            load_csv(str(path), input_len=100, n_classes=2)
+        with pytest.raises(DataError, match="row 1 has 101 fields, expected 188"):
+            load_csv(str(path))
+
     def test_label_rounding(self, tmp_path):
         path = tmp_path / "round.csv"
         write_rows(path, [make_row(2.0000001), make_row(3.9999999)])
@@ -128,6 +140,16 @@ class TestLoadFeatures:
         row[40] = "inf"
         write_rows(path, [[0.5] * width, row])
         with pytest.raises(DataError, match="row 2 column 41 holds non-finite value inf"):
+            load_features(str(path))
+
+    @pytest.mark.parametrize("width", [100, 101])
+    def test_width_comes_from_input_len(self, tmp_path, width):
+        path = tmp_path / "feat.csv"
+        write_rows(path, [[0.5] * width, [0.25] * width])
+        feats, labels = load_features(str(path), input_len=100)
+        assert feats.shape == (2, 100)
+        assert (labels is None) == (width == 100)
+        with pytest.raises(DataError, match=f"row 1 has {width} fields, expected 187 or 188"):
             load_features(str(path))
 
     def test_wrong_width_rejected(self, tmp_path):
@@ -290,6 +312,13 @@ class TestStratifiedSubset:
             stratified_subset(synth_train, 3, seed=0)
         with pytest.raises(DataError):
             stratified_subset(synth_train, synth_train.n + 1, seed=0)
+
+    def test_smallest_subset_is_one_row_per_present_class(self):
+        ds = synthetic_beats(40, seed=8, labels=np.arange(40) % 2)
+        sub = stratified_subset(ds, 2, seed=0)
+        np.testing.assert_array_equal(np.sort(sub.labels), [0, 1])
+        with pytest.raises(DataError, match=r"subset size must lie in \[2, 40\], got 1"):
+            stratified_subset(ds, 1, seed=0)
 
     def test_split_is_disjoint_partition(self, synth_train):
         picked, rest = stratified_split(synth_train, 1000, seed=11)

@@ -46,12 +46,12 @@ def brute_force_report(preds, labels, k=5):
 class TestConfusionMatrix:
     def test_perfect_predictions_are_diagonal(self):
         labels = np.array([0, 1, 1, 2, 4, 4, 4])
-        cm = confusion_matrix(labels, labels)
+        cm = confusion_matrix(labels, labels, k=5)
         np.testing.assert_array_equal(np.diag(cm), [1, 2, 1, 0, 3])
         assert cm.sum() == 7 and np.trace(cm) == 7
 
     def test_single_sample(self):
-        cm = confusion_matrix([4], [2])
+        cm = confusion_matrix([4], [2], k=5)
         expected = np.zeros((5, 5), dtype=int)
         expected[2, 4] = 1
         np.testing.assert_array_equal(cm, expected)
@@ -62,17 +62,17 @@ class TestConfusionMatrix:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            confusion_matrix([0, 1], [0])
+            confusion_matrix([0, 1], [0], k=5)
 
     def test_out_of_range_class(self):
         with pytest.raises(ValueError):
-            confusion_matrix([0, 5], [0, 1])
+            confusion_matrix([0, 5], [0, 1], k=5)
 
     def test_total_equals_sample_count(self):
         rng = np.random.default_rng(0)
         preds = rng.integers(0, 5, size=321)
         labels = rng.integers(0, 5, size=321)
-        assert confusion_matrix(preds, labels).sum() == 321
+        assert confusion_matrix(preds, labels, k=5).sum() == 321
 
 
 class TestClassificationReport:
@@ -93,6 +93,13 @@ class TestClassificationReport:
         assert b.f1 == pytest.approx(0.8)
         assert report.accuracy == 0.75
 
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_class_ids_name_the_rows_unless_there_are_five(self, k):
+        report = classification_report(np.eye(k, dtype=int))
+        assert [c.name for c in report.classes] == [str(c) for c in range(k)]
+        lines = format_report(report).splitlines()[2:2 + k]
+        assert [line.split()[0] for line in lines] == [str(c) for c in range(k)]
+
     def test_zero_division_flagged(self):
         # class 3 never occurs and is never predicted
         cm = np.zeros((5, 5), dtype=int)
@@ -110,7 +117,7 @@ class TestClassificationReport:
             n = int(rng.integers(1, 51))
             preds = rng.integers(0, 5, size=n)
             labels = rng.integers(0, 5, size=n)
-            report = classification_report(confusion_matrix(preds, labels))
+            report = classification_report(confusion_matrix(preds, labels, k=5))
             assert report.weighted_recall == report.accuracy
 
     def test_agrees_with_brute_force_oracle(self):
@@ -119,7 +126,7 @@ class TestClassificationReport:
             n = int(rng.integers(1, 51))
             preds = rng.integers(0, 5, size=n)
             labels = rng.integers(0, 5, size=n)
-            report = classification_report(confusion_matrix(preds, labels))
+            report = classification_report(confusion_matrix(preds, labels, k=5))
             per_class, accuracy, macro, weighted = brute_force_report(preds, labels)
             assert report.accuracy == accuracy
             for c in range(5):
@@ -140,8 +147,8 @@ class TestClassificationReport:
         preds = rng.integers(0, 5, size=200)
         labels = rng.integers(0, 5, size=200)
         perm = rng.permutation(5)
-        base = classification_report(confusion_matrix(preds, labels))
-        relabeled = classification_report(confusion_matrix(perm[preds], perm[labels]))
+        base = classification_report(confusion_matrix(preds, labels, k=5))
+        relabeled = classification_report(confusion_matrix(perm[preds], perm[labels], k=5))
         assert base.accuracy == relabeled.accuracy
         assert base.macro_f1 == relabeled.macro_f1
         for c in range(5):
@@ -176,7 +183,7 @@ class TestFormatting:
         assert names == ["N", "S", "V", "F", "Q"]
 
     def test_csv_outputs(self):
-        cm = confusion_matrix([0, 1, 2, 2], [0, 1, 2, 3])
+        cm = confusion_matrix([0, 1, 2, 2], [0, 1, 2, 3], k=5)
         report_csv = report_to_csv(classification_report(cm))
         assert report_csv.startswith("class,precision,recall,f1,support")
         assert len(report_csv.strip().splitlines()) == 1 + 5 + 3
@@ -186,7 +193,7 @@ class TestFormatting:
         np.testing.assert_array_equal(got, cm)
 
     def test_deterministic(self):
-        cm = confusion_matrix([0, 1, 4, 3], [0, 2, 4, 3])
+        cm = confusion_matrix([0, 1, 4, 3], [0, 2, 4, 3], k=5)
         a = format_report(classification_report(cm))
         b = format_report(classification_report(cm))
         assert a == b
