@@ -113,14 +113,23 @@ def build_config(cls, resolved: dict):
 def parse_config_file(path: str) -> tuple[dict, list[str]]:
     """Read ``key = value`` lines; return raw string values plus violations.
 
-    A key given twice is a violation naming both lines, not a silent override.
+    A key given twice is a violation naming both lines, not a silent override;
+    a line that is not valid UTF-8 is one naming its line.
     """
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     violations: list[str] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # undecodable bytes come through as lone surrogates, which no valid
+        # UTF-8 line can hold, so only such a line fails to encode back
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, raw in enumerate(fh, start=1):
+                if not raw.isascii():
+                    try:
+                        raw.encode("utf-8")
+                    except UnicodeEncodeError:
+                        violations.append(f"{path}:{lineno}: not valid UTF-8")
+                        continue
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue

@@ -90,6 +90,31 @@ class Batch:
         return self.features.shape[0]
 
 
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of a UTF-8 text file, stripped, with its 1-based number.
+
+    Lines end as in text mode. A file that cannot be opened or read, and a
+    line that is not valid UTF-8, raise a :class:`DataError` naming the path
+    and the line.
+    """
+    try:
+        # undecodable bytes come through as lone surrogates, which no valid
+        # UTF-8 line can hold, so only such a line fails to encode back
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise DataError(f"{path}: row {lineno} is not valid UTF-8") from None
+                yield lineno, line
+    except OSError as err:
+        raise DataError(f"{path}: cannot read the file: {err.strerror or err}") from None
+
+
 def _parse_rows(path: str, n_fields: int) -> tuple[np.ndarray, list[int]]:
     """The file's rows as a float64 matrix, plus each row's 1-based line number.
 
@@ -98,21 +123,17 @@ def _parse_rows(path: str, n_fields: int) -> tuple[np.ndarray, list[int]]:
     """
     rows = []
     linenos = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != n_fields:
-                raise DataError(
-                    f"{path}: row {lineno} has {len(fields)} fields, expected {n_fields}"
-                )
-            try:
-                rows.append(np.array(fields, dtype=np.float64))
-            except ValueError:
-                raise DataError(f"{path}: row {lineno} contains a non-numeric field") from None
-            linenos.append(lineno)
+    for lineno, line in _lines(path):
+        fields = line.split(",")
+        if len(fields) != n_fields:
+            raise DataError(
+                f"{path}: row {lineno} has {len(fields)} fields, expected {n_fields}"
+            )
+        try:
+            rows.append(np.array(fields, dtype=np.float64))
+        except ValueError:
+            raise DataError(f"{path}: row {lineno} contains a non-numeric field") from None
+        linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no data rows")
     matrix = np.vstack(rows)
@@ -143,12 +164,9 @@ def load_csv(path: str, input_len: int = ModelConfig.input_len,
 def load_features(path: str, input_len: int = ModelConfig.input_len
                   ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Read a prediction input: rows of ``input_len`` fields, or one more with the label kept."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = None
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                first = line.strip()
-                break
+    lines = _lines(path)
+    lineno, first = next(lines, (0, None))
+    lines.close()
     if first is None:
         raise DataError(f"{path}: no data rows")
     n_fields = len(first.split(","))

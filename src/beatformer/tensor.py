@@ -260,15 +260,58 @@ def embed_tokens(patches: Tensor, w: Tensor, b: Tensor, pos: Tensor) -> Tensor:
     return _out(y, (patches, w, b, pos), bwd)
 
 
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """``x`` summed over axis 0 in the order numpy sums one contiguous row.
+
+    Each entry equals numpy's sum of the same n values stored as one row, bit
+    for bit, yet every add here runs over a whole slab ``x[i]`` at once. That
+    order: below 8 terms a running sum; up to 128 terms (numpy's block size)
+    eight running sums over blocks of 8, added as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in turn;
+    beyond that the two halves, the first rounded down to a multiple of 8,
+    each summed so and then added.
+    """
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    if n < 8:
+        acc = x[0].copy()
+        tail = x[1:]
+    else:
+        r = x[:8].copy()
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            r += x[i:i + 8]
+        # the tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), one level per line
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        acc = r[0] + r[4]
+        tail = x[whole:]
+    for row in tail:
+        acc += row
+    # numpy adds the row's sum to a +0.0 start, which turns a -0.0 sum into +0.0
+    acc += 0.0
+    return acc
+
+
 def attention(qkv: Tensor, b: int, t: int, heads: int, d_head: int) -> Tensor:
     """Multi-head self-attention softmax(Q K^T / sqrt(d_head)) V as one op.
 
     ``qkv`` is the packed (b*t, 3*heads*d_head) projection of ``b`` samples
     of ``t`` tokens each, its columns ordered q|k|v, then head, then position
     within the head. Tokens attend only within their own sample. The result
-    is (b*t, heads*d_head) with the heads side by side. The backward reuses
-    the saved attention weights and writes dQ, dK and dV into one buffer laid
-    out like ``qkv``.
+    is (b*t, heads*d_head) with the heads side by side.
+
+    The scores are stored key-major, one (t, b, heads, t) buffer indexed
+    [key, sample, head, query], so each softmax step runs over axis 0: t
+    passes over rows of b*heads*t values, not b*heads*t passes over rows of
+    t. The max is exact in any order and the other steps are elementwise;
+    the sum adds in numpy's own row order (:func:`_pairwise_sum`), so from
+    the same scores the weights equal a query-major row softmax's bit for bit.
+    Both products get the same dot products as a query-major layout. The
+    backward takes a query-major copy of the saved weights and writes dQ, dK
+    and dV into one buffer laid out like ``qkv``.
     """
     width = 3 * heads * d_head
     if qkv.data.ndim != 2 or qkv.shape != (b * t, width):
@@ -279,15 +322,18 @@ def attention(qkv: Tensor, b: int, t: int, heads: int, d_head: int) -> Tensor:
     s = 1.0 / math.sqrt(d_head)
     # (b, heads, t, d_head) views into the packed columns, no copies
     q, k, v = qkv.data.reshape(b, t, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
-    weights = np.matmul(q, k.swapaxes(-1, -2))
-    weights *= s
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    keys = np.empty((t, b, heads, t))
+    np.matmul(k, q.swapaxes(-1, -2), out=keys.transpose(1, 2, 0, 3))
+    keys *= s
+    keys -= keys.max(axis=0)
+    np.exp(keys, out=keys)
+    keys /= _pairwise_sum(keys)
     out = np.empty((b, t, heads, d_head))
-    np.matmul(weights, v, out=out.transpose(0, 2, 1, 3))
+    np.matmul(keys.transpose(1, 2, 3, 0), v, out=out.transpose(0, 2, 1, 3))
 
     def bwd(g):
+        # (b, heads, query, key); einsum's row sums below need query-major rows
+        weights = np.ascontiguousarray(keys.transpose(1, 2, 3, 0))
         g_out = g.reshape(b, t, heads, d_head).transpose(0, 2, 1, 3)
         grad = np.empty((b, t, 3, heads, d_head))
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)

@@ -458,6 +458,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     for required in ("norm.mean", "norm.std"):
         if required not in tensors:
             raise CheckpointError(f"checkpoint lacks the {required} tensor")
+        if tensors[required].shape != (config.input_len,):
+            raise CheckpointError(f"tensor {required} has shape {tensors[required].shape}, "
+                                  f"expected ({config.input_len},) for input_len "
+                                  f"{config.input_len}")
 
     return Checkpoint(
         config=config,

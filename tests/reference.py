@@ -1,9 +1,16 @@
-"""Plain-numpy reference forward pass, independent of the tape and fused ops.
+"""Plain-numpy references, independent of the tape and fused ops.
 
-It runs one sample at a time and, inside each encoder block, one head at a
-time, taking every head's query, key and value matrices as column slices of
-the packed ``w_qkv``. Tests compare :func:`beatformer.model.forward` with it.
+:func:`reference_forward` runs one sample at a time and, inside each encoder
+block, one head at a time, taking every head's query, key and value matrices
+as column slices of the packed ``w_qkv``. Tests compare
+:func:`beatformer.model.forward` with it.
+
+:func:`query_major_attention` is the attention op's earlier formulation, with
+each query's scores in one contiguous row. Tests hold the key-major
+:func:`beatformer.tensor.attention` to it bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -57,3 +64,32 @@ def reference_forward(model, features) -> np.ndarray:
             h = np.maximum(h @ w.data + b.data, 0.0)
         logits.append(h @ model.head.out_w.data + model.head.out_b.data)
     return np.array(logits)
+
+
+def query_major_attention(qkv, b, t, heads, d_head, g):
+    """Output and input gradient of attention for packed ``qkv`` and output gradient ``g``.
+
+    The (b, heads, query, key) weights come from a row-wise softmax over the
+    contiguous last axis.
+    """
+    s = 1.0 / math.sqrt(d_head)
+    q, k, v = qkv.reshape(b, t, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
+    weights = np.matmul(q, k.swapaxes(-1, -2))
+    weights *= s
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = np.empty((b, t, heads, d_head))
+    np.matmul(weights, v, out=out.transpose(0, 2, 1, 3))
+
+    g_out = g.reshape(b, t, heads, d_head).transpose(0, 2, 1, 3)
+    grad = np.empty((b, t, 3, heads, d_head))
+    gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
+    np.matmul(weights.swapaxes(-1, -2), g_out, out=gv)
+    g_scores = np.matmul(g_out, v.swapaxes(-1, -2))
+    g_scores -= np.einsum("...ij,...ij->...i", g_scores, weights)[..., None]
+    g_scores *= weights
+    g_scores *= s
+    np.matmul(g_scores, k, out=gq)
+    np.matmul(g_scores.swapaxes(-1, -2), q, out=gk)
+    return out.reshape(b * t, heads * d_head), grad.reshape(b * t, 3 * heads * d_head)

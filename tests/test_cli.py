@@ -592,6 +592,58 @@ def test_checkpoint_config_that_disagrees_with_its_tensors_exits_2(corpus, tmp_p
         assert "parameter embed.w has shape (11, 8), expected (11, 9)" in capsys.readouterr().err
 
 
+def test_norm_stats_that_disagree_with_input_len_exit_2(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run18"
+    assert run_train(corpus, out) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob.count(b"input_len = 187\n") == 1
+    bad = tmp_path / "shorter.bin"
+    # still 17 tokens of 11, so every parameter shape fits; only the stats do not
+    bad.write_bytes(blob.replace(b"input_len = 187\n", b"input_len = 186\n"))
+    rows = [line.split(",") for line in (corpus["dir"] / "test.csv").read_text().splitlines()]
+    short = tmp_path / "short.csv"  # 186 samples and the label
+    short.write_text("".join(",".join(row[:185] + row[186:]) + "\n" for row in rows))
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(bad), "--data-test", str(short)],
+                 ["predict", str(bad), str(short)]):
+        assert main(argv) == 2
+        assert "tensor norm.mean has shape (187,), expected (186,) for input_len 186" in \
+            capsys.readouterr().err
+
+
+def test_missing_input_file_exits_2_naming_the_path(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run19"
+    assert run_train(corpus, out) == 0
+    missing = str(tmp_path / "absent.csv")
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(out / "checkpoint.bin"), "--data-test", missing],
+                 ["predict", str(out / "checkpoint.bin"), missing],
+                 ["train", "--config", corpus["cfg"], "--data-train", missing,
+                  "--out", str(tmp_path / "retrain")]):
+        assert main(argv) == 2
+        assert missing in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_2_naming_the_line(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run20"
+    assert run_train(corpus, out) == 0
+    lines = (corpus["dir"] / "test.csv").read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"0.", b"\xff.", 1)
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"".join(lines))
+    bad_cfg = tmp_path / "latin.cfg"
+    bad_cfg.write_bytes(b"epochs = 1\n# caf\xe9\nseed = 0\n")
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(out / "checkpoint.bin"), "--data-test", str(bad)],
+                 ["predict", str(out / "checkpoint.bin"), str(bad)],
+                 ["train", "--config", corpus["cfg"], "--data-train", str(bad),
+                  "--out", str(tmp_path / "retrain")]):
+        assert main(argv) == 2
+        assert f"{bad}: row 3 is not valid UTF-8" in capsys.readouterr().err
+    assert main(["train", "--config", str(bad_cfg), "--out", str(tmp_path / "cfg_run")]) == 2
+    assert f"{bad_cfg}:2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_invalid_stored_config_exits_2_naming_the_offset(corpus, tmp_path, capsys):
     out = corpus["dir"] / "run17"
     assert run_train(corpus, out) == 0

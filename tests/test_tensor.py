@@ -26,6 +26,7 @@ from beatformer.tensor import (
 )
 
 from conftest import add, mul, sum_all
+from reference import query_major_attention
 
 
 def naive_matmul(a, b):
@@ -144,6 +145,41 @@ class TestAttention:
             attention(Tensor(np.zeros((6, 11))), 2, 3, 1, 4)
         with pytest.raises(ShapeError, match="packed"):
             attention(Tensor(np.zeros((5, 12))), 2, 3, 1, 4)
+
+    @pytest.mark.parametrize("t", [1, 5, 17, 130])
+    def test_equals_query_major_formulation_bit_for_bit(self, t):
+        """Key-major scores give the query-major output and gradient exactly.
+
+        Head size 16 is the default config's. BLAS may round a product with a
+        transposed operand differently at other head sizes (see README).
+        """
+        b, heads, d = 3, 2, 16
+        rng = np.random.default_rng(t)
+        qkv = Tensor(rng.normal(scale=2.0, size=(b * t, 3 * heads * d)), needs_grad=True)
+        g = rng.normal(size=(b * t, heads * d))
+        want_out, want_grad = query_major_attention(qkv.data, b, t, heads, d, g)
+        zero_grads([qkv])
+        with GradTape() as tape:
+            out = attention(qkv, b, t, heads, d)
+            loss = sum_all(mul(out, Tensor(g)))
+        backward(tape, loss)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(qkv.grad, want_grad)
+
+
+@pytest.mark.parametrize("n", range(1, 301))
+def test_pairwise_sum_equals_ndarray_sum_bit_for_bit(n):
+    """The key-major softmax's sum adds in numpy's order for one contiguous row.
+
+    1..300 terms cover the running sum below 8, the eight-way tree and its
+    leftover terms, and the halving beyond 128. A numpy whose order differs
+    fails here rather than changing the attention weights' bits.
+    """
+    rng = np.random.default_rng(n)
+    x = rng.random((n, 4, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 4, 3))
+    x[:, 0, 0] = -0.0  # numpy's sum of negative zeros is +0.0
+    want = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+    assert tensor_mod._pairwise_sum(x).tobytes() == want.tobytes()
 
 
 def attention_softmax(z):
