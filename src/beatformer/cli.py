@@ -36,6 +36,7 @@ from .model import (
     field_casters,
     field_text,
     format_param_report,
+    forward,
     tiny_config,
 )
 from .tensor import grad_check
@@ -47,6 +48,7 @@ from .train import (
     predict,
     restore_model,
     score_logits,
+    sparse_ce_loss,
     train_loop,
 )
 
@@ -188,6 +190,14 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
     return code
 
 
+def _make_out_dir(path: str) -> None:
+    """Create ``path`` as a directory, or raise ``ConfigError`` naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {path}: {err.strerror or err}") from None
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -226,7 +236,7 @@ def cmd_train(args) -> int:
         return _fail(f"training CSV not found: {run.data_train}")
 
     # provenance first: the resolved config lands before any real work
-    os.makedirs(run.out, exist_ok=True)
+    _make_out_dir(run.out)
     _write(os.path.join(run.out, "config.resolved"), format_resolved(resolved))
 
     seed = train_cfg.seed
@@ -293,7 +303,7 @@ def cmd_eval(args) -> int:
     preds = np.argmax(logits, axis=1)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     text = _report_files(out_dir, preds, normed.labels, ckpt.config.n_classes)
     print(text)
     print(f"\ntest loss {loss:.6f}, test accuracy {acc:.4f}")
@@ -320,7 +330,7 @@ def cmd_predict(args) -> int:
         lines.append(f"{i},{label}," + ",".join(f"{p:.17g}" for p in row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         _write(os.path.join(args.out, "predictions.csv"), text)
         print(f"predictions written to {os.path.join(args.out, 'predictions.csv')}")
     else:
@@ -344,9 +354,6 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(resolved["seed"])
     batch = rng.normal(size=(2, cfg.input_len))
     labels = rng.integers(0, cfg.n_classes, size=2)
-
-    from .model import forward
-    from .train import sparse_ce_loss
 
     def target():
         return sparse_ce_loss(forward(model, batch), labels)

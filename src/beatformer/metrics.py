@@ -65,10 +65,10 @@ def confusion_matrix(preds, labels, k: int) -> np.ndarray:
     return cm
 
 
-def classification_report(cm: np.ndarray, class_names=None) -> MetricsReport:
+def classification_report(cm: np.ndarray) -> MetricsReport:
     """Per-class and aggregate metrics from a (true x predicted) count matrix.
 
-    Classes are named by ``class_names``, else N, S, V, F, Q if k = 5, else 0..k-1.
+    Classes are named N, S, V, F, Q if k = 5, else 0..k-1.
 
     Everything is computed in exact rational arithmetic and rounded to float
     once at the end, so identities like weighted recall == accuracy hold
@@ -76,7 +76,7 @@ def classification_report(cm: np.ndarray, class_names=None) -> MetricsReport:
     """
     cm = np.asarray(cm, dtype=np.int64)
     k = cm.shape[0]
-    names = class_names or (CLASS_NAMES if k == len(CLASS_NAMES) else range(k))
+    names = CLASS_NAMES if k == len(CLASS_NAMES) else range(k)
     total = int(cm.sum())
     tp = [int(cm[c, c]) for c in range(k)]
     col = [int(cm[:, c].sum()) for c in range(k)]  # predicted counts

@@ -1,25 +1,17 @@
-"""Model assembly: config validation, seeded initialization, batch forward."""
+"""Model assembly: config validation, the parameter table and its two flat
+buffers, seeded initialization, the encoder block and the batch forward."""
 
 from __future__ import annotations
 
 import logging
 import math
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import (
-    AttentionParams,
-    EncoderBlockParams,
-    HeadParams,
-    dropout_mask,
-    encoder_block,
-    patch_embed,
-    sinusoidal_table,
-)
-from .tensor import Tensor, linear, mean_tokens, relu
+from .tensor import Tensor, add_layer_norm, attention, embed_tokens, linear, mean_tokens, relu
 
 logger = logging.getLogger(__name__)
 
@@ -27,6 +19,8 @@ logger = logging.getLogger(__name__)
 # approximates. The reference under-specifies model width, pooling and the
 # positional scheme, so the count is reported with a delta, never asserted.
 REFERENCE_PARAM_COUNT = 36_301
+
+LN_EPS = 1e-6
 
 __all__ = [
     "ModelConfig",
@@ -40,6 +34,9 @@ __all__ = [
     "parameter_breakdown",
     "format_param_report",
     "REFERENCE_PARAM_COUNT",
+    "LN_EPS",
+    "dropout_mask",
+    "sinusoidal_table",
 ]
 
 
@@ -137,102 +134,161 @@ def tiny_config(input_len: int = 187, **overrides) -> ModelConfig:
 
 @dataclass
 class Model:
+    """A config and its weights: one table of named tensors in checkpoint order.
+
+    Every trainable tensor's ``data`` is a view into ``flat_data`` and its
+    ``grad`` a view into ``flat_grad``, both laid out in the order of
+    :meth:`parameters`, so zeroing every gradient is one ``fill`` and an
+    optimizer updates every weight with whole-buffer ops. A sinusoidal
+    ``pos.table`` is fixed: it is in the table but in neither buffer.
+    """
+
     config: ModelConfig
-    embed_w: Tensor
-    embed_b: Tensor
-    pos_table: Tensor  # trainable iff config.positional == "learned"
-    blocks: list[EncoderBlockParams] = field(default_factory=list)
-    head: HeadParams = None
+    tensors: dict[str, Tensor]
+    flat_data: np.ndarray
+    flat_grad: np.ndarray
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Trainable tensors in a stable, documented order."""
-        out = [("embed.w", self.embed_w), ("embed.b", self.embed_b)]
-        if self.pos_table.needs_grad:
-            out.append(("pos.table", self.pos_table))
-        for i, block in enumerate(self.blocks):
-            out.extend((f"block{i}.{name}", t) for name, t in block.tensors())
-        out.extend((f"head.{name}", t) for name, t in self.head.tensors())
-        return out
+        return [(name, t) for name, t in self.tensors.items() if t.needs_grad]
 
     def param_tensors(self) -> list[Tensor]:
         return [t for _, t in self.parameters()]
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+def dropout_mask(shape: tuple, p: float,
+                 rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout mask: keep with prob 1-p, kept entries scaled by 1/(1-p).
+
+    ``None`` (no dropout) when there is no generator or p is 0; no draw is
+    made then.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must lie in [0, 1), got {p}")
+    if rng is None or p == 0.0:
+        return None
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+
+
+def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
+    """Classic fixed sin/cos positional table, an ablation alternative."""
+    table = np.zeros((t_max, d_model))
+    position = np.arange(t_max)[:, None].astype(np.float64)
+    div = np.exp(np.arange(0, d_model, 2) * -(math.log(10000.0) / d_model))
+    table[:, 0::2] = np.sin(position * div)
+    table[:, 1::2] = np.cos(position * div[: d_model // 2])
+    return table
+
+
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), needs_grad=True)
-
-
-def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape), needs_grad=True)
-
-
-def _ones(n) -> Tensor:
-    return Tensor(np.ones(n), needs_grad=True)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def build_model(config: ModelConfig) -> Model:
     """Initialize all weights from the config's seed; deterministic per seed.
 
-    Weight matrices are uniform in +/- sqrt(6 / (fan_in + fan_out)); biases,
-    and the learned positional table, start at zero. Logs the total trainable
-    parameter count and its delta from the reference variant's count.
+    Weight matrices are uniform in +/- sqrt(6 / (fan_in + fan_out)), drawn
+    in checkpoint order; biases, and the learned positional table, start at
+    zero. Logs the total trainable parameter count and its delta from the
+    reference variant's count.
     """
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
     rng = np.random.default_rng(config.seed)
+    d, width = config.d_model, config.heads * config.d_head
+    learned = config.positional == "learned"
 
-    embed_w = _glorot(rng, config.patch_len, config.d_model)
-    embed_b = _zeros(config.d_model)
-    if config.positional == "learned":
-        pos = Tensor(np.zeros((config.n_tokens, config.d_model)), needs_grad=True)
-    else:
-        pos = Tensor(sinusoidal_table(config.n_tokens, config.d_model), needs_grad=False)
+    init = {
+        "embed.w": _glorot(rng, config.patch_len, d),
+        "embed.b": np.zeros(d),
+        "pos.table": (np.zeros((config.n_tokens, d)) if learned
+                      else sinusoidal_table(config.n_tokens, d)),
+    }
+    for i in range(config.encoder_layers):
+        block = {
+            # one Glorot draw per head and projection, q heads then k then v,
+            # packed side by side in that order
+            "attn.w_qkv": np.hstack([_glorot(rng, d, config.d_head)
+                                     for _ in range(3 * config.heads)]),
+            "attn.b_qkv": np.zeros(3 * width),
+            "attn.w_o": _glorot(rng, width, d),
+            "attn.b_o": np.zeros(d),
+            "ffn.w1": _glorot(rng, d, config.d_ff),
+            "ffn.b1": np.zeros(config.d_ff),
+            "ffn.w2": _glorot(rng, config.d_ff, d),
+            "ffn.b2": np.zeros(d),
+            "ln1.gamma": np.ones(d),
+            "ln1.beta": np.zeros(d),
+            "ln2.gamma": np.ones(d),
+            "ln2.beta": np.zeros(d),
+        }
+        init.update((f"block{i}.{name}", value) for name, value in block.items())
+    fan_in = d
+    for j, units in enumerate(config.mlp_units):
+        init[f"head.dense{j}.w"] = _glorot(rng, fan_in, units)
+        init[f"head.dense{j}.b"] = np.zeros(units)
+        fan_in = units
+    init["head.out.w"] = _glorot(rng, fan_in, config.n_classes)
+    init["head.out.b"] = np.zeros(config.n_classes)
 
-    blocks = []
-    for _ in range(config.encoder_layers):
-        # one Glorot draw per head and projection, q heads then k then v,
-        # packed side by side in that order
-        per_head = [_glorot(rng, config.d_model, config.d_head).data
-                    for _ in range(3 * config.heads)]
-        attn = AttentionParams(
-            w_qkv=Tensor(np.hstack(per_head), needs_grad=True),
-            b_qkv=_zeros(3 * config.heads * config.d_head),
-            w_o=_glorot(rng, config.heads * config.d_head, config.d_model),
-            b_o=_zeros(config.d_model),
-            heads=config.heads,
-        )
-        blocks.append(
-            EncoderBlockParams(
-                attn=attn,
-                w1=_glorot(rng, config.d_model, config.d_ff),
-                b1=_zeros(config.d_ff),
-                w2=_glorot(rng, config.d_ff, config.d_model),
-                b2=_zeros(config.d_model),
-                ln1_gamma=_ones(config.d_model),
-                ln1_beta=_zeros(config.d_model),
-                ln2_gamma=_ones(config.d_model),
-                ln2_beta=_zeros(config.d_model),
-            )
-        )
+    trainable = {name: value for name, value in init.items()
+                 if learned or name != "pos.table"}
+    flat_data = np.concatenate([value.ravel() for value in trainable.values()])
+    flat_grad = np.zeros_like(flat_data)
+    tensors = {}
+    offset = 0
+    for name, value in init.items():
+        if name not in trainable:
+            tensors[name] = Tensor(value)
+            continue
+        end = offset + value.size
+        tensors[name] = t = Tensor(flat_data[offset:end].reshape(value.shape), needs_grad=True)
+        t.grad = flat_grad[offset:end].reshape(value.shape)
+        offset = end
 
-    hidden = []
-    width = config.d_model
-    for units in config.mlp_units:
-        hidden.append((_glorot(rng, width, units), _zeros(units)))
-        width = units
-    head = HeadParams(hidden=hidden, out_w=_glorot(rng, width, config.n_classes),
-                      out_b=_zeros(config.n_classes))
-
-    model = Model(config=config, embed_w=embed_w, embed_b=embed_b, pos_table=pos,
-                  blocks=blocks, head=head)
+    model = Model(config=config, tensors=tensors, flat_data=flat_data, flat_grad=flat_grad)
     total = count_params(model)
     logger.info(
         "built model: %d trainable parameters (reference variant reports %d, delta %+d)",
         total, REFERENCE_PARAM_COUNT, total - REFERENCE_PARAM_COUNT,
     )
     return model
+
+
+def _patches(features: np.ndarray, patch_len: int) -> np.ndarray:
+    """(B, L) signals as (B * ceil(L / patch_len), patch_len) patch rows.
+
+    Each signal is right-padded with zeros to a whole number of patches;
+    its patches follow each other, sample after sample.
+    """
+    n_tokens = -(-features.shape[1] // patch_len)
+    padded = np.zeros((features.shape[0], n_tokens * patch_len))
+    padded[:, :features.shape[1]] = features
+    return padded.reshape(-1, patch_len)
+
+
+def _encoder_block(model: Model, i: int, x: Tensor, b: int,
+                   rng: np.random.Generator | None = None) -> Tensor:
+    """Post-norm encoder block ``i``: LN(x + MHA(x)) then LN(a + FFN(a)).
+
+    ``x`` stacks the token rows of ``b`` samples; tokens attend only within
+    their own sample. One packed projection gives every head's queries, keys
+    and values. With a generator, dropout hits each sublayer output inside
+    its residual step, LN(x + Dropout(sublayer(x))).
+    """
+    cfg = model.config
+    w, k = model.tensors, f"block{i}."
+    heads = attention(linear(x, w[k + "attn.w_qkv"], w[k + "attn.b_qkv"]),
+                      b, x.shape[0] // b, cfg.heads, cfg.d_head)
+    y = linear(heads, w[k + "attn.w_o"], w[k + "attn.b_o"])
+    a = add_layer_norm(x, y, w[k + "ln1.gamma"], w[k + "ln1.beta"], LN_EPS,
+                       dropout_mask(y.shape, cfg.dropout_p, rng))
+    y = linear(relu(linear(a, w[k + "ffn.w1"], w[k + "ffn.b1"])),
+               w[k + "ffn.w2"], w[k + "ffn.b2"])
+    return add_layer_norm(a, y, w[k + "ln2.gamma"], w[k + "ln2.beta"], LN_EPS,
+                          dropout_mask(y.shape, cfg.dropout_p, rng))
 
 
 def forward(model: Model, features, rng: np.random.Generator | None = None) -> Tensor:
@@ -245,6 +301,7 @@ def forward(model: Model, features, rng: np.random.Generator | None = None) -> T
     deterministic.
     """
     cfg = model.config
+    p = model.tensors
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim == 1:
         feats = feats[None, :]
@@ -254,32 +311,38 @@ def forward(model: Model, features, rng: np.random.Generator | None = None) -> T
         )
     b = feats.shape[0]
 
-    x2 = patch_embed(feats, cfg.patch_len, model.embed_w, model.embed_b, model.pos_table)
-    for block in model.blocks:
-        x2 = encoder_block(x2, block, cfg.dropout_p, rng, batch=b)
+    x = embed_tokens(Tensor(_patches(feats, cfg.patch_len)), p["embed.w"], p["embed.b"],
+                     p["pos.table"])
+    for i in range(cfg.encoder_layers):
+        x = _encoder_block(model, i, x, b, rng)
 
-    h = mean_tokens(x2, b)
-    for w, bias in model.head.hidden:
-        h = linear(h, w, bias)
+    h = mean_tokens(x, b)
+    for j in range(len(cfg.mlp_units)):
+        h = linear(h, p[f"head.dense{j}.w"], p[f"head.dense{j}.b"])
         h = relu(h, dropout_mask(h.shape, cfg.dropout_p, rng))
-    return linear(h, model.head.out_w, model.head.out_b)
+    return linear(h, p["head.out.w"], p["head.out.b"])
 
 
 def count_params(model: Model) -> int:
-    return sum(t.size for _, t in model.parameters())
+    return model.flat_data.size
+
+
+# report component of each tensor-name prefix other than ``block<i>``
+_COMPONENTS = {"embed": "patch embedding", "pos": "positional table",
+               "head": "classification head"}
 
 
 def parameter_breakdown(model: Model) -> list[tuple[str, int]]:
     """Component-level parameter counts for the reconciliation report."""
-    rows = [("patch embedding", model.embed_w.size + model.embed_b.size)]
-    if model.pos_table.needs_grad:
-        rows.append(("positional table", model.pos_table.size))
-    else:
-        rows.append(("positional table (fixed)", 0))
-    for i, block in enumerate(model.blocks):
-        rows.append((f"encoder block {i}", sum(t.size for _, t in block.tensors())))
-    rows.append(("classification head", sum(t.size for _, t in model.head.tensors())))
-    return rows
+    rows: dict[str, int] = {}
+    for name, t in model.tensors.items():
+        prefix = name.split(".", 1)[0]
+        component = (f"encoder block {prefix[len('block'):]}" if prefix.startswith("block")
+                     else _COMPONENTS[prefix])
+        if not t.needs_grad:
+            component += " (fixed)"
+        rows[component] = rows.get(component, 0) + (t.size if t.needs_grad else 0)
+    return list(rows.items())
 
 
 def format_param_report(model: Model) -> str:

@@ -25,7 +25,7 @@ from .errors import (
     NumericalError,
 )
 from .model import Model, ModelConfig, build_model, forward
-from .tensor import GradTape, Tensor, backward, record_op, zero_grads
+from .tensor import GradTape, Tensor, backward, record_op
 
 __all__ = [
     "TrainConfig",
@@ -131,33 +131,38 @@ def sparse_ce_loss(logits: Tensor, labels, class_weights=None) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction; one moment pair per parameter tensor."""
+    """Adam with bias correction over one flat parameter buffer.
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-7):
-        self.params = list(params)
+    ``params`` and ``grads`` are same-shaped float64 arrays, such as a model's
+    ``flat_data`` and ``flat_grad``; each step updates ``params`` in place
+    from whatever ``grads`` holds. The moments are two buffers of the same
+    shape, and every operation is elementwise, so an update over the whole
+    buffer equals one made tensor by tensor, bit for bit.
+    """
+
+    def __init__(self, params: np.ndarray, grads: np.ndarray, lr: float = 1e-4,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7):
+        self.params = params
+        self.grads = grads
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
     def step(self) -> None:
         """One update: t += 1, moment updates, bias correction, parameter step."""
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                raise ValueError("adam step requires populated gradients; run backward first")
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g = self.grads
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -250,8 +255,8 @@ def train_loop(
         std=np.ones(model.config.input_len),
         fitted_on="identity",
     )
-    params = model.param_tensors()
-    optimizer = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    optimizer = Adam(model.flat_data, model.flat_grad, lr=cfg.lr, beta1=cfg.beta1,
+                     beta2=cfg.beta2, eps=cfg.eps)
     dropout_rng = np.random.default_rng([cfg.seed, 0xD0])
 
     best = Checkpoint(
@@ -270,7 +275,7 @@ def train_loop(
         for batch_idx, batch in enumerate(
             batches(train_ds, cfg.batch_size, shuffle=True, seed=[cfg.seed, epoch])
         ):
-            zero_grads(params)
+            model.flat_grad.fill(0.0)
             with GradTape() as tape:
                 logits = forward(model, batch.features, dropout_rng)
                 loss = sparse_ce_loss(logits, batch.labels, cfg.class_weights or None)
@@ -329,13 +334,25 @@ def _meta_text(ckpt: Checkpoint) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
 
-def _parse_meta(text: str) -> dict[str, str]:
+def _parse_meta(text: str, offset: int) -> dict[str, str]:
+    """``key = value`` lines of a meta block that starts at byte ``offset``.
+
+    Lines end in ``\n`` alone, as :func:`_meta_text` writes them, so a value
+    may hold any other line separator. A line without ``=``, or a key given
+    twice, raises ``CheckpointError`` naming the line's byte offset.
+    """
     out = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+    for line in text.split("\n"):
+        if line.strip():
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep:
+                raise CheckpointError(f"meta line {line.strip()!r} is not 'key = value'",
+                                      offset=offset)
+            if key in out:
+                raise CheckpointError(f"meta key {key!r} is given twice", offset=offset)
+            out[key] = value.strip()
+        offset += len(line.encode("utf-8")) + 1
     return out
 
 
@@ -411,9 +428,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     meta_len = reader.u64("meta length")
     meta_offset = reader.offset
     try:
-        meta = _parse_meta(reader.take(meta_len, "meta").decode("utf-8"))
+        text = reader.take(meta_len, "meta").decode("utf-8")
     except UnicodeDecodeError:
         raise CheckpointError("meta block is not valid UTF-8", offset=reader.offset) from None
+    meta = _parse_meta(text, meta_offset)
 
     config_keys = [f.name for f in fields(ModelConfig)]
     missing = [k for k in config_keys + ["best_val_loss", "epoch", "run_seed",

@@ -1,9 +1,13 @@
 """Plain-numpy references, independent of the tape and fused ops.
 
 :func:`reference_forward` runs one sample at a time and, inside each encoder
-block, one head at a time, taking every head's query, key and value matrices
-as column slices of the packed ``w_qkv``. Tests compare
-:func:`beatformer.model.forward` with it.
+block, one head at a time (:func:`reference_attention`), taking every head's
+query, key and value matrices as column slices of the packed ``w_qkv``. Tests
+compare :func:`beatformer.model.forward` with it.
+
+:func:`per_tensor_adam_step` is the Adam update applied one parameter tensor
+at a time. Tests hold the flat :class:`beatformer.train.Adam` to it bit for
+bit.
 
 :func:`query_major_attention` is the attention op's earlier formulation, with
 each query's scores in one contiguous row. Tests hold the key-major
@@ -14,10 +18,10 @@ import math
 
 import numpy as np
 
-from beatformer.layers import LN_EPS
+from beatformer.model import LN_EPS
 
 
-def _layer_norm(x, gamma, beta):
+def layer_norm(x, gamma, beta):
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return gamma * (x - mean) / np.sqrt(var + LN_EPS) + beta
@@ -28,9 +32,13 @@ def _softmax_rows(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _attention(x, attn):
-    heads, d_head = attn.heads, attn.d_head
-    w_qkv, b_qkv = attn.w_qkv.data, attn.b_qkv.data
+def reference_attention(x, w, heads, d_head):
+    """Multi-head self-attention over the (t, d) rows of one sample, head by head.
+
+    ``w(name)`` returns one block's weight array by its name within the block,
+    such as ``"attn.w_qkv"``.
+    """
+    w_qkv, b_qkv = w("attn.w_qkv"), w("attn.b_qkv")
     outputs = []
     for h in range(heads):
         # columns are ordered q|k|v, then head, then position in the head
@@ -40,30 +48,47 @@ def _attention(x, attn):
                          for j in range(3))
         )
         outputs.append(_softmax_rows(q @ k.T / np.sqrt(d_head)) @ v)
-    return np.hstack(outputs) @ attn.w_o.data + attn.b_o.data
+    return np.hstack(outputs) @ w("attn.w_o") + w("attn.b_o")
 
 
 def reference_forward(model, features) -> np.ndarray:
     """Eval-mode (B, n_classes) logits, sample by sample and head by head."""
     cfg = model.config
+    p = {name: t.data for name, t in model.tensors.items()}
     logits = []
     for signal in np.atleast_2d(np.asarray(features, dtype=np.float64)):
         padded = np.zeros(cfg.n_tokens * cfg.patch_len)
         padded[: cfg.input_len] = signal
         patches = padded.reshape(cfg.n_tokens, cfg.patch_len)
-        x = patches @ model.embed_w.data + model.embed_b.data
-        x = x + model.pos_table.data[: cfg.n_tokens]
-        for block in model.blocks:
-            a = _layer_norm(x + _attention(x, block.attn),
-                            block.ln1_gamma.data, block.ln1_beta.data)
-            hidden = np.maximum(a @ block.w1.data + block.b1.data, 0.0)
-            x = _layer_norm(a + hidden @ block.w2.data + block.b2.data,
-                            block.ln2_gamma.data, block.ln2_beta.data)
+        x = patches @ p["embed.w"] + p["embed.b"]
+        x = x + p["pos.table"][: cfg.n_tokens]
+        for i in range(cfg.encoder_layers):
+            w = lambda name, i=i: p[f"block{i}.{name}"]
+            a = layer_norm(x + reference_attention(x, w, cfg.heads, cfg.d_head),
+                            w("ln1.gamma"), w("ln1.beta"))
+            hidden = np.maximum(a @ w("ffn.w1") + w("ffn.b1"), 0.0)
+            x = layer_norm(a + hidden @ w("ffn.w2") + w("ffn.b2"),
+                            w("ln2.gamma"), w("ln2.beta"))
         h = x.mean(axis=0)
-        for w, b in model.head.hidden:
-            h = np.maximum(h @ w.data + b.data, 0.0)
-        logits.append(h @ model.head.out_w.data + model.head.out_b.data)
+        for j in range(len(cfg.mlp_units)):
+            h = np.maximum(h @ p[f"head.dense{j}.w"] + p[f"head.dense{j}.b"], 0.0)
+        logits.append(h @ p["head.out.w"] + p["head.out.b"])
     return np.array(logits)
+
+
+def per_tensor_adam_step(params, grads, m, v, t, lr, beta1, beta2, eps):
+    """Adam step ``t`` (counted from 1) on parallel lists of arrays, in place.
+
+    ``m`` and ``v`` hold one moment array per parameter array.
+    """
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i *= beta1
+        m_i += (1.0 - beta1) * g
+        v_i *= beta2
+        v_i += (1.0 - beta2) * g * g
+        p -= lr * (m_i / c1) / (np.sqrt(v_i / c2) + eps)
 
 
 def query_major_attention(qkv, b, t, heads, d_head, g):

@@ -644,6 +644,67 @@ def test_non_utf8_input_exits_2_naming_the_line(corpus, tmp_path, capsys):
     assert f"{bad_cfg}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+def with_meta_line(blob: bytes, before: bytes, line: bytes) -> tuple[bytes, int]:
+    """A checkpoint with ``line`` inserted into its meta block in front of the
+    line ``before``, and the inserted line's byte offset."""
+    at = blob.index(before)
+    meta_len = int.from_bytes(blob[12:20], "little")  # after the magic and the version
+    patched = (blob[:12] + (meta_len + len(line)).to_bytes(8, "little") + blob[20:at]
+               + line + blob[at:])
+    return patched, at
+
+
+@pytest.mark.parametrize("line,message", [
+    (b"stray text\n", "meta line 'stray text' is not 'key = value'"),
+    (b"d_model = 8\n", "meta key 'd_model' is given twice"),
+], ids=["no-equals", "repeated-key"])
+def test_malformed_meta_line_exits_2_naming_its_offset(corpus, tmp_path, capsys, line, message):
+    out = corpus["dir"] / "run21"
+    assert run_train(corpus, out) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob.count(b"d_head = 4\n") == 1
+    patched, at = with_meta_line(blob, b"d_head = 4\n", line)  # d_head follows d_model
+    bad = tmp_path / "bad_meta.bin"
+    bad.write_bytes(patched)
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(bad), "--data-test", corpus["test"]],
+                 ["predict", str(bad), corpus["test"]]):
+        assert main(argv) == 2
+        assert f"{message} (at byte offset {at})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "under-a-file"])
+def test_train_out_that_cannot_be_a_directory_exits_2(corpus, tmp_path, capsys, inside):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "x" if inside else blocker
+    assert run_train(corpus, out) == 2
+    assert f"cannot make output directory {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_eval_out_that_is_a_file_exits_2(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run22"
+    assert run_train(corpus, out) == 0
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    capsys.readouterr()  # drain the training output
+    assert main(["eval", str(out / "checkpoint.bin"), "--data-test", corpus["test"],
+                 "--out", str(blocker)]) == 2
+    assert f"cannot make output directory {blocker}" in capsys.readouterr().err
+
+
+def test_predict_out_that_is_a_file_exits_2(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run23"
+    assert run_train(corpus, out) == 0
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    capsys.readouterr()  # drain the training output
+    assert main(["predict", str(out / "checkpoint.bin"), corpus["test"],
+                 "--out", str(blocker)]) == 2
+    assert f"cannot make output directory {blocker}" in capsys.readouterr().err
+
+
 def test_invalid_stored_config_exits_2_naming_the_offset(corpus, tmp_path, capsys):
     out = corpus["dir"] / "run17"
     assert run_train(corpus, out) == 0
@@ -800,7 +861,6 @@ class TestGradcheckCommand:
                 np.maximum(a.data, 0.0), (a,), lambda g: (g * mask * 1.75,)
             )
 
-        monkeypatch.setattr("beatformer.layers.relu", broken_relu)
         monkeypatch.setattr("beatformer.model.relu", broken_relu)
         assert main(["gradcheck", "--seed", "3"]) == 1
         out = capsys.readouterr().out

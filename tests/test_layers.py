@@ -1,4 +1,8 @@
-"""Tests for the neural building blocks and their invariants."""
+"""Tests for the neural building blocks and their invariants.
+
+The encoder block is :func:`beatformer.model._encoder_block`, which reads
+block ``i``'s weights from the model's tensor table by name.
+"""
 
 import math
 
@@ -6,65 +10,92 @@ import numpy as np
 import pytest
 
 from beatformer.errors import ConfigError, ConfigMismatchError, ShapeError
-from beatformer.layers import (
-    AttentionParams,
+from beatformer.model import (
+    LN_EPS,
+    ModelConfig,
+    _encoder_block,
+    _patches,
+    build_model,
     dropout_mask,
-    encoder_block,
-    feed_forward,
-    multi_head_attention,
-    patch_embed,
+    forward,
     sinusoidal_table,
+    tiny_config,
 )
-from beatformer.model import build_model, forward, tiny_config
-from beatformer.tensor import Tensor, attention, embed_tokens, grad_check, mean_tokens
+from beatformer.tensor import (
+    Tensor,
+    add_layer_norm,
+    attention,
+    embed_tokens,
+    grad_check,
+    mean_tokens,
+)
 
 from conftest import mul, sum_all
+from reference import layer_norm, reference_attention
 
 
-def identity_attention(d):
-    """One head whose query, key, value and output projections are all I_d."""
-    return AttentionParams(
-        w_qkv=Tensor(np.hstack([np.eye(d)] * 3), needs_grad=True),
-        b_qkv=Tensor(np.zeros(3 * d), needs_grad=True),
-        w_o=Tensor(np.eye(d), needs_grad=True), b_o=Tensor(np.zeros(d), needs_grad=True),
-        heads=1,
-    )
+def one_block_model(d=8, heads=2, d_head=4, d_ff=16, seed=0):
+    """A one-block model of width ``d``; only its block's weights are used."""
+    return build_model(ModelConfig(d_model=d, heads=heads, d_head=d_head, encoder_layers=1,
+                                   d_ff=d_ff, mlp_units=(4,), seed=seed))
+
+
+def block_weights(model, i=0):
+    """Block ``i``'s tensors by their names within the block, e.g. ``attn.w_o``."""
+    prefix = f"block{i}."
+    return {name[len(prefix):]: t for name, t in model.tensors.items()
+            if name.startswith(prefix)}
+
+
+def zero(*tensors):
+    for t in tensors:
+        t.data[...] = 0.0
+
+
+def restore_with(model, name, value):
+    """restore_model of ``model``'s weights with tensor ``name`` replaced by ``value``."""
+    from beatformer.data import NormStats
+    from beatformer.train import Checkpoint, restore_model
+
+    params = {n: t.data for n, t in model.parameters()}
+    params[name] = value
+    n = model.config.input_len
+    norm = NormStats(mean=np.zeros(n), std=np.ones(n), fitted_on="x")
+    return restore_model(Checkpoint(config=model.config, params=params, norm=norm,
+                                    best_val_loss=1.0, epoch=0, seed=0))
 
 
 class TestPatchEmbed:
+    """``forward`` splits each signal into patch rows and embeds them with ``embed_tokens``."""
+
     def test_187_divides_into_17_tokens(self):
+        rows = _patches(np.arange(187.0)[None, :], 11)
+        assert rows.shape == (17, 11)
         w = Tensor(np.zeros((11, 4)))
         b = Tensor(np.zeros(4))
-        out = patch_embed(np.arange(187.0), 11, w, b, Tensor(np.zeros((17, 4))))
-        assert out.shape == (17, 4)
-        with pytest.raises(ShapeError, match="17 tokens"):
-            patch_embed(np.arange(187.0), 11, w, b, Tensor(np.zeros((16, 4))))
+        assert embed_tokens(Tensor(rows), w, b, Tensor(np.zeros((17, 4)))).shape == (17, 4)
+        with pytest.raises(ShapeError, match="16 tokens"):
+            embed_tokens(Tensor(rows), w, b, Tensor(np.zeros((16, 4))))
 
     def test_identity_embedding_recovers_patches(self):
         w = Tensor(np.eye(11))
         b = Tensor(np.zeros(11))
         sig = np.arange(22.0)
-        out = patch_embed(sig, 11, w, b, Tensor(np.zeros((2, 11))))
+        out = embed_tokens(Tensor(_patches(sig[None, :], 11)), w, b, Tensor(np.zeros((2, 11))))
         np.testing.assert_array_equal(out.data, sig.reshape(2, 11))
 
     def test_right_padding(self):
-        w = Tensor(np.eye(11))
-        b = Tensor(np.zeros(11))
-        sig = np.ones(185)
-        out = patch_embed(sig, 11, w, b, Tensor(np.zeros((17, 11))))
-        assert out.shape == (17, 11)
-        # last two slots of the final patch are the zero padding
-        np.testing.assert_array_equal(out.data[-1, -2:], [0.0, 0.0])
-        np.testing.assert_array_equal(out.data[-1, :-2], np.ones(9))
+        rows = _patches(np.ones((2, 185)), 11)
+        assert rows.shape == (2 * 17, 11)
+        # last two slots of each signal's final patch are the zero padding
+        for last in (rows[16], rows[33]):
+            np.testing.assert_array_equal(last[-2:], [0.0, 0.0])
+            np.testing.assert_array_equal(last[:-2], np.ones(9))
 
     def test_bad_patch_len(self):
-        w = Tensor(np.zeros((11, 4)))
-        b = Tensor(np.zeros(4))
-        pos = Tensor(np.zeros((2, 4)))
-        with pytest.raises(ConfigError):
-            patch_embed(np.ones(20), 0, w, b, pos)
-        with pytest.raises(ConfigError):
-            patch_embed(np.ones(20), 21, w, b, pos)
+        for patch_len in (0, 21):
+            with pytest.raises(ConfigError, match="patch_len"):
+                build_model(tiny_config(input_len=20, patch_len=patch_len))
 
 
 class TestPositionalEmbedding:
@@ -95,17 +126,9 @@ class TestPositionalEmbedding:
     def test_too_many_rows(self):
         # the table has exactly n_tokens rows; a checkpoint with any other
         # count is refused instead of being sliced or padded
-        from beatformer.data import NormStats
-        from beatformer.train import Checkpoint, restore_model
-
         model = build_model(tiny_config(input_len=44))
-        params = {name: t.data for name, t in model.parameters()}
-        params["pos.table"] = np.zeros((5, 8))
-        norm = NormStats(mean=np.zeros(44), std=np.ones(44), fitted_on="x")
-        ckpt = Checkpoint(config=model.config, params=params, norm=norm, best_val_loss=1.0,
-                          epoch=0, seed=0)
         with pytest.raises(ConfigMismatchError, match="pos.table"):
-            restore_model(ckpt)
+            restore_with(model, "pos.table", np.zeros((5, 8)))
 
     def test_sinusoidal_table_shape_and_range(self):
         t = sinusoidal_table(17, 8)
@@ -195,99 +218,87 @@ class TestScaledDotAttention:
 
 
 class TestMultiHeadAttention:
+    """The attention sublayer of the encoder block: packed QKV, attention, output projection."""
+
     def test_identity_chain_single_token(self):
-        params = identity_attention(2)
-        x = Tensor([[0.3, -0.7]])
-        out = multi_head_attention(x, params)
-        np.testing.assert_allclose(out.data, x.data, atol=1e-12)
+        # one token attends only to itself, so with the identity as its value
+        # projection the sublayer is x @ w_o + b_o
+        model = one_block_model(d=4, heads=1, d_head=4)
+        w = block_weights(model)
+        w["attn.w_qkv"].data[...] = np.hstack([np.eye(4)] * 3)
+        zero(w["attn.b_qkv"], w["ffn.w1"], w["ffn.b1"], w["ffn.w2"], w["ffn.b2"])
+        x = np.array([[0.3, -0.7, 1.1, 0.2]])
+        expected = layer_norm(layer_norm(x + x @ w["attn.w_o"].data + w["attn.b_o"].data,
+                                         1.0, 0.0), 1.0, 0.0)
+        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1).data, expected,
+                                   rtol=0, atol=1e-12)
 
     def test_zero_projections_give_zero_output(self):
-        d, h, dh = 4, 2, 2
-        params = AttentionParams(
-            w_qkv=Tensor(np.zeros((d, 3 * h * dh)), needs_grad=True),
-            b_qkv=Tensor(np.zeros(3 * h * dh), needs_grad=True),
-            w_o=Tensor(np.zeros((h * dh, d)), needs_grad=True),
-            b_o=Tensor(np.zeros(d), needs_grad=True),
-            heads=h,
-        )
-        x = Tensor(np.random.default_rng(1).normal(size=(5, d)))
-        out = multi_head_attention(x, params)
-        np.testing.assert_array_equal(out.data, np.zeros((5, d)))
+        # zero attention weights leave only the residual in the first step
+        model = one_block_model(seed=1)
+        w = block_weights(model)
+        zero(w["attn.w_qkv"], w["attn.b_qkv"], w["attn.w_o"], w["attn.b_o"])
+        w["ffn.b1"].data[...] = 0.1
+        x = np.random.default_rng(1).normal(size=(5, 8))
+        a = layer_norm(x, 1.0, 0.0)
+        ffn = np.maximum(a @ w["ffn.w1"].data + 0.1, 0.0) @ w["ffn.w2"].data
+        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1).data,
+                                   layer_norm(a + ffn, 1.0, 0.0), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("heads,d_head", [(1, 4), (2, 3), (4, 2)])
     def test_output_shape_contract(self, heads, d_head):
-        rng = np.random.default_rng(heads)
-        d = 6
-        params = AttentionParams(
-            w_qkv=Tensor(rng.normal(size=(d, 3 * heads * d_head))),
-            b_qkv=Tensor(np.zeros(3 * heads * d_head)),
-            w_o=Tensor(rng.normal(size=(heads * d_head, d))),
-            b_o=Tensor(np.zeros(d)),
-            heads=heads,
-        )
-        assert params.d_head == d_head
-        x = Tensor(rng.normal(size=(7, d)))
-        assert multi_head_attention(x, params).shape == (7, d)
+        model = one_block_model(d=6, heads=heads, d_head=d_head, seed=heads)
+        w = block_weights(model)
+        assert w["attn.w_qkv"].shape == (6, 3 * heads * d_head)
+        assert w["attn.w_o"].shape == (heads * d_head, 6)
+        x = Tensor(np.random.default_rng(heads).normal(size=(7, 6)))
+        assert _encoder_block(model, 0, x, 1).shape == (7, 6)
 
     def test_output_projection_width_validated(self):
-        d = 4
-        with pytest.raises(ConfigError):
-            AttentionParams(
-                w_qkv=Tensor(np.zeros((d, 3 * 2))), b_qkv=Tensor(np.zeros(3 * 2)),
-                w_o=Tensor(np.zeros((3, d))), b_o=Tensor(np.zeros(d)),
-                heads=1,
-            )
+        # a stored output projection must take heads * d_head input rows
+        model = build_model(tiny_config())
+        with pytest.raises(ConfigMismatchError, match=r"block0.attn.w_o has shape \(3, 8\)"):
+            restore_with(model, "block0.attn.w_o", np.zeros((3, 8)))
 
     def test_packed_width_must_split_into_heads(self):
-        d = 4
-        with pytest.raises(ConfigError, match="heads"):
-            AttentionParams(
-                w_qkv=Tensor(np.zeros((d, 3 * 5))), b_qkv=Tensor(np.zeros(3 * 5)),
-                w_o=Tensor(np.zeros((5, d))), b_o=Tensor(np.zeros(d)),
-                heads=2,
-            )
+        # a stored packed projection must be 3 * heads * d_head wide
+        model = build_model(tiny_config())
+        with pytest.raises(ConfigMismatchError, match=r"block1.attn.w_qkv has shape \(8, 15\)"):
+            restore_with(model, "block1.attn.w_qkv", np.zeros((8, 15)))
 
     def test_batch_of_samples_matches_each_alone(self):
         model = build_model(tiny_config(seed=12))
-        attn = model.blocks[0].attn
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3 * 5, 8))
-        batched = multi_head_attention(Tensor(x), attn, batch=3).data
+        batched = _encoder_block(model, 0, Tensor(x), 3).data
         for i in range(3):
-            alone = multi_head_attention(Tensor(x[i * 5:(i + 1) * 5]), attn).data
+            alone = _encoder_block(model, 0, Tensor(x[i * 5:(i + 1) * 5]), 1).data
             np.testing.assert_allclose(batched[i * 5:(i + 1) * 5], alone, rtol=0, atol=1e-12)
 
 
 class TestFeedForward:
+    """The position-wise FFN sublayer of the encoder block."""
+
     def test_zero_weights(self):
+        # a zero FFN leaves the second step a LayerNorm of the first step's output
         model = build_model(tiny_config())
-        block = model.blocks[0]
-        for t in (block.w1, block.b1, block.w2, block.b2):
-            t.data[...] = 0.0
-        x = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
-        np.testing.assert_array_equal(feed_forward(x, block).data, np.zeros((4, 8)))
+        w = block_weights(model)
+        zero(w["ffn.w1"], w["ffn.b1"], w["ffn.w2"], w["ffn.b2"])
+        x = np.random.default_rng(2).normal(size=(4, 8))
+        weights = lambda name: w[name].data
+        a = layer_norm(x + reference_attention(x, weights, 2, 4), 1.0, 0.0)
+        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1).data,
+                                   layer_norm(a, 1.0, 0.0), rtol=0, atol=1e-12)
 
     def test_position_wise_permutation(self):
+        # no positions inside a block: permuting a sample's tokens permutes its output
         model = build_model(tiny_config(seed=3))
-        block = model.blocks[0]
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
-        out = feed_forward(Tensor(x), block).data
-        out_p = feed_forward(Tensor(x[perm]), block).data
+        out = _encoder_block(model, 0, Tensor(x), 1).data
+        out_p = _encoder_block(model, 0, Tensor(x[perm]), 1).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
-
-    def test_hand_computed_two_by_two(self):
-        model = build_model(tiny_config())
-        block = model.blocks[0]
-        # shrink to d_model=2, d_ff=2 with hand-picked weights
-        block.w1 = Tensor([[1.0, 0.0], [0.0, -1.0]])
-        block.b1 = Tensor([0.0, 0.5])
-        block.w2 = Tensor([[2.0, 0.0], [0.0, 3.0]])
-        block.b2 = Tensor([1.0, -1.0])
-        x = Tensor([[3.0, 1.0]])
-        # hidden = relu([3, -0.5]) = [3, 0]; out = [3*2+1, 0*3-1] = [7, -1]
-        np.testing.assert_allclose(feed_forward(x, block).data, [[7.0, -1.0]])
 
 
 class TestEncoderBlock:
@@ -295,30 +306,24 @@ class TestEncoderBlock:
         for seed, (t, d) in enumerate([(3, 8), (17, 8), (5, 8)]):
             model = build_model(tiny_config(seed=seed))
             x = Tensor(np.random.default_rng(seed).normal(size=(t, d)))
-            out = encoder_block(x, model.blocks[0])
-            assert out.shape == (t, d)
+            assert _encoder_block(model, 0, x, 1).shape == (t, d)
 
     def test_eval_mode_deterministic(self):
         # no generator, no dropout: the same output, also for a high dropout_p
-        model = build_model(tiny_config(seed=5))
+        model = build_model(tiny_config(seed=5, dropout_p=0.5))
         x = Tensor(np.random.default_rng(8).normal(size=(4, 8)))
-        a = encoder_block(x, model.blocks[0], dropout_p=0.5).data
-        b = encoder_block(x, model.blocks[0], dropout_p=0.5).data
+        a = _encoder_block(model, 0, x, 1).data
+        b = _encoder_block(model, 0, x, 1).data
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, encoder_block(x, model.blocks[0]).data)
+        no_dropout = build_model(tiny_config(seed=5, dropout_p=0.0))
+        np.testing.assert_array_equal(a, _encoder_block(no_dropout, 0, x, 1).data)
 
     def test_zero_sublayers_reduce_to_double_layer_norm(self):
-        from beatformer.layers import LN_EPS
-        from beatformer.tensor import add_layer_norm
-
         model = build_model(tiny_config(seed=6))
-        block = model.blocks[0]
-        for name, t in block.attn.tensors():
-            t.data[...] = 0.0
-        for t in (block.w1, block.b1, block.w2, block.b2):
-            t.data[...] = 0.0
+        w = block_weights(model)
+        zero(*(t for name, t in w.items() if name.startswith(("attn.", "ffn."))))
         x = Tensor(np.random.default_rng(10).normal(size=(4, 8)))
-        got = encoder_block(x, block).data
+        got = _encoder_block(model, 0, x, 1).data
         ones = Tensor(np.ones(8))
         zeros = Tensor(np.zeros(8))
         no_residual = Tensor(np.zeros((4, 8)))
@@ -332,10 +337,8 @@ class TestClassificationHead:
 
     def test_zero_weights_yield_biases(self):
         model = build_model(tiny_config(seed=7))
-        head = model.head
-        for _, t in head.tensors():
-            t.data[...] = 0.0
-        head.out_b.data[...] = [0.1, 0.2, 0.3, 0.4, 0.5]
+        zero(*(t for name, t in model.tensors.items() if name.startswith("head.")))
+        model.tensors["head.out.b"].data[...] = [0.1, 0.2, 0.3, 0.4, 0.5]
         x = np.random.default_rng(11).normal(size=(4, 187))
         logits = forward(model, x)
         np.testing.assert_allclose(logits.data, np.tile([0.1, 0.2, 0.3, 0.4, 0.5], (4, 1)))

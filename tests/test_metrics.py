@@ -86,7 +86,7 @@ class TestClassificationReport:
 
     def test_hand_computed_two_class_case(self):
         cm = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1], k=2)
-        report = classification_report(cm, class_names=("a", "b"))
+        report = classification_report(cm)
         b = report.classes[1]
         assert b.precision == 1.0
         assert b.recall == pytest.approx(2 / 3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from beatformer.errors import ConfigError, ShapeError
-from beatformer.tensor import GradTape
+from beatformer.tensor import GradTape, backward
 from beatformer.train import sparse_ce_loss
 from beatformer.model import (
     REFERENCE_PARAM_COUNT,
@@ -57,30 +57,32 @@ class TestBuildModel:
     def test_different_seed_differs(self):
         a = build_model(tiny_config(seed=1))
         b = build_model(tiny_config(seed=2))
-        assert not np.array_equal(a.embed_w.data, b.embed_w.data)
+        assert not np.array_equal(a.tensors["embed.w"].data, b.tensors["embed.w"].data)
 
     def test_biases_and_positional_start_at_zero(self):
         model = build_model(tiny_config())
-        np.testing.assert_array_equal(model.embed_b.data, 0.0)
-        np.testing.assert_array_equal(model.pos_table.data, 0.0)
-        np.testing.assert_array_equal(model.blocks[0].ln1_gamma.data, 1.0)
+        np.testing.assert_array_equal(model.tensors["embed.b"].data, 0.0)
+        np.testing.assert_array_equal(model.tensors["pos.table"].data, 0.0)
+        np.testing.assert_array_equal(model.tensors["block0.ln1.gamma"].data, 1.0)
 
     def test_sinusoidal_positional_is_fixed(self):
         model = build_model(tiny_config(positional="sinusoidal"))
-        assert not model.pos_table.needs_grad
+        table = model.tensors["pos.table"]
+        assert not table.needs_grad
         assert "pos.table" not in dict(model.parameters())
-        assert model.pos_table.data.max() <= 1.0
+        assert table.data.max() <= 1.0
+        assert not np.shares_memory(table.data, model.flat_data)
 
     def test_learned_positional_is_trainable(self):
         model = build_model(tiny_config())
-        assert model.pos_table.needs_grad
+        assert model.tensors["pos.table"].needs_grad
         assert "pos.table" in dict(model.parameters())
 
 
 class TestParamCounts:
     def test_single_bias_vector(self):
         model = build_model(tiny_config())
-        assert model.head.out_b.size == 5
+        assert model.tensors["head.out.b"].size == 5
 
     def test_hand_summed_tiny_ledger(self):
         # embed 11*4+4 = 48; positional 4*4 = 16
@@ -95,7 +97,7 @@ class TestParamCounts:
     def test_dense_layer_count_formula(self):
         cfg = ModelConfig(d_model=187, mlp_units=(128, 64))
         model = build_model(cfg)
-        w, b = model.head.hidden[0]
+        w, b = model.tensors["head.dense0.w"], model.tensors["head.dense0.b"]
         assert w.size + b.size == 187 * 128 + 128 == 24064
 
     def test_default_config_logs_reference_delta(self, caplog):
@@ -112,6 +114,56 @@ class TestParamCounts:
         rows = parameter_breakdown(model)
         assert sum(count for _, count in rows) == count_params(model)
         assert len([r for r in rows if r[0].startswith("encoder block")]) == 4
+
+
+class TestFlatBuffers:
+    """Each trainable tensor's data and grad are views into the model's two buffers."""
+
+    @staticmethod
+    def assert_views_in_checkpoint_order(model):
+        offset = 0
+        for name, t in model.parameters():
+            for view, flat in ((t.data, model.flat_data), (t.grad, model.flat_grad)):
+                assert np.shares_memory(view, flat), name
+                assert view.ctypes.data == flat.ctypes.data + 8 * offset, name
+            offset += t.size
+        assert offset == model.flat_data.size == model.flat_grad.size
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), tiny_config(),
+                                     tiny_config(positional="sinusoidal")],
+                             ids=["default", "tiny", "sinusoidal"])
+    def test_every_parameter_and_gradient_is_a_view(self, cfg):
+        model = build_model(cfg)
+        self.assert_views_in_checkpoint_order(model)
+        np.testing.assert_array_equal(
+            model.flat_data, np.concatenate([t.data.ravel() for _, t in model.parameters()]))
+
+    def test_restore_model_writes_into_the_buffers(self):
+        from beatformer.data import NormStats
+        from beatformer.train import Checkpoint, restore_model
+
+        source = build_model(tiny_config(seed=3))
+        source.flat_data += np.random.default_rng(3).normal(size=source.flat_data.size)
+        n = source.config.input_len
+        ckpt = Checkpoint(config=source.config,
+                          params={name: t.data.copy() for name, t in source.parameters()},
+                          norm=NormStats(mean=np.zeros(n), std=np.ones(n), fitted_on="x"),
+                          best_val_loss=1.0, epoch=0, seed=0)
+        model = restore_model(ckpt)
+        self.assert_views_in_checkpoint_order(model)
+        np.testing.assert_array_equal(model.flat_data, source.flat_data)
+
+    def test_backward_accumulates_into_the_gradient_buffer(self):
+        model = build_model(tiny_config(seed=4))
+        rng = np.random.default_rng(4)
+        batch = rng.normal(size=(3, 187))
+        with GradTape() as tape:
+            loss = sparse_ce_loss(forward(model, batch), [0, 1, 2])
+        backward(tape, loss)
+        self.assert_views_in_checkpoint_order(model)
+        assert np.count_nonzero(model.flat_grad) > model.flat_grad.size // 2
+        np.testing.assert_array_equal(
+            model.flat_grad, np.concatenate([t.grad.ravel() for _, t in model.parameters()]))
 
 
 class TestForward:
@@ -180,8 +232,8 @@ class TestForward:
         # perturb the zero/one-initialized biases, norms and positional rows,
         # so every parameter shapes the logits
         rng = np.random.default_rng(6)
-        for _, t in model.parameters():
-            if t.data.ndim == 1 or t is model.pos_table:
+        for name, t in model.parameters():
+            if t.data.ndim == 1 or name == "pos.table":
                 t.data += rng.normal(scale=0.1, size=t.shape)
         batch = rng.normal(size=(b, cfg.input_len))
         np.testing.assert_allclose(forward(model, batch).data,
@@ -194,7 +246,8 @@ class TestForward:
 
 
 def test_default_train_step_tape_and_parameter_counts():
-    """Pins the fused layout: 40 tape records per train step, 57 parameter tensors.
+    """Pins the fused layout: 40 tape records per train step, 57 parameter tensors
+    of 218,949 parameters in all.
 
     Per step: the token embedding with its positions (1); per block the QKV
     projection, attention, output projection, residual sum with dropout and
@@ -205,6 +258,7 @@ def test_default_train_step_tape_and_parameter_counts():
     """
     model = build_model(ModelConfig())
     assert len(model.parameters()) == 57
+    assert count_params(model) == model.flat_data.size == 218_949
     rng = np.random.default_rng(0)
     batch = rng.normal(size=(32, 187))
     labels = rng.integers(0, 5, size=32)

@@ -690,9 +690,9 @@ ENGINE_API = {"Tensor", "GradTape", "backward", "zero_grads", "record_op", "grad
 
 
 def test_every_exported_op_is_called_by_the_model():
-    """No op outlives its last caller: each one is called from layers, model or train."""
+    """No op outlives its last caller: each one is called from model or train."""
     called = set()
-    for module in ("layers.py", "model.py", "train.py"):
+    for module in ("model.py", "train.py"):
         tree = ast.parse((Path(tensor_mod.__file__).parent / module).read_text(encoding="utf-8"))
         # local name -> tensor name, for every ``from .tensor import ...``
         imported = {alias.asname or alias.name: alias.name
@@ -704,7 +704,7 @@ def test_every_exported_op_is_called_by_the_model():
                    and node.func.id in imported}
     ops = set(tensor_mod.__all__) - ENGINE_API
     assert ops, "tensor exports no ops"
-    assert not ops - called, f"ops with no caller in layers, model or train: {sorted(ops - called)}"
+    assert not ops - called, f"ops with no caller in model or train: {sorted(ops - called)}"
 
 
 def _referenced_names(tree: ast.Module) -> set:
@@ -719,7 +719,7 @@ def _referenced_names(tree: ast.Module) -> set:
     return refs
 
 
-@pytest.mark.parametrize("module", ["train", "data", "metrics"])
+@pytest.mark.parametrize("module", ["train", "data", "metrics", "model", "tensor"])
 def test_every_public_name_is_reached_from_the_package(module):
     """Each name in ``__all__`` is used by a ``src`` module other than
     ``__init__.py``, or by its own module outside its definition."""
