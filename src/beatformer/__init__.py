@@ -29,7 +29,7 @@ from .model import (
     forward,
     tiny_config,
 )
-from .tensor import GradTape, Tensor, backward, grad_check, zero_grads
+from .tensor import GradTape, Tensor, backward, grad_check
 from .train import (
     Adam,
     Checkpoint,

@@ -15,6 +15,7 @@ import argparse
 import ctypes
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -168,6 +169,14 @@ def resolve_config(file_values: dict, overrides: dict) -> tuple[dict, list[str]]
             except (TypeError, ValueError):
                 violations.append(f"config key {key}: cannot parse {merged[key]!r}")
                 resolved[key] = default
+            # config.resolved must give the value back, and parse_config_file
+            # splits lines, cuts '#' comments, strips and decodes UTF-8
+            value = resolved[key]
+            if isinstance(value, str) and (value != value.strip()
+                                           or re.search("[#\r\n\ud800-\udfff]", value)):
+                violations.append(f"config key {key}: {value!r} would not read back from "
+                                  f"config.resolved ('#', a line break, surrounding "
+                                  f"whitespace or invalid UTF-8)")
         else:
             resolved[key] = default
 

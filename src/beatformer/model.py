@@ -1,5 +1,5 @@
-"""Model assembly: config validation, the parameter table and its two flat
-buffers, seeded initialization, the encoder block and the batch forward."""
+"""Model assembly: config validation, the parameter table and its flat
+buffer, seeded initialization, the encoder block and the batch forward."""
 
 from __future__ import annotations
 
@@ -136,17 +136,16 @@ def tiny_config(input_len: int = 187, **overrides) -> ModelConfig:
 class Model:
     """A config and its weights: one table of named tensors in checkpoint order.
 
-    Every trainable tensor's ``data`` is a view into ``flat_data`` and its
-    ``grad`` a view into ``flat_grad``, both laid out in the order of
-    :meth:`parameters`, so zeroing every gradient is one ``fill`` and an
-    optimizer updates every weight with whole-buffer ops. A sinusoidal
-    ``pos.table`` is fixed: it is in the table but in neither buffer.
+    Every trainable tensor's ``data`` is a view into ``flat_data``, laid out
+    in the order of :meth:`parameters`, so an optimizer updates every weight
+    with whole-buffer ops. A sinusoidal ``pos.table`` is fixed: it is in the
+    table but not in the buffer. The model holds no gradients; training
+    places them with :meth:`views`.
     """
 
     config: ModelConfig
     tensors: dict[str, Tensor]
     flat_data: np.ndarray
-    flat_grad: np.ndarray
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Trainable tensors in a stable, documented order."""
@@ -154,6 +153,17 @@ class Model:
 
     def param_tensors(self) -> list[Tensor]:
         return [t for _, t in self.parameters()]
+
+    def views(self, flat: np.ndarray) -> dict[Tensor, np.ndarray]:
+        """Each trainable tensor mapped to its reshaped slice of ``flat``, a
+        buffer laid out like ``flat_data``: the weights are these views of
+        ``flat_data``, and a training step's ``grads`` for ``backward`` are
+        these views of one gradient buffer."""
+        out, offset = {}, 0
+        for t in self.param_tensors():
+            out[t] = flat[offset:offset + t.size].reshape(t.shape)
+            offset += t.size
+        return out
 
 
 def dropout_mask(shape: tuple, p: float,
@@ -235,20 +245,12 @@ def build_model(config: ModelConfig) -> Model:
 
     trainable = {name: value for name, value in init.items()
                  if learned or name != "pos.table"}
-    flat_data = np.concatenate([value.ravel() for value in trainable.values()])
-    flat_grad = np.zeros_like(flat_data)
-    tensors = {}
-    offset = 0
-    for name, value in init.items():
-        if name not in trainable:
-            tensors[name] = Tensor(value)
-            continue
-        end = offset + value.size
-        tensors[name] = t = Tensor(flat_data[offset:end].reshape(value.shape), needs_grad=True)
-        t.grad = flat_grad[offset:end].reshape(value.shape)
-        offset = end
-
-    model = Model(config=config, tensors=tensors, flat_data=flat_data, flat_grad=flat_grad)
+    model = Model(config=config,
+                  tensors={name: Tensor(value, needs_grad=name in trainable)
+                           for name, value in init.items()},
+                  flat_data=np.concatenate([value.ravel() for value in trainable.values()]))
+    for t, view in model.views(model.flat_data).items():
+        t.data = view
     total = count_params(model)
     logger.info(
         "built model: %d trainable parameters (reference variant reports %d, delta %+d)",

@@ -2,9 +2,10 @@
 
 Every numerical value in the package flows through :class:`Tensor`. Running
 ops inside a ``with GradTape() as tape:`` block records one entry per op;
-``backward(tape, loss)`` replays the records in reverse and accumulates
-gradients into the ``grad`` arrays of the tensors that need them. Repeated
-backward calls accumulate; call :func:`zero_grads` between steps.
+``backward(tape, loss, grads)`` replays the records in reverse and adds each
+gradient into the array that ``grads`` maps its tensor to. Gradients are an
+output the caller places: a tensor holds no gradient slot, and repeated
+backward calls accumulate into the same arrays.
 
 Storage is row-major (C-contiguous) float64 throughout. Rank 0..3 is
 supported; fused ops such as :func:`attention` use higher-rank arrays only
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "Tensor",
     "GradTape",
     "backward",
-    "zero_grads",
     "record_op",
     "linear",
     "embed_tokens",
@@ -40,21 +40,20 @@ __all__ = [
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient slot.
+    """Dense float64 array, hashed by identity.
 
     ``needs_grad`` marks trainable parameters; op outputs inherit it from
     their inputs so backward can skip constants (input patches, a fixed
     positional table) entirely.
     """
 
-    __slots__ = ("data", "grad", "needs_grad")
+    __slots__ = ("data", "needs_grad")
 
     def __init__(self, data, needs_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ShapeError(f"rank {arr.ndim} tensor not supported (max rank 3)")
         self.data = arr
-        self.grad: Optional[np.ndarray] = None
         self.needs_grad = needs_grad
 
     @property
@@ -70,25 +69,8 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    """Zero (allocating if needed) the grad buffer of every given tensor."""
-    for p in params:
-        p.zero_grad()
 
 
 @dataclass
@@ -149,31 +131,34 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> None:
         tape._records.append(_OpRecord(out, tuple(inputs), backward_fn))
 
 
-def backward(tape: GradTape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor on the tape.
+def backward(tape: GradTape, loss: Tensor, grads: Mapping[Tensor, np.ndarray]) -> None:
+    """Add d(loss)/d(t) into ``grads[t]`` for every tensor ``t`` that ``grads`` maps.
 
-    The records are replayed exactly once each, in reverse recording order.
-    Each call adds one full gradient into the grad buffers; use
-    :func:`zero_grads` between optimizer steps.
+    The records are replayed exactly once each, in reverse recording order,
+    and each contribution to a mapped tensor is added into its array as its
+    record runs, so two calls accumulate; zero the arrays between optimizer
+    steps. A tensor ``grads`` does not map gets nothing. Map only tape
+    leaves (parameters, inputs): nothing flows on from a mapped tensor to
+    the tensors it was computed from.
 
-    The adjoint of an op's output is dropped as soon as that op's record has
+    Every other adjoint is dropped as soon as the op that produced it has
     run: every consumer was recorded later and has already added into it, so
-    backward holds only the adjoints still waiting for their producer, not one
-    per recorded op. Adjoints of tape leaves are kept until they are added into
-    the grad slots at the end.
+    backward holds only the adjoints still waiting for their producer, not
+    one per recorded op.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    tensors: dict[int, Tensor] = {id(loss): loss}
-    produced = {id(rec.out) for rec in tape._records}
     for rec in reversed(tape._records):
         out_adj = adjoints.pop(id(rec.out), None)
         if out_adj is None:
             continue  # not on any path to the loss
-        grads = rec.backward_fn(out_adj)
-        for inp, g in zip(rec.inputs, grads):
+        for inp, g in zip(rec.inputs, rec.backward_fn(out_adj)):
             if g is None or not inp.needs_grad:
+                continue
+            dest = grads.get(inp)
+            if dest is not None:
+                dest += g
                 continue
             key = id(inp)
             # out of place: a backward rule may hand the same array to several
@@ -183,16 +168,6 @@ def backward(tape: GradTape, loss: Tensor) -> None:
                 adjoints[key] = adjoints[key] + g
             else:
                 adjoints[key] = g
-                tensors[key] = inp
-    # only tape leaves (parameters, manual inputs) get their grad slot filled;
-    # intermediates produced by recorded ops are transient
-    for key, adj in adjoints.items():
-        if key in produced:
-            continue
-        t = tensors[key]
-        if t.needs_grad:
-            t.ensure_grad()
-            t.grad += adj
 
 
 def _out(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -466,7 +441,8 @@ def grad_check(
 
     ``f`` must be a zero-argument deterministic function (dropout disabled)
     returning a scalar Tensor computed from ``params``. Every parameter
-    element is perturbed by +/- eps. Existing grad buffers are overwritten.
+    element is perturbed by +/- eps. The analytic gradients go into arrays
+    of this check's own.
     """
     if not 1e-6 <= eps <= 1e-4:
         raise ValueError(f"grad_check eps must lie in [1e-6, 1e-4], got {eps}")
@@ -479,11 +455,11 @@ def grad_check(
             "gradient check target is not deterministic (is dropout still enabled?)"
         )
 
-    zero_grads(params)
+    grads = {p: np.zeros_like(p.data) for p in params}
     with GradTape() as tape:
         loss = f()
-    backward(tape, loss)
-    analytic = [p.grad.copy() for p in params]
+    backward(tape, loss, grads)
+    analytic = [grads[p] for p in params]
 
     max_rel = 0.0
     worst = ("", 0, 0.0, 0.0)

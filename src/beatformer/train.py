@@ -134,7 +134,8 @@ class Adam:
     """Adam with bias correction over one flat parameter buffer.
 
     ``params`` and ``grads`` are same-shaped float64 arrays, such as a model's
-    ``flat_data`` and ``flat_grad``; each step updates ``params`` in place
+    ``flat_data`` and a gradient buffer laid out like it (see
+    :meth:`~beatformer.model.Model.views`); each step updates ``params`` in place
     from whatever ``grads`` holds. The moments are two buffers of the same
     shape, and every operation is elementwise, so an update over the whole
     buffer equals one made tensor by tensor, bit for bit.
@@ -255,7 +256,9 @@ def train_loop(
         std=np.ones(model.config.input_len),
         fitted_on="identity",
     )
-    optimizer = Adam(model.flat_data, model.flat_grad, lr=cfg.lr, beta1=cfg.beta1,
+    flat_grad = np.zeros_like(model.flat_data)
+    grads = model.views(flat_grad)
+    optimizer = Adam(model.flat_data, flat_grad, lr=cfg.lr, beta1=cfg.beta1,
                      beta2=cfg.beta2, eps=cfg.eps)
     dropout_rng = np.random.default_rng([cfg.seed, 0xD0])
 
@@ -275,7 +278,7 @@ def train_loop(
         for batch_idx, batch in enumerate(
             batches(train_ds, cfg.batch_size, shuffle=True, seed=[cfg.seed, epoch])
         ):
-            model.flat_grad.fill(0.0)
+            flat_grad.fill(0.0)
             with GradTape() as tape:
                 logits = forward(model, batch.features, dropout_rng)
                 loss = sparse_ce_loss(logits, batch.labels, cfg.class_weights or None)
@@ -285,7 +288,7 @@ def train_loop(
                     f"non-finite training loss {loss_value} at epoch {epoch}, "
                     f"batch {batch_idx}"
                 )
-            backward(tape, loss)
+            backward(tape, loss, grads)
             optimizer.step()
             epoch_loss += loss_value * batch.n
             preds = np.argmax(logits.data, axis=1)

@@ -31,6 +31,11 @@ def synthetic_beats(n: int, seed: int, proportions=None, source: str = "syntheti
     return Dataset(features=features, labels=labels, source=source)
 
 
+def grad_arrays(*tensors: Tensor) -> dict:
+    """A zeroed gradient array for each tensor: the ``grads`` that backward fills."""
+    return {t: np.zeros_like(t.data) for t in tensors}
+
+
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every element as one taped scalar op: the loss most tests backpropagate."""
     out = Tensor(np.asarray(x.data.sum()), needs_grad=x.needs_grad)

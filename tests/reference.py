@@ -9,6 +9,11 @@ compare :func:`beatformer.model.forward` with it.
 at a time. Tests hold the flat :class:`beatformer.train.Adam` to it bit for
 bit.
 
+:func:`sum_then_add_backward` is the reverse pass's earlier accumulation rule:
+it sums every contribution to a tensor first and adds the sum into its array
+at the end. Tests hold :func:`beatformer.tensor.backward`, which adds each
+contribution as it comes, to it bit for bit on a zeroed buffer.
+
 :func:`query_major_attention` is the attention op's earlier formulation, with
 each query's scores in one contiguous row. Tests hold the key-major
 :func:`beatformer.tensor.attention` to it bit for bit.
@@ -118,3 +123,27 @@ def query_major_attention(qkv, b, t, heads, d_head, g):
     np.matmul(g_scores, k, out=gq)
     np.matmul(g_scores.swapaxes(-1, -2), q, out=gk)
     return out.reshape(b * t, heads * d_head), grad.reshape(b * t, 3 * heads * d_head)
+
+
+def sum_then_add_backward(tape, loss, grads):
+    """Reverse pass that adds each mapped tensor's summed adjoint into ``grads`` last.
+
+    Every adjoint is kept until the replay ends, then the adjoint of each
+    tensor that no recorded op produced is added into its array in ``grads``.
+    """
+    adjoints = {id(loss): np.ones_like(loss.data)}
+    leaves = {}
+    produced = {id(rec.out) for rec in tape._records}
+    for rec in reversed(tape._records):
+        out_adj = adjoints.pop(id(rec.out), None)
+        if out_adj is None:
+            continue
+        for inp, g in zip(rec.inputs, rec.backward_fn(out_adj)):
+            if g is None or not inp.needs_grad:
+                continue
+            key = id(inp)
+            adjoints[key] = adjoints[key] + g if key in adjoints else g
+            leaves[key] = inp
+    for key, adj in adjoints.items():
+        if key not in produced and leaves[key] in grads:
+            grads[leaves[key]] += adj

@@ -1,10 +1,14 @@
 """End-to-end CLI tests on small synthetic corpora."""
 
+import contextlib
+import io
 import os
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beatformer.cli import (
     SCHEMA,
@@ -97,6 +101,24 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert "key 'epochs' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, name", [
+        ("data_train", "tr\nain.csv"), ("data_train", "tr\rain.csv"), ("data_train", "tr#1.csv"),
+        ("data_train", "train.csv\t"), ("data_train", "train\udcff.csv"),
+        ("out", "ru\nn"), ("out", "run "), ("data_test", "te#st.csv"),
+    ])
+    def test_value_config_resolved_cannot_carry_exits_2(self, corpus, capsys, key, name):
+        # each of these trained, then left a config.resolved that read back
+        # another value, or that could not be read or written at all
+        path = corpus["dir"] / name
+        if key == "data_train":
+            path.write_bytes(Path(corpus["train"]).read_bytes())
+        out = path if key == "out" else corpus["dir"] / "out"
+        flags = {"--out": str(out), "--" + key.replace("_", "-"): str(path)}
+        argv = ["train", "--config", corpus["cfg"], "--epochs", "1"]
+        assert main(argv + [f"{flag}={value}" for flag, value in flags.items()]) == 2
+        assert f"config key {key}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_overrides_win(self, tmp_path):
@@ -872,3 +894,61 @@ class TestGradcheckCommand:
         main(["gradcheck", "--seed", "4"])
         out = capsys.readouterr().out
         assert "analytic=" in out and "numeric=" in out
+
+
+# generated config files and overrides; seeded, so every run tries the same cases
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+STRING_KEYS = ["out", "data_train", "data_test"]
+# any character, with the ones a config line treats specially drawn often
+config_text = st.text(st.one_of(st.sampled_from("#=\n\r \t\x0b\x1c\x85\u2028\udcff"),
+                                st.characters()), max_size=12)
+
+
+def run_main_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+config_line = st.one_of(
+    st.tuples(st.sampled_from(sorted(SCHEMA) + ["", "wat", "Seed", "d model"]),
+              st.one_of(config_text,
+                        st.sampled_from(["0", "-1", "2", "0.5", "1e-4", "inf", "nan", "3,4",
+                                         "learned", "per_sample", "9" * 30]))
+              ).map(lambda kv: f"{kv[0]} = {kv[1]}".encode("utf-8", "surrogatepass")),
+    st.binary(max_size=12),
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(lines=st.lists(config_line, max_size=8), override=config_text)
+def test_generated_config_without_training_data_exits_2(tmp_path_factory, lines, override):
+    tmp = tmp_path_factory.getbasetemp()
+    cfg = tmp / "generated.cfg"
+    cfg.write_bytes(b"\n".join(lines))
+    out = tmp / "generated_out"
+    code, _ = run_main_quietly(["train", "--config", str(cfg), "--data-train",
+                                str(tmp / "absent.csv"), "--out", str(out),
+                                f"--data-test={override}"])
+    assert code == 2
+    assert not out.exists()
+
+
+@PROPERTY_SETTINGS
+@given(key=st.sampled_from(STRING_KEYS), value=config_text)
+def test_override_reads_back_from_config_resolved_or_exits_2(tmp_path_factory, key, value):
+    tmp = tmp_path_factory.getbasetemp()
+    resolved, violations = resolve_config({}, {key: value})
+    if not violations:
+        cfg = tmp / "resolved.cfg"
+        cfg.write_text(format_resolved(resolved), encoding="utf-8")
+        values, bad = parse_config_file(str(cfg))
+        assert bad == [] and values[key] == value
+        return
+    argv = {"--data-train": str(tmp / "absent.csv"), "--out": str(tmp / "override_out")}
+    argv["--" + key.replace("_", "-")] = value
+    code, err = run_main_quietly(["train"] + [f"{flag}={v}" for flag, v in argv.items()])
+    assert code == 2
+    assert f"config key {key}: " in err
+

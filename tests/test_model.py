@@ -19,6 +19,7 @@ from beatformer.model import (
     tiny_config,
 )
 
+from conftest import grad_arrays
 from reference import reference_forward
 
 
@@ -117,24 +118,29 @@ class TestParamCounts:
 
 
 class TestFlatBuffers:
-    """Each trainable tensor's data and grad are views into the model's two buffers."""
+    """Each trainable tensor's data is a view into the model's buffer, and the
+    model's views of a training gradient buffer follow the same layout."""
 
     @staticmethod
-    def assert_views_in_checkpoint_order(model):
+    def assert_views_in_checkpoint_order(model, flat_grad):
+        views = model.views(flat_grad)
+        assert list(views) == model.param_tensors()
         offset = 0
         for name, t in model.parameters():
-            for view, flat in ((t.data, model.flat_data), (t.grad, model.flat_grad)):
+            for view, flat in ((t.data, model.flat_data), (views[t], flat_grad)):
+                assert view.shape == t.shape, name
                 assert np.shares_memory(view, flat), name
                 assert view.ctypes.data == flat.ctypes.data + 8 * offset, name
             offset += t.size
-        assert offset == model.flat_data.size == model.flat_grad.size
+        assert offset == model.flat_data.size == flat_grad.size
 
     @pytest.mark.parametrize("cfg", [ModelConfig(), tiny_config(),
                                      tiny_config(positional="sinusoidal")],
                              ids=["default", "tiny", "sinusoidal"])
     def test_every_parameter_and_gradient_is_a_view(self, cfg):
         model = build_model(cfg)
-        self.assert_views_in_checkpoint_order(model)
+        assert not any("grad" in f for f in vars(model))
+        self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
         np.testing.assert_array_equal(
             model.flat_data, np.concatenate([t.data.ravel() for _, t in model.parameters()]))
 
@@ -150,7 +156,7 @@ class TestFlatBuffers:
                           norm=NormStats(mean=np.zeros(n), std=np.ones(n), fitted_on="x"),
                           best_val_loss=1.0, epoch=0, seed=0)
         model = restore_model(ckpt)
-        self.assert_views_in_checkpoint_order(model)
+        self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
         np.testing.assert_array_equal(model.flat_data, source.flat_data)
 
     def test_backward_accumulates_into_the_gradient_buffer(self):
@@ -159,11 +165,15 @@ class TestFlatBuffers:
         batch = rng.normal(size=(3, 187))
         with GradTape() as tape:
             loss = sparse_ce_loss(forward(model, batch), [0, 1, 2])
-        backward(tape, loss)
-        self.assert_views_in_checkpoint_order(model)
-        assert np.count_nonzero(model.flat_grad) > model.flat_grad.size // 2
-        np.testing.assert_array_equal(
-            model.flat_grad, np.concatenate([t.grad.ravel() for _, t in model.parameters()]))
+        flat_grad = np.zeros_like(model.flat_data)
+        backward(tape, loss, model.views(flat_grad))
+        self.assert_views_in_checkpoint_order(model, flat_grad)
+        assert np.count_nonzero(flat_grad) > flat_grad.size // 2
+        # the same pass into one separate array per tensor
+        separate = grad_arrays(*model.param_tensors())
+        backward(tape, loss, separate)
+        assert flat_grad.tobytes() == np.concatenate(
+            [separate[t].ravel() for _, t in model.parameters()]).tobytes()
 
 
 class TestForward:

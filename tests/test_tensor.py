@@ -22,10 +22,9 @@ from beatformer.tensor import (
     linear,
     mean_tokens,
     relu,
-    zero_grads,
 )
 
-from conftest import add, mul, sum_all
+from conftest import add, grad_arrays, mul, sum_all
 from reference import query_major_attention
 
 
@@ -83,13 +82,13 @@ class TestMatmul:
     def test_backward_rule(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]], needs_grad=True)
         b = Tensor([[5.0, 6.0], [7.0, 8.0]], needs_grad=True)
-        zero_grads([a, b])
+        grads = grad_arrays(a, b)
         with GradTape() as tape:
             loss = sum_all(product(a, b))
-        backward(tape, loss)
+        backward(tape, loss, grads)
         ones = np.ones((2, 2))
-        np.testing.assert_allclose(a.grad, ones @ b.data.T)
-        np.testing.assert_allclose(b.grad, a.data.T @ ones)
+        np.testing.assert_allclose(grads[a], ones @ b.data.T)
+        np.testing.assert_allclose(grads[b], a.data.T @ ones)
 
 
 class TestLinear:
@@ -102,12 +101,12 @@ class TestLinear:
         x = Tensor(np.ones((3, 2)))
         w = Tensor(np.ones((2, 2)), needs_grad=True)
         b = Tensor(np.zeros(2), needs_grad=True)
-        zero_grads([w, b])
+        grads = grad_arrays(x, w, b)
         with GradTape() as tape:
             loss = sum_all(mul(linear(x, w, b), Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])))
-        backward(tape, loss)
-        np.testing.assert_array_equal(b.grad, [9.0, 12.0])
-        assert x.grad is None
+        backward(tape, loss, grads)
+        np.testing.assert_array_equal(grads[b], [9.0, 12.0])
+        assert not grads[x].any()  # a constant input gets nothing, even when mapped
 
     def test_shapes_validated(self):
         with pytest.raises(ShapeError, match="inner"):
@@ -158,13 +157,13 @@ class TestAttention:
         qkv = Tensor(rng.normal(scale=2.0, size=(b * t, 3 * heads * d)), needs_grad=True)
         g = rng.normal(size=(b * t, heads * d))
         want_out, want_grad = query_major_attention(qkv.data, b, t, heads, d, g)
-        zero_grads([qkv])
+        grads = grad_arrays(qkv)
         with GradTape() as tape:
             out = attention(qkv, b, t, heads, d)
             loss = sum_all(mul(out, Tensor(g)))
-        backward(tape, loss)
+        backward(tape, loss, grads)
         assert np.array_equal(out.data, want_out)
-        assert np.array_equal(qkv.grad, want_grad)
+        assert np.array_equal(grads[qkv], want_grad)
 
 
 @pytest.mark.parametrize("n", range(1, 301))
@@ -276,16 +275,16 @@ class TestLayerNorm:
 
         tx, ty = Tensor(x, needs_grad=True), Tensor(y, needs_grad=True)
         tg, tb = Tensor(gamma, needs_grad=True), Tensor(beta, needs_grad=True)
-        zero_grads([tx, ty, tg, tb])
+        grads = grad_arrays(tx, ty, tg, tb)
         with GradTape() as tape:
             out = add_layer_norm(tx, ty, tg, tb, eps=1e-6)
             loss = sum_all(mul(out, Tensor(g)))
-        backward(tape, loss)
+        backward(tape, loss, grads)
         np.testing.assert_array_equal(out.data, gamma * xhat + beta)
-        np.testing.assert_array_equal(tx.grad, want_gx)
-        np.testing.assert_array_equal(ty.grad, want_gx)
-        np.testing.assert_array_equal(tg.grad, (g * xhat).sum(axis=0))
-        np.testing.assert_array_equal(tb.grad, g.sum(axis=0))
+        np.testing.assert_array_equal(grads[tx], want_gx)
+        np.testing.assert_array_equal(grads[ty], want_gx)
+        np.testing.assert_array_equal(grads[tg], (g * xhat).sum(axis=0))
+        np.testing.assert_array_equal(grads[tb], g.sum(axis=0))
 
     def test_dropout_mask_is_bit_equal_to_mul_then_add_layer_norm(self):
         # LN(x + keep * y) as a mul by the constant mask, then the unfused
@@ -304,17 +303,17 @@ class TestLayerNorm:
 
         tx, ty = Tensor(x, needs_grad=True), Tensor(y, needs_grad=True)
         tg, tb = Tensor(gamma, needs_grad=True), Tensor(beta, needs_grad=True)
-        zero_grads([tx, ty, tg, tb])
+        grads = grad_arrays(tx, ty, tg, tb)
         with GradTape() as tape:
             out = add_layer_norm(tx, ty, tg, tb, eps=1e-6, keep=keep)
             loss = sum_all(mul(out, Tensor(g)))
-        backward(tape, loss)
+        backward(tape, loss, grads)
         assert len(tape) == 3
         np.testing.assert_array_equal(out.data, gamma * xhat + beta)
-        np.testing.assert_array_equal(tx.grad, want_gx)
-        np.testing.assert_array_equal(ty.grad, want_gx * keep)
-        np.testing.assert_array_equal(tg.grad, (g * xhat).sum(axis=0))
-        np.testing.assert_array_equal(tb.grad, g.sum(axis=0))
+        np.testing.assert_array_equal(grads[tx], want_gx)
+        np.testing.assert_array_equal(grads[ty], want_gx * keep)
+        np.testing.assert_array_equal(grads[tg], (g * xhat).sum(axis=0))
+        np.testing.assert_array_equal(grads[tb], g.sum(axis=0))
 
 
 class TestElementwise:
@@ -355,12 +354,12 @@ class TestElementwise:
         w = Tensor(np.eye(2), needs_grad=True)
         b = Tensor(np.zeros(2), needs_grad=True)
         pos = Tensor([[1.0, 2.0]], needs_grad=True)
-        zero_grads([w, b, pos])
+        grads = grad_arrays(w, b, pos)
         with GradTape() as tape:
             loss = sum_all(embed_tokens(x, w, b, pos))
-        backward(tape, loss)
-        np.testing.assert_array_equal(pos.grad, [[3.0, 3.0]])
-        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+        backward(tape, loss, grads)
+        np.testing.assert_array_equal(grads[pos], [[3.0, 3.0]])
+        np.testing.assert_array_equal(grads[b], [3.0, 3.0])
 
 
 class TestFusedOpsBitEqual:
@@ -369,13 +368,13 @@ class TestFusedOpsBitEqual:
 
     @staticmethod
     def run(op, inputs, g):
-        zero_grads([t for t in inputs if t.needs_grad])
+        grads = grad_arrays(*inputs)
         with GradTape() as tape:
             out = op()
             loss = sum_all(mul(out, Tensor(g)))
-        backward(tape, loss)
+        backward(tape, loss, grads)
         assert len(tape) == 3
-        return out.data
+        return out.data, grads
 
     @pytest.mark.parametrize("learned", [True, False], ids=["learned", "fixed"])
     def test_embed_tokens_is_linear_then_tile_rows_then_add(self, learned):
@@ -388,15 +387,15 @@ class TestFusedOpsBitEqual:
         tpos = Tensor(pos, needs_grad=learned)
         y = p @ w
         y += b
-        out = self.run(lambda: embed_tokens(tp, tw, tb, tpos), (tp, tw, tb, tpos), g)
+        out, grads = self.run(lambda: embed_tokens(tp, tw, tb, tpos), (tp, tw, tb, tpos), g)
         np.testing.assert_array_equal(out, y + np.tile(pos, (n, 1)))
-        np.testing.assert_array_equal(tp.grad, g @ w.T)
-        np.testing.assert_array_equal(tw.grad, p.T @ g)
-        np.testing.assert_array_equal(tb.grad, g.sum(axis=0))
+        np.testing.assert_array_equal(grads[tp], g @ w.T)
+        np.testing.assert_array_equal(grads[tw], p.T @ g)
+        np.testing.assert_array_equal(grads[tb], g.sum(axis=0))
         if learned:
-            np.testing.assert_array_equal(tpos.grad, g.reshape(n, t, d).sum(axis=0))
+            np.testing.assert_array_equal(grads[tpos], g.reshape(n, t, d).sum(axis=0))
         else:
-            assert tpos.grad is None
+            assert not grads[tpos].any()
 
     def test_mean_tokens_is_reshape_then_mean_axis1(self):
         rng = np.random.default_rng(18)
@@ -404,10 +403,10 @@ class TestFusedOpsBitEqual:
         x = rng.normal(size=(n * t, d))
         g = rng.normal(size=(n, d))
         tx = Tensor(x, needs_grad=True)
-        out = self.run(lambda: mean_tokens(tx, n), (tx,), g)
+        out, grads = self.run(lambda: mean_tokens(tx, n), (tx,), g)
         np.testing.assert_array_equal(out, x.reshape(n, t, d).mean(axis=1))
         want = np.broadcast_to(g[:, None, :] / t, (n, t, d)).copy().reshape(n * t, d)
-        np.testing.assert_array_equal(tx.grad, want)
+        np.testing.assert_array_equal(grads[tx], want)
 
     def test_relu_keep_is_relu_then_mul(self):
         rng = np.random.default_rng(19)
@@ -415,82 +414,97 @@ class TestFusedOpsBitEqual:
         keep = (rng.random((6, 5)) >= 0.15) / 0.85
         g = rng.normal(size=(6, 5))
         ta = Tensor(a, needs_grad=True)
-        out = self.run(lambda: relu(ta, keep), (ta,), g)
+        out, grads = self.run(lambda: relu(ta, keep), (ta,), g)
         np.testing.assert_array_equal(out, np.maximum(a, 0.0) * keep)
-        np.testing.assert_array_equal(ta.grad, g * keep * (a > 0))
+        np.testing.assert_array_equal(grads[ta], g * keep * (a > 0))
 
 
 class TestBackward:
     def test_power_rule(self):
         w = Tensor(np.asarray(3.0), needs_grad=True)
-        zero_grads([w])
+        grads = grad_arrays(w)
         with GradTape() as tape:
             loss = mul(w, w)
-        backward(tape, loss)
-        assert w.grad == pytest.approx(6.0)
+        backward(tape, loss, grads)
+        assert grads[w] == pytest.approx(6.0)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], needs_grad=True)
         with GradTape() as tape:
             y = relu(x)
         with pytest.raises(ValueError, match="scalar"):
-            backward(tape, y)
+            backward(tape, y, grad_arrays(x))
 
-    def test_detached_parameter_gets_zero_grad(self):
+    def test_detached_parameter_gets_zeros(self):
         p = Tensor([1.0, 2.0], needs_grad=True)
         q = Tensor([3.0, 4.0], needs_grad=True)
-        zero_grads([p, q])
+        grads = grad_arrays(p, q)
         with GradTape() as tape:
             loss = sum_all(mul(q, q))
-        backward(tape, loss)
-        np.testing.assert_array_equal(p.grad, [0.0, 0.0])
+        backward(tape, loss, grads)
+        np.testing.assert_array_equal(grads[p], [0.0, 0.0])
+
+    def test_unmapped_tensor_gets_nothing(self):
+        # a tensor holds no gradient slot: what grads does not map, backward
+        # neither writes nor allocates
+        assert Tensor.__slots__ == ("data", "needs_grad")
+        p = Tensor([1.0, 2.0], needs_grad=True)
+        q = Tensor([3.0, 4.0], needs_grad=True)
+        before = p.data.copy()
+        grads = grad_arrays(q)
+        with GradTape() as tape:
+            loss = sum_all(mul(p, q))
+        backward(tape, loss, grads)
+        assert list(grads) == [q]
+        np.testing.assert_array_equal(grads[q], [1.0, 2.0])
+        assert p.data.tobytes() == before.tobytes()
 
     def test_repeated_backward_accumulates(self):
         w = Tensor(np.asarray(3.0), needs_grad=True)
-        zero_grads([w])
+        grads = grad_arrays(w)
         with GradTape() as tape:
             loss = mul(w, w)
-        backward(tape, loss)
-        backward(tape, loss)
-        assert w.grad == pytest.approx(12.0)
+        backward(tape, loss, grads)
+        backward(tape, loss, grads)
+        assert grads[w] == pytest.approx(12.0)
 
     def test_shared_subexpression(self):
         # loss = (w * w) + w  =>  dloss/dw = 2w + 1
         w = Tensor(np.asarray(2.0), needs_grad=True)
-        zero_grads([w])
+        grads = grad_arrays(w)
         with GradTape() as tape:
             loss = add(mul(w, w), w)
-        backward(tape, loss)
-        assert w.grad == pytest.approx(5.0)
+        backward(tape, loss, grads)
+        assert grads[w] == pytest.approx(5.0)
 
     def test_fan_in_through_one_op(self):
         # add's backward hands the same array to both inputs; accumulating into
         # it in place would report 4 here instead of 3
         x = Tensor([1.0, -2.0], needs_grad=True)
-        zero_grads([x])
+        grads = grad_arrays(x)
         with GradTape() as tape:
             loss = sum_all(add(add(x, x), x))
-        backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        backward(tape, loss, grads)
+        np.testing.assert_array_equal(grads[x], [3.0, 3.0])
 
     def test_fan_in_through_two_ops(self):
         # loss = sum(2x + x*x)  =>  dloss/dx = 2 + 2x
         x = Tensor([1.5, -2.0, 0.0], needs_grad=True)
-        zero_grads([x])
+        grads = grad_arrays(x)
         with GradTape() as tape:
             loss = sum_all(add(mul(x, Tensor(2.0)), mul(x, x)))
-        backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, [5.0, -2.0, 2.0])
+        backward(tape, loss, grads)
+        np.testing.assert_array_equal(grads[x], [5.0, -2.0, 2.0])
 
     def test_constant_inputs_are_skipped(self):
         c = Tensor([1.0, 2.0])  # needs_grad False
         w = Tensor([3.0, 4.0], needs_grad=True)
-        zero_grads([w])
+        grads = grad_arrays(c, w)
         with GradTape() as tape:
             loss = sum_all(mul(c, w))
-        backward(tape, loss)
-        assert c.grad is None
-        np.testing.assert_array_equal(w.grad, [1.0, 2.0])
+        backward(tape, loss, grads)
+        assert not grads[c].any()
+        np.testing.assert_array_equal(grads[w], [1.0, 2.0])
 
     def test_peak_memory_does_not_grow_with_chain_length(self):
         import tracemalloc
@@ -500,7 +514,7 @@ class TestBackward:
         def backward_peak(n_ops):
             x = Tensor(np.ones((512, 512)), needs_grad=True)
             one = Tensor(1.0)
-            zero_grads([x])
+            grads = grad_arrays(x)
             with GradTape() as tape:
                 h = x
                 for _ in range(n_ops):
@@ -508,11 +522,11 @@ class TestBackward:
                 loss = sum_all(h)
             tracemalloc.start()
             try:
-                backward(tape, loss)
+                backward(tape, loss, grads)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            np.testing.assert_array_equal(x.grad, 1.0)
+            np.testing.assert_array_equal(grads[x], 1.0)
             return peak
 
         # each adjoint is dropped once its producer has run, so backward holds
@@ -530,11 +544,11 @@ class TestBackward:
 
         def worker(value, key):
             w = Tensor(np.asarray(value), needs_grad=True)
-            zero_grads([w])
+            grads = grad_arrays(w)
             with GradTape() as tape:
                 loss = mul(w, w)
-            backward(tape, loss)
-            results[key] = w.grad.item()
+            backward(tape, loss, grads)
+            results[key] = grads[w].item()
 
         threads = [threading.Thread(target=worker, args=(v, k))
                    for k, v in (("a", 3.0), ("b", 5.0))]
@@ -685,8 +699,7 @@ def test_every_op_matches_finite_differences(op_name):
 
 
 # the autodiff engine itself; every other name ``tensor`` exports is an op
-ENGINE_API = {"Tensor", "GradTape", "backward", "zero_grads", "record_op", "grad_check",
-              "GradCheckReport"}
+ENGINE_API = {"Tensor", "GradTape", "backward", "record_op", "grad_check", "GradCheckReport"}
 
 
 def test_every_exported_op_is_called_by_the_model():

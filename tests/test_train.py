@@ -17,7 +17,7 @@ from beatformer.errors import (
     NumericalError,
 )
 from beatformer.model import ModelConfig, build_model, forward, tiny_config
-from beatformer.tensor import GradTape, Tensor, backward, zero_grads
+from beatformer.tensor import GradTape, Tensor, backward
 from beatformer.train import (
     Adam,
     Checkpoint,
@@ -32,8 +32,8 @@ from beatformer.train import (
     train_loop,
 )
 
-from conftest import synthetic_beats
-from reference import per_tensor_adam_step
+from conftest import grad_arrays, synthetic_beats
+from reference import per_tensor_adam_step, sum_then_add_backward
 
 
 class TestSparseCeLoss:
@@ -78,15 +78,15 @@ class TestSparseCeLoss:
         rng = np.random.default_rng(2)
         z = rng.normal(size=(2, 5))
         logits = Tensor(z, needs_grad=True)
-        zero_grads([logits])
+        grads = grad_arrays(logits)
         with GradTape() as tape:
             loss = sparse_ce_loss(logits, [1, 3])
-        backward(tape, loss)
+        backward(tape, loss, grads)
         e = np.exp(z - z.max(axis=1, keepdims=True))
         p = e / e.sum(axis=1, keepdims=True)
         p[0, 1] -= 1
         p[1, 3] -= 1
-        np.testing.assert_allclose(logits.grad, p / 2.0, atol=1e-12)
+        np.testing.assert_allclose(grads[logits], p / 2.0, atol=1e-12)
 
     def test_class_weights_reweight_the_mean(self):
         rng = np.random.default_rng(5)
@@ -173,13 +173,15 @@ class TestAdam:
         params = [t.data.copy() for _, t in model.parameters()]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
-        opt = Adam(model.flat_data, model.flat_grad, lr=1e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        flat_grad = np.zeros_like(model.flat_data)
+        views = model.views(flat_grad)
+        opt = Adam(model.flat_data, flat_grad, lr=1e-3, beta1=0.8, beta2=0.99, eps=1e-7)
         for step in range(1, 6):
             # gradients over six orders of magnitude, some exactly zero
-            model.flat_grad[...] = rng.normal(size=model.flat_grad.size) * 10.0 ** rng.integers(
-                -3, 3, size=model.flat_grad.size)
-            model.flat_grad[::97] = 0.0
-            grads = [t.grad.copy() for _, t in model.parameters()]
+            flat_grad[...] = rng.normal(size=flat_grad.size) * 10.0 ** rng.integers(
+                -3, 3, size=flat_grad.size)
+            flat_grad[::97] = 0.0
+            grads = [views[t].copy() for _, t in model.parameters()]
             opt.step()
             per_tensor_adam_step(params, grads, m, v, step, 1e-3, 0.8, 0.99, 1e-7)
         tensors = dict(model.parameters())
@@ -187,6 +189,40 @@ class TestAdam:
             assert tensors[name].data.tobytes() == p.tobytes(), name
         assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
         assert opt.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
+
+
+class TestGradientBuffer:
+    def test_default_step_fills_the_buffer_as_sum_then_add_did(self):
+        # backward adds each contribution into the zeroed buffer as it comes;
+        # the earlier rule summed a leaf's contributions, then added the sum
+        model = build_model(ModelConfig(seed=5))
+        batch = synthetic_beats(32, seed=5)
+        with GradTape() as tape:
+            loss = sparse_ce_loss(forward(model, batch.features, np.random.default_rng(5)),
+                                  batch.labels)
+        assert len(tape) == 40
+        buffers = []
+        for rule in (backward, sum_then_add_backward):
+            flat_grad = np.zeros_like(model.flat_data)
+            rule(tape, loss, model.views(flat_grad))
+            buffers.append(flat_grad)
+        assert np.count_nonzero(buffers[0]) > buffers[0].size // 2
+        assert buffers[0].tobytes() == buffers[1].tobytes()
+
+    def test_restored_model_holds_weights_only(self):
+        source = build_model(ModelConfig(seed=6))
+        ckpt = Checkpoint(config=source.config,
+                          params={name: t.data.copy() for name, t in source.parameters()},
+                          norm=fit_normalizer(synthetic_beats(8, seed=6)),
+                          best_val_loss=1.0, epoch=0, seed=0)
+        tracemalloc.start()
+        try:
+            model = restore_model(ckpt)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the weights and some bookkeeping; a gradient buffer would double it
+        assert held < 2 * model.flat_data.nbytes, held / model.flat_data.nbytes
 
 
 class TestEvaluate:
