@@ -68,7 +68,7 @@ class RunConfig:
     """Run-level settings: input files, validation carve-out, normalization, output."""
 
     val_fraction: float = 0.1
-    normalization: str = "standard"  # or per_sample
+    normalization: str = "standard"  # one of data.NORM_MODES
     subset: int = 0  # 0 = use the full training file
     out: str = "run"
     data_train: str = ""
@@ -81,36 +81,24 @@ class RunConfig:
             bad.append(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
         if self.subset < 0:
             bad.append(f"subset must be >= 0, got {self.subset}")
-        if self.normalization not in ("standard", "per_sample"):
-            bad.append(
-                f"normalization must be 'standard' or 'per_sample', got {self.normalization!r}"
-            )
+        if self.normalization not in data_mod.NORM_MODES:
+            bad.append(f"normalization must be one of {data_mod.NORM_MODES}, "
+                       f"got {self.normalization!r}")
         return bad
 
 
-# Every config-file key is a field of one of these dataclasses, which hold its
-# type and default. The key is the field name, except where FILE_KEYS renames
-# it; ``seed`` is a field of two configs and one key feeds both.
+# Every config-file key is the name of exactly one field of one of these
+# dataclasses, which holds its type and default.
 CONFIGS = (ModelConfig, TrainConfig, RunConfig)
-FILE_KEYS = {"dropout_p": "dropout"}
-
-
-def _schema() -> dict:
-    schema = {}
-    for cls in CONFIGS:
-        casters = field_casters(cls)
-        for f in fields(cls):
-            schema[FILE_KEYS.get(f.name, f.name)] = (casters[f.name], f.default)
-    return schema
-
 
 # key -> (caster, default)
-SCHEMA = _schema()
+SCHEMA = {f.name: (casters[f.name], f.default)
+          for cls, casters in zip(CONFIGS, map(field_casters, CONFIGS)) for f in fields(cls)}
 
 
 def build_config(cls, resolved: dict):
     """An instance of one of :data:`CONFIGS` from resolved config values."""
-    return cls(**{f.name: resolved[FILE_KEYS.get(f.name, f.name)] for f in fields(cls)})
+    return cls(**{f.name: resolved[f.name] for f in fields(cls)})
 
 
 def parse_config_file(path: str) -> tuple[dict, list[str]]:
@@ -248,7 +236,7 @@ def cmd_train(args) -> int:
     _make_out_dir(run.out)
     _write(os.path.join(run.out, "config.resolved"), format_resolved(resolved))
 
-    seed = train_cfg.seed
+    seed = model_cfg.seed
     try:
         train_full = data_mod.load_csv(run.data_train, model_cfg.input_len, model_cfg.n_classes)
         working = train_full
@@ -256,14 +244,7 @@ def cmd_train(args) -> int:
             working = data_mod.stratified_subset(train_full, run.subset, seed)
         val_n = max(1, round(run.val_fraction * working.n))
         train_part, val_part = data_mod.stratified_split(working, working.n - val_n, seed)
-        if run.normalization == "per_sample":
-            stats = data_mod.NormStats(
-                mean=np.zeros(model_cfg.input_len),
-                std=np.ones(model_cfg.input_len),
-                fitted_on=data_mod.PER_SAMPLE_NORM_ID,
-            )
-        else:
-            stats = data_mod.fit_normalizer(train_part)
+        stats = data_mod.fit_normalizer(train_part, run.normalization)
         train_part = data_mod.apply_normalizer(train_part, stats)
         val_part = data_mod.apply_normalizer(val_part, stats)
 

@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import ModelConfig
 
 CLASS_NAMES = ("N", "S", "V", "F", "Q")
@@ -22,9 +22,13 @@ CLASS_NAMES = ("N", "S", "V", "F", "Q")
 # tail) so normalization never divides by zero
 STD_FLOOR = 1e-8
 
+# per-feature training stats, or each row standardized on its own
+NORM_MODES = ("standard", "per_sample")
+
 __all__ = [
     "CLASS_NAMES",
     "STD_FLOOR",
+    "NORM_MODES",
     "Dataset",
     "NormStats",
     "Batch",
@@ -33,7 +37,6 @@ __all__ = [
     "fit_normalizer",
     "normalize",
     "apply_normalizer",
-    "PER_SAMPLE_NORM_ID",
     "per_sample_normalize",
     "class_counts",
     "stratified_subset",
@@ -69,14 +72,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-feature mean and (floored) population std, fit on one training split.
-
-    ``fitted_on`` equal to :data:`PER_SAMPLE_NORM_ID` marks per-sample mode
-    instead, where :func:`normalize` ignores the mean and std.
-    """
+    """A normalization mode (:data:`NORM_MODES`) with the per-feature mean and
+    floored population std that ``standard`` mode applies (``per_sample`` keeps
+    0 and 1 and ignores them), and the training file they came from."""
 
     mean: np.ndarray
     std: np.ndarray
+    mode: str
     fitted_on: str
 
 
@@ -181,19 +183,19 @@ def load_features(path: str, input_len: int = ModelConfig.input_len
     return matrix[:, :input_len], np.rint(matrix[:, input_len]).astype(np.int64)
 
 
-def fit_normalizer(train: Dataset) -> NormStats:
-    """Per-feature mean and population std over the training split only."""
-    if train.n < 2:
-        raise DataError(f"need at least 2 samples to fit normalization, got {train.n}")
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)  # population (ddof=0)
-    std = np.where(std > 0.0, std, STD_FLOOR)
-    return NormStats(mean=mean, std=std, fitted_on=train.source or "unnamed")
-
-
-# sentinel norm id marking per-sample (row-wise) standardization; checkpoints
-# carry it so eval/predict reapply the same transform
-PER_SAMPLE_NORM_ID = "per-sample"
+def fit_normalizer(train: Dataset, mode: str = "standard") -> NormStats:
+    """Stats for ``mode``; ``standard`` fits them on the training split only."""
+    if mode not in NORM_MODES:
+        raise ConfigError(f"normalization must be one of {NORM_MODES}, got {mode!r}")
+    width = train.features.shape[1]
+    mean, std = np.zeros(width), np.ones(width)
+    if mode == "standard":
+        if train.n < 2:
+            raise DataError(f"need at least 2 samples to fit normalization, got {train.n}")
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)  # population (ddof=0)
+        std = np.where(std > 0.0, std, STD_FLOOR)
+    return NormStats(mean=mean, std=std, mode=mode, fitted_on=train.source or "unnamed")
 
 
 def per_sample_normalize(features: np.ndarray) -> np.ndarray:
@@ -206,8 +208,8 @@ def per_sample_normalize(features: np.ndarray) -> np.ndarray:
 
 
 def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Apply ``stats``: row-wise when they mark per-sample mode, else column-wise."""
-    if stats.fitted_on == PER_SAMPLE_NORM_ID:
+    """Apply ``stats``: row-wise in ``per_sample`` mode, else column-wise."""
+    if stats.mode == "per_sample":
         return per_sample_normalize(features)
     return (features - stats.mean) / stats.std
 

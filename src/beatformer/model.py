@@ -76,8 +76,9 @@ class ModelConfig:
     d_ff: int = 128
     mlp_units: tuple[int, ...] = (128, 64)
     n_classes: int = 5
-    dropout_p: float = 0.15
+    dropout: float = 0.15
     positional: str = "learned"
+    # seeds init, and in training the subset, split, shuffling and dropout
     seed: int = 0
 
     @property
@@ -101,10 +102,12 @@ class ModelConfig:
             bad.append(f"mlp_units must all be positive integers, got {self.mlp_units}")
         if not isinstance(self.n_classes, int) or self.n_classes < 2:
             bad.append(f"n_classes must be an integer >= 2, got {self.n_classes!r}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            bad.append(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+        if not 0.0 <= self.dropout < 1.0:
+            bad.append(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.positional not in ("learned", "sinusoidal"):
             bad.append(f"positional must be 'learned' or 'sinusoidal', got {self.positional!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            bad.append(f"seed must be a non-negative integer, got {self.seed!r}")
         return bad
 
     def to_dict(self) -> dict[str, str]:
@@ -286,11 +289,11 @@ def _encoder_block(model: Model, i: int, x: Tensor, b: int,
                       b, x.shape[0] // b, cfg.heads, cfg.d_head)
     y = linear(heads, w[k + "attn.w_o"], w[k + "attn.b_o"])
     a = add_layer_norm(x, y, w[k + "ln1.gamma"], w[k + "ln1.beta"], LN_EPS,
-                       dropout_mask(y.shape, cfg.dropout_p, rng))
+                       dropout_mask(y.shape, cfg.dropout, rng))
     y = linear(relu(linear(a, w[k + "ffn.w1"], w[k + "ffn.b1"])),
                w[k + "ffn.w2"], w[k + "ffn.b2"])
     return add_layer_norm(a, y, w[k + "ln2.gamma"], w[k + "ln2.beta"], LN_EPS,
-                          dropout_mask(y.shape, cfg.dropout_p, rng))
+                          dropout_mask(y.shape, cfg.dropout, rng))
 
 
 def forward(model: Model, features, rng: np.random.Generator | None = None) -> Tensor:
@@ -321,7 +324,7 @@ def forward(model: Model, features, rng: np.random.Generator | None = None) -> T
     h = mean_tokens(x, b)
     for j in range(len(cfg.mlp_units)):
         h = linear(h, p[f"head.dense{j}.w"], p[f"head.dense{j}.b"])
-        h = relu(h, dropout_mask(h.shape, cfg.dropout_p, rng))
+        h = relu(h, dropout_mask(h.shape, cfg.dropout, rng))
     return linear(h, p["head.out.w"], p["head.out.b"])
 
 

@@ -11,12 +11,13 @@ import math
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, NormStats, batches
+from .data import NORM_MODES, Dataset, NormStats, batches
 from .errors import (
     CheckpointError,
     CheckpointVersionError,
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 CKPT_MAGIC = b"BEATCKPT"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 # Rows per tape-free forward in :func:`infer`. The largest activation of a
 # block is the packed QKV projection: at the default config a 64-row block
@@ -66,7 +67,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-7
-    seed: int = 0
     # optional per-class loss weights (imbalance remedy); empty reproduces the
     # unweighted objective, which is the default
     class_weights: tuple[float, ...] = ()
@@ -222,7 +222,6 @@ class Checkpoint:
     norm: NormStats
     best_val_loss: float
     epoch: int
-    seed: int
     # the validation logits these weights gave at ``epoch``; kept in memory for
     # the run's report, never written to the checkpoint file
     val_logits: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -242,6 +241,7 @@ def train_loop(
 ) -> tuple[Checkpoint, list[EpochStats]]:
     """Run the full training schedule; return the best checkpoint and history.
 
+    The model config's seed seeds the shuffling and the dropout masks.
     The checkpoint (in memory, and on disk when a path is given) is replaced
     only when validation loss strictly improves, and carries the validation
     logits it was scored on. A non-finite training loss aborts with the
@@ -254,13 +254,15 @@ def train_loop(
     stats = norm_stats or NormStats(
         mean=np.zeros(model.config.input_len),
         std=np.ones(model.config.input_len),
+        mode="standard",
         fitted_on="identity",
     )
+    seed = model.config.seed
     flat_grad = np.zeros_like(model.flat_data)
     grads = model.views(flat_grad)
     optimizer = Adam(model.flat_data, flat_grad, lr=cfg.lr, beta1=cfg.beta1,
                      beta2=cfg.beta2, eps=cfg.eps)
-    dropout_rng = np.random.default_rng([cfg.seed, 0xD0])
+    dropout_rng = np.random.default_rng([seed, 0xD0])
 
     best = Checkpoint(
         config=model.config,
@@ -268,7 +270,6 @@ def train_loop(
         norm=stats,
         best_val_loss=math.inf,
         epoch=-1,
-        seed=cfg.seed,
     )
     history: list[EpochStats] = []
 
@@ -276,7 +277,7 @@ def train_loop(
         epoch_loss = 0.0
         epoch_correct = 0
         for batch_idx, batch in enumerate(
-            batches(train_ds, cfg.batch_size, shuffle=True, seed=[cfg.seed, epoch])
+            batches(train_ds, cfg.batch_size, shuffle=True, seed=[seed, epoch])
         ):
             flat_grad.fill(0.0)
             with GradTape() as tape:
@@ -324,15 +325,17 @@ def train_loop(
 #   magic (8 bytes) | version u32 | meta_len u64 | meta utf-8 | n_tensors u32
 #   then per tensor: name_len u32 | name utf-8 | rank u32 | dims u64 * rank
 #   | data float64 * prod(dims)
-# Meta is "key = value" lines: the model config, best_val_loss (float.hex for
-# bit-exactness), epoch, seed and the normalization provenance id.
+#   and last a CRC-32 u32 (zlib.crc32) of every byte before it.
+# Meta is "key = value" lines, each setting once: the model config (its seed
+# is the run's), best_val_loss (float.hex for bit-exactness), epoch, the
+# normalization mode and the file it was fitted on.
 
 
 def _meta_text(ckpt: Checkpoint) -> str:
     pairs = dict(ckpt.config.to_dict())
     pairs["best_val_loss"] = float(ckpt.best_val_loss).hex()
     pairs["epoch"] = ckpt.epoch
-    pairs["run_seed"] = ckpt.seed
+    pairs["normalization"] = ckpt.norm.mode
     pairs["norm_fitted_on"] = ckpt.norm.fitted_on
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
@@ -380,6 +383,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         blob += arr.astype("<f8").tobytes()
+    blob += struct.pack("<I", zlib.crc32(blob))
 
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -398,9 +402,10 @@ class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.offset = 0
+        self.end = len(data)  # where the parsed part stops
 
     def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
+        if self.offset + n > self.end:
             raise CheckpointError(
                 f"truncated checkpoint while reading {what}", offset=self.offset
             )
@@ -426,8 +431,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     version = reader.u32("version")
     if version != CKPT_VERSION:
         raise CheckpointVersionError(
-            f"checkpoint format version {version} unsupported (expected {CKPT_VERSION})"
-        )
+            f"checkpoint format version {version} unsupported (expected {CKPT_VERSION})",
+            offset=len(CKPT_MAGIC))
+    # check the CRC before parsing, so a flipped weight byte cannot load
+    reader.end = len(reader.data) - 4
+    (crc,) = struct.unpack("<I", reader.data[reader.end:])
+    if crc != zlib.crc32(memoryview(reader.data)[:reader.end]):
+        raise CheckpointError("checksum does not match the file's contents", offset=reader.end)
     meta_len = reader.u64("meta length")
     meta_offset = reader.offset
     try:
@@ -437,7 +447,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     meta = _parse_meta(text, meta_offset)
 
     config_keys = [f.name for f in fields(ModelConfig)]
-    missing = [k for k in config_keys + ["best_val_loss", "epoch", "run_seed",
+    missing = [k for k in config_keys + ["best_val_loss", "epoch", "normalization",
                                          "norm_fitted_on"] if k not in meta]
     if missing:
         raise CheckpointError(f"meta block missing keys: {', '.join(missing)}")
@@ -445,11 +455,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         config = ModelConfig.from_dict({k: meta[k] for k in config_keys})
         best_val_loss = float.fromhex(meta["best_val_loss"])
         epoch = int(meta["epoch"])
-        seed = int(meta["run_seed"])
     except (ValueError, OverflowError) as err:
         raise CheckpointError(f"meta block holds an unparsable value: {err}",
                               offset=meta_offset) from None
     violations = config.validate()
+    if meta["normalization"] not in NORM_MODES:
+        violations.append(f"normalization must be one of {NORM_MODES}, "
+                          f"got {meta['normalization']!r}")
     if violations:
         raise CheckpointError(f"meta block holds an invalid config: {'; '.join(violations)}",
                               offset=meta_offset)
@@ -474,7 +486,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             count *= d
         raw = reader.take(8 * count, f"data of {name}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-    if reader.offset != len(reader.data):
+    if reader.offset != reader.end:
         raise CheckpointError("trailing bytes after final tensor", offset=reader.offset)
     for required in ("norm.mean", "norm.std"):
         if required not in tensors:
@@ -488,10 +500,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         config=config,
         params={k: v for k, v in tensors.items() if not k.startswith("norm.")},
         norm=NormStats(mean=tensors["norm.mean"], std=tensors["norm.std"],
-                       fitted_on=meta["norm_fitted_on"]),
+                       mode=meta["normalization"], fitted_on=meta["norm_fitted_on"]),
         best_val_loss=best_val_loss,
         epoch=epoch,
-        seed=seed,
     )
 
 

@@ -160,10 +160,10 @@ def test_c4_overfit_oracle():
     normed = apply_normalizer(subset, stats)
     # dropout off: this is a capacity/optimization check, and dropout noise
     # obscures the monotone loss descent being asserted below
-    model = build_model(tiny_config(seed=0, dropout_p=0.0))
+    model = build_model(tiny_config(seed=0, dropout=0.0))
     # lr ten times the full-run default: the full-run rate provably cannot
     # close the gap within the 300-epoch bound on this tiny budget
-    cfg = TrainConfig(epochs=300, batch_size=32, lr=1e-3, seed=5)
+    cfg = TrainConfig(epochs=300, batch_size=32, lr=1e-3)
     # validation set == the training subset: val_acc is eval-mode train accuracy
     _, history = train_loop(model, cfg, normed, normed)
     best = max(h.val_acc for h in history)
@@ -203,7 +203,7 @@ def _desk_protocol(train_source, test_source, epochs, seed=11):
     test_part = apply_normalizer(test_part, stats)
 
     model = build_model(ModelConfig(seed=seed))
-    cfg = TrainConfig(epochs=epochs, batch_size=32, lr=1e-4, seed=seed)
+    cfg = TrainConfig(epochs=epochs, batch_size=32, lr=1e-4)
     ckpt, history = train_loop(model, cfg, train_part, val_part)
     best = restore_model(ckpt)
     loss, acc = score_logits(infer(best, test_part.features), test_part.labels)
@@ -290,7 +290,7 @@ def test_c7_checkpoint_semantics(tmp_path):
     train_n = apply_normalizer(train, stats)
     val_n = apply_normalizer(val, stats)
     model = build_model(tiny_config(seed=3))
-    cfg = TrainConfig(epochs=5, batch_size=32, lr=1e-3, seed=3)
+    cfg = TrainConfig(epochs=5, batch_size=32, lr=1e-3)
     ckpt, history = train_loop(model, cfg, train_n, val_n, norm_stats=stats)
 
     val_losses = [h.val_loss for h in history]

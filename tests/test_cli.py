@@ -22,7 +22,7 @@ from beatformer.data import Dataset
 from beatformer.model import ModelConfig
 from beatformer.train import TrainConfig
 
-from conftest import synthetic_beats, write_beats_csv
+from conftest import resealed, synthetic_beats, write_beats_csv
 
 TINY_MODEL_LINES = """
 # small model for fast CLI runs
@@ -231,16 +231,10 @@ class TestSchema:
         assert format_resolved(resolved) == EVERY_KEY_RESOLVED
 
     def test_keys_are_the_config_fields(self):
-        names = {f.name for cls in (ModelConfig, TrainConfig, RunConfig) for f in fields(cls)}
-        assert set(SCHEMA) == (names - {"dropout_p"}) | {"dropout"}
-        assert len(SCHEMA) == 25
-
-    def test_a_field_shared_by_two_configs_has_one_default(self):
-        defaults = {}  # field name -> its default in each config that has it
-        for cls in (ModelConfig, TrainConfig, RunConfig):
-            for f in fields(cls):
-                defaults.setdefault(f.name, []).append(f.default)
-        assert {name: d for name, d in defaults.items() if len(d) > 1} == {"seed": [0, 0]}
+        # each key names exactly one field: no rename, no field in two configs
+        names = [f.name for cls in (ModelConfig, TrainConfig, RunConfig) for f in fields(cls)]
+        assert sorted(SCHEMA) == sorted(names)
+        assert len(SCHEMA) == len(names) == 25
 
 
 class TestTrainCommand:
@@ -454,10 +448,11 @@ def binary_corpus(tmp_path):
 
 def first_label_at_least(path, k):
     """(file line, label) of the first row of ``path`` whose label is >= k."""
-    for lineno, line in enumerate(open(path, encoding="utf-8"), start=1):
-        label = float(line.rsplit(",", 1)[1])
-        if label >= k:
-            return lineno, label
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            label = float(line.rsplit(",", 1)[1])
+            if label >= k:
+                return lineno, label
     raise AssertionError(f"{path} has no label >= {k}")
 
 
@@ -544,7 +539,8 @@ def test_checkpoint_tensor_its_config_does_not_name_exits_2(corpus, tmp_path, ca
     blob = (out / "checkpoint.bin").read_bytes()
     assert blob.count(b"encoder_layers = 2\n") == 1
     fewer_blocks = tmp_path / "one_block.bin"
-    fewer_blocks.write_bytes(blob.replace(b"encoder_layers = 2\n", b"encoder_layers = 1\n"))
+    fewer_blocks.write_bytes(resealed(blob.replace(b"encoder_layers = 2\n",
+                                                   b"encoder_layers = 1\n")))
     ckpt = load_checkpoint(str(out / "checkpoint.bin"))
     assert ckpt.config.positional == "learned"
     sinusoidal = tmp_path / "sinusoidal.bin"
@@ -581,7 +577,72 @@ def test_version_1_checkpoint_exits_2_naming_both_versions(corpus, tmp_path, cap
                  ["predict", str(old), corpus["test"]]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "version 1" in err and "expected 2" in err
+        assert "version 1" in err and "expected 3" in err
+
+
+def test_version_2_checkpoint_exits_2_naming_both_versions(corpus, tmp_path, capsys):
+    # a format-2 file (no CRC, a second seed as run_seed) is refused, not converted
+    out = corpus["dir"] / "run24"
+    assert run_train(corpus, out) == 0
+    blob = bytearray((out / "checkpoint.bin").read_bytes()[:-4])  # format 2 had no CRC
+    blob[8:12] = (2).to_bytes(4, "little")
+    old = tmp_path / "v2.bin"
+    old.write_bytes(blob.replace(b"normalization = standard\n", b"run_seed = 7\n"))
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(old), "--data-test", corpus["test"]],
+                 ["predict", str(old), corpus["test"]]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "version 2 unsupported (expected 3) (at byte offset 8)" in err
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_negative_seed_exits_2_naming_seed(corpus, tmp_path, capsys, command):
+    out = tmp_path / "negative"
+    argv = [command, "--seed", "-1"]
+    if command == "train":
+        argv += ["--data-train", corpus["train"], "--out", str(out)]
+    assert main(argv) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_with_a_negative_seed_exits_2(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run25"
+    assert run_train(corpus, out) == 0
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob.count(b"\nseed = 7\n") == 1
+    bad = tmp_path / "negative_seed.bin"
+    bad.write_bytes(resealed(blob.replace(b"\nseed = 7\n", b"\nseed = -7\n")))
+    capsys.readouterr()  # drain the training output
+    for argv in (["eval", str(bad), "--data-test", corpus["test"]],
+                 ["predict", str(bad), corpus["test"]]):
+        assert main(argv) == 2
+        assert "seed must be a non-negative integer, got -7" in capsys.readouterr().err
+
+
+def test_training_file_named_per_sample_keeps_standard_normalization(corpus, tmp_path,
+                                                                     monkeypatch, capsys):
+    # the training file's name is provenance only, even when it reads per-sample
+    monkeypatch.chdir(tmp_path)
+    Path("per-sample").write_bytes(Path(corpus["train"]).read_bytes())
+    Path("other.csv").write_bytes(Path(corpus["train"]).read_bytes())
+    outputs = []
+    for name in ("per-sample", "other.csv"):
+        out = tmp_path / f"run_{name}"
+        assert main(["train", "--config", corpus["cfg"], "--data-train", name,
+                     "--out", str(out), "--epochs", "1", "--seed", "7"]) == 0
+        blob = (out / "checkpoint.bin").read_bytes()
+        assert b"normalization = standard\n" in blob
+        assert f"norm_fitted_on = {name}\n".encode() in blob
+        assert main(["eval", str(out / "checkpoint.bin"), "--data-test", corpus["test"],
+                     "--out", str(out / "eval")]) == 0
+        capsys.readouterr()  # drain the train and eval output
+        assert main(["predict", str(out / "checkpoint.bin"), corpus["test"]]) == 0
+        files = [(out / f).read_bytes() for f in ("history.csv", "eval/report.txt",
+                                                   "eval/report.csv", "eval/confusion.csv")]
+        outputs.append((files, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def test_unparsable_checkpoint_meta_exits_2_naming_the_offset(corpus, tmp_path, capsys):
@@ -590,7 +651,7 @@ def test_unparsable_checkpoint_meta_exits_2_naming_the_offset(corpus, tmp_path, 
     blob = (out / "checkpoint.bin").read_bytes()
     assert blob.count(b"d_model = 8\n") == 1
     bad = tmp_path / "bad_meta.bin"
-    bad.write_bytes(blob.replace(b"d_model = 8\n", b"d_model = x\n"))  # same length
+    bad.write_bytes(resealed(blob.replace(b"d_model = 8\n", b"d_model = x\n")))  # same length
     capsys.readouterr()  # drain the training output
     for argv in (["eval", str(bad), "--data-test", corpus["test"]],
                  ["predict", str(bad), corpus["test"]]):
@@ -606,7 +667,7 @@ def test_checkpoint_config_that_disagrees_with_its_tensors_exits_2(corpus, tmp_p
     blob = (out / "checkpoint.bin").read_bytes()
     assert blob.count(b"d_model = 8\n") == 1
     bad = tmp_path / "wider.bin"
-    bad.write_bytes(blob.replace(b"d_model = 8\n", b"d_model = 9\n"))  # same length
+    bad.write_bytes(resealed(blob.replace(b"d_model = 8\n", b"d_model = 9\n")))  # same length
     capsys.readouterr()  # drain the training output
     for argv in (["eval", str(bad), "--data-test", corpus["test"]],
                  ["predict", str(bad), corpus["test"]]):
@@ -621,7 +682,7 @@ def test_norm_stats_that_disagree_with_input_len_exit_2(corpus, tmp_path, capsys
     assert blob.count(b"input_len = 187\n") == 1
     bad = tmp_path / "shorter.bin"
     # still 17 tokens of 11, so every parameter shape fits; only the stats do not
-    bad.write_bytes(blob.replace(b"input_len = 187\n", b"input_len = 186\n"))
+    bad.write_bytes(resealed(blob.replace(b"input_len = 187\n", b"input_len = 186\n")))
     rows = [line.split(",") for line in (corpus["dir"] / "test.csv").read_text().splitlines()]
     short = tmp_path / "short.csv"  # 186 samples and the label
     short.write_text("".join(",".join(row[:185] + row[186:]) + "\n" for row in rows))
@@ -687,7 +748,7 @@ def test_malformed_meta_line_exits_2_naming_its_offset(corpus, tmp_path, capsys,
     assert blob.count(b"d_head = 4\n") == 1
     patched, at = with_meta_line(blob, b"d_head = 4\n", line)  # d_head follows d_model
     bad = tmp_path / "bad_meta.bin"
-    bad.write_bytes(patched)
+    bad.write_bytes(resealed(patched))
     capsys.readouterr()  # drain the training output
     for argv in (["eval", str(bad), "--data-test", corpus["test"]],
                  ["predict", str(bad), corpus["test"]]):
@@ -733,7 +794,7 @@ def test_invalid_stored_config_exits_2_naming_the_offset(corpus, tmp_path, capsy
     blob = (out / "checkpoint.bin").read_bytes()
     assert blob.count(b"heads = 2\n") == 1
     bad = tmp_path / "no_heads.bin"
-    bad.write_bytes(blob.replace(b"heads = 2\n", b"heads = 0\n"))  # parses, fails validate
+    bad.write_bytes(resealed(blob.replace(b"heads = 2\n", b"heads = 0\n")))  # fails validate
     capsys.readouterr()  # drain the training output
     for argv in (["eval", str(bad), "--data-test", corpus["test"]],
                  ["predict", str(bad), corpus["test"]]):
@@ -751,7 +812,7 @@ def test_non_utf8_tensor_name_exits_2_naming_the_offset(corpus, tmp_path, capsys
     assert start > 0 and blob.count(b"embed.w") == 1
     blob[start] = 0xFF
     bad = tmp_path / "bad_name.bin"
-    bad.write_bytes(blob)
+    bad.write_bytes(resealed(blob))
     capsys.readouterr()  # drain the training output
     for argv in (["eval", str(bad), "--data-test", corpus["test"]],
                  ["predict", str(bad), corpus["test"]]):
@@ -767,7 +828,7 @@ def test_duplicate_tensor_name_exits_2_naming_the_offset(corpus, tmp_path, capsy
     assert blob.count(b"block0.ffn.b1") == 1 and blob.count(b"block0.ffn.b2") == 1
     start = blob.find(b"block0.ffn.b2")  # stored after block0.ffn.b1
     bad = tmp_path / "dup.bin"
-    bad.write_bytes(blob.replace(b"block0.ffn.b2", b"block0.ffn.b1"))  # same length
+    bad.write_bytes(resealed(blob.replace(b"block0.ffn.b2", b"block0.ffn.b1")))  # same length
     capsys.readouterr()  # drain the training output
     for argv in (["eval", str(bad), "--data-test", corpus["test"]],
                  ["predict", str(bad), corpus["test"]]):
@@ -952,3 +1013,40 @@ def test_override_reads_back_from_config_resolved_or_exits_2(tmp_path_factory, k
     assert code == 2
     assert f"config key {key}: " in err
 
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """The bytes of an untrained tiny-config checkpoint, a predict input for
+    it, and a scratch directory."""
+    from beatformer.data import fit_normalizer
+    from beatformer.model import build_model, tiny_config
+    from beatformer.train import Checkpoint, save_checkpoint
+
+    tmp = tmp_path_factory.mktemp("tiny_checkpoint")
+    rows = synthetic_beats(3, seed=58)
+    write_beats_csv(tmp / "rows.csv", rows)
+    model = build_model(tiny_config(encoder_layers=1, seed=58))
+    save_checkpoint(Checkpoint(config=model.config,
+                               params={name: t.data for name, t in model.parameters()},
+                               norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0),
+                    str(tmp / "tiny.bin"))
+    assert main(["predict", str(tmp / "tiny.bin"), str(tmp / "rows.csv")]) == 0
+    return (tmp / "tiny.bin").read_bytes(), str(tmp / "rows.csv"), tmp
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(data=st.data())
+def test_truncated_or_flipped_checkpoint_exits_2_naming_an_offset(tiny_checkpoint, data):
+    blob, rows, tmp = tiny_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        damaged = bytearray(blob)
+        damaged[data.draw(st.integers(0, len(blob) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="xor")
+    path = tmp / "damaged.bin"
+    path.write_bytes(damaged)
+    code, err = run_main_quietly(["predict", str(path), rows])
+    assert code == 2
+    assert "(at byte offset " in err

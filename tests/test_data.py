@@ -18,7 +18,7 @@ from beatformer.data import (
     stratified_split,
     stratified_subset,
 )
-from beatformer.errors import DataError
+from beatformer.errors import ConfigError, DataError
 
 from conftest import synthetic_beats, write_beats_csv
 
@@ -184,6 +184,15 @@ class TestNormalizer:
         with pytest.raises(DataError):
             fit_normalizer(ds)
 
+    def test_fit_names_its_mode_and_source(self, synth_train):
+        assert fit_normalizer(synth_train).mode == "standard"
+        stats = fit_normalizer(synth_train, "per_sample")
+        assert (stats.mode, stats.fitted_on) == ("per_sample", synth_train.source)
+        np.testing.assert_array_equal(stats.mean, np.zeros(187))
+        np.testing.assert_array_equal(stats.std, np.ones(187))
+        with pytest.raises(ConfigError, match="normalization must be one of"):
+            fit_normalizer(synth_train, "per-sample")
+
     def test_fitting_set_standardized(self, synth_train):
         stats = fit_normalizer(synth_train)
         normed = apply_normalizer(synth_train, stats)
@@ -196,7 +205,7 @@ class TestNormalizer:
     def test_identity_stats(self, synth_train):
         from beatformer.data import NormStats
 
-        stats = NormStats(mean=np.zeros(187), std=np.ones(187), fitted_on="id")
+        stats = NormStats(mean=np.zeros(187), std=np.ones(187), mode="standard", fitted_on="id")
         normed = apply_normalizer(synth_train, stats)
         np.testing.assert_array_equal(normed.features, synth_train.features)
 
@@ -214,23 +223,24 @@ class TestNormalizer:
         np.testing.assert_array_equal(normed.labels, synth_train.labels)
 
     def test_per_sample_normalization(self):
-        from beatformer.data import PER_SAMPLE_NORM_ID, NormStats
+        from beatformer.data import NormStats
 
         ds = synthetic_beats(40, seed=8)
         # the mean and std are ignored in per-sample mode
-        stats = NormStats(mean=np.full(187, 9.0), std=np.full(187, 9.0),
-                          fitted_on=PER_SAMPLE_NORM_ID)
+        stats = NormStats(mean=np.full(187, 9.0), std=np.full(187, 9.0), mode="per_sample",
+                          fitted_on="x")
         normed = apply_normalizer(ds, stats)
         np.testing.assert_allclose(normed.features.mean(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(normed.features.std(axis=1), 1.0, atol=1e-6)
 
     def test_normalize_picks_the_transform_from_the_stats(self, synth_train):
-        from beatformer.data import PER_SAMPLE_NORM_ID, NormStats, normalize, per_sample_normalize
+        from beatformer.data import NormStats, normalize, per_sample_normalize
 
         stats = fit_normalizer(synth_train)
         feats = synth_train.features[:20]
         np.testing.assert_array_equal(normalize(feats, stats), (feats - stats.mean) / stats.std)
-        per_sample = NormStats(mean=stats.mean, std=stats.std, fitted_on=PER_SAMPLE_NORM_ID)
+        per_sample = NormStats(mean=stats.mean, std=stats.std, mode="per_sample",
+                               fitted_on=stats.fitted_on)
         np.testing.assert_array_equal(normalize(feats, per_sample), per_sample_normalize(feats))
 
     def test_per_sample_constant_row_floored(self):

@@ -60,9 +60,9 @@ def restore_with(model, name, value):
     params = {n: t.data for n, t in model.parameters()}
     params[name] = value
     n = model.config.input_len
-    norm = NormStats(mean=np.zeros(n), std=np.ones(n), fitted_on="x")
+    norm = NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard", fitted_on="x")
     return restore_model(Checkpoint(config=model.config, params=params, norm=norm,
-                                    best_val_loss=1.0, epoch=0, seed=0))
+                                    best_val_loss=1.0, epoch=0))
 
 
 class TestPatchEmbed:
@@ -309,13 +309,13 @@ class TestEncoderBlock:
             assert _encoder_block(model, 0, x, 1).shape == (t, d)
 
     def test_eval_mode_deterministic(self):
-        # no generator, no dropout: the same output, also for a high dropout_p
-        model = build_model(tiny_config(seed=5, dropout_p=0.5))
+        # no generator, no dropout: the same output, also for a high dropout
+        model = build_model(tiny_config(seed=5, dropout=0.5))
         x = Tensor(np.random.default_rng(8).normal(size=(4, 8)))
         a = _encoder_block(model, 0, x, 1).data
         b = _encoder_block(model, 0, x, 1).data
         np.testing.assert_array_equal(a, b)
-        no_dropout = build_model(tiny_config(seed=5, dropout_p=0.0))
+        no_dropout = build_model(tiny_config(seed=5, dropout=0.0))
         np.testing.assert_array_equal(a, _encoder_block(no_dropout, 0, x, 1).data)
 
     def test_zero_sublayers_reduce_to_double_layer_norm(self):

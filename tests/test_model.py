@@ -28,13 +28,13 @@ class TestModelConfig:
         assert ModelConfig().validate() == []
 
     def test_all_violations_reported_at_once(self):
-        cfg = ModelConfig(d_model=0, heads=-1, mlp_units=(), n_classes=1, dropout_p=1.5,
+        cfg = ModelConfig(d_model=0, heads=-1, mlp_units=(), n_classes=1, dropout=1.5,
                           positional="nope")
         violations = cfg.validate()
         assert len(violations) >= 6
         with pytest.raises(ConfigError) as err:
             build_model(cfg)
-        for key in ("d_model", "heads", "mlp_units", "n_classes", "dropout_p", "positional"):
+        for key in ("d_model", "heads", "mlp_units", "n_classes", "dropout", "positional"):
             assert key in str(err.value)
 
     def test_token_count(self):
@@ -153,8 +153,9 @@ class TestFlatBuffers:
         n = source.config.input_len
         ckpt = Checkpoint(config=source.config,
                           params={name: t.data.copy() for name, t in source.parameters()},
-                          norm=NormStats(mean=np.zeros(n), std=np.ones(n), fitted_on="x"),
-                          best_val_loss=1.0, epoch=0, seed=0)
+                          norm=NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard",
+                                         fitted_on="x"),
+                          best_val_loss=1.0, epoch=0)
         model = restore_model(ckpt)
         self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
         np.testing.assert_array_equal(model.flat_data, source.flat_data)

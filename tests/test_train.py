@@ -3,7 +3,9 @@
 import math
 import os
 import tracemalloc
-from dataclasses import replace
+import zlib
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from beatformer.train import (
     train_loop,
 )
 
-from conftest import grad_arrays, synthetic_beats
+from conftest import grad_arrays, resealed, synthetic_beats
 from reference import per_tensor_adam_step, sum_then_add_backward
 
 
@@ -214,7 +216,7 @@ class TestGradientBuffer:
         ckpt = Checkpoint(config=source.config,
                           params={name: t.data.copy() for name, t in source.parameters()},
                           norm=fit_normalizer(synthetic_beats(8, seed=6)),
-                          best_val_loss=1.0, epoch=0, seed=0)
+                          best_val_loss=1.0, epoch=0)
         tracemalloc.start()
         try:
             model = restore_model(ckpt)
@@ -293,7 +295,7 @@ class TestTrainLoop:
     def test_history_and_checkpoint_semantics(self, tmp_path):
         train, val = quick_sets()
         model = build_model(tiny_config(seed=4))
-        cfg = TrainConfig(epochs=4, batch_size=32, lr=1e-3, seed=9)
+        cfg = TrainConfig(epochs=4, batch_size=32, lr=1e-3)
         path = str(tmp_path / "ckpt.bin")
         ckpt, history = train_loop(model, cfg, train, val, checkpoint_path=path)
         assert len(history) == 4
@@ -312,7 +314,7 @@ class TestTrainLoop:
         histories = []
         for _ in range(2):
             model = build_model(tiny_config(seed=5))
-            cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=21)
+            cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3)
             _, history = train_loop(model, cfg, train, val)
             histories.append(history)
         assert histories[0] == histories[1]
@@ -320,7 +322,7 @@ class TestTrainLoop:
     def test_loss_decreases_on_learnable_data(self):
         train, val = quick_sets(n_train=128)
         model = build_model(tiny_config(seed=6))
-        cfg = TrainConfig(epochs=8, batch_size=32, lr=3e-3, seed=1)
+        cfg = TrainConfig(epochs=8, batch_size=32, lr=3e-3)
         _, history = train_loop(model, cfg, train, val)
         assert history[-1].train_loss < history[0].train_loss
 
@@ -328,7 +330,7 @@ class TestTrainLoop:
         train, val = quick_sets()
         model = build_model(tiny_config(seed=7))
         model.tensors["embed.w"].data[0, 0] = np.inf
-        cfg = TrainConfig(epochs=1, batch_size=32, seed=2)
+        cfg = TrainConfig(epochs=1, batch_size=32)
         with np.errstate(invalid="ignore"):  # the injected inf is the point
             with pytest.raises(NumericalError, match=r"epoch 0, batch 0"):
                 train_loop(model, cfg, train, val)
@@ -337,7 +339,7 @@ class TestTrainLoop:
         train, val = quick_sets()
         val.features[0, 0] = np.inf
         model = build_model(tiny_config(seed=7))
-        cfg = TrainConfig(epochs=2, batch_size=32, seed=2)
+        cfg = TrainConfig(epochs=2, batch_size=32)
         with np.errstate(invalid="ignore"):  # the injected inf is the point
             with pytest.raises(NumericalError, match=r"validation loss nan at epoch 0"):
                 train_loop(model, cfg, train, val)
@@ -345,7 +347,7 @@ class TestTrainLoop:
     def test_best_checkpoint_carries_its_validation_logits(self):
         train, val = quick_sets()
         model = build_model(tiny_config(seed=4))
-        cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3, seed=9)
+        cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3)
         ckpt, history = train_loop(model, cfg, train, val)
         logits = infer(restore_model(ckpt), val.features)
         np.testing.assert_array_equal(ckpt.val_logits, logits)
@@ -377,7 +379,7 @@ class TestTrainLoop:
             train_mod, "save_checkpoint",
             lambda ckpt, path: (recorded.append(ckpt.epoch), original_save(ckpt, path))[1],
         )
-        cfg = TrainConfig(epochs=3, batch_size=32, seed=3)
+        cfg = TrainConfig(epochs=3, batch_size=32)
         ckpt, _ = train_loop(model, cfg, train, val, checkpoint_path=str(tmp_path / "c.bin"))
         assert recorded == [0, 1]  # epoch 2 (0.45) does not improve on 0.4
         assert ckpt.epoch == 1
@@ -389,7 +391,7 @@ class TestCheckpointIO:
         train, val = quick_sets(48, 16)
         stats = fit_normalizer(train)
         model = build_model(tiny_config(seed=seed))
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=seed)
+        cfg = TrainConfig(epochs=2, batch_size=16)
         ckpt, _ = train_loop(model, cfg, train, val, norm_stats=stats)
         return ckpt, model
 
@@ -400,7 +402,8 @@ class TestCheckpointIO:
         loaded = load_checkpoint(path)
         assert loaded.best_val_loss == ckpt.best_val_loss
         assert loaded.epoch == ckpt.epoch
-        assert loaded.seed == ckpt.seed
+        assert loaded.config == ckpt.config  # its seed is the run's
+        assert loaded.norm.mode == ckpt.norm.mode == "standard"
         assert loaded.norm.fitted_on == ckpt.norm.fitted_on
         np.testing.assert_array_equal(loaded.norm.mean, ckpt.norm.mean)
 
@@ -422,13 +425,38 @@ class TestCheckpointIO:
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
         save_checkpoint(ckpt, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         for cut in (4, 11, len(blob) // 2, len(blob) - 3):
             with open(path, "wb") as fh:
                 fh.write(blob[:cut])
             with pytest.raises(CheckpointError) as err:
                 load_checkpoint(path)
             assert err.value.offset is not None or "missing" in str(err.value)
+
+    def test_meta_holds_each_setting_once(self, tmp_path):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.bin"
+        save_checkpoint(ckpt, str(path))
+        blob = path.read_bytes()
+        meta_len = int.from_bytes(blob[12:20], "little")  # after the magic and the version
+        keys = [line.split(" = ")[0] for line in blob[20:20 + meta_len].decode().splitlines()]
+        assert keys == [f.name for f in fields(ModelConfig)] + [
+            "best_val_loss", "epoch", "normalization", "norm_fitted_on"]
+        assert b"seed = 13\n" in blob and b"normalization = standard\n" in blob
+
+    def test_flipped_byte_fails_the_checksum(self, tmp_path):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.bin"
+        save_checkpoint(ckpt, str(path))
+        blob = path.read_bytes()
+        assert int.from_bytes(blob[-4:], "little") == zlib.crc32(blob[:-4])
+        for at in (20, len(blob) // 2, len(blob) - 5, len(blob) - 1):
+            flipped = bytearray(blob)
+            flipped[at] ^= 0x01  # e.g. the last bit of a weight's mantissa
+            path.write_bytes(flipped)
+            with pytest.raises(CheckpointError, match="checksum") as err:
+                load_checkpoint(str(path))
+            assert err.value.offset == len(blob) - 4
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "junk.bin")
@@ -441,7 +469,7 @@ class TestCheckpointIO:
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
         save_checkpoint(ckpt, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[8:12] = (99).to_bytes(4, "little")
         with open(path, "wb") as fh:
             fh.write(blob)
@@ -454,10 +482,10 @@ class TestCheckpointIO:
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
         save_checkpoint(ckpt, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob.count(b"d_model = 8\n") == 1
         with open(path, "wb") as fh:
-            fh.write(blob.replace(b"d_model = 8\n", b"d_model = 9\n"))
+            fh.write(resealed(blob.replace(b"d_model = 8\n", b"d_model = 9\n")))
         loaded = load_checkpoint(path)
         assert loaded.config.d_model == 9
         with pytest.raises(ConfigMismatchError, match="embed.w"):
@@ -491,7 +519,7 @@ def test_evaluating_restored_checkpoint_reproduces_best_val_loss(tmp_path):
     train_part, rest = stratified_split(train, 128, seed=1)
     val_part, _ = stratified_split(rest, max(5, rest.n - 1), seed=2)
     model = build_model(tiny_config(seed=17))
-    cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3, seed=17)
+    cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3)
     ckpt, history = train_loop(model, cfg, train_part, val_part)
     restored = restore_model(ckpt)
     loss, _ = score_logits(infer(restored, val_part.features), val_part.labels)
