@@ -236,6 +236,15 @@ class TestSchema:
         assert sorted(SCHEMA) == sorted(names)
         assert len(SCHEMA) == len(names) == 25
 
+    def test_a_field_shared_by_two_configs_has_one_default(self):
+        defaults = {}  # field name -> its default in each config that has it
+        for cls in (ModelConfig, TrainConfig, RunConfig):
+            for f in fields(cls):
+                defaults.setdefault(f.name, []).append(f.default)
+        # seed lives only in ModelConfig now, so no field is shared at all
+        assert {name: d for name, d in defaults.items() if len(d) > 1} == {}
+        assert defaults["seed"] == [0]
+
 
 class TestTrainCommand:
     def test_artifacts_and_exit_code(self, corpus):
