@@ -10,10 +10,10 @@ from .data import (
     CLASS_NAMES,
     Dataset,
     NormStats,
-    apply_normalizer,
     batches,
     fit_normalizer,
     load_csv,
+    normalize,
     stratified_subset,
 )
 from .metrics import (

@@ -1,12 +1,15 @@
 """Command-line entry point: train, eval, predict, gradcheck.
 
 Config files are flat ``key = value`` UTF-8 text with ``#`` comments;
-command-line flags override file values. Every run writes its fully resolved
-config to the output directory before any real work starts, so a completed
+command-line flags override file values. Each command reads and checks all
+its input before it writes anything: ``train`` writes its fully resolved
+config to the output directory once the training data is loaded, split and
+normalized, before training, so a bad input writes nothing and a completed
 run is reproducible from that file plus the input CSVs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error,
-3 numerical abort.
+3 numerical abort. The commands raise; :func:`main` alone maps an error to
+its exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -187,6 +190,15 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
     return code
 
 
+def _resolved(config_path, overrides: dict) -> dict:
+    """Defaults < ``config_path`` < ``overrides``; raises ``ConfigError`` with every violation."""
+    file_values, violations = parse_config_file(config_path) if config_path else ({}, [])
+    resolved, more = resolve_config(file_values, overrides)
+    if violations + more:
+        raise ConfigError(violations + more)
+    return resolved
+
+
 def _make_out_dir(path: str) -> None:
     """Create ``path`` as a directory, or raise ``ConfigError`` naming it."""
     try:
@@ -211,60 +223,39 @@ def _report_files(out_dir: str, preds, labels, n_classes: int) -> str:
 
 
 def cmd_train(args) -> int:
-    file_values, violations = ({}, [])
-    if args.config:
-        file_values, violations = parse_config_file(args.config)
-    overrides = {
+    resolved = _resolved(args.config, {
         "seed": args.seed,
         "subset": args.subset,
         "epochs": args.epochs,
         "out": args.out,
         "data_train": args.data_train,
         "data_test": args.data_test,
-    }
-    resolved, more = resolve_config(file_values, overrides)
-    violations.extend(more)
-    if violations:
-        return _fail("invalid configuration:\n  " + "\n  ".join(violations))
+    })
     model_cfg, train_cfg, run = (build_config(cls, resolved) for cls in CONFIGS)
     if not run.data_train:
         return _fail("no training CSV given (set data_train or pass --data-train)")
-    if not os.path.exists(run.data_train):
-        return _fail(f"training CSV not found: {run.data_train}")
 
-    # provenance first: the resolved config lands before any real work
+    # every input is read and checked before anything is written
+    seed = model_cfg.seed
+    working = data_mod.load_csv(run.data_train, model_cfg.input_len, model_cfg.n_classes)
+    if run.subset:
+        working = data_mod.stratified_subset(working, run.subset, seed)
+    val_n = max(1, round(run.val_fraction * working.n))
+    train_part, val_part = data_mod.stratified_split(working, working.n - val_n, seed)
+    stats = data_mod.fit_normalizer(train_part, run.normalization)
+    train_part, val_part = (replace(ds, features=data_mod.normalize(ds.features, stats))
+                            for ds in (train_part, val_part))
+
+    # provenance next: the resolved config lands before training starts
     _make_out_dir(run.out)
     _write(os.path.join(run.out, "config.resolved"), format_resolved(resolved))
 
-    seed = model_cfg.seed
-    try:
-        train_full = data_mod.load_csv(run.data_train, model_cfg.input_len, model_cfg.n_classes)
-        working = train_full
-        if run.subset:
-            working = data_mod.stratified_subset(train_full, run.subset, seed)
-        val_n = max(1, round(run.val_fraction * working.n))
-        train_part, val_part = data_mod.stratified_split(working, working.n - val_n, seed)
-        stats = data_mod.fit_normalizer(train_part, run.normalization)
-        train_part = data_mod.apply_normalizer(train_part, stats)
-        val_part = data_mod.apply_normalizer(val_part, stats)
-
-        model = build_model(model_cfg)
-        print(format_param_report(model))
-        print(f"training on {train_part.n} samples, validating on {val_part.n}")
-        ckpt, history = train_loop(
-            model,
-            train_cfg,
-            train_part,
-            val_part,
-            checkpoint_path=os.path.join(run.out, "checkpoint.bin"),
-            norm_stats=stats,
-        )
-    except DataError as err:
-        return _fail(str(err))
-    except NumericalError as err:
-        print(f"numerical abort: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-
+    model = build_model(model_cfg)
+    print(format_param_report(model))
+    print(f"training on {train_part.n} samples, validating on {val_part.n}")
+    ckpt, history = train_loop(model, train_cfg, train_part, val_part,
+                               checkpoint_path=os.path.join(run.out, "checkpoint.bin"),
+                               norm_stats=stats)
     _write(os.path.join(run.out, "history.csv"), history_to_csv(history))
     text = _report_files(run.out, np.argmax(ckpt.val_logits, axis=1), val_part.labels,
                          model_cfg.n_classes)
@@ -277,24 +268,17 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if not args.data_test:
         return _fail("no test CSV given (pass --data-test)")
-    try:
-        ckpt = load_checkpoint(args.checkpoint)
-        model = restore_model(ckpt)
-    except (CheckpointError, OSError) as err:
-        return _fail(str(err))
-    try:
-        test_ds = data_mod.load_csv(args.data_test, ckpt.config.input_len, ckpt.config.n_classes)
-    except DataError as err:
-        return _fail(str(err))
+    ckpt = load_checkpoint(args.checkpoint)
+    model = restore_model(ckpt)
+    test_ds = data_mod.load_csv(args.data_test, ckpt.config.input_len, ckpt.config.n_classes)
 
-    normed = data_mod.apply_normalizer(test_ds, ckpt.norm)
-    logits = infer(model, normed.features)
-    loss, acc = score_logits(logits, normed.labels)
+    logits = infer(model, data_mod.normalize(test_ds.features, ckpt.norm))
+    loss, acc = score_logits(logits, test_ds.labels)
     preds = np.argmax(logits, axis=1)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     _make_out_dir(out_dir)
-    text = _report_files(out_dir, preds, normed.labels, ckpt.config.n_classes)
+    text = _report_files(out_dir, preds, test_ds.labels, ckpt.config.n_classes)
     print(text)
     print(f"\ntest loss {loss:.6f}, test accuracy {acc:.4f}")
     print(f"report files written to {out_dir}/")
@@ -302,15 +286,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        ckpt = load_checkpoint(args.checkpoint)
-        model = restore_model(ckpt)
-    except (CheckpointError, OSError) as err:
-        return _fail(str(err))
-    try:
-        features, _ = data_mod.load_features(args.data, ckpt.config.input_len)
-    except DataError as err:
-        return _fail(str(err))
+    ckpt = load_checkpoint(args.checkpoint)
+    model = restore_model(ckpt)
+    features, _ = data_mod.load_features(args.data, ckpt.config.input_len)
 
     probs = predict(model, data_mod.normalize(features, ckpt.norm))
     preds = np.argmax(probs, axis=1)
@@ -329,19 +307,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    file_values, violations = ({}, [])
-    if args.config:
-        file_values, violations = parse_config_file(args.config)
-    resolved, more = resolve_config(file_values, {"seed": args.seed})
-    violations.extend(more)
-    if violations:
-        return _fail("invalid configuration:\n  " + "\n  ".join(violations))
+    seed = _resolved(args.config, {"seed": args.seed})["seed"]
 
     # small verification variant: 4 tokens; a forward without a generator
     # applies no dropout
-    cfg = tiny_config(input_len=44, seed=resolved["seed"])
+    cfg = tiny_config(input_len=44, seed=seed)
     model = build_model(cfg)
-    rng = np.random.default_rng(resolved["seed"])
+    rng = np.random.default_rng(seed)
     batch = rng.normal(size=(2, cfg.input_len))
     labels = rng.integers(0, cfg.n_classes, size=2)
 
@@ -429,7 +401,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as err:
-        return _fail(f"invalid configuration: {err}")
+        return _fail("invalid configuration:\n  " + "\n  ".join(err.violations))
+    except (DataError, CheckpointError) as err:
+        return _fail(str(err))
     except NumericalError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC

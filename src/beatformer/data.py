@@ -22,6 +22,10 @@ CLASS_NAMES = ("N", "S", "V", "F", "Q")
 # tail) so normalization never divides by zero
 STD_FLOOR = 1e-8
 
+# farthest a label may lie from its class id: float noise from a writer, not
+# a fractional class
+LABEL_TOL = 1e-6
+
 # per-feature training stats, or each row standardized on its own
 NORM_MODES = ("standard", "per_sample")
 
@@ -31,13 +35,10 @@ __all__ = [
     "NORM_MODES",
     "Dataset",
     "NormStats",
-    "Batch",
     "load_csv",
     "load_features",
     "fit_normalizer",
     "normalize",
-    "apply_normalizer",
-    "per_sample_normalize",
     "class_counts",
     "stratified_subset",
     "stratified_split",
@@ -82,16 +83,6 @@ class NormStats:
     fitted_on: str
 
 
-@dataclass(frozen=True)
-class Batch:
-    features: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-
 def _lines(path: str) -> Iterator[tuple[int, str]]:
     """Each non-blank line of a UTF-8 text file, stripped, with its 1-based number.
 
@@ -117,20 +108,22 @@ def _lines(path: str) -> Iterator[tuple[int, str]]:
         raise DataError(f"{path}: cannot read the file: {err.strerror or err}") from None
 
 
-def _parse_rows(path: str, n_fields: int) -> tuple[np.ndarray, list[int]]:
+def _parse_rows(path: str, widths: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
     """The file's rows as a float64 matrix, plus each row's 1-based line number.
 
-    Every field must be a finite number; blank lines are skipped, so errors
-    name lines through the returned line numbers, not matrix row indices.
+    The first row may have any width in ``widths``, and every later row that
+    same width. Every field must be a finite number; blank lines are skipped,
+    so errors name lines through the returned line numbers, not matrix row
+    indices.
     """
     rows = []
     linenos = []
     for lineno, line in _lines(path):
         fields = line.split(",")
-        if len(fields) != n_fields:
-            raise DataError(
-                f"{path}: row {lineno} has {len(fields)} fields, expected {n_fields}"
-            )
+        if len(fields) not in widths:
+            raise DataError(f"{path}: row {lineno} has {len(fields)} fields, "
+                            f"expected {' or '.join(map(str, widths))}")
+        widths = (len(fields),)
         try:
             rows.append(np.array(fields, dtype=np.float64))
         except ValueError:
@@ -151,34 +144,27 @@ def _parse_rows(path: str, n_fields: int) -> tuple[np.ndarray, list[int]]:
 
 def load_csv(path: str, input_len: int = ModelConfig.input_len,
              n_classes: int = ModelConfig.n_classes) -> Dataset:
-    """Read a labeled beat file: ``input_len + 1`` fields per row, last field is the label."""
-    matrix, linenos = _parse_rows(path, input_len + 1)
-    features = matrix[:, :input_len]
+    """Read a labeled beat file: ``input_len + 1`` fields per row, last field is the label.
+
+    A label must lie within :data:`LABEL_TOL` of a class id.
+    """
+    matrix, linenos = _parse_rows(path, (input_len + 1,))
     raw_labels = matrix[:, input_len]
-    labels = np.rint(raw_labels).astype(np.int64)
-    bad = np.nonzero((labels < 0) | (labels >= n_classes))[0]
+    labels = np.rint(raw_labels)
+    off = np.abs(raw_labels - labels) > LABEL_TOL
+    bad = np.nonzero(off | (labels < 0) | (labels >= n_classes))[0]
     if bad.size:
-        raise DataError(f"{path}: row {linenos[bad[0]]} label {float(raw_labels[bad[0]])} "
-                        f"outside {{0..{n_classes - 1}}}")
-    return Dataset(features=features, labels=labels, source=path)
+        i = bad[0]
+        what = "is not an integer" if off[i] else f"outside {{0..{n_classes - 1}}}"
+        raise DataError(f"{path}: row {linenos[i]} label {float(raw_labels[i])} {what}")
+    return Dataset(features=matrix[:, :input_len], labels=labels.astype(np.int64), source=path)
 
 
 def load_features(path: str, input_len: int = ModelConfig.input_len
                   ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Read a prediction input: rows of ``input_len`` fields, or one more with the label kept."""
-    lines = _lines(path)
-    lineno, first = next(lines, (0, None))
-    lines.close()
-    if first is None:
-        raise DataError(f"{path}: no data rows")
-    n_fields = len(first.split(","))
-    if n_fields not in (input_len, input_len + 1):
-        raise DataError(
-            f"{path}: row {lineno} has {n_fields} fields, "
-            f"expected {input_len} or {input_len + 1}"
-        )
-    matrix, _ = _parse_rows(path, n_fields)
-    if n_fields == input_len:
+    matrix, _ = _parse_rows(path, (input_len, input_len + 1))
+    if matrix.shape[1] == input_len:
         return matrix, None
     return matrix[:, :input_len], np.rint(matrix[:, input_len]).astype(np.int64)
 
@@ -198,29 +184,14 @@ def fit_normalizer(train: Dataset, mode: str = "standard") -> NormStats:
     return NormStats(mean=mean, std=std, mode=mode, fitted_on=train.source or "unnamed")
 
 
-def per_sample_normalize(features: np.ndarray) -> np.ndarray:
-    """Row-wise standardization, the ablation alternative to column stats."""
-    features = np.asarray(features, dtype=np.float64)
-    mean = features.mean(axis=1, keepdims=True)
-    std = features.std(axis=1, keepdims=True)
-    std = np.where(std > 0.0, std, STD_FLOOR)
-    return (features - mean) / std
-
-
 def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Apply ``stats``: row-wise in ``per_sample`` mode, else column-wise."""
+    """Apply ``stats``: each row standardized on its own in ``per_sample`` mode
+    (a constant row's std floored), else each column with the stored mean and std."""
     if stats.mode == "per_sample":
-        return per_sample_normalize(features)
+        mean = features.mean(axis=1, keepdims=True)
+        std = features.std(axis=1, keepdims=True)
+        return (features - mean) / np.where(std > 0.0, std, STD_FLOOR)
     return (features - stats.mean) / stats.std
-
-
-def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
-    """Normalize with the given (train-fitted) stats via :func:`normalize`; labels untouched."""
-    return Dataset(
-        features=normalize(ds.features, stats),
-        labels=ds.labels.copy(),
-        source=ds.source,
-    )
 
 
 def class_counts(ds: Dataset) -> np.ndarray:
@@ -282,8 +253,10 @@ def stratified_subset(ds: Dataset, n: int, seed: int) -> Dataset:
     return picked
 
 
-def batches(ds: Dataset, batch_size: int, shuffle: bool = False, seed: int = 0) -> Iterator[Batch]:
-    """Cover all rows exactly once; the final batch may be short.
+def batches(ds: Dataset, batch_size: int, shuffle: bool = False,
+            seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(features, labels)`` pairs that cover all rows exactly once; the final
+    pair may be short.
 
     With shuffle=True the permutation is drawn from ``seed`` alone, so pass a
     per-epoch seed to reshuffle between epochs.
@@ -295,4 +268,4 @@ def batches(ds: Dataset, batch_size: int, shuffle: bool = False, seed: int = 0) 
         order = np.random.default_rng(seed).permutation(ds.n)
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]
-        yield Batch(features=ds.features[idx], labels=ds.labels[idx])
+        yield ds.features[idx], ds.labels[idx]

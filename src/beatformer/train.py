@@ -205,10 +205,9 @@ def score_logits(logits: np.ndarray, labels) -> tuple[float, float]:
     return loss, float((preds == labels).mean())
 
 
-def predict(model: Model, features: np.ndarray,
-            batch_size: int = INFER_BLOCK_ROWS) -> np.ndarray:
+def predict(model: Model, features: np.ndarray) -> np.ndarray:
     """Deterministic softmax probabilities, one row per input row."""
-    logits = infer(model, features, batch_size)
+    logits = infer(model, features)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -276,13 +275,13 @@ def train_loop(
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         epoch_correct = 0
-        for batch_idx, batch in enumerate(
+        for batch_idx, (features, labels) in enumerate(
             batches(train_ds, cfg.batch_size, shuffle=True, seed=[seed, epoch])
         ):
             flat_grad.fill(0.0)
             with GradTape() as tape:
-                logits = forward(model, batch.features, dropout_rng)
-                loss = sparse_ce_loss(logits, batch.labels, cfg.class_weights or None)
+                logits = forward(model, features, dropout_rng)
+                loss = sparse_ce_loss(logits, labels, cfg.class_weights or None)
             loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise NumericalError(
@@ -291,9 +290,9 @@ def train_loop(
                 )
             backward(tape, loss, grads)
             optimizer.step()
-            epoch_loss += loss_value * batch.n
+            epoch_loss += loss_value * len(labels)
             preds = np.argmax(logits.data, axis=1)
-            epoch_correct += int((preds == batch.labels).sum())
+            epoch_correct += int((preds == labels).sum())
 
         val_logits = infer(model, val_ds.features)
         val_loss, val_acc = score_logits(val_logits, val_ds.labels)
@@ -421,9 +420,14 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Parse and validate a checkpoint file; fail closed on any corruption."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+    """Parse and validate a checkpoint file; fail closed, naming the path or a
+    byte offset, on a file that cannot be read and on any corruption."""
+    try:
+        with open(path, "rb") as fh:
+            reader = _Reader(fh.read())
+    except OSError as err:
+        raise CheckpointError(f"{path}: cannot read the checkpoint: "
+                              f"{err.strerror or err}") from None
 
     magic = reader.take(len(CKPT_MAGIC), "magic")
     if magic != CKPT_MAGIC:

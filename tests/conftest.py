@@ -10,12 +10,13 @@ imbalance as the real training split.
 
 import os
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beatformer.data import Dataset
+from beatformer.data import Dataset, NormStats, normalize
 from beatformer.tensor import Tensor, record_op
 from bench import corpus as bench_corpus
 
@@ -30,6 +31,11 @@ def synthetic_beats(n: int, seed: int, proportions=None, source: str = "syntheti
     features, labels = bench_corpus.synthetic_beats(n, seed, class_proportions=proportions,
                                                     labels=labels)
     return Dataset(features=features, labels=labels, source=source)
+
+
+def normalized(ds: Dataset, stats: NormStats) -> Dataset:
+    """``ds`` with its features normalized by ``stats``, as ``train`` does to its splits."""
+    return replace(ds, features=normalize(ds.features, stats))
 
 
 def grad_arrays(*tensors: Tensor) -> dict:

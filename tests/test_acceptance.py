@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from beatformer.data import (
-    apply_normalizer,
     class_counts,
     fit_normalizer,
     load_csv,
@@ -45,6 +44,7 @@ from beatformer.train import (
 
 from bench.corpus import REAL_TEST_COUNTS, REAL_TRAIN_COUNTS
 from conftest import (
+    normalized,
     real_data_dir,
     requires_real_data,
     synthetic_beats,
@@ -157,7 +157,7 @@ def test_c4_overfit_oracle():
     source, label = _overfit_source()
     subset = stratified_subset(source, 64, seed=1)
     stats = fit_normalizer(subset)
-    normed = apply_normalizer(subset, stats)
+    normed = normalized(subset, stats)
     # dropout off: this is a capacity/optimization check, and dropout noise
     # obscures the monotone loss descent being asserted below
     model = build_model(tiny_config(seed=0, dropout=0.0))
@@ -198,9 +198,9 @@ def _desk_protocol(train_source, test_source, epochs, seed=11):
     test_part = stratified_subset(test_source, 1000, seed=seed + 2)
 
     stats = fit_normalizer(train_part)
-    train_part = apply_normalizer(train_part, stats)
-    val_part = apply_normalizer(val_part, stats)
-    test_part = apply_normalizer(test_part, stats)
+    train_part = normalized(train_part, stats)
+    val_part = normalized(val_part, stats)
+    test_part = normalized(test_part, stats)
 
     model = build_model(ModelConfig(seed=seed))
     cfg = TrainConfig(epochs=epochs, batch_size=32, lr=1e-4)
@@ -287,8 +287,8 @@ def test_c7_checkpoint_semantics(tmp_path):
     train = synthetic_beats(256, seed=61, proportions=[0.2] * 5)
     val = synthetic_beats(96, seed=62, proportions=[0.2] * 5)
     stats = fit_normalizer(train)
-    train_n = apply_normalizer(train, stats)
-    val_n = apply_normalizer(val, stats)
+    train_n = normalized(train, stats)
+    val_n = normalized(val, stats)
     model = build_model(tiny_config(seed=3))
     cfg = TrainConfig(epochs=5, batch_size=32, lr=1e-3)
     ckpt, history = train_loop(model, cfg, train_n, val_n, norm_stats=stats)

@@ -279,8 +279,7 @@ class TestTrainCommand:
         full = data_mod.load_csv(corpus["train"])
         val_n = round(0.1 * full.n)
         _, val = data_mod.stratified_split(full, full.n - val_n, 7)
-        val = data_mod.apply_normalizer(val, ckpt.norm)
-        probs = predict(restore_model(ckpt), val.features)
+        probs = predict(restore_model(ckpt), data_mod.normalize(val.features, ckpt.norm))
         _report_files(str(tmp_path), np.argmax(probs, axis=1), val.labels, 5)
         for name in ("report.txt", "report.csv", "confusion.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
@@ -736,6 +735,74 @@ def test_non_utf8_input_exits_2_naming_the_line(corpus, tmp_path, capsys):
     assert f"{bad_cfg}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_non_integral_label_exits_2_naming_the_line(corpus, tmp_path, capsys):
+    # a fractional label is refused, not rounded to a class
+    lines = (corpus["dir"] / "train.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",2.5"
+    bad = tmp_path / "fractional.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = corpus["dir"] / "run24"
+    assert run_train(corpus, out, extra=["--data-train", str(bad)]) == 2
+    assert f"{bad}: row 4 label 2.5 is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_train(corpus, out) == 0
+    capsys.readouterr()  # drain the training output
+    assert main(["eval", str(out / "checkpoint.bin"), "--data-test", str(bad)]) == 2
+    assert f"{bad}: row 4 label 2.5 is not an integer" in capsys.readouterr().err
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("case", ["bad-label", "subset-too-large", "too-few-rows"])
+def test_train_that_fails_on_its_input_writes_nothing(corpus, tmp_path, capsys, case):
+    rows = (corpus["dir"] / "train.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    flags = ["--data-train", str(bad)]
+    if case == "bad-label":
+        rows[3] = rows[3].rsplit(",", 1)[0] + ",7.0"
+        message = f"{bad}: row 4 label 7.0 outside {{0..4}}"
+    elif case == "subset-too-large":
+        flags += ["--subset", "100000"]
+        message = "subset size must lie in [5, 240], got 100000"
+    else:
+        # one class, so the training split keeps a single row
+        rows = [row for row in rows if row.endswith(",0.0")][:2]
+        message = "need at least 2 samples to fit normalization, got 1"
+    bad.write_text("\n".join(rows) + "\n")
+
+    fresh = tmp_path / "fresh"
+    assert run_train(corpus, fresh, extra=flags) == 2
+    assert message in capsys.readouterr().err
+    assert not fresh.exists()
+
+    # a failed retrain leaves an earlier run's directory as it was, so its
+    # config.resolved still reproduces its checkpoint
+    existing = tmp_path / "existing"
+    assert run_train(corpus, existing, extra=["--epochs", "1"]) == 0
+    before = tree_bytes(existing)
+    assert "config.resolved" in before and "checkpoint.bin" in before
+    capsys.readouterr()  # drain the training output
+    assert run_train(corpus, existing, extra=flags + ["--seed", "9"]) == 2
+    assert message in capsys.readouterr().err
+    assert tree_bytes(existing) == before
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_checkpoint_exits_2_naming_the_path(corpus, tmp_path, capsys, kind):
+    checkpoint = tmp_path / "ckpt.bin"
+    if kind == "directory":
+        checkpoint.mkdir()
+    for argv in (["eval", str(checkpoint), "--data-test", corpus["test"],
+                  "--out", str(tmp_path / "eval")],
+                 ["predict", str(checkpoint), corpus["test"]]):
+        assert main(argv) == 2
+        assert f"error: {checkpoint}: cannot read the checkpoint: " in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 def with_meta_line(blob: bytes, before: bytes, line: bytes) -> tuple[bytes, int]:
     """A checkpoint with ``line`` inserted into its meta block in front of the
     line ``before``, and the inserted line's byte offset."""
@@ -848,7 +915,7 @@ def test_duplicate_tensor_name_exits_2_naming_the_offset(corpus, tmp_path, capsy
 
 def test_per_sample_checkpoint_eval_and_predict_reapply_the_row_transform(corpus, tmp_path,
                                                                          capsys):
-    from beatformer.data import load_csv, per_sample_normalize
+    from beatformer.data import load_csv
     from beatformer.metrics import (
         classification_report,
         confusion_matrix,
@@ -867,7 +934,8 @@ def test_per_sample_checkpoint_eval_and_predict_reapply_the_row_transform(corpus
     checkpoint = str(out / "checkpoint.bin")
     model = restore_model(load_checkpoint(checkpoint))
     test = load_csv(corpus["test"])
-    normed = per_sample_normalize(test.features)
+    feats = test.features  # no row is constant, so no std is floored
+    normed = (feats - feats.mean(axis=1, keepdims=True)) / feats.std(axis=1, keepdims=True)
 
     eval_out = tmp_path / "eval"
     assert main(["eval", checkpoint, "--data-test", corpus["test"],
@@ -1059,3 +1127,61 @@ def test_truncated_or_flipped_checkpoint_exits_2_naming_an_offset(tiny_checkpoin
     code, err = run_main_quietly(["predict", str(path), rows])
     assert code == 2
     assert "(at byte offset " in err
+
+
+# 187 valid samples; generated rows start from them and a class label
+CSV_BASE = [f"{v:.6f}" for v in synthetic_beats(1, seed=59).features[0]]
+csv_field = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "", "x", " 0.5",
+                             "0x1", "1_0", "0", "-3.25", "1e-320"])
+csv_label = st.sampled_from(["0", "4.0", "2.0000001", "2.5", "0.5", "-1", "5", "1e400",
+                             "nan", "-0.0", "99999999999999999999"])
+
+
+@st.composite
+def csv_text(draw) -> bytes:
+    """Labelled rows of :data:`CSV_BASE`, then up to three faults: a bad field
+    or label, another width, a blank line or a line of raw (often not UTF-8) bytes."""
+    lines = [CSV_BASE + [draw(st.sampled_from("01234"), label="label")]
+             for _ in range(draw(st.integers(1, 10), label="rows"))]
+    for _ in range(draw(st.integers(0, 3), label="faults")):
+        at = draw(st.integers(0, len(lines) - 1), label="at")
+        row = list(lines[at])
+        fault = draw(st.sampled_from(["field", "label", "width", "blank", "bytes"]))
+        if fault == "field":
+            row[draw(st.integers(0, len(row) - 1), label="column")] = draw(csv_field)
+        elif fault == "label":
+            row[-1] = draw(csv_label)
+        elif fault == "width":
+            row = (row * 2)[:draw(st.one_of(st.just(187), st.integers(1, 2 * len(row))))]
+        elif fault == "blank":
+            row = [draw(st.sampled_from(["", "  ", "\r"]))]
+        else:
+            row = [draw(st.binary(min_size=1, max_size=6)).decode("utf-8", "surrogateescape")]
+        if fault in ("blank", "bytes"):
+            lines.insert(at, row)
+        else:
+            lines[at] = row
+    return b"\n".join(",".join(row).encode("utf-8", "surrogateescape") for row in lines)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(text=csv_text())
+def test_generated_csv_exits_0_or_2(tiny_checkpoint, text):
+    import shutil
+
+    _, _, tmp = tiny_checkpoint
+    csv = tmp / "generated.csv"
+    csv.write_bytes(text)
+    cfg = tmp / "tiny.cfg"
+    cfg.write_text(TINY_MODEL_LINES)
+    out = tmp / "csv_out"
+    shutil.rmtree(out, ignore_errors=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, _ = run_main_quietly(["train", "--config", str(cfg), "--epochs", "1",
+                                    "--data-train", str(csv), "--out", str(out)])
+        assert code in (0, 2)
+        assert code == 0 or not out.exists()
+        for argv in (["eval", str(tmp / "tiny.bin"), "--data-test", str(csv),
+                      "--out", str(tmp / "eval_out")],
+                     ["predict", str(tmp / "tiny.bin"), str(csv)]):
+            assert run_main_quietly(argv)[0] in (0, 2)

@@ -7,14 +7,16 @@ import pytest
 
 from beatformer.data import (
     CLASS_NAMES,
+    NORM_MODES,
     STD_FLOOR,
     Dataset,
-    apply_normalizer,
+    NormStats,
     batches,
     class_counts,
     fit_normalizer,
     load_csv,
     load_features,
+    normalize,
     stratified_split,
     stratified_subset,
 )
@@ -98,6 +100,13 @@ class TestLoadCsv:
         write_rows(path, [make_row(2.0000001), make_row(3.9999999)])
         ds = load_csv(str(path))
         np.testing.assert_array_equal(ds.labels, [2, 4])
+
+    @pytest.mark.parametrize("label", [2.5, 0.5, 3.00001, -0.4])
+    def test_non_integral_label_names_the_file_line(self, tmp_path, label):
+        path = tmp_path / "frac.csv"
+        write_rows(path, [make_row(1.0), make_row(2.0000001), make_row(label)])
+        with pytest.raises(DataError, match=f"row 3 label {label} is not an integer"):
+            load_csv(str(path))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -195,59 +204,60 @@ class TestNormalizer:
 
     def test_fitting_set_standardized(self, synth_train):
         stats = fit_normalizer(synth_train)
-        normed = apply_normalizer(synth_train, stats)
+        normed = normalize(synth_train.features, stats)
         nonconst = synth_train.features.std(axis=0) > 0
-        means = normed.features.mean(axis=0)
-        variances = normed.features.var(axis=0)
+        means = normed.mean(axis=0)
+        variances = normed.var(axis=0)
         assert np.all(np.abs(means[nonconst]) <= 1e-9)
         np.testing.assert_allclose(variances[nonconst], 1.0, atol=1e-6)
 
     def test_identity_stats(self, synth_train):
-        from beatformer.data import NormStats
-
         stats = NormStats(mean=np.zeros(187), std=np.ones(187), mode="standard", fitted_on="id")
-        normed = apply_normalizer(synth_train, stats)
-        np.testing.assert_array_equal(normed.features, synth_train.features)
+        normed = normalize(synth_train.features, stats)
+        np.testing.assert_array_equal(normed, synth_train.features)
 
     def test_test_set_uses_train_stats(self):
         train = synthetic_beats(500, seed=1)
         test = Dataset(features=train.features + 3.0, labels=train.labels, source="shifted")
         stats = fit_normalizer(train)
-        normed_test = apply_normalizer(test, stats)
+        normed_test = normalize(test.features, stats)
         # a shifted test set keeps its offset: the transform used train stats
-        assert abs(normed_test.features.mean()) > 0.5
+        assert abs(normed_test.mean()) > 0.5
 
-    def test_labels_untouched(self, synth_train):
-        stats = fit_normalizer(synth_train)
-        normed = apply_normalizer(synth_train, stats)
-        np.testing.assert_array_equal(normed.labels, synth_train.labels)
+    def test_labels_untouched(self):
+        # normalize reads only the features and writes a new array: the
+        # dataset it came from, labels included, keeps every byte
+        ds = synthetic_beats(40, seed=10)
+        before = ds.features.tobytes(), ds.labels.tobytes()
+        for mode in NORM_MODES:
+            normed = normalize(ds.features, fit_normalizer(ds, mode))
+            assert not np.shares_memory(normed, ds.features)
+            assert (ds.features.tobytes(), ds.labels.tobytes()) == before
 
     def test_per_sample_normalization(self):
-        from beatformer.data import NormStats
-
         ds = synthetic_beats(40, seed=8)
         # the mean and std are ignored in per-sample mode
         stats = NormStats(mean=np.full(187, 9.0), std=np.full(187, 9.0), mode="per_sample",
                           fitted_on="x")
-        normed = apply_normalizer(ds, stats)
-        np.testing.assert_allclose(normed.features.mean(axis=1), 0.0, atol=1e-9)
-        np.testing.assert_allclose(normed.features.std(axis=1), 1.0, atol=1e-6)
+        normed = normalize(ds.features, stats)
+        np.testing.assert_allclose(normed.mean(axis=1), 0.0, atol=1e-9)
+        np.testing.assert_allclose(normed.std(axis=1), 1.0, atol=1e-6)
 
     def test_normalize_picks_the_transform_from_the_stats(self, synth_train):
-        from beatformer.data import NormStats, normalize, per_sample_normalize
-
         stats = fit_normalizer(synth_train)
         feats = synth_train.features[:20]
         np.testing.assert_array_equal(normalize(feats, stats), (feats - stats.mean) / stats.std)
         per_sample = NormStats(mean=stats.mean, std=stats.std, mode="per_sample",
                                fitted_on=stats.fitted_on)
-        np.testing.assert_array_equal(normalize(feats, per_sample), per_sample_normalize(feats))
+        # no row of the corpus is constant, so no row's std is floored
+        row_wise = ((feats - feats.mean(axis=1, keepdims=True))
+                    / feats.std(axis=1, keepdims=True))
+        np.testing.assert_array_equal(normalize(feats, per_sample), row_wise)
 
     def test_per_sample_constant_row_floored(self):
-        from beatformer.data import per_sample_normalize
-
         row = np.full((1, 187), 2.5)
-        out = per_sample_normalize(row)
+        out = normalize(row, NormStats(mean=np.zeros(187), std=np.ones(187),
+                                       mode="per_sample", fitted_on="c"))
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
@@ -345,24 +355,23 @@ class TestStratifiedSubset:
 class TestBatches:
     def test_batch_sizes(self):
         ds = synthetic_beats(100, seed=2)
-        sizes = [b.n for b in batches(ds, 32)]
+        sizes = [len(labels) for _, labels in batches(ds, 32)]
         assert sizes == [32, 32, 32, 4]
 
     def test_no_shuffle_preserves_order(self):
         ds = synthetic_beats(64, seed=3)
-        out = np.vstack([b.features for b in batches(ds, 10)])
+        out = np.vstack([features for features, _ in batches(ds, 10)])
         np.testing.assert_array_equal(out, ds.features)
 
     def test_exact_label_cover_when_shuffled(self):
         ds = synthetic_beats(257, seed=4)
-        emitted = np.concatenate([b.labels for b in batches(ds, 32, shuffle=True, seed=9)])
+        emitted = np.concatenate([labels for _, labels in batches(ds, 32, shuffle=True, seed=9)])
         np.testing.assert_array_equal(np.sort(emitted), np.sort(ds.labels))
 
     def test_shuffle_deterministic_per_seed(self):
         ds = synthetic_beats(100, seed=5)
-        a = np.vstack([b.features for b in batches(ds, 16, shuffle=True, seed=1)])
-        b = np.vstack([bb.features for bb in batches(ds, 16, shuffle=True, seed=1)])
-        c = np.vstack([bb.features for bb in batches(ds, 16, shuffle=True, seed=2)])
+        a, b, c = (np.vstack([features for features, _ in batches(ds, 16, shuffle=True, seed=s)])
+                   for s in (1, 1, 2))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -376,5 +385,5 @@ class TestBatches:
         path = tmp_path / "rt.csv"
         write_beats_csv(path, ds)
         loaded = load_csv(str(path))
-        rebuilt = np.vstack([b.features for b in batches(loaded, 7)])
+        rebuilt = np.vstack([features for features, _ in batches(loaded, 7)])
         np.testing.assert_array_equal(rebuilt, loaded.features)

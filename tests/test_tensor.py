@@ -779,3 +779,16 @@ def test_no_src_function_draws_from_an_unseeded_generator():
         finder.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += finder.found
     assert not found, f"unseeded np.random.default_rng() in {sorted(found)}"
+
+
+def test_no_cli_command_catches_an_error():
+    """Only ``cli.main`` maps errors to exit codes: no ``cmd_*`` function holds
+    a ``try``, so every command raises and none picks its own exit code."""
+    tree = ast.parse((Path(tensor_mod.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 4
+    catching = [node.name for node in commands
+                if any(isinstance(inner, (ast.Try, getattr(ast, "TryStar", ast.Try)))
+                       for inner in ast.walk(node))]
+    assert not catching, f"commands that catch errors: {catching}"
