@@ -6,6 +6,7 @@ saving, and the standard imbalanced-class evaluation metrics. All math runs
 on a small taped reverse-mode tensor engine over numpy float64 arrays.
 """
 
+from .config import ModelConfig, TrainConfig
 from .data import (
     CLASS_NAMES,
     Dataset,
@@ -23,7 +24,6 @@ from .metrics import (
 )
 from .model import (
     Model,
-    ModelConfig,
     build_model,
     count_params,
     forward,
@@ -33,7 +33,6 @@ from .tensor import GradTape, Tensor, backward, grad_check
 from .train import (
     Adam,
     Checkpoint,
-    TrainConfig,
     load_checkpoint,
     restore_model,
     save_checkpoint,

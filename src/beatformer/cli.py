@@ -1,11 +1,13 @@
 """Command-line entry point: train, eval, predict, gradcheck.
 
-Config files are flat ``key = value`` UTF-8 text with ``#`` comments;
-command-line flags override file values. Each command reads and checks all
-its input before it writes anything: ``train`` writes its fully resolved
-config to the output directory once the training data is loaded, split and
-normalized, before training, so a bad input writes nothing and a completed
-run is reproducible from that file plus the input CSVs.
+This module holds the argument parser, the commands and their output
+helpers, and :func:`main`. The settings, their config files and
+``config.resolved`` are :mod:`beatformer.config`'s: command-line flags
+override file values. Each command reads and checks all its input before it
+writes anything: ``train`` writes its fully resolved config to the output
+directory once the training data is loaded, split and normalized, before
+training, so a bad input writes nothing and a completed run is reproducible
+from that file plus the input CSVs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 3 numerical abort. The commands raise; :func:`main` alone maps an error to
@@ -18,13 +20,13 @@ import argparse
 import ctypes
 import logging
 import os
-import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import data as data_mod
+from .config import CONFIGS, build_config, format_resolved, resolve
 from .errors import CheckpointError, ConfigError, DataError, NumericalError
 from .metrics import (
     classification_report,
@@ -33,19 +35,9 @@ from .metrics import (
     format_report,
     report_to_csv,
 )
-from .model import (
-    ModelConfig,
-    build_model,
-    count_params,
-    field_casters,
-    field_text,
-    format_param_report,
-    forward,
-    tiny_config,
-)
+from .model import build_model, count_params, format_param_report, forward, tiny_config
 from .tensor import grad_check
 from .train import (
-    TrainConfig,
     history_to_csv,
     infer,
     load_checkpoint,
@@ -56,8 +48,6 @@ from .train import (
     train_loop,
 )
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
@@ -66,137 +56,9 @@ EXIT_NUMERIC = 3
 GRADCHECK_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-level settings: input files, validation carve-out, normalization, output."""
-
-    val_fraction: float = 0.1
-    normalization: str = "standard"  # one of data.NORM_MODES
-    subset: int = 0  # 0 = use the full training file
-    out: str = "run"
-    data_train: str = ""
-    data_test: str = ""
-
-    def validate(self) -> list[str]:
-        """Return every constraint violation (empty list when valid)."""
-        bad = []
-        if not 0.0 < self.val_fraction < 1.0:
-            bad.append(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
-        if self.subset < 0:
-            bad.append(f"subset must be >= 0, got {self.subset}")
-        if self.normalization not in data_mod.NORM_MODES:
-            bad.append(f"normalization must be one of {data_mod.NORM_MODES}, "
-                       f"got {self.normalization!r}")
-        return bad
-
-
-# Every config-file key is the name of exactly one field of one of these
-# dataclasses, which holds its type and default.
-CONFIGS = (ModelConfig, TrainConfig, RunConfig)
-
-# key -> (caster, default)
-SCHEMA = {f.name: (casters[f.name], f.default)
-          for cls, casters in zip(CONFIGS, map(field_casters, CONFIGS)) for f in fields(cls)}
-
-
-def build_config(cls, resolved: dict):
-    """An instance of one of :data:`CONFIGS` from resolved config values."""
-    return cls(**{f.name: resolved[f.name] for f in fields(cls)})
-
-
-def parse_config_file(path: str) -> tuple[dict, list[str]]:
-    """Read ``key = value`` lines; return raw string values plus violations.
-
-    A key given twice is a violation naming both lines, not a silent override;
-    a line that is not valid UTF-8 is one naming its line.
-    """
-    values: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    violations: list[str] = []
-    try:
-        # undecodable bytes come through as lone surrogates, which no valid
-        # UTF-8 line can hold, so only such a line fails to encode back
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.isascii():
-                    try:
-                        raw.encode("utf-8")
-                    except UnicodeEncodeError:
-                        violations.append(f"{path}:{lineno}: not valid UTF-8")
-                        continue
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    violations.append(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-                    continue
-                key = key.strip()
-                if key not in SCHEMA:
-                    violations.append(f"{path}:{lineno}: unknown key {key!r}")
-                    continue
-                if key in first_line:
-                    violations.append(
-                        f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}"
-                    )
-                    continue
-                first_line[key] = lineno
-                values[key] = value.strip()
-    except OSError as err:
-        violations.append(f"cannot read config file {path}: {err}")
-    return values, violations
-
-
-def resolve_config(file_values: dict, overrides: dict) -> tuple[dict, list[str]]:
-    """Defaults < config file < command line; returns typed values + violations."""
-    resolved = {}
-    violations = []
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    for key, (caster, default) in SCHEMA.items():
-        if key in merged:
-            try:
-                resolved[key] = caster(merged[key])
-            except (TypeError, ValueError):
-                violations.append(f"config key {key}: cannot parse {merged[key]!r}")
-                resolved[key] = default
-            # config.resolved must give the value back, and parse_config_file
-            # splits lines, cuts '#' comments, strips and decodes UTF-8
-            value = resolved[key]
-            if isinstance(value, str) and (value != value.strip()
-                                           or re.search("[#\r\n\ud800-\udfff]", value)):
-                violations.append(f"config key {key}: {value!r} would not read back from "
-                                  f"config.resolved ('#', a line break, surrounding "
-                                  f"whitespace or invalid UTF-8)")
-        else:
-            resolved[key] = default
-
-    for cls in CONFIGS:
-        violations.extend(build_config(cls, resolved).validate())
-    if resolved["class_weights"] and len(resolved["class_weights"]) != resolved["n_classes"]:
-        violations.append(
-            f"class_weights needs {resolved['n_classes']} entries, got "
-            f"{len(resolved['class_weights'])}"
-        )
-    return resolved, violations
-
-
-def format_resolved(resolved: dict) -> str:
-    return "".join(f"{key} = {field_text(resolved[key])}\n" for key in sorted(SCHEMA))
-
-
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _resolved(config_path, overrides: dict) -> dict:
-    """Defaults < ``config_path`` < ``overrides``; raises ``ConfigError`` with every violation."""
-    file_values, violations = parse_config_file(config_path) if config_path else ({}, [])
-    resolved, more = resolve_config(file_values, overrides)
-    if violations + more:
-        raise ConfigError(violations + more)
-    return resolved
 
 
 def _make_out_dir(path: str) -> None:
@@ -223,7 +85,7 @@ def _report_files(out_dir: str, preds, labels, n_classes: int) -> str:
 
 
 def cmd_train(args) -> int:
-    resolved = _resolved(args.config, {
+    resolved = resolve(args.config, {
         "seed": args.seed,
         "subset": args.subset,
         "epochs": args.epochs,
@@ -288,7 +150,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = restore_model(ckpt)
-    features, _ = data_mod.load_features(args.data, ckpt.config.input_len)
+    features, _ = data_mod.load_features(args.data, ckpt.config.input_len,
+                                         ckpt.config.n_classes)
 
     probs = predict(model, data_mod.normalize(features, ckpt.norm))
     preds = np.argmax(probs, axis=1)
@@ -307,7 +170,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = _resolved(args.config, {"seed": args.seed})["seed"]
+    seed = resolve(args.config, {"seed": args.seed})["seed"]
 
     # small verification variant: 4 tokens; a forward without a generator
     # applies no dropout
@@ -358,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred = sub.add_parser("predict", help="emit per-row class probabilities")
     pred.add_argument("checkpoint", help="checkpoint file")
-    pred.add_argument("data", help="CSV of input_len-field rows (a trailing label is ignored)")
+    pred.add_argument("data", help="CSV of input_len-field rows (a trailing label is checked, "
+                      "then ignored)")
     pred.add_argument("--out", help="write predictions.csv here instead of stdout")
     pred.set_defaults(fn=cmd_predict)
 

@@ -13,8 +13,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .config import ModelConfig, RunConfig
 from .errors import ConfigError, DataError
-from .model import ModelConfig
 
 CLASS_NAMES = ("N", "S", "V", "F", "Q")
 
@@ -26,13 +26,9 @@ STD_FLOOR = 1e-8
 # a fractional class
 LABEL_TOL = 1e-6
 
-# per-feature training stats, or each row standardized on its own
-NORM_MODES = ("standard", "per_sample")
-
 __all__ = [
     "CLASS_NAMES",
     "STD_FLOOR",
-    "NORM_MODES",
     "Dataset",
     "NormStats",
     "load_csv",
@@ -73,9 +69,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormStats:
-    """A normalization mode (:data:`NORM_MODES`) with the per-feature mean and
-    floored population std that ``standard`` mode applies (``per_sample`` keeps
-    0 and 1 and ignores them), and the training file they came from."""
+    """A normalization mode (one of ``config.NORM_MODES``) with the per-feature
+    mean and floored population std that ``standard`` mode applies
+    (``per_sample`` keeps 0 and 1 and ignores them), and the training file
+    they came from."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -142,37 +139,43 @@ def _parse_rows(path: str, widths: tuple[int, ...]) -> tuple[np.ndarray, list[in
     return matrix, linenos
 
 
-def load_csv(path: str, input_len: int = ModelConfig.input_len,
-             n_classes: int = ModelConfig.n_classes) -> Dataset:
-    """Read a labeled beat file: ``input_len + 1`` fields per row, last field is the label.
-
-    A label must lie within :data:`LABEL_TOL` of a class id.
-    """
-    matrix, linenos = _parse_rows(path, (input_len + 1,))
-    raw_labels = matrix[:, input_len]
-    labels = np.rint(raw_labels)
-    off = np.abs(raw_labels - labels) > LABEL_TOL
+def _labels(path: str, raw: np.ndarray, linenos: list[int], n_classes: int) -> np.ndarray:
+    """Each row's class id; a label farther than :data:`LABEL_TOL` from one of
+    ``0..n_classes-1`` raises a :class:`DataError` naming its line."""
+    labels = np.rint(raw)
+    off = np.abs(raw - labels) > LABEL_TOL
     bad = np.nonzero(off | (labels < 0) | (labels >= n_classes))[0]
     if bad.size:
         i = bad[0]
         what = "is not an integer" if off[i] else f"outside {{0..{n_classes - 1}}}"
-        raise DataError(f"{path}: row {linenos[i]} label {float(raw_labels[i])} {what}")
-    return Dataset(features=matrix[:, :input_len], labels=labels.astype(np.int64), source=path)
+        raise DataError(f"{path}: row {linenos[i]} label {float(raw[i])} {what}")
+    return labels.astype(np.int64)
 
 
-def load_features(path: str, input_len: int = ModelConfig.input_len
+def load_csv(path: str, input_len: int = ModelConfig.input_len,
+             n_classes: int = ModelConfig.n_classes) -> Dataset:
+    """Read a labeled beat file: ``input_len + 1`` fields per row, last field is the label."""
+    matrix, linenos = _parse_rows(path, (input_len + 1,))
+    labels = _labels(path, matrix[:, input_len], linenos, n_classes)
+    return Dataset(features=matrix[:, :input_len], labels=labels, source=path)
+
+
+def load_features(path: str, input_len: int = ModelConfig.input_len,
+                  n_classes: int = ModelConfig.n_classes
                   ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Read a prediction input: rows of ``input_len`` fields, or one more with the label kept."""
-    matrix, _ = _parse_rows(path, (input_len, input_len + 1))
+    """Read a prediction input: rows of ``input_len`` fields, or one more with
+    the label checked as :func:`load_csv` checks it, and kept."""
+    matrix, linenos = _parse_rows(path, (input_len, input_len + 1))
     if matrix.shape[1] == input_len:
         return matrix, None
-    return matrix[:, :input_len], np.rint(matrix[:, input_len]).astype(np.int64)
+    return matrix[:, :input_len], _labels(path, matrix[:, input_len], linenos, n_classes)
 
 
 def fit_normalizer(train: Dataset, mode: str = "standard") -> NormStats:
     """Stats for ``mode``; ``standard`` fits them on the training split only."""
-    if mode not in NORM_MODES:
-        raise ConfigError(f"normalization must be one of {NORM_MODES}, got {mode!r}")
+    violations = RunConfig(normalization=mode).validate()
+    if violations:
+        raise ConfigError(violations)
     width = train.features.shape[1]
     mean, std = np.zeros(width), np.ones(width)
     if mode == "standard":

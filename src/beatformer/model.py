@@ -1,15 +1,15 @@
-"""Model assembly: config validation, the parameter table and its flat
-buffer, seeded initialization, the encoder block and the batch forward."""
+"""Model assembly: the parameter table and its flat buffer, seeded
+initialization, the encoder block and the batch forward."""
 
 from __future__ import annotations
 
 import logging
 import math
-import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, add_layer_norm, attention, embed_tokens, linear, mean_tokens, relu
 
@@ -23,9 +23,6 @@ REFERENCE_PARAM_COUNT = 36_301
 LN_EPS = 1e-6
 
 __all__ = [
-    "ModelConfig",
-    "field_casters",
-    "field_text",
     "Model",
     "tiny_config",
     "build_model",
@@ -38,86 +35,6 @@ __all__ = [
     "dropout_mask",
     "sinusoidal_table",
 ]
-
-
-def field_casters(cls) -> dict:
-    """Field name -> parser of the field's text form, taken from its type.
-
-    ``int``, ``float`` and ``str`` fields parse with the type itself; a
-    ``tuple[T, ...]`` field parses a comma list of ``T`` (empty text is ``()``).
-    """
-    casters = {}
-    for name, tp in typing.get_type_hints(cls).items():
-        if typing.get_origin(tp) is tuple:
-            elem = typing.get_args(tp)[0]
-            casters[name] = lambda text, elem=elem: tuple(
-                elem(u) for u in str(text).split(",") if u.strip()
-            )
-        else:
-            casters[name] = tp
-    return casters
-
-
-def field_text(value) -> str:
-    """Text form of a config value, the inverse of :func:`field_casters`."""
-    return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Every architecture knob, serializable and validated as a whole."""
-
-    input_len: int = 187
-    patch_len: int = 11
-    d_model: int = 64
-    d_head: int = 16
-    heads: int = 8
-    encoder_layers: int = 4
-    d_ff: int = 128
-    mlp_units: tuple[int, ...] = (128, 64)
-    n_classes: int = 5
-    dropout: float = 0.15
-    positional: str = "learned"
-    # seeds init, and in training the subset, split, shuffling and dropout
-    seed: int = 0
-
-    @property
-    def n_tokens(self) -> int:
-        return -(-self.input_len // self.patch_len)
-
-    def validate(self) -> list[str]:
-        """Return every constraint violation (empty list when valid)."""
-        bad = []
-        for name in ("input_len", "patch_len", "d_model", "d_head", "heads",
-                     "encoder_layers", "d_ff"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                bad.append(f"{name} must be a positive integer, got {v!r}")
-        if isinstance(self.patch_len, int) and isinstance(self.input_len, int):
-            if 0 < self.input_len < self.patch_len:
-                bad.append(f"patch_len {self.patch_len} exceeds input_len {self.input_len}")
-        if not self.mlp_units:
-            bad.append("mlp_units must be non-empty")
-        elif any(not isinstance(u, int) or u <= 0 for u in self.mlp_units):
-            bad.append(f"mlp_units must all be positive integers, got {self.mlp_units}")
-        if not isinstance(self.n_classes, int) or self.n_classes < 2:
-            bad.append(f"n_classes must be an integer >= 2, got {self.n_classes!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            bad.append(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.positional not in ("learned", "sinusoidal"):
-            bad.append(f"positional must be 'learned' or 'sinusoidal', got {self.positional!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            bad.append(f"seed must be a non-negative integer, got {self.seed!r}")
-        return bad
-
-    def to_dict(self) -> dict[str, str]:
-        return {f.name: field_text(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of :meth:`to_dict`; raises ``ValueError`` on an unparsable value."""
-        casters = field_casters(cls)
-        return cls(**{k: casters[k](v) for k, v in d.items()})
 
 
 def tiny_config(input_len: int = 187, **overrides) -> ModelConfig:

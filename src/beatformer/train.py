@@ -17,7 +17,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import NORM_MODES, Dataset, NormStats, batches
+from .config import (
+    SCHEMA,
+    ModelConfig,
+    RunConfig,
+    TrainConfig,
+    build_config,
+    format_pairs,
+    read_pairs,
+)
+from .data import Dataset, NormStats, batches
 from .errors import (
     CheckpointError,
     CheckpointVersionError,
@@ -25,11 +34,10 @@ from .errors import (
     ConfigMismatchError,
     NumericalError,
 )
-from .model import Model, ModelConfig, build_model, forward
+from .model import Model, build_model, forward
 from .tensor import GradTape, Tensor, backward, record_op
 
 __all__ = [
-    "TrainConfig",
     "Adam",
     "EpochStats",
     "Checkpoint",
@@ -57,38 +65,6 @@ CKPT_VERSION = 3
 # which rounds differently, so :func:`infer` folds a one-row last block into
 # the block before it; a one-row input still runs gemv.
 INFER_BLOCK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 32
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
-    # optional per-class loss weights (imbalance remedy); empty reproduces the
-    # unweighted objective, which is the default
-    class_weights: tuple[float, ...] = ()
-
-    def validate(self) -> list[str]:
-        bad = []
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            bad.append(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            bad.append(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        # inf passes a bare "> 0": an infinite eps zeroes every Adam update
-        if not 0 < self.lr < math.inf:
-            bad.append(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                bad.append(f"{name} must lie in [0, 1), got {v}")
-        if not 0 < self.eps < math.inf:
-            bad.append(f"eps must be finite and > 0, got {self.eps}")
-        if not all(0 < w < math.inf for w in self.class_weights):
-            bad.append(f"class_weights must all be finite and > 0, got {self.class_weights}")
-        return bad
 
 
 def sparse_ce_loss(logits: Tensor, labels, class_weights=None) -> Tensor:
@@ -325,45 +301,23 @@ def train_loop(
 #   then per tensor: name_len u32 | name utf-8 | rank u32 | dims u64 * rank
 #   | data float64 * prod(dims)
 #   and last a CRC-32 u32 (zlib.crc32) of every byte before it.
-# Meta is "key = value" lines, each setting once: the model config (its seed
-# is the run's), best_val_loss (float.hex for bit-exactness), epoch, the
-# normalization mode and the file it was fitted on.
+# Meta is "key = value" lines in the codec of ``config``, each setting once:
+# the model config (its seed is the run's), best_val_loss (float.hex for
+# bit-exactness), epoch, the normalization mode and the file it was fitted on.
 
-
-def _meta_text(ckpt: Checkpoint) -> str:
-    pairs = dict(ckpt.config.to_dict())
-    pairs["best_val_loss"] = float(ckpt.best_val_loss).hex()
-    pairs["epoch"] = ckpt.epoch
-    pairs["normalization"] = ckpt.norm.mode
-    pairs["norm_fitted_on"] = ckpt.norm.fitted_on
-    return "".join(f"{k} = {v}\n" for k, v in pairs.items())
-
-
-def _parse_meta(text: str, offset: int) -> dict[str, str]:
-    """``key = value`` lines of a meta block that starts at byte ``offset``.
-
-    Lines end in ``\n`` alone, as :func:`_meta_text` writes them, so a value
-    may hold any other line separator. A line without ``=``, or a key given
-    twice, raises ``CheckpointError`` naming the line's byte offset.
-    """
-    out = {}
-    for line in text.split("\n"):
-        if line.strip():
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise CheckpointError(f"meta line {line.strip()!r} is not 'key = value'",
-                                      offset=offset)
-            if key in out:
-                raise CheckpointError(f"meta key {key!r} is given twice", offset=offset)
-            out[key] = value.strip()
-        offset += len(line.encode("utf-8")) + 1
-    return out
+# meta key -> caster, in the order the keys are written
+META_CASTERS = {**{f.name: SCHEMA[f.name][0] for f in fields(ModelConfig)},
+                "best_val_loss": float.fromhex, "epoch": int,
+                "normalization": str, "norm_fitted_on": str}
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Atomic write: serialize to a temp file, then rename over the target."""
-    meta = _meta_text(ckpt).encode("utf-8")
+    """Atomic write: serialize to a temp file, then rename over the target. A
+    meta value that would not read back raises ``ConfigError``, writing nothing."""
+    values = {**vars(ckpt.config), "best_val_loss": float(ckpt.best_val_loss).hex(),
+              "epoch": ckpt.epoch, "normalization": ckpt.norm.mode,
+              "norm_fitted_on": ckpt.norm.fitted_on}
+    meta = format_pairs((key, values[key]) for key in META_CASTERS).encode("utf-8")
     tensors = dict(ckpt.params)
     tensors["norm.mean"] = ckpt.norm.mean
     tensors["norm.std"] = ckpt.norm.std
@@ -405,9 +359,8 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         if self.offset + n > self.end:
-            raise CheckpointError(
-                f"truncated checkpoint while reading {what}", offset=self.offset
-            )
+            raise CheckpointError(f"truncated checkpoint while reading {what}",
+                                  offset=self.offset)
         chunk = self.data[self.offset : self.offset + n]
         self.offset += n
         return chunk
@@ -444,28 +397,24 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError("checksum does not match the file's contents", offset=reader.end)
     meta_len = reader.u64("meta length")
     meta_offset = reader.offset
-    try:
-        text = reader.take(meta_len, "meta").decode("utf-8")
-    except UnicodeDecodeError:
-        raise CheckpointError("meta block is not valid UTF-8", offset=reader.offset) from None
-    meta = _parse_meta(text, meta_offset)
-
-    config_keys = [f.name for f in fields(ModelConfig)]
-    missing = [k for k in config_keys + ["best_val_loss", "epoch", "normalization",
-                                         "norm_fitted_on"] if k not in meta]
+    meta, problems = read_pairs(reader.take(meta_len, "meta"))
+    if problems:
+        _, at, problem = problems[0]
+        raise CheckpointError(f"meta block: {problem}", offset=meta_offset + at)
+    missing = [key for key in META_CASTERS if key not in meta]
     if missing:
         raise CheckpointError(f"meta block missing keys: {', '.join(missing)}")
-    try:
-        config = ModelConfig.from_dict({k: meta[k] for k in config_keys})
-        best_val_loss = float.fromhex(meta["best_val_loss"])
-        epoch = int(meta["epoch"])
-    except (ValueError, OverflowError) as err:
-        raise CheckpointError(f"meta block holds an unparsable value: {err}",
-                              offset=meta_offset) from None
-    violations = config.validate()
-    if meta["normalization"] not in NORM_MODES:
-        violations.append(f"normalization must be one of {NORM_MODES}, "
-                          f"got {meta['normalization']!r}")
+    values = {}
+    for key, caster in META_CASTERS.items():
+        text, _, at = meta[key]
+        try:
+            values[key] = caster(text)
+        except (ValueError, OverflowError):
+            raise CheckpointError(f"meta key {key}: cannot parse {text!r}",
+                                  offset=meta_offset + at) from None
+    config = build_config(ModelConfig, values)
+    violations = (config.validate()
+                  + RunConfig(normalization=values["normalization"]).validate())
     if violations:
         raise CheckpointError(f"meta block holds an invalid config: {'; '.join(violations)}",
                               offset=meta_offset)
@@ -485,10 +434,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if rank > 3:
             raise CheckpointError(f"tensor {name} has rank {rank} > 3", offset=reader.offset)
         dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank, f"dims of {name}"))
-        count = 1
-        for d in dims:
-            count *= d
-        raw = reader.take(8 * count, f"data of {name}")
+        raw = reader.take(8 * math.prod(dims), f"data of {name}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
     if reader.offset != reader.end:
         raise CheckpointError("trailing bytes after final tensor", offset=reader.offset)
@@ -504,9 +450,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         config=config,
         params={k: v for k, v in tensors.items() if not k.startswith("norm.")},
         norm=NormStats(mean=tensors["norm.mean"], std=tensors["norm.std"],
-                       mode=meta["normalization"], fitted_on=meta["norm_fitted_on"]),
-        best_val_loss=best_val_loss,
-        epoch=epoch,
+                       mode=values["normalization"], fitted_on=values["norm_fitted_on"]),
+        best_val_loss=values["best_val_loss"],
+        epoch=values["epoch"],
     )
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from beatformer.config import ModelConfig, TrainConfig
 from beatformer.data import (
     class_counts,
     fit_normalizer,
@@ -22,7 +23,6 @@ from beatformer.data import (
 from beatformer.metrics import classification_report, confusion_matrix
 from beatformer.model import (
     REFERENCE_PARAM_COUNT,
-    ModelConfig,
     build_model,
     count_params,
     format_param_report,
@@ -32,7 +32,6 @@ from beatformer.model import (
 )
 from beatformer.tensor import Tensor, attention, grad_check
 from beatformer.train import (
-    TrainConfig,
     infer,
     load_checkpoint,
     restore_model,

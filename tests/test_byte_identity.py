@@ -101,10 +101,10 @@ def test_seeded_run_files_match_the_committed_digests(tmp_path, config):
     assert run_digests(config, tmp_path / config) == expected[config]
 
 
-def write_digests(scratch: Path) -> None:
+def write_digests(root: Path) -> None:
     """Record this host's digests in :data:`DIGESTS`, replacing its old entry."""
     fingerprint = host_fingerprint()
-    digests = {config: run_digests(config, scratch / config) for config in sorted(CONFIGS)}
+    digests = {config: run_digests(config, root / config) for config in sorted(CONFIGS)}
     entries = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else []
     entries = [e for e in entries if e["fingerprint"] != fingerprint]
     entries.append({"fingerprint": fingerprint, "digests": digests})
@@ -115,5 +115,5 @@ def write_digests(scratch: Path) -> None:
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        write_digests(Path(scratch))
+    with tempfile.TemporaryDirectory() as root:
+        write_digests(Path(root))

@@ -10,17 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beatformer.cli import (
+from beatformer.cli import main
+from beatformer.config import (
     SCHEMA,
+    ModelConfig,
     RunConfig,
+    TrainConfig,
+    format_pairs,
     format_resolved,
-    main,
     parse_config_file,
+    read_pairs,
     resolve_config,
 )
 from beatformer.data import Dataset
-from beatformer.model import ModelConfig
-from beatformer.train import TrainConfig
+from beatformer.errors import ConfigError
 
 from conftest import resealed, synthetic_beats, write_beats_csv
 
@@ -244,6 +247,29 @@ class TestSchema:
         # seed lives only in ModelConfig now, so no field is shared at all
         assert {name: d for name, d in defaults.items() if len(d) > 1} == {}
         assert defaults["seed"] == [0]
+
+
+class TestCodec:
+    def test_lines_end_at_crlf_cr_or_lf_only(self):
+        data = "a = 1\r\nb = x\x0by\x1cz\u2028w\rc = 3 # note\n\n  d=4".encode("utf-8")
+        pairs, problems = read_pairs(data)
+        assert problems == []
+        assert pairs == {"a": ("1", 1, 0), "b": ("x\x0by\x1cz\u2028w", 2, 7),
+                         "c": ("3", 3, 21), "d": ("4", 5, 35)}
+
+    def test_problems_name_their_line_and_byte_offset(self):
+        pairs, problems = read_pairs(b"a = 1\nno equals # x\na = 2\nb = \xff\n")
+        assert pairs == {"a": ("1", 1, 0)}
+        assert problems == [(2, 6, "expected 'key = value', got 'no equals'"),
+                            (3, 20, "key 'a' repeats line 1"),
+                            (4, 26, "not valid UTF-8")]
+
+    def test_writer_refuses_every_value_that_would_not_read_back(self):
+        assert format_pairs([("a", (1, 2)), ("b", ""), ("c", 0.5)]) == "a = 1,2\nb = \nc = 0.5\n"
+        with pytest.raises(ConfigError) as err:
+            format_pairs([("x", "ok"), ("y", "a#b"), ("z", " pad"), ("w", "\udcff")])
+        assert [v.split(":")[0] for v in err.value.violations] == [
+            "config key y", "config key z", "config key w"]
 
 
 class TestTrainCommand:
@@ -658,6 +684,7 @@ def test_unparsable_checkpoint_meta_exits_2_naming_the_offset(corpus, tmp_path, 
     assert run_train(corpus, out) == 0
     blob = (out / "checkpoint.bin").read_bytes()
     assert blob.count(b"d_model = 8\n") == 1
+    at = blob.index(b"d_model = 8\n")
     bad = tmp_path / "bad_meta.bin"
     bad.write_bytes(resealed(blob.replace(b"d_model = 8\n", b"d_model = x\n")))  # same length
     capsys.readouterr()  # drain the training output
@@ -665,8 +692,8 @@ def test_unparsable_checkpoint_meta_exits_2_naming_the_offset(corpus, tmp_path, 
                  ["predict", str(bad), corpus["test"]]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        # the meta block follows the magic, the version and its own length
-        assert "'x'" in err and "byte offset 20" in err
+        # an unparsable value names its own line's offset, not the block's (20)
+        assert f"meta key d_model: cannot parse 'x' (at byte offset {at})" in err
 
 
 def test_checkpoint_config_that_disagrees_with_its_tensors_exits_2(corpus, tmp_path, capsys):
@@ -814,8 +841,8 @@ def with_meta_line(blob: bytes, before: bytes, line: bytes) -> tuple[bytes, int]
 
 
 @pytest.mark.parametrize("line,message", [
-    (b"stray text\n", "meta line 'stray text' is not 'key = value'"),
-    (b"d_model = 8\n", "meta key 'd_model' is given twice"),
+    (b"stray text\n", "meta block: expected 'key = value', got 'stray text'"),
+    (b"d_model = 8\n", "meta block: key 'd_model' repeats line 3"),
 ], ids=["no-equals", "repeated-key"])
 def test_malformed_meta_line_exits_2_naming_its_offset(corpus, tmp_path, capsys, line, message):
     out = corpus["dir"] / "run21"
@@ -1091,6 +1118,16 @@ def test_override_reads_back_from_config_resolved_or_exits_2(tmp_path_factory, k
     assert f"config key {key}: " in err
 
 
+@PROPERTY_SETTINGS
+@given(value=config_text)
+def test_written_value_reads_back_or_is_refused(value):
+    try:
+        text = format_pairs([("key", value)])
+    except ConfigError:
+        return
+    pairs, problems = read_pairs(text.encode("utf-8"))
+    assert problems == [] and pairs["key"][0] == value
+
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
@@ -1185,3 +1222,19 @@ def test_generated_csv_exits_0_or_2(tiny_checkpoint, text):
                       "--out", str(tmp / "eval_out")],
                      ["predict", str(tmp / "tiny.bin"), str(csv)]):
             assert run_main_quietly(argv)[0] in (0, 2)
+
+
+@pytest.mark.parametrize("label, what", [("1e20", "label 1e+20 outside {0..4}"),
+                                         ("2.5", "label 2.5 is not an integer")])
+def test_predict_of_a_bad_trailing_label_exits_2_naming_the_line(tiny_checkpoint, capsys,
+                                                                label, what):
+    # the label is checked as eval checks it, then ignored
+    _, rows, tmp = tiny_checkpoint
+    lines = Path(rows).read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + label
+    bad = tmp / "bad_label.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["predict", str(tmp / "tiny.bin"), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert f"{bad}: row 2 {what}" in captured.err
+    assert captured.out == ""

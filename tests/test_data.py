@@ -1,13 +1,14 @@
 """Tests for CSV ingestion, normalization, stratified sampling and batching."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from beatformer.config import NORM_MODES
 from beatformer.data import (
     CLASS_NAMES,
-    NORM_MODES,
     STD_FLOOR,
     Dataset,
     NormStats,
@@ -154,7 +155,8 @@ class TestLoadFeatures:
     @pytest.mark.parametrize("width", [100, 101])
     def test_width_comes_from_input_len(self, tmp_path, width):
         path = tmp_path / "feat.csv"
-        write_rows(path, [[0.5] * width, [0.25] * width])
+        # the last field is an integral label when there is one
+        write_rows(path, [[0.5] * (width - 1) + [1.0], [0.25] * (width - 1) + [3.0]])
         feats, labels = load_features(str(path), input_len=100)
         assert feats.shape == (2, 100)
         assert (labels is None) == (width == 100)
@@ -166,6 +168,20 @@ class TestLoadFeatures:
         write_rows(path, [[1.0] * 100])
         with pytest.raises(DataError):
             load_features(str(path))
+
+    @pytest.mark.parametrize("label, what", [
+        ("2.5", "label 2.5 is not an integer"), ("1e20", "label 1e+20 outside {0..4}"),
+        ("-1", "label -1.0 outside {0..4}"), ("2", "label 2.0 outside {0..1}"),
+    ])
+    def test_trailing_label_checked_as_load_csv_checks_it(self, tmp_path, label, what):
+        # a prediction input's label is checked, though predict ignores it
+        path = tmp_path / "feat.csv"
+        write_rows(path, [make_row(1.0), make_row(label)])
+        n_classes = 2 if "{0..1}" in what else 5
+        with pytest.raises(DataError, match=re.escape(f"row 2 {what}")):
+            load_features(str(path), n_classes=n_classes)
+        with pytest.raises(DataError, match="row 2"):
+            load_csv(str(path), n_classes=n_classes)
 
 
 class TestNormalizer:

@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from beatformer.config import ModelConfig
 from beatformer.errors import ConfigError, ConfigMismatchError, ShapeError
 from beatformer.model import (
     LN_EPS,
-    ModelConfig,
     _encoder_block,
     _patches,
     build_model,

@@ -1,16 +1,17 @@
 """Tests for config validation, model building, and the batch forward pass."""
 
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from beatformer.config import SCHEMA, ModelConfig, build_config, format_pairs, read_pairs
 from beatformer.errors import ConfigError, ShapeError
 from beatformer.tensor import GradTape, backward
 from beatformer.train import sparse_ce_loss
 from beatformer.model import (
     REFERENCE_PARAM_COUNT,
-    ModelConfig,
     build_model,
     count_params,
     format_param_report,
@@ -43,8 +44,13 @@ class TestModelConfig:
         assert ModelConfig(input_len=44, patch_len=11).n_tokens == 4
 
     def test_dict_roundtrip(self):
+        # every field's text form reads back through the codec and SCHEMA's casters
         cfg = ModelConfig(d_model=12, mlp_units=(7, 3), seed=42, positional="sinusoidal")
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        text = format_pairs((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+        pairs, problems = read_pairs(text.encode("utf-8"))
+        assert problems == []
+        assert build_config(ModelConfig, {key: SCHEMA[key][0](value)
+                                          for key, (value, _, _) in pairs.items()}) == cfg
 
 
 class TestBuildModel:

@@ -792,3 +792,33 @@ def test_no_cli_command_catches_an_error():
                 if any(isinstance(inner, (ast.Try, getattr(ast, "TryStar", ast.Try)))
                        for inner in ast.walk(node))]
     assert not catching, f"commands that catch errors: {catching}"
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that ``module``'s source imports, by name."""
+    tree = ast.parse((Path(tensor_mod.__file__).parent / f"{module}.py").read_text(
+        encoding="utf-8"))
+    full = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            full += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("beatformer" + (f".{node.module}" if node.module else "") if node.level
+                    else node.module)
+            full += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in full if name.startswith("beatformer.")}
+
+
+def test_the_settings_stay_in_config():
+    """``config`` stands on ``errors`` alone, ``data`` needs no ``model``, and
+    ``cli`` defines no settings class and no ``SCHEMA``, so the settings and
+    their text form cannot spread back out of ``config``."""
+    assert _package_imports("config") <= {"errors"}
+    assert "model" not in _package_imports("data")
+    tree = ast.parse((Path(tensor_mod.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assigned = {target.id for node in ast.walk(tree)
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)}
+    assert "SCHEMA" not in assigned

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beatformer.config import ModelConfig, TrainConfig
 from beatformer.data import Dataset, fit_normalizer, stratified_split
 from beatformer.errors import (
     CheckpointError,
@@ -18,12 +19,11 @@ from beatformer.errors import (
     ConfigMismatchError,
     NumericalError,
 )
-from beatformer.model import ModelConfig, build_model, forward, tiny_config
+from beatformer.model import build_model, forward, tiny_config
 from beatformer.tensor import GradTape, Tensor, backward
 from beatformer.train import (
     Adam,
     Checkpoint,
-    TrainConfig,
     history_to_csv,
     infer,
     load_checkpoint,
@@ -420,6 +420,32 @@ class TestCheckpointIO:
         path = str(tmp_path / "model.bin")
         save_checkpoint(ckpt, path)
         assert load_checkpoint(path).norm.fitted_on == fitted_on
+
+    @pytest.mark.parametrize("fitted_on", ["tr\nain.csv", "tr\rain.csv", "tr#1.csv",
+                                           "train.csv ", "train\udcff.csv"])
+    def test_meta_that_would_not_read_back_is_never_written(self, tmp_path, fitted_on):
+        # a file that its own loader would refuse is never written
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.bin"
+        save_checkpoint(ckpt, str(path))
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="config key norm_fitted_on: .* would not read back"):
+            save_checkpoint(replace(ckpt, norm=replace(ckpt.norm, fitted_on=fitted_on)),
+                            str(path))
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["model.bin"]
+
+    def test_violation_across_fields_names_the_meta_block(self, tmp_path):
+        # such a violation belongs to no one line, so it names the block
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.bin"
+        save_checkpoint(ckpt, str(path))
+        blob = path.read_bytes()
+        assert blob.count(b"input_len = 187\n") == 1
+        path.write_bytes(resealed(blob.replace(b"input_len = 187\n", b"input_len = 007\n")))
+        with pytest.raises(CheckpointError, match="patch_len 11 exceeds input_len 7") as err:
+            load_checkpoint(str(path))
+        assert err.value.offset == 20  # after the magic, the version and the meta length
 
     def test_truncated_file_fails_closed(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
