@@ -21,13 +21,12 @@ import ctypes
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import data as data_mod
 from .config import CONFIGS, build_config, format_resolved, resolve
-from .errors import CheckpointError, ConfigError, DataError, NumericalError
+from .errors import CheckpointError, ConfigError, DataError, NumericalError, OutputError
 from .metrics import (
     classification_report,
     confusion_matrix,
@@ -62,16 +61,20 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
 
 
 def _make_out_dir(path: str) -> None:
-    """Create ``path`` as a directory, or raise ``ConfigError`` naming it."""
+    """Create ``path`` as a directory, or raise ``OutputError`` naming it."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as err:
-        raise ConfigError(f"cannot make output directory {path}: {err.strerror or err}") from None
+        raise OutputError("make output directory", path, err) from None
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path``, or raise ``OutputError`` naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise OutputError("write", path, err) from None
 
 
 def _report_files(out_dir: str, preds, labels, n_classes: int) -> str:
@@ -82,6 +85,26 @@ def _report_files(out_dir: str, preds, labels, n_classes: int) -> str:
     _write(os.path.join(out_dir, "report.csv"), report_to_csv(report))
     _write(os.path.join(out_dir, "confusion.csv"), confusion_to_csv(cm))
     return text
+
+
+def _training_splits(run, model_cfg):
+    """``train``'s input stage: load, subset, split, fit the normalization on
+    the training split and normalize both splits in place. Returns the
+    training split, the validation split and the stats.
+
+    The loaded matrix is dropped once it is split, so the stage holds at most
+    about two copies of the features at once."""
+    seed = model_cfg.seed
+    working = data_mod.load_csv(run.data_train, model_cfg.input_len, model_cfg.n_classes)
+    if run.subset:
+        working = data_mod.stratified_subset(working, run.subset, seed)
+    val_n = max(1, round(run.val_fraction * working.n))
+    train_part, val_part = data_mod.stratified_split(working, working.n - val_n, seed)
+    del working
+    stats = data_mod.fit_normalizer(train_part, run.normalization)
+    for ds in (train_part, val_part):
+        data_mod.normalize(ds.features, stats, out=ds.features)
+    return train_part, val_part, stats
 
 
 def cmd_train(args) -> int:
@@ -98,15 +121,7 @@ def cmd_train(args) -> int:
         return _fail("no training CSV given (set data_train or pass --data-train)")
 
     # every input is read and checked before anything is written
-    seed = model_cfg.seed
-    working = data_mod.load_csv(run.data_train, model_cfg.input_len, model_cfg.n_classes)
-    if run.subset:
-        working = data_mod.stratified_subset(working, run.subset, seed)
-    val_n = max(1, round(run.val_fraction * working.n))
-    train_part, val_part = data_mod.stratified_split(working, working.n - val_n, seed)
-    stats = data_mod.fit_normalizer(train_part, run.normalization)
-    train_part, val_part = (replace(ds, features=data_mod.normalize(ds.features, stats))
-                            for ds in (train_part, val_part))
+    train_part, val_part, stats = _training_splits(run, model_cfg)
 
     # provenance next: the resolved config lands before training starts
     _make_out_dir(run.out)
@@ -134,7 +149,8 @@ def cmd_eval(args) -> int:
     model = restore_model(ckpt)
     test_ds = data_mod.load_csv(args.data_test, ckpt.config.input_len, ckpt.config.n_classes)
 
-    logits = infer(model, data_mod.normalize(test_ds.features, ckpt.norm))
+    data_mod.normalize(test_ds.features, ckpt.norm, out=test_ds.features)
+    logits = infer(model, test_ds.features)
     loss, acc = score_logits(logits, test_ds.labels)
     preds = np.argmax(logits, axis=1)
 
@@ -153,7 +169,7 @@ def cmd_predict(args) -> int:
     features, _ = data_mod.load_features(args.data, ckpt.config.input_len,
                                          ckpt.config.n_classes)
 
-    probs = predict(model, data_mod.normalize(features, ckpt.norm))
+    probs = predict(model, data_mod.normalize(features, ckpt.norm, out=features))
     preds = np.argmax(probs, axis=1)
 
     lines = ["index,predicted_class," + ",".join(f"p{c}" for c in range(probs.shape[1]))]
@@ -227,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(fn=cmd_predict)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    gc.add_argument("--config", help="config file (only its seed is read)")
+    gc.add_argument("--config", help="config file: every key is checked, only seed is used")
     gc.add_argument("--seed", type=int, help="seed for the check model and probe batch")
     gc.set_defaults(fn=cmd_gradcheck)
     return parser
@@ -266,7 +282,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as err:
         return _fail("invalid configuration:\n  " + "\n  ".join(err.violations))
-    except (DataError, CheckpointError) as err:
+    except (DataError, CheckpointError, OutputError) as err:
         return _fail(str(err))
     except NumericalError as err:
         print(f"numerical abort: {err}", file=sys.stderr)

@@ -8,6 +8,8 @@ a binary PTB file has the same width and labels 0/1.
 
 from __future__ import annotations
 
+import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -105,13 +107,42 @@ def _lines(path: str) -> Iterator[tuple[int, str]]:
         raise DataError(f"{path}: cannot read the file: {err.strerror or err}") from None
 
 
-def _parse_rows(path: str, widths: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
-    """The file's rows as a float64 matrix, plus each row's 1-based line number.
+# the bytes of a plain numeric CSV: a file made of these alone parses to the
+# same numbers, or fails, in numpy's C reader as in the row parser (each
+# strips only space and tab around a field and reads it with the same strtod)
+_PLAIN_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def _read_plain(path: str, widths: tuple[int, ...]) -> Optional[np.ndarray]:
+    """The matrix numpy's C reader makes of a plain file, or None.
+
+    None unless the file holds only :data:`_PLAIN_BYTES`, the reader raises
+    nothing (warnings count as errors) and its matrix has at least one row, a
+    width in ``widths`` and only finite values. On None the row parser reads
+    the file, so every error message is the row parser's.
+    """
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                if chunk.translate(None, _PLAIN_BYTES):
+                    return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = np.loadtxt(path, delimiter=",", comments=None, dtype=np.float64,
+                                encoding="utf-8", ndmin=2)
+    except Exception:  # whatever the C reader refuses, the row parser reports
+        return None
+    if matrix.shape[0] == 0 or matrix.shape[1] not in widths or not np.isfinite(matrix).all():
+        return None
+    return matrix
+
+
+def _parse_lines(path: str, widths: tuple[int, ...]) -> np.ndarray:
+    """The row parser: the file's rows as a float64 matrix, one line at a time.
 
     The first row may have any width in ``widths``, and every later row that
     same width. Every field must be a finite number; blank lines are skipped,
-    so errors name lines through the returned line numbers, not matrix row
-    indices.
+    and errors name file lines, not matrix row indices.
     """
     rows = []
     linenos = []
@@ -136,10 +167,24 @@ def _parse_rows(path: str, widths: tuple[int, ...]) -> tuple[np.ndarray, list[in
             f"{path}: row {linenos[row]} column {col + 1} holds non-finite value "
             f"{float(matrix[row, col])}"
         )
-    return matrix, linenos
+    return matrix
 
 
-def _labels(path: str, raw: np.ndarray, linenos: list[int], n_classes: int) -> np.ndarray:
+def _parse_rows(path: str, widths: tuple[int, ...]) -> np.ndarray:
+    """The file's rows as a float64 matrix: numpy's C reader's when
+    :func:`_read_plain` takes the file, else the row parser's. Both give the
+    same bits."""
+    matrix = _read_plain(path, widths)
+    return _parse_lines(path, widths) if matrix is None else matrix
+
+
+def _line_of_row(path: str, row: int) -> int:
+    """The 1-based file line of matrix row ``row``, counted as the row parser
+    counts them: blank lines hold no row."""
+    return next(itertools.islice(_lines(path), row, None))[0]
+
+
+def _labels(path: str, raw: np.ndarray, n_classes: int) -> np.ndarray:
     """Each row's class id; a label farther than :data:`LABEL_TOL` from one of
     ``0..n_classes-1`` raises a :class:`DataError` naming its line."""
     labels = np.rint(raw)
@@ -148,15 +193,15 @@ def _labels(path: str, raw: np.ndarray, linenos: list[int], n_classes: int) -> n
     if bad.size:
         i = bad[0]
         what = "is not an integer" if off[i] else f"outside {{0..{n_classes - 1}}}"
-        raise DataError(f"{path}: row {linenos[i]} label {float(raw[i])} {what}")
+        raise DataError(f"{path}: row {_line_of_row(path, i)} label {float(raw[i])} {what}")
     return labels.astype(np.int64)
 
 
 def load_csv(path: str, input_len: int = ModelConfig.input_len,
              n_classes: int = ModelConfig.n_classes) -> Dataset:
     """Read a labeled beat file: ``input_len + 1`` fields per row, last field is the label."""
-    matrix, linenos = _parse_rows(path, (input_len + 1,))
-    labels = _labels(path, matrix[:, input_len], linenos, n_classes)
+    matrix = _parse_rows(path, (input_len + 1,))
+    labels = _labels(path, matrix[:, input_len], n_classes)
     return Dataset(features=matrix[:, :input_len], labels=labels, source=path)
 
 
@@ -165,10 +210,10 @@ def load_features(path: str, input_len: int = ModelConfig.input_len,
                   ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Read a prediction input: rows of ``input_len`` fields, or one more with
     the label checked as :func:`load_csv` checks it, and kept."""
-    matrix, linenos = _parse_rows(path, (input_len, input_len + 1))
+    matrix = _parse_rows(path, (input_len, input_len + 1))
     if matrix.shape[1] == input_len:
         return matrix, None
-    return matrix[:, :input_len], _labels(path, matrix[:, input_len], linenos, n_classes)
+    return matrix[:, :input_len], _labels(path, matrix[:, input_len], n_classes)
 
 
 def fit_normalizer(train: Dataset, mode: str = "standard") -> NormStats:
@@ -187,14 +232,21 @@ def fit_normalizer(train: Dataset, mode: str = "standard") -> NormStats:
     return NormStats(mean=mean, std=std, mode=mode, fitted_on=train.source or "unnamed")
 
 
-def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
+def normalize(features: np.ndarray, stats: NormStats,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply ``stats``: each row standardized on its own in ``per_sample`` mode
-    (a constant row's std floored), else each column with the stored mean and std."""
+    (a constant row's std floored), else each column with the stored mean and std.
+
+    The result goes to ``out`` when given, as in numpy's ufuncs; ``out`` may
+    be ``features`` itself, which normalizes in place with the same bits.
+    """
     if stats.mode == "per_sample":
         mean = features.mean(axis=1, keepdims=True)
         std = features.std(axis=1, keepdims=True)
-        return (features - mean) / np.where(std > 0.0, std, STD_FLOOR)
-    return (features - stats.mean) / stats.std
+        centred = np.subtract(features, mean, out=out)
+        return np.divide(centred, np.where(std > 0.0, std, STD_FLOOR), out=centred)
+    centred = np.subtract(features, stats.mean, out=out)
+    return np.divide(centred, stats.std, out=centred)
 
 
 def class_counts(ds: Dataset) -> np.ndarray:

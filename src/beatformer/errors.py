@@ -37,6 +37,13 @@ class ConfigMismatchError(CheckpointError):
     """The checkpoint's stored config does not match the expected one."""
 
 
+class OutputError(RuntimeError):
+    """An output file or directory could not be written; the message names its path."""
+
+    def __init__(self, what: str, path: str, err: OSError):
+        super().__init__(f"cannot {what} {path}: {err.strerror or err}")
+
+
 class NumericalError(RuntimeError):
     """A non-finite value appeared where finite math was required."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ConfigMismatchError, ShapeError
 from .tensor import Tensor, add_layer_norm, attention, embed_tokens, linear, mean_tokens, relu
 
 logger = logging.getLogger(__name__)
@@ -110,23 +110,30 @@ def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
     return table
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def _glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> np.ndarray:
+    if rng is None:  # the weights come from a checkpoint
+        return np.empty((fan_in, fan_out))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def build_model(config: ModelConfig) -> Model:
+def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None) -> Model:
     """Initialize all weights from the config's seed; deterministic per seed.
 
     Weight matrices are uniform in +/- sqrt(6 / (fan_in + fan_out)), drawn
     in checkpoint order; biases, and the learned positional table, start at
     zero. Logs the total trainable parameter count and its delta from the
     reference variant's count.
+
+    With ``params``, a checkpoint's trainable tensors by name, the weights
+    are copied from them bit for bit and nothing is drawn: no generator is
+    made. A missing, misshapen or unnamed tensor raises
+    ``ConfigMismatchError``.
     """
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed) if params is None else None
     d, width = config.d_model, config.heads * config.d_head
     learned = config.positional == "learned"
 
@@ -171,12 +178,33 @@ def build_model(config: ModelConfig) -> Model:
                   flat_data=np.concatenate([value.ravel() for value in trainable.values()]))
     for t, view in model.views(model.flat_data).items():
         t.data = view
+    if params is not None:
+        _load_params(model, params)
     total = count_params(model)
     logger.info(
         "built model: %d trainable parameters (reference variant reports %d, delta %+d)",
         total, REFERENCE_PARAM_COUNT, total - REFERENCE_PARAM_COUNT,
     )
     return model
+
+
+def _load_params(model: Model, params: dict[str, np.ndarray]) -> None:
+    """Copy ``params`` into the model's trainable tensors, checking that they
+    name exactly those tensors, each with its shape."""
+    named = dict(model.parameters())
+    for name, tensor in named.items():
+        if name not in params:
+            raise ConfigMismatchError(f"checkpoint lacks parameter {name}")
+        stored = params[name]
+        if stored.shape != tensor.data.shape:
+            raise ConfigMismatchError(
+                f"parameter {name} has shape {stored.shape}, expected {tensor.data.shape}"
+            )
+        tensor.data[...] = stored
+    leftover = [name for name in params if name not in named]
+    if leftover:
+        raise ConfigMismatchError(f"checkpoint holds tensor {leftover[0]}, which its config "
+                                  f"does not name")
 
 
 def _patches(features: np.ndarray, patch_len: int) -> np.ndarray:

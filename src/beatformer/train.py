@@ -31,8 +31,8 @@ from .errors import (
     CheckpointError,
     CheckpointVersionError,
     ConfigError,
-    ConfigMismatchError,
     NumericalError,
+    OutputError,
 )
 from .model import Model, build_model, forward
 from .tensor import GradTape, Tensor, backward, record_op
@@ -313,7 +313,9 @@ META_CASTERS = {**{f.name: SCHEMA[f.name][0] for f in fields(ModelConfig)},
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Atomic write: serialize to a temp file, then rename over the target. A
-    meta value that would not read back raises ``ConfigError``, writing nothing."""
+    meta value that would not read back raises ``ConfigError``, writing
+    nothing; a failed write raises ``OutputError`` naming ``path``, leaving no
+    temp file."""
     values = {**vars(ckpt.config), "best_val_loss": float(ckpt.best_val_loss).hex(),
               "epoch": ckpt.epoch, "normalization": ckpt.norm.mode,
               "norm_fitted_on": ckpt.norm.fitted_on}
@@ -339,16 +341,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     blob += struct.pack("<I", zlib.crc32(blob))
 
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise OutputError("write", path, err) from None
 
 
 class _Reader:
@@ -458,19 +463,4 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def restore_model(ckpt: Checkpoint) -> Model:
     """Rebuild the model from the stored config and load weights bit-exactly."""
-    model = build_model(ckpt.config)
-    named = dict(model.parameters())
-    for name, tensor in named.items():
-        if name not in ckpt.params:
-            raise ConfigMismatchError(f"checkpoint lacks parameter {name}")
-        stored = ckpt.params[name]
-        if stored.shape != tensor.data.shape:
-            raise ConfigMismatchError(
-                f"parameter {name} has shape {stored.shape}, expected {tensor.data.shape}"
-            )
-        tensor.data[...] = stored
-    leftover = [name for name in ckpt.params if name not in named]
-    if leftover:
-        raise ConfigMismatchError(f"checkpoint holds tensor {leftover[0]}, which its config "
-                                  f"does not name")
-    return model
+    return build_model(ckpt.config, ckpt.params)

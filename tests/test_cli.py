@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beatformer.cli import main
 from beatformer.config import (
@@ -891,6 +891,42 @@ def test_predict_out_that_is_a_file_exits_2(corpus, tmp_path, capsys):
     assert f"cannot make output directory {blocker}" in capsys.readouterr().err
 
 
+def assert_exit_2_naming(err: str, path: Path) -> None:
+    assert f"error: cannot write {path}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["history.csv", "checkpoint.bin", "report.txt"])
+def test_train_output_that_cannot_be_written_exits_2_naming_it(corpus, capsys, name):
+    out = corpus["dir"] / f"blocked_{name}"
+    (out / name).mkdir(parents=True)
+    assert run_train(corpus, out) == 2
+    assert_exit_2_naming(capsys.readouterr().err, out / name)
+    assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
+
+
+def test_eval_output_that_cannot_be_written_exits_2_naming_it(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run24"
+    assert run_train(corpus, out) == 0
+    reports = tmp_path / "reports"
+    (reports / "confusion.csv").mkdir(parents=True)
+    capsys.readouterr()  # drain the training output
+    assert main(["eval", str(out / "checkpoint.bin"), "--data-test", corpus["test"],
+                 "--out", str(reports)]) == 2
+    assert_exit_2_naming(capsys.readouterr().err, reports / "confusion.csv")
+
+
+def test_predict_output_that_cannot_be_written_exits_2_naming_it(corpus, tmp_path, capsys):
+    out = corpus["dir"] / "run25"
+    assert run_train(corpus, out) == 0
+    served = tmp_path / "served"
+    (served / "predictions.csv").mkdir(parents=True)
+    capsys.readouterr()  # drain the training output
+    assert main(["predict", str(out / "checkpoint.bin"), corpus["test"],
+                 "--out", str(served)]) == 2
+    assert_exit_2_naming(capsys.readouterr().err, served / "predictions.csv")
+
+
 def test_invalid_stored_config_exits_2_naming_the_offset(corpus, tmp_path, capsys):
     out = corpus["dir"] / "run17"
     assert run_train(corpus, out) == 0
@@ -1060,6 +1096,19 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "analytic=" in out and "numeric=" in out
 
+    def test_config_file_is_checked_whole_and_only_its_seed_used(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("d_model = 0\nseed = 3\n")
+        assert main(["gradcheck", "--config", str(bad)]) == 2
+        assert "d_model must be a positive integer, got 0" in capsys.readouterr().err
+        assert main(["gradcheck", "--seed", "3"]) == 0
+        by_flag = capsys.readouterr().out
+        wide = tmp_path / "wide.cfg"
+        wide.write_text("d_model = 32\nheads = 2\nencoder_layers = 6\nseed = 3\n")
+        assert main(["gradcheck", "--config", str(wide)]) == 0
+        # the same small model and probe as --seed 3: the dimensions are not used
+        assert capsys.readouterr().out == by_flag
+
 
 # generated config files and overrides; seeded, so every run tries the same cases
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -1222,6 +1271,136 @@ def test_generated_csv_exits_0_or_2(tiny_checkpoint, text):
                       "--out", str(tmp / "eval_out")],
                      ["predict", str(tmp / "tiny.bin"), str(csv)]):
             assert run_main_quietly(argv)[0] in (0, 2)
+
+
+# padding that Python's float and numpy's C reader strip differently, and
+# digits that only Python's float reads
+csv_pad = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1f", "\x85",
+                           "\xa0", "\u2028", "\u3000", "\ufeff"])
+csv_digits = st.sampled_from(["\u0661", "\uff11\u0662", "\u06f3.\u06f5", "1_0", "4_0.0",
+                              "\u0660"])
+
+
+@st.composite
+def csv_variant(draw) -> bytes:
+    """Labelled rows of :data:`CSV_BASE` with one to three edits: a field
+    padded, given non-ASCII or underscored digits or a :data:`csv_field`
+    value, or a blank line; then lines ended by LF, CRLF or CR, and maybe a
+    UTF-8 BOM."""
+    lines = [CSV_BASE + [draw(st.sampled_from("01234"), label="label")]
+             for _ in range(draw(st.integers(1, 6), label="rows"))]
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        at = draw(st.integers(0, len(lines) - 1), label="at")
+        row = lines[at]
+        col = draw(st.integers(0, len(row) - 1), label="column")
+        edit = draw(st.sampled_from(["pad", "digits", "field", "blank"]))
+        if edit == "pad":
+            pad = draw(csv_pad)
+            row[col] = draw(st.sampled_from([pad + row[col], row[col] + pad,
+                                             pad + row[col] + pad]))
+        elif edit == "digits":
+            row[col] = draw(csv_digits)
+        elif edit == "field":
+            row[col] = draw(csv_field)
+        else:
+            lines.insert(at, [draw(st.sampled_from(["", " ", "\t"]))])
+    eol = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]), label="eol")
+    text = eol.join(",".join(row).encode("utf-8") for row in lines)
+    return draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf"]), label="bom") + text
+
+
+def plain_row(column: int = 0, value: str = CSV_BASE[0]) -> bytes:
+    """One labelled row of :data:`CSV_BASE` with field ``column`` set to ``value``."""
+    row = CSV_BASE + ["3"]
+    return (",".join(row[:column] + [value] + row[column + 1:]) + "\n").encode("utf-8")
+
+
+def loaded(path: str) -> list:
+    """What ``load_csv`` and ``load_features`` make of ``path``: the bytes of
+    each array they return, or the ``DataError`` message."""
+    from beatformer.data import load_csv, load_features
+    from beatformer.errors import DataError
+
+    outcomes = []
+    for load in (load_csv, load_features):
+        try:
+            result = load(path, 187)
+        except DataError as err:
+            outcomes.append(str(err))
+            continue
+        arrays = ((result.features, result.labels) if isinstance(result, Dataset)
+                  else result)
+        outcomes.append([None if a is None else (a.shape, a.tobytes()) for a in arrays])
+    return outcomes
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(text=st.one_of(csv_text(), csv_variant()))
+# files the C reader must hand to the row parser: \x1c padding, which it strips
+# and float refuses, 1e400, which both read as inf, and 1_0, which only float reads
+@example(text=plain_row() + plain_row(5, "\x1c" + CSV_BASE[5]))
+@example(text=plain_row() + plain_row(5, "1e400"))
+@example(text=plain_row(5, "1_0") + b"\n" + plain_row())
+def test_c_reader_gives_the_row_parsers_bits_or_message(tiny_checkpoint, text):
+    from unittest import mock
+
+    import beatformer.data as data_mod
+
+    _, _, tmp = tiny_checkpoint
+    csv = tmp / "variant.csv"
+    csv.write_bytes(text)
+    with mock.patch.object(data_mod, "_read_plain", return_value=None):
+        row_parser = loaded(str(csv))
+    assert loaded(str(csv)) == row_parser
+
+
+def test_eval_and_predict_restore_without_drawing(tiny_checkpoint):
+    # numpy imports numpy.random on first use, and only drawing uses it
+    import subprocess
+    import sys
+
+    import beatformer
+
+    _, rows, tmp = tiny_checkpoint
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(beatformer.__file__))}
+
+    def random_loaded_after(code: str) -> str:
+        probe = code + "\nprint('numpy.random' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()[-1]
+
+    if random_loaded_after("import sys, numpy") == "True":
+        pytest.skip("import numpy alone loads numpy.random with this numpy")
+    argvs = [["eval", "tiny.bin", "--data-test", rows, "--out", str(tmp / "fresh_eval")],
+             ["predict", "tiny.bin", rows]]
+    assert random_loaded_after(
+        "import contextlib, io, sys\n"
+        "from beatformer.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert [main(argv) for argv in {argvs!r}] == [0, 0]") == "False"
+
+
+def test_train_input_stage_peaks_under_2_5_feature_matrices(tmp_path):
+    import tracemalloc
+
+    from beatformer.cli import _training_splits
+
+    ds = synthetic_beats(20_000, seed=60)
+    path = tmp_path / "big.csv"
+    np.savetxt(path, np.column_stack([ds.features, ds.labels]), fmt="%.6f", delimiter=",")
+    del ds
+    tracemalloc.start()
+    try:
+        train_part, val_part, _ = _training_splits(RunConfig(data_train=str(path)),
+                                                   ModelConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = 20_000 * 187 * 8
+    assert (train_part.n, val_part.n) == (18_000, 2_000)
+    assert peak <= 2.5 * matrix, peak / matrix
 
 
 @pytest.mark.parametrize("label, what", [("1e20", "label 1e+20 outside {0..4}"),

@@ -118,6 +118,21 @@ class TestLoadCsv:
     def test_class_names_fixed(self):
         assert CLASS_NAMES == ("N", "S", "V", "F", "Q")
 
+    def test_plain_file_skips_the_row_parser(self, tmp_path, monkeypatch):
+        import beatformer.data as data_mod
+
+        path = tmp_path / "plain.csv"
+        write_beats_csv(path, synthetic_beats(30, seed=10))
+        expected = load_csv(str(path))
+
+        def row_parser(*args):
+            raise AssertionError("the row parser read a plain file")
+
+        monkeypatch.setattr(data_mod, "_parse_lines", row_parser)
+        ds = load_csv(str(path))
+        assert ds.features.tobytes() == expected.features.tobytes()
+        assert ds.labels.tobytes() == expected.labels.tobytes()
+
     def test_roundtrip_through_writer(self, tmp_path):
         ds = synthetic_beats(50, seed=9)
         path = tmp_path / "rt.csv"
@@ -269,6 +284,15 @@ class TestNormalizer:
         row_wise = ((feats - feats.mean(axis=1, keepdims=True))
                     / feats.std(axis=1, keepdims=True))
         np.testing.assert_array_equal(normalize(feats, per_sample), row_wise)
+
+    @pytest.mark.parametrize("mode", NORM_MODES)
+    def test_in_place_gives_the_same_bits(self, synth_train, mode):
+        stats = fit_normalizer(synth_train, mode)
+        expected = normalize(synth_train.features, stats)
+        feats = synth_train.features[:500].copy()
+        out = normalize(feats, stats, out=feats)
+        assert out is feats
+        assert feats.tobytes() == expected[:500].tobytes()
 
     def test_per_sample_constant_row_floored(self):
         row = np.full((1, 187), 2.5)

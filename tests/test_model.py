@@ -166,6 +166,37 @@ class TestFlatBuffers:
         self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
         np.testing.assert_array_equal(model.flat_data, source.flat_data)
 
+    def test_weights_from_params_make_no_generator(self, monkeypatch):
+        source = build_model(tiny_config(seed=5))
+        params = {name: t.data.copy() for name, t in source.parameters()}
+
+        def no_generator(*args):
+            raise AssertionError("a restore drew weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        model = build_model(source.config, params)
+        assert model.flat_data.tobytes() == source.flat_data.tobytes()
+        self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
+
+    @pytest.mark.parametrize("edit, message", [
+        ("drop", "checkpoint lacks parameter block1.ffn.w1"),
+        ("reshape", r"parameter block1.ffn.w1 has shape \(16, 8\), expected \(8, 16\)"),
+        ("extra", "checkpoint holds tensor block9.ffn.w1, which its config does not name"),
+    ])
+    def test_params_that_disagree_with_the_config_are_refused(self, edit, message):
+        from beatformer.errors import ConfigMismatchError
+
+        source = build_model(tiny_config(seed=5))
+        params = {name: t.data.copy() for name, t in source.parameters()}
+        if edit == "drop":
+            del params["block1.ffn.w1"]
+        elif edit == "reshape":
+            params["block1.ffn.w1"] = params["block1.ffn.w1"].T.copy()
+        else:
+            params["block9.ffn.w1"] = params["block1.ffn.w1"]
+        with pytest.raises(ConfigMismatchError, match=message):
+            build_model(source.config, params)
+
     def test_backward_accumulates_into_the_gradient_buffer(self):
         model = build_model(tiny_config(seed=4))
         rng = np.random.default_rng(4)
