@@ -1,11 +1,12 @@
 """Command-line entry point: train, eval, predict, gradcheck.
 
-This module holds the argument parser, the commands and their output
-helpers, and :func:`main`. The settings, their config files and
-``config.resolved`` are :mod:`beatformer.config`'s: command-line flags
-override file values. Each command reads and checks all its input before it
-writes anything: ``train`` writes its fully resolved config to the output
-directory once the training data is loaded, split and normalized, before
+This module holds the argument parser, the commands and :func:`main`; every
+file a command writes goes through :func:`beatformer.output.write_files`.
+The settings, their config files and ``config.resolved`` are
+:mod:`beatformer.config`'s: command-line flags override file values. Each
+command reads and checks all its input before it writes anything: ``train``
+writes its fully resolved config to the output directory once the training
+data is loaded, split and normalized and no output path is a directory, before
 training, so a bad input writes nothing and a completed run is reproducible
 from that file plus the input CSVs.
 
@@ -35,6 +36,7 @@ from .metrics import (
     report_to_csv,
 )
 from .model import build_model, count_params, format_param_report, forward, tiny_config
+from .output import refuse_directories, write_files
 from .tensor import grad_check
 from .train import (
     history_to_csv,
@@ -53,6 +55,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 GRADCHECK_TOL = 1e-4
+REPORT_NAMES = ("report.txt", "report.csv", "confusion.csv")
 
 
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
@@ -60,31 +63,11 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
     return code
 
 
-def _make_out_dir(path: str) -> None:
-    """Create ``path`` as a directory, or raise ``OutputError`` naming it."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as err:
-        raise OutputError("make output directory", path, err) from None
-
-
-def _write(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, or raise ``OutputError`` naming it."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise OutputError("write", path, err) from None
-
-
-def _report_files(out_dir: str, preds, labels, n_classes: int) -> str:
+def _report_files(preds, labels, n_classes: int) -> dict:
     cm = confusion_matrix(preds, labels, n_classes)
     report = classification_report(cm)
-    text = format_report(report)
-    _write(os.path.join(out_dir, "report.txt"), text + "\n")
-    _write(os.path.join(out_dir, "report.csv"), report_to_csv(report))
-    _write(os.path.join(out_dir, "confusion.csv"), confusion_to_csv(cm))
-    return text
+    return {"report.txt": format_report(report) + "\n", "report.csv": report_to_csv(report),
+            "confusion.csv": confusion_to_csv(cm)}
 
 
 def _training_splits(run, model_cfg):
@@ -99,6 +82,11 @@ def _training_splits(run, model_cfg):
     if run.subset:
         working = data_mod.stratified_subset(working, run.subset, seed)
     val_n = max(1, round(run.val_fraction * working.n))
+    n_present = int((data_mod.class_counts(working) > 0).sum())
+    if working.n - val_n < n_present:
+        raise DataError(f"{working.n} rows of {run.data_train} leave {working.n - val_n} to "
+                        f"train on at val_fraction {run.val_fraction}, fewer than the "
+                        f"{n_present} classes they hold")
     train_part, val_part = data_mod.stratified_split(working, working.n - val_n, seed)
     del working
     stats = data_mod.fit_normalizer(train_part, run.normalization)
@@ -123,9 +111,9 @@ def cmd_train(args) -> int:
     # every input is read and checked before anything is written
     train_part, val_part, stats = _training_splits(run, model_cfg)
 
-    # provenance next: the resolved config lands before training starts
-    _make_out_dir(run.out)
-    _write(os.path.join(run.out, "config.resolved"), format_resolved(resolved))
+    # provenance lands before training, once no output path is a directory
+    refuse_directories(run.out, ("checkpoint.bin", "history.csv", *REPORT_NAMES))
+    write_files(run.out, {"config.resolved": format_resolved(resolved)})
 
     model = build_model(model_cfg)
     print(format_param_report(model))
@@ -133,11 +121,11 @@ def cmd_train(args) -> int:
     ckpt, history = train_loop(model, train_cfg, train_part, val_part,
                                checkpoint_path=os.path.join(run.out, "checkpoint.bin"),
                                norm_stats=stats)
-    _write(os.path.join(run.out, "history.csv"), history_to_csv(history))
-    text = _report_files(run.out, np.argmax(ckpt.val_logits, axis=1), val_part.labels,
-                         model_cfg.n_classes)
+    reports = _report_files(np.argmax(ckpt.val_logits, axis=1), val_part.labels,
+                            model_cfg.n_classes)
+    write_files(run.out, {"history.csv": history_to_csv(history), **reports})
     print(f"best validation loss {ckpt.best_val_loss:.6f} at epoch {ckpt.epoch}")
-    print(text)
+    print(reports["report.txt"], end="")
     print(f"artifacts written to {run.out}/")
     return EXIT_OK
 
@@ -155,9 +143,9 @@ def cmd_eval(args) -> int:
     preds = np.argmax(logits, axis=1)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    _make_out_dir(out_dir)
-    text = _report_files(out_dir, preds, test_ds.labels, ckpt.config.n_classes)
-    print(text)
+    reports = _report_files(preds, test_ds.labels, ckpt.config.n_classes)
+    write_files(out_dir, reports)
+    print(reports["report.txt"], end="")
     print(f"\ntest loss {loss:.6f}, test accuracy {acc:.4f}")
     print(f"report files written to {out_dir}/")
     return EXIT_OK
@@ -177,8 +165,7 @@ def cmd_predict(args) -> int:
         lines.append(f"{i},{label}," + ",".join(f"{p:.17g}" for p in row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        _make_out_dir(args.out)
-        _write(os.path.join(args.out, "predictions.csv"), text)
+        write_files(args.out, {"predictions.csv": text})
         print(f"predictions written to {os.path.join(args.out, 'predictions.csv')}")
     else:
         sys.stdout.write(text)

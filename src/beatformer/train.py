@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
@@ -27,14 +26,9 @@ from .config import (
     read_pairs,
 )
 from .data import Dataset, NormStats, batches
-from .errors import (
-    CheckpointError,
-    CheckpointVersionError,
-    ConfigError,
-    NumericalError,
-    OutputError,
-)
+from .errors import CheckpointError, CheckpointVersionError, ConfigError, NumericalError
 from .model import Model, build_model, forward
+from .output import write_files
 from .tensor import GradTape, Tensor, backward, record_op
 
 __all__ = [
@@ -312,10 +306,8 @@ META_CASTERS = {**{f.name: SCHEMA[f.name][0] for f in fields(ModelConfig)},
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Atomic write: serialize to a temp file, then rename over the target. A
-    meta value that would not read back raises ``ConfigError``, writing
-    nothing; a failed write raises ``OutputError`` naming ``path``, leaving no
-    temp file."""
+    """Write ``ckpt`` to ``path`` with ``output.write_files``. A meta value that
+    would not read back raises ``ConfigError``, writing nothing."""
     values = {**vars(ckpt.config), "best_val_loss": float(ckpt.best_val_loss).hex(),
               "epoch": ckpt.epoch, "normalization": ckpt.norm.mode,
               "norm_fitted_on": ckpt.norm.fitted_on}
@@ -340,20 +332,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         blob += arr.astype("<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(blob))
 
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as err:
-        raise OutputError("write", path, err) from None
+    write_files(os.path.dirname(path), {os.path.basename(path): blob})
 
 
 class _Reader:

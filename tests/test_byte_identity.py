@@ -9,9 +9,13 @@ host's digests (after a change that moves bits on purpose), run from the
 repository root::
 
     PYTHONPATH=src:. python tests/test_byte_identity.py
+
+The same runs with numpy's OpenBLAS capped at one thread must give the same
+digests, so the bits do not depend on how BLAS splits a product.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -99,6 +103,42 @@ def test_seeded_run_files_match_the_committed_digests(tmp_path, config):
     if expected is None:
         pytest.skip(f"no digests recorded for this host: {json.dumps(fingerprint)}")
     assert run_digests(config, tmp_path / config) == expected[config]
+
+
+# the run-time thread setter and getter of the OpenBLAS that numpy wheels bundle
+SET_THREADS = "scipy_openblas_set_num_threads64_"
+GET_THREADS = "scipy_openblas_get_num_threads64_"
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Cap numpy's bundled OpenBLAS at ``n`` threads for the block, then
+    restore its count; skip, naming the symbol, where the library or the
+    symbol is missing."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*"))
+    lib = ctypes.CDLL(str(libs[0])) if libs else None
+    if lib is None or not all(hasattr(lib, name) for name in (SET_THREADS, GET_THREADS)):
+        pytest.skip(f"numpy's BLAS does not export {SET_THREADS}")
+    set_threads, get_threads = getattr(lib, SET_THREADS), getattr(lib, GET_THREADS)
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    before = get_threads()
+    set_threads(n)
+    try:
+        assert get_threads() == n
+        yield
+    finally:
+        set_threads(before)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_seeded_run_files_match_the_committed_digests_at_one_blas_thread(tmp_path, config):
+    fingerprint = host_fingerprint()
+    expected = known_digests(fingerprint)
+    if expected is None:
+        pytest.skip(f"no digests recorded for this host: {json.dumps(fingerprint)}")
+    with blas_threads(1):
+        assert run_digests(config, tmp_path / config) == expected[config]
 
 
 def write_digests(root: Path) -> None:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests on small synthetic corpora."""
 
 import contextlib
+import errno
 import io
 import os
 from dataclasses import fields, replace
@@ -291,7 +292,7 @@ class TestTrainCommand:
         assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
         assert (out_a / "checkpoint.bin").read_bytes() == (out_b / "checkpoint.bin").read_bytes()
 
-    def test_report_is_the_restored_checkpoint_on_the_validation_split(self, corpus, tmp_path):
+    def test_report_is_the_restored_checkpoint_on_the_validation_split(self, corpus):
         # the report comes from the logits scored at the best epoch; it must be
         # byte-identical to restoring checkpoint.bin and predicting the
         # validation split again, which is what train did before
@@ -306,9 +307,10 @@ class TestTrainCommand:
         val_n = round(0.1 * full.n)
         _, val = data_mod.stratified_split(full, full.n - val_n, 7)
         probs = predict(restore_model(ckpt), data_mod.normalize(val.features, ckpt.norm))
-        _report_files(str(tmp_path), np.argmax(probs, axis=1), val.labels, 5)
-        for name in ("report.txt", "report.csv", "confusion.csv"):
-            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        texts = _report_files(np.argmax(probs, axis=1), val.labels, 5)
+        assert sorted(texts) == ["confusion.csv", "report.csv", "report.txt"]
+        for name, text in texts.items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), name
 
     def test_report_needs_no_second_validation_pass(self, corpus, monkeypatch):
         import beatformer.cli as cli_mod
@@ -783,7 +785,8 @@ def tree_bytes(root: Path) -> dict:
             if p.is_file()}
 
 
-@pytest.mark.parametrize("case", ["bad-label", "subset-too-large", "too-few-rows"])
+@pytest.mark.parametrize("case", ["bad-label", "subset-too-large", "too-few-rows",
+                                  "too-small-to-split"])
 def test_train_that_fails_on_its_input_writes_nothing(corpus, tmp_path, capsys, case):
     rows = (corpus["dir"] / "train.csv").read_text().splitlines()
     bad = tmp_path / "bad.csv"
@@ -794,10 +797,16 @@ def test_train_that_fails_on_its_input_writes_nothing(corpus, tmp_path, capsys, 
     elif case == "subset-too-large":
         flags += ["--subset", "100000"]
         message = "subset size must lie in [5, 240], got 100000"
-    else:
+    elif case == "too-few-rows":
         # one class, so the training split keeps a single row
         rows = [row for row in rows if row.endswith(",0.0")][:2]
         message = "need at least 2 samples to fit normalization, got 1"
+    else:
+        # one row of each class: the validation row leaves 4 to train on, too
+        # few for a stratified split over 5 classes; no --subset is given
+        rows = [next(row for row in rows if row.endswith(f",{c}.0")) for c in range(5)]
+        message = (f"error: 5 rows of {bad} leave 4 to train on at val_fraction 0.1, fewer "
+                   f"than the 5 classes they hold")
     bad.write_text("\n".join(rows) + "\n")
 
     fresh = tmp_path / "fresh"
@@ -896,24 +905,55 @@ def assert_exit_2_naming(err: str, path: Path) -> None:
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["history.csv", "checkpoint.bin", "report.txt"])
-def test_train_output_that_cannot_be_written_exits_2_naming_it(corpus, capsys, name):
+@pytest.mark.parametrize("name", ["history.csv", "checkpoint.bin", "report.txt", "report.csv",
+                                  "confusion.csv"])
+def test_train_output_that_cannot_be_written_exits_2_naming_it(corpus, capsys, monkeypatch,
+                                                                name):
+    import beatformer.cli as cli_mod
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran an epoch before it checked its output paths")
+
+    monkeypatch.setattr(cli_mod, "train_loop", no_training)
     out = corpus["dir"] / f"blocked_{name}"
     (out / name).mkdir(parents=True)
     assert run_train(corpus, out) == 2
     assert_exit_2_naming(capsys.readouterr().err, out / name)
-    assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
+    assert os.listdir(out) == [name]  # no config.resolved and no temp file
+
+
+def test_outputs_get_the_mode_a_plain_open_gives(corpus, tmp_path):
+    previous = os.umask(0o027)  # not the usual 022, so a fixed 0644 would fail too
+    try:
+        probe = tmp_path / "probe"
+        with open(probe, "w"):
+            pass
+        out = corpus["dir"] / "run_modes"
+        assert run_train(corpus, out) == 0
+    finally:
+        os.umask(previous)
+    mode = probe.stat().st_mode & 0o777
+    assert mode == 0o640
+    for name in ("checkpoint.bin", "history.csv", "config.resolved", "report.txt"):
+        assert (out / name).stat().st_mode & 0o777 == mode, name
 
 
 def test_eval_output_that_cannot_be_written_exits_2_naming_it(corpus, tmp_path, capsys):
+    # the reports land as one set: the two that could be written keep an
+    # older run's bytes
     out = corpus["dir"] / "run24"
     assert run_train(corpus, out) == 0
     reports = tmp_path / "reports"
     (reports / "confusion.csv").mkdir(parents=True)
+    old = {"report.txt": b"an older run's report\n", "report.csv": b"class,precision\n"}
+    for name, blob in old.items():
+        (reports / name).write_bytes(blob)
     capsys.readouterr()  # drain the training output
     assert main(["eval", str(out / "checkpoint.bin"), "--data-test", corpus["test"],
                  "--out", str(reports)]) == 2
     assert_exit_2_naming(capsys.readouterr().err, reports / "confusion.csv")
+    assert tree_bytes(reports) == old
+    assert sorted(os.listdir(reports)) == ["confusion.csv", "report.csv", "report.txt"]
 
 
 def test_predict_output_that_cannot_be_written_exits_2_naming_it(corpus, tmp_path, capsys):
@@ -1417,3 +1457,112 @@ def test_predict_of_a_bad_trailing_label_exits_2_naming_the_line(tiny_checkpoint
     captured = capsys.readouterr()
     assert f"{bad}: row 2 {what}" in captured.err
     assert captured.out == ""
+
+
+# the files each command writes into its --out
+COMMAND_OUTPUTS = {
+    "train": ("config.resolved", "checkpoint.bin", "history.csv", "report.txt", "report.csv",
+              "confusion.csv"),
+    "eval": ("report.txt", "report.csv", "confusion.csv"),
+    "predict": ("predictions.csv",),
+}
+
+
+def run_main_silently(argv) -> tuple[int, str]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return run_main_quietly(argv)
+
+
+class FailingOpen:
+    """``open`` for :mod:`beatformer.output` whose ``n``-th call leaves a
+    partly written file and raises ``OSError(ENOSPC)``, as a full disk does."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.calls = 0
+
+    def __call__(self, path, mode="r", *args, **kwargs):
+        self.calls += 1
+        fh = open(path, mode, *args, **kwargs)
+        if self.calls == self.n:
+            with fh:
+                fh.write(b"partial")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return fh
+
+
+@pytest.fixture(scope="module")
+def write_sets(tmp_path_factory):
+    """A scratch directory, each command's argv for a given --out, and the
+    sets of files (name -> bytes) each command writes on a run with no fault,
+    in the order it writes them."""
+    import beatformer.cli as cli_mod
+    import beatformer.output as output_mod
+    import beatformer.train as train_mod
+
+    tmp = tmp_path_factory.mktemp("write_faults")
+    data = str(tmp / "train.csv")
+    write_beats_csv(data, synthetic_beats(60, seed=61, proportions=[0.2] * 5))
+    cfg = tmp / "run.cfg"
+    cfg.write_text(TINY_MODEL_LINES + f"\ndata_train = {data}\n")
+    ckpt = str(tmp / "model" / "checkpoint.bin")
+    argv = {
+        "train": lambda out: ["train", "--config", str(cfg), "--out", out, "--epochs", "2",
+                              "--seed", "7"],
+        "eval": lambda out: ["eval", ckpt, "--data-test", data, "--out", out],
+        "predict": lambda out: ["predict", ckpt, data, "--out", out],
+    }
+    assert run_main_silently(argv["train"](str(tmp / "model")))[0] == 0
+
+    sets = {}
+    for command, make_argv in argv.items():
+        sets[command] = []
+
+        def recording(directory, files, found=sets[command]):
+            found.append({name: blob.encode("utf-8") if isinstance(blob, str) else bytes(blob)
+                          for name, blob in files.items()})
+            output_mod.write_files(directory, files)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (cli_mod, train_mod):
+                mp.setattr(module, "write_files", recording)
+            # the --out the property reuses, since config.resolved names it
+            assert run_main_silently(make_argv(str(tmp / command)))[0] == 0
+        assert sorted({name for files in sets[command] for name in files}) == sorted(
+            COMMAND_OUTPUTS[command])
+    return tmp, argv, sets
+
+
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_a_failed_write_leaves_every_output_old_or_new(write_sets, data):
+    """For every n, the n-th file write of train, eval and predict fails with
+    ENOSPC: the command exits 2 naming that file, each set written before it
+    has landed whole, the failed set has not landed at all, and no temp file
+    is left. The old files in --out are drawn."""
+    import shutil
+
+    import beatformer.output as output_mod
+
+    tmp, argv, sets = write_sets
+    for command, names in COMMAND_OUTPUTS.items():
+        old = {name: data.draw(st.binary(max_size=16), label=f"old {command} {name}")
+               for name in names if data.draw(st.booleans(), label=f"has {command} {name}")}
+        writes = [(i, name) for i, files in enumerate(sets[command]) for name in files]
+        for n, (failing_set, failing) in enumerate(writes, start=1):
+            out = tmp / command
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            for name, blob in old.items():
+                (out / name).write_bytes(blob)
+            expected = dict(old)
+            for files in sets[command][:failing_set]:
+                expected.update(files)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(output_mod, "open", FailingOpen(n), raising=False)
+                code, err = run_main_silently(argv[command](str(out)))
+            assert code == 2, (command, n)
+            assert f"error: cannot write {out / failing}: {os.strerror(errno.ENOSPC)}" in err
+            assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
+            assert tree_bytes(out) == expected, (command, n)

@@ -822,3 +822,57 @@ def test_the_settings_stay_in_config():
                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
                 if isinstance(target, ast.Name)}
     assert "SCHEMA" not in assigned
+
+
+# calls that create, replace or write a file; ``open`` counts in a write mode
+WRITE_CALLS = {("os", "replace"), ("os", "rename"), ("os", "open"), ("os", "fdopen"),
+               ("tempfile", "mkstemp"), ("tempfile", "NamedTemporaryFile"),
+               ("tempfile", "TemporaryFile"), ("shutil", "copyfile"), ("shutil", "move")}
+
+
+class _FileWrites(ast.NodeVisitor):
+    """Collects ``module.function`` for each call in one module that writes a
+    file, and each import that would hide such a call from the check."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.found = []
+
+    def _visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_scope
+
+    def visit_ImportFrom(self, node):
+        if any((node.module, alias.name) in WRITE_CALLS for alias in node.names):
+            self.found.append(".".join(self.scope))
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            owner = func.value.id if isinstance(func.value, ast.Name) else None
+            writes = ((owner, func.attr) in WRITE_CALLS
+                      or func.attr in ("write_text", "write_bytes"))
+        elif isinstance(func, ast.Name) and func.id == "open":
+            mode = (node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"])
+            writes = bool(mode) and not (isinstance(mode[0], ast.Constant)
+                                         and not set("wax+") & set(str(mode[0].value)))
+        else:
+            writes = False
+        if writes:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_every_file_is_written_by_the_one_writer():
+    """Only ``output.write_files`` creates, writes or renames a file, so every
+    output lands whole, by rename, and a new output cannot add a second path."""
+    found = []
+    for path in sorted(Path(tensor_mod.__file__).parent.glob("*.py")):
+        finder = _FileWrites(path.stem)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += finder.found
+    assert "output.write_files" in found
+    assert set(found) == {"output.write_files"}, sorted(found)
