@@ -130,20 +130,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _restore(path: str):
+    """The model and normalization stats of the checkpoint at ``path``. The
+    checkpoint's own weight arrays are dropped: the model holds a copy."""
+    ckpt = load_checkpoint(path)
+    return restore_model(ckpt), ckpt.norm
+
+
 def cmd_eval(args) -> int:
     if not args.data_test:
         return _fail("no test CSV given (pass --data-test)")
-    ckpt = load_checkpoint(args.checkpoint)
-    model = restore_model(ckpt)
-    test_ds = data_mod.load_csv(args.data_test, ckpt.config.input_len, ckpt.config.n_classes)
+    model, norm = _restore(args.checkpoint)
+    cfg = model.config
+    test_ds = data_mod.load_csv(args.data_test, cfg.input_len, cfg.n_classes)
 
-    data_mod.normalize(test_ds.features, ckpt.norm, out=test_ds.features)
+    data_mod.normalize(test_ds.features, norm, out=test_ds.features)
     logits = infer(model, test_ds.features)
     loss, acc = score_logits(logits, test_ds.labels)
     preds = np.argmax(logits, axis=1)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    reports = _report_files(preds, test_ds.labels, ckpt.config.n_classes)
+    reports = _report_files(preds, test_ds.labels, cfg.n_classes)
     write_files(out_dir, reports)
     print(reports["report.txt"], end="")
     print(f"\ntest loss {loss:.6f}, test accuracy {acc:.4f}")
@@ -152,12 +159,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    model = restore_model(ckpt)
-    features, _ = data_mod.load_features(args.data, ckpt.config.input_len,
-                                         ckpt.config.n_classes)
+    model, norm = _restore(args.checkpoint)
+    features, _ = data_mod.load_features(args.data, model.config.input_len,
+                                         model.config.n_classes)
 
-    probs = predict(model, data_mod.normalize(features, ckpt.norm, out=features))
+    probs = predict(model, data_mod.normalize(features, norm, out=features))
     preds = np.argmax(probs, axis=1)
 
     lines = ["index,predicted_class," + ",".join(f"p{c}" for c in range(probs.shape[1]))]

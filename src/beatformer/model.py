@@ -88,8 +88,11 @@ class Model:
 
 def dropout_mask(shape: tuple, p: float,
                  rng: np.random.Generator | None) -> np.ndarray | None:
-    """Inverted-dropout mask: keep with prob 1-p, kept entries scaled by 1/(1-p).
+    """Boolean dropout mask: True (keep) with prob 1-p, one byte per entry.
 
+    The ops that take it (:func:`~beatformer.tensor.relu`,
+    :func:`~beatformer.tensor.add_layer_norm`) scale kept entries by 1/(1-p),
+    rebuilding the float mask ``keep / (1 - p)`` where they need it.
     ``None`` (no dropout) when there is no generator or p is 0; no draw is
     made then.
     """
@@ -97,7 +100,7 @@ def dropout_mask(shape: tuple, p: float,
         raise ConfigError(f"dropout probability must lie in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return None
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+    return rng.random(shape) >= p
 
 
 def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
@@ -234,11 +237,11 @@ def _encoder_block(model: Model, i: int, x: Tensor, b: int,
                       b, x.shape[0] // b, cfg.heads, cfg.d_head)
     y = linear(heads, w[k + "attn.w_o"], w[k + "attn.b_o"])
     a = add_layer_norm(x, y, w[k + "ln1.gamma"], w[k + "ln1.beta"], LN_EPS,
-                       dropout_mask(y.shape, cfg.dropout, rng))
+                       dropout_mask(y.shape, cfg.dropout, rng), cfg.dropout)
     y = linear(relu(linear(a, w[k + "ffn.w1"], w[k + "ffn.b1"])),
                w[k + "ffn.w2"], w[k + "ffn.b2"])
     return add_layer_norm(a, y, w[k + "ln2.gamma"], w[k + "ln2.beta"], LN_EPS,
-                          dropout_mask(y.shape, cfg.dropout, rng))
+                          dropout_mask(y.shape, cfg.dropout, rng), cfg.dropout)
 
 
 def forward(model: Model, features, rng: np.random.Generator | None = None) -> Tensor:
@@ -269,7 +272,7 @@ def forward(model: Model, features, rng: np.random.Generator | None = None) -> T
     h = mean_tokens(x, b)
     for j in range(len(cfg.mlp_units)):
         h = linear(h, p[f"head.dense{j}.w"], p[f"head.dense{j}.b"])
-        h = relu(h, dropout_mask(h.shape, cfg.dropout, rng))
+        h = relu(h, dropout_mask(h.shape, cfg.dropout, rng), cfg.dropout)
     return linear(h, p["head.out.w"], p["head.out.b"])
 
 

@@ -7,6 +7,14 @@ gradient into the array that ``grads`` maps its tensor to. Gradients are an
 output the caller places: a tensor holds no gradient slot, and repeated
 backward calls accumulate into the same arrays.
 
+A record names its output and inputs by :attr:`Tensor.key` and holds no
+tensor, and each backward rule captures only the arrays it reads. So an op
+output that no rule reads (a residual branch, a pre-ReLU activation) is
+freed as soon as the forward has consumed it, as in PyTorch's autograd,
+which saves per op only what the derivative formula needs. Dropout masks
+are boolean; an op rebuilds the scaled float mask ``keep / (1 - p)`` where
+it needs it.
+
 Storage is row-major (C-contiguous) float64 throughout. Rank 0..3 is
 supported; fused ops such as :func:`attention` use higher-rank arrays only
 inside the op.
@@ -14,6 +22,7 @@ inside the op.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -39,15 +48,21 @@ __all__ = [
 ]
 
 
+# serial numbers for Tensor.key; unlike id(), never handed out twice
+_KEYS = itertools.count()
+
+
 class Tensor:
     """Dense float64 array, hashed by identity.
 
     ``needs_grad`` marks trainable parameters; op outputs inherit it from
     their inputs so backward can skip constants (input patches, a fixed
-    positional table) entirely.
+    positional table) entirely. ``key`` is a serial number no other tensor
+    of the process gets, even after this one is freed; tape records name
+    tensors by it.
     """
 
-    __slots__ = ("data", "needs_grad")
+    __slots__ = ("data", "needs_grad", "key")
 
     def __init__(self, data, needs_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -55,6 +70,7 @@ class Tensor:
             raise ShapeError(f"rank {arr.ndim} tensor not supported (max rank 3)")
         self.data = arr
         self.needs_grad = needs_grad
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple:
@@ -75,7 +91,9 @@ class Tensor:
 
 @dataclass
 class _OpRecord:
-    out: Tensor
+    # the output's key, and each input's key or None where it needs no
+    # gradient: no tensor is kept, so the tape pins no array a rule does not read
+    out: int
     inputs: tuple
     # maps d(loss)/d(out) to a tuple of d(loss)/d(input), None where skipped
     backward_fn: Callable[[np.ndarray], tuple]
@@ -128,7 +146,8 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> None:
     """
     tape = _active_tape()
     if tape is not None and out.needs_grad:
-        tape._records.append(_OpRecord(out, tuple(inputs), backward_fn))
+        tape._records.append(_OpRecord(
+            out.key, tuple(t.key if t.needs_grad else None for t in inputs), backward_fn))
 
 
 def backward(tape: GradTape, loss: Tensor, grads: Mapping[Tensor, np.ndarray]) -> None:
@@ -148,19 +167,19 @@ def backward(tape: GradTape, loss: Tensor, grads: Mapping[Tensor, np.ndarray]) -
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    adjoints: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
+    dests = {t.key: arr for t, arr in grads.items()}
     for rec in reversed(tape._records):
-        out_adj = adjoints.pop(id(rec.out), None)
+        out_adj = adjoints.pop(rec.out, None)
         if out_adj is None:
             continue  # not on any path to the loss
-        for inp, g in zip(rec.inputs, rec.backward_fn(out_adj)):
-            if g is None or not inp.needs_grad:
+        for key, g in zip(rec.inputs, rec.backward_fn(out_adj)):
+            if g is None or key is None:
                 continue
-            dest = grads.get(inp)
+            dest = dests.get(key)
             if dest is not None:
                 dest += g
                 continue
-            key = id(inp)
             # out of place: a backward rule may hand the same array to several
             # inputs (add_layer_norm's does without a dropout mask), so a
             # stored adjoint is never written into
@@ -326,8 +345,9 @@ def attention(qkv: Tensor, b: int, t: int, heads: int, d_head: int) -> Tensor:
     return _out(out.reshape(b * t, heads * d_head), (qkv,), bwd)
 
 
-def relu(a: Tensor, keep: Optional[np.ndarray] = None) -> Tensor:
-    """max(a, 0), times the dropout mask ``keep`` when one is given."""
+def relu(a: Tensor, keep: Optional[np.ndarray] = None, p: float = 0.0) -> Tensor:
+    """max(a, 0), with inverted dropout at rate ``p`` when a boolean mask
+    ``keep`` is given: kept entries are scaled by 1 / (1 - p), the rest zeroed."""
     if keep is not None and keep.shape != a.shape:
         raise ShapeError(f"relu dropout mask has shape {keep.shape}, expected {a.shape}")
     mask = a.data > 0
@@ -335,18 +355,20 @@ def relu(a: Tensor, keep: Optional[np.ndarray] = None) -> Tensor:
     out = np.maximum(a.data, 0.0)
     if keep is None:
         return _out(out, (a,), lambda g: (g * mask,))
-    out *= keep
-    return _out(out, (a,), lambda g: (g * keep * mask,))
+    out *= keep / (1.0 - p)
+    return _out(out, (a,), lambda g: (g * (keep / (1.0 - p)) * mask,))
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
-                   eps: float = 1e-6, keep: Optional[np.ndarray] = None) -> Tensor:
+                   eps: float = 1e-6, keep: Optional[np.ndarray] = None,
+                   p: float = 0.0) -> Tensor:
     """Residual sum then LayerNorm over the last axis, gamma * x_hat + beta of x + y.
 
-    With a dropout mask ``keep`` the sum is x + keep * y: the post-norm
-    residual step LN(x + Dropout(y)). The forward centres the sum in one
-    buffer and scales it in place into x_hat; the backward works in place on
-    g * gamma and, without a mask, hands the same dX array to both inputs.
+    With a boolean dropout mask ``keep`` of rate ``p`` the sum is
+    x + (keep / (1 - p)) * y: the post-norm residual step LN(x + Dropout(y)).
+    The forward centres the sum in one buffer and scales it in place into
+    x_hat; the backward works in place on g * gamma and, without a mask,
+    hands the same dX array to both inputs. It keeps x_hat, not x or y.
     """
     if eps <= 0:
         raise ConfigError(f"add_layer_norm eps must be > 0, got {eps}")
@@ -360,20 +382,22 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
             f"add_layer_norm gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
     # mean and variance summed exactly as np.mean and np.var sum them
-    xhat = x.data + (y.data if keep is None else y.data * keep)
+    xhat = x.data + (y.data if keep is None else y.data * (keep / (1.0 - p)))
     xhat -= xhat.sum(axis=-1, keepdims=True) / d
     out = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + eps)
     xhat *= inv
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data
+    # flags, not x and y: the rule reads neither input's values
+    inputs_need_grad = x.needs_grad or y.needs_grad
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
         tmp = g * xhat
         ggamma = tmp.sum(axis=lead) if gamma.needs_grad else None
         gbeta = g.sum(axis=lead) if beta.needs_grad else None
-        if not (x.needs_grad or y.needs_grad):
+        if not inputs_need_grad:
             return None, None, ggamma, gbeta
         # dX = inv / d * (d * dX_hat - sum(dX_hat) - x_hat * sum(dX_hat * x_hat))
         gx = g * gamma.data
@@ -385,7 +409,7 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
         np.multiply(xhat, sum_gx_xhat, out=tmp)
         gx -= tmp
         gx *= inv / d
-        return gx, (gx if keep is None else gx * keep), ggamma, gbeta
+        return gx, (gx if keep is None else gx * (keep / (1.0 - p))), ggamma, gbeta
 
     return _out(out, (x, y, gamma, beta), bwd)
 

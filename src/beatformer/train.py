@@ -11,7 +11,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -233,13 +233,8 @@ def train_loop(
                      beta2=cfg.beta2, eps=cfg.eps)
     dropout_rng = np.random.default_rng([seed, 0xD0])
 
-    best = Checkpoint(
-        config=model.config,
-        params=_snapshot(model),
-        norm=stats,
-        best_val_loss=math.inf,
-        epoch=-1,
-    )
+    # set by epoch 0, whose finite validation loss always improves on none
+    best: Optional[Checkpoint] = None
     history: list[EpochStats] = []
 
     for epoch in range(cfg.epochs):
@@ -277,9 +272,9 @@ def train_loop(
                 val_acc=val_acc,
             )
         )
-        if val_loss < best.best_val_loss:
-            best = replace(best, params=_snapshot(model), best_val_loss=val_loss,
-                           epoch=epoch, val_logits=val_logits)
+        if best is None or val_loss < best.best_val_loss:
+            best = Checkpoint(config=model.config, params=_snapshot(model), norm=stats,
+                              best_val_loss=val_loss, epoch=epoch, val_logits=val_logits)
             if checkpoint_path is not None:
                 save_checkpoint(best, checkpoint_path)
 

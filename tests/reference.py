@@ -130,20 +130,20 @@ def sum_then_add_backward(tape, loss, grads):
 
     Every adjoint is kept until the replay ends, then the adjoint of each
     tensor that no recorded op produced is added into its array in ``grads``.
+    Records name tensors by ``Tensor.key``; an input that needs no gradient
+    has the key None.
     """
-    adjoints = {id(loss): np.ones_like(loss.data)}
-    leaves = {}
-    produced = {id(rec.out) for rec in tape._records}
+    adjoints = {loss.key: np.ones_like(loss.data)}
+    produced = {rec.out for rec in tape._records}
     for rec in reversed(tape._records):
-        out_adj = adjoints.pop(id(rec.out), None)
+        out_adj = adjoints.pop(rec.out, None)
         if out_adj is None:
             continue
-        for inp, g in zip(rec.inputs, rec.backward_fn(out_adj)):
-            if g is None or not inp.needs_grad:
+        for key, g in zip(rec.inputs, rec.backward_fn(out_adj)):
+            if g is None or key is None:
                 continue
-            key = id(inp)
             adjoints[key] = adjoints[key] + g if key in adjoints else g
-            leaves[key] = inp
+    leaves = {t.key: arr for t, arr in grads.items()}
     for key, adj in adjoints.items():
-        if key not in produced and leaves[key] in grads:
-            grads[leaves[key]] += adj
+        if key not in produced and key in leaves:
+            leaves[key] += adj

@@ -1118,7 +1118,7 @@ class TestGradcheckCommand:
 
         original = tensor_mod.relu
 
-        def broken_relu(a, keep=None):
+        def broken_relu(a, keep=None, p=0.0):
             mask = a.data > 0
             return tensor_mod._out(
                 np.maximum(a.data, 0.0), (a,), lambda g: (g * mask * 1.75,)
@@ -1420,6 +1420,44 @@ def test_eval_and_predict_restore_without_drawing(tiny_checkpoint):
         "from beatformer.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert [main(argv) for argv in {argvs!r}] == [0, 0]") == "False"
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_eval_and_predict_hold_one_copy_of_the_weights(tmp_path, monkeypatch, command):
+    import tracemalloc
+
+    import beatformer.train as train_mod
+    from beatformer.data import fit_normalizer
+    from beatformer.model import build_model
+    from beatformer.train import Checkpoint, save_checkpoint
+
+    ckpt, csv = str(tmp_path / "ckpt.bin"), str(tmp_path / "rows.csv")
+    rows = synthetic_beats(4, seed=61)
+    write_beats_csv(csv, rows)
+    model = build_model(ModelConfig(seed=61))
+    weights = model.flat_data.nbytes
+    save_checkpoint(Checkpoint(config=model.config,
+                               params={name: t.data for name, t in model.parameters()},
+                               norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0), ckpt)
+    del model
+    held = []
+    original = train_mod.forward
+
+    def measured_forward(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return original(*args)
+
+    monkeypatch.setattr(train_mod, "forward", measured_forward)
+    argv = {"eval": ["eval", ckpt, "--data-test", csv, "--out", str(tmp_path)],
+            "predict": ["predict", ckpt, csv]}[command]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    # the model's flat buffer and some bookkeeping when the forward starts;
+    # the checkpoint's own weight arrays, kept too, made it two copies
+    assert held and held[0] < 1.5 * weights, held[0] / weights
 
 
 def test_train_input_stage_peaks_under_2_5_feature_matrices(tmp_path):

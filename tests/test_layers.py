@@ -366,9 +366,19 @@ class TestDropout:
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_inverted_scaling_preserves_mean(self):
+        # one byte per entry; the ops scale kept entries by 1 / (1 - p)
         mask = dropout_mask((200, 200), 0.5, np.random.default_rng(15))
-        assert set(np.unique(mask)) == {0.0, 2.0}
-        assert abs(mask.mean() - 1.0) < 0.05
+        assert mask.dtype == np.bool_ and mask.nbytes == 200 * 200
+        scaled = mask / (1 - 0.5)
+        assert set(np.unique(scaled)) == {0.0, 2.0}
+        assert abs(scaled.mean() - 1.0) < 0.05
+
+    def test_rebuilt_mask_is_bit_equal_to_the_float_mask(self):
+        # the float mask as dropout_mask made it before it went to one byte
+        for p in (0.15, 0.3, 0.5):
+            mask = dropout_mask((40, 30), p, np.random.default_rng(16))
+            old = (np.random.default_rng(16).random((40, 30)) >= p).astype(np.float64) / (1.0 - p)
+            assert (mask / (1 - p)).tobytes() == old.tobytes()
 
     def test_invalid_p(self):
         for p in (-0.1, 1.0, 1.5):
@@ -380,6 +390,7 @@ class TestDropout:
     def test_seeded_mask_reproducible(self):
         a = dropout_mask((10, 10), 0.3, np.random.default_rng(42))
         b = dropout_mask((10, 10), 0.3, np.random.default_rng(42))
+        assert a.dtype == np.bool_
         np.testing.assert_array_equal(a, b)
 
 

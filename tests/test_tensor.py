@@ -25,7 +25,7 @@ from beatformer.tensor import (
 )
 
 from conftest import add, grad_arrays, mul, sum_all
-from reference import query_major_attention
+from reference import query_major_attention, sum_then_add_backward
 
 
 def naive_matmul(a, b):
@@ -293,8 +293,9 @@ class TestLayerNorm:
         x, y = rng.normal(size=(2, 17, 8))
         gamma, beta = rng.normal(size=(2, 8))
         g = rng.normal(size=(17, 8))
-        keep = (rng.random((17, 8)) >= 0.3) / 0.7
-        s = x + y * keep
+        keep = rng.random((17, 8)) >= 0.3
+        scale = keep / (1 - 0.3)
+        s = x + y * scale
         inv = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + 1e-6)
         xhat = (s - s.mean(axis=-1, keepdims=True)) * inv
         gxh = g * gamma
@@ -305,13 +306,13 @@ class TestLayerNorm:
         tg, tb = Tensor(gamma, needs_grad=True), Tensor(beta, needs_grad=True)
         grads = grad_arrays(tx, ty, tg, tb)
         with GradTape() as tape:
-            out = add_layer_norm(tx, ty, tg, tb, eps=1e-6, keep=keep)
+            out = add_layer_norm(tx, ty, tg, tb, eps=1e-6, keep=keep, p=0.3)
             loss = sum_all(mul(out, Tensor(g)))
         backward(tape, loss, grads)
         assert len(tape) == 3
         np.testing.assert_array_equal(out.data, gamma * xhat + beta)
         np.testing.assert_array_equal(grads[tx], want_gx)
-        np.testing.assert_array_equal(grads[ty], want_gx * keep)
+        np.testing.assert_array_equal(grads[ty], want_gx * scale)
         np.testing.assert_array_equal(grads[tg], (g * xhat).sum(axis=0))
         np.testing.assert_array_equal(grads[tb], g.sum(axis=0))
 
@@ -326,8 +327,8 @@ class TestElementwise:
 
     def test_relu_definition(self):
         np.testing.assert_array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0, 0, 2])
-        keep = np.array([2.0, 2.0, 0.0])
-        np.testing.assert_array_equal(relu(Tensor([-1.0, 3.0, 2.0]), keep).data, [0, 6, 0])
+        keep = np.array([True, True, False])
+        np.testing.assert_array_equal(relu(Tensor([-1.0, 3.0, 2.0]), keep, 0.5).data, [0, 6, 0])
 
     def test_scale_by_inverse_sqrt(self):
         got = relu(Tensor([[2.0, 4.0]]), np.full((1, 2), 1 / math.sqrt(4))).data
@@ -411,12 +412,13 @@ class TestFusedOpsBitEqual:
     def test_relu_keep_is_relu_then_mul(self):
         rng = np.random.default_rng(19)
         a = rng.normal(size=(6, 5))
-        keep = (rng.random((6, 5)) >= 0.15) / 0.85
+        keep = rng.random((6, 5)) >= 0.15
+        scale = keep / (1 - 0.15)
         g = rng.normal(size=(6, 5))
         ta = Tensor(a, needs_grad=True)
-        out, grads = self.run(lambda: relu(ta, keep), (ta,), g)
-        np.testing.assert_array_equal(out, np.maximum(a, 0.0) * keep)
-        np.testing.assert_array_equal(grads[ta], g * keep * (a > 0))
+        out, grads = self.run(lambda: relu(ta, keep, 0.15), (ta,), g)
+        np.testing.assert_array_equal(out, np.maximum(a, 0.0) * scale)
+        np.testing.assert_array_equal(grads[ta], g * scale * (a > 0))
 
 
 class TestBackward:
@@ -445,10 +447,11 @@ class TestBackward:
         np.testing.assert_array_equal(grads[p], [0.0, 0.0])
 
     def test_unmapped_tensor_gets_nothing(self):
-        # a tensor holds no gradient slot: what grads does not map, backward
-        # neither writes nor allocates
-        assert Tensor.__slots__ == ("data", "needs_grad")
+        # a tensor holds no gradient slot (its key is a serial number, not an
+        # array): what grads does not map, backward neither writes nor allocates
+        assert Tensor.__slots__ == ("data", "needs_grad", "key")
         p = Tensor([1.0, 2.0], needs_grad=True)
+        assert not hasattr(p, "__dict__") and isinstance(p.key, int)
         q = Tensor([3.0, 4.0], needs_grad=True)
         before = p.data.copy()
         grads = grad_arrays(q)
@@ -458,6 +461,42 @@ class TestBackward:
         assert list(grads) == [q]
         np.testing.assert_array_equal(grads[q], [1.0, 2.0])
         assert p.data.tobytes() == before.tobytes()
+
+    def test_freed_intermediates_keep_their_gradients(self):
+        # add, relu and add_layer_norm keep no input, so each round frees the
+        # tensors of the round before and CPython hands their ids to the
+        # tensors made next, here a weight built mid-forward: a tape keyed by
+        # id() would add a freed tensor's gradient into that weight's array
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(5, 4))
+        w_values = rng.normal(size=(6, 5, 4))
+        gamma = Tensor(rng.normal(size=4), needs_grad=True)
+        beta = Tensor(rng.normal(size=4), needs_grad=True)
+        weight = Tensor(rng.normal(size=(5, 4)))
+
+        def run(rule, hold):
+            held, ids, ws = [], [], []
+            with GradTape() as tape:
+                h = Tensor(x)
+                for value in w_values:
+                    ws.append(Tensor(value, needs_grad=True))
+                    y = add(h, ws[-1])
+                    r = relu(y)
+                    h = add_layer_norm(h, r, gamma, beta)
+                    ids += [id(ws[-1]), id(y), id(r), id(h)]
+                    if hold:
+                        held += [y, r, h]
+                    del y, r
+                loss = sum_all(mul(h, weight))
+            grads = grad_arrays(*ws, gamma, beta)
+            rule(tape, loss, grads)
+            return list(grads.values()), len(set(ids)) < len(ids)
+
+        got, reused = run(backward, hold=False)
+        want, held_reused = run(sum_then_add_backward, hold=True)
+        assert reused and not held_reused
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.any() and a.tobytes() == b.tobytes(), i
 
     def test_repeated_backward_accumulates(self):
         w = Tensor(np.asarray(3.0), needs_grad=True)
@@ -640,9 +679,9 @@ def test_every_op_matches_finite_differences(op_name):
         params = [a, b]
     elif op_name in ("relu", "relu_keep"):
         a = t((3, 4))
-        keep = (rng.random((3, 4)) >= 0.3) / 0.7 if op_name == "relu_keep" else None
+        keep = rng.random((3, 4)) >= 0.3 if op_name == "relu_keep" else None
         weight = Tensor(rng.normal(size=(3, 4)))
-        f = lambda: sum_all(mul(relu(a, keep), weight))
+        f = lambda: sum_all(mul(relu(a, keep, 0.3), weight))
         params = [a]
     elif op_name == "scale":  # mul by a constant scalar
         a = t((3, 4))
@@ -656,9 +695,9 @@ def test_every_op_matches_finite_differences(op_name):
         params = [a, g, b]
     elif op_name in ("add_layer_norm", "add_layer_norm_keep"):
         a, r, g, b = t((3, 6)), t((3, 6)), t((6,)), t((6,))
-        keep = (rng.random((3, 6)) >= 0.3) / 0.7 if op_name == "add_layer_norm_keep" else None
+        keep = rng.random((3, 6)) >= 0.3 if op_name == "add_layer_norm_keep" else None
         weight = Tensor(rng.normal(size=(3, 6)))
-        f = lambda: sum_all(mul(add_layer_norm(a, r, g, b, eps=1e-5, keep=keep), weight))
+        f = lambda: sum_all(mul(add_layer_norm(a, r, g, b, eps=1e-5, keep=keep, p=0.3), weight))
         params = [a, r, g, b]
     elif op_name in ("embed_tokens", "embed_tokens_fixed_table"):  # 3 samples of 2 tokens
         p, w, b = t((6, 4)), t((4, 3)), t((3,))

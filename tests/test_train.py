@@ -211,6 +211,29 @@ class TestGradientBuffer:
         assert np.count_nonzero(buffers[0]) > buffers[0].size // 2
         assert buffers[0].tobytes() == buffers[1].tobytes()
 
+    def test_default_step_tape_holds_only_what_backward_reads(self):
+        # records name tensors by key and rules keep only the arrays they read,
+        # so the attn.w_o output, the pre-ReLU and ffn.w2 outputs of each block
+        # are freed once consumed; the dropout masks take one byte per entry
+        model = build_model(ModelConfig(seed=5))
+        batch = synthetic_beats(32, seed=5)
+        grads = model.views(np.zeros_like(model.flat_data))
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                loss = sparse_ce_loss(forward(model, batch.features, rng), batch.labels)
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(tape, loss, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 17.9 and 21.5 MiB; records that held their tensors, with float64
+        # masks, kept 24.3 MiB live and peaked at 27.9 MiB
+        assert live <= 20 * 2**20, live / 2**20
+        assert peak <= 24 * 2**20, peak / 2**20
+
     def test_restored_model_holds_weights_only(self):
         source = build_model(ModelConfig(seed=6))
         ckpt = Checkpoint(config=source.config,
