@@ -33,11 +33,11 @@ from .tensor import GradTape, Tensor, backward, grad_check
 from .train import (
     Adam,
     Checkpoint,
+    checkpoint_bytes,
+    epochs,
     load_checkpoint,
     restore_model,
-    save_checkpoint,
     sparse_ce_loss,
-    train_loop,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ command reads and checks all its input before it writes anything: ``train``
 writes its fully resolved config to the output directory once the training
 data is loaded, split and normalized and no output path is a directory, before
 training, so a bad input writes nothing and a completed run is reproducible
-from that file plus the input CSVs.
+from that file plus the input CSVs. After each epoch ``train`` writes that
+epoch's files as one set, so a run that aborts keeps the epochs it finished.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 3 numerical abort. The commands raise; :func:`main` alone maps an error to
@@ -39,6 +40,8 @@ from .model import build_model, count_params, format_param_report, forward, tiny
 from .output import refuse_directories, write_files
 from .tensor import grad_check
 from .train import (
+    checkpoint_bytes,
+    epochs,
     history_to_csv,
     infer,
     load_checkpoint,
@@ -46,7 +49,6 @@ from .train import (
     restore_model,
     score_logits,
     sparse_ce_loss,
-    train_loop,
 )
 
 EXIT_OK = 0
@@ -118,13 +120,19 @@ def cmd_train(args) -> int:
     model = build_model(model_cfg)
     print(format_param_report(model))
     print(f"training on {train_part.n} samples, validating on {val_part.n}")
-    ckpt, history = train_loop(model, train_cfg, train_part, val_part,
-                               checkpoint_path=os.path.join(run.out, "checkpoint.bin"),
-                               norm_stats=stats)
-    reports = _report_files(np.argmax(ckpt.val_logits, axis=1), val_part.labels,
-                            model_cfg.n_classes)
-    write_files(run.out, {"history.csv": history_to_csv(history), **reports})
-    print(f"best validation loss {ckpt.best_val_loss:.6f} at epoch {ckpt.epoch}")
+    # each epoch lands as one set: the history so far and, when the epoch
+    # improved (epoch 0 always does), its checkpoint and reports
+    history = []
+    for epoch_stats, val_logits, ckpt in epochs(model, train_cfg, train_part, val_part, stats):
+        history.append(epoch_stats)
+        files = {"history.csv": history_to_csv(history)}
+        if ckpt is not None:
+            best = epoch_stats
+            reports = _report_files(np.argmax(val_logits, axis=1), val_part.labels,
+                                    model_cfg.n_classes)
+            files.update({"checkpoint.bin": checkpoint_bytes(ckpt), **reports})
+        write_files(run.out, files)
+    print(f"best validation loss {best.val_loss:.6f} at epoch {best.epoch}")
     print(reports["report.txt"], end="")
     print(f"artifacts written to {run.out}/")
     return EXIT_OK

@@ -1,18 +1,19 @@
 """Training: cross-entropy loss, Adam, the epoch loop, and checkpointing.
 
-The loop shuffles per epoch, runs forward/backward/Adam per batch, evaluates
-on the validation split after each epoch, and overwrites the checkpoint only
-when validation loss strictly improves the best seen so far.
+:func:`epochs` shuffles per epoch, runs forward/backward/Adam per batch,
+evaluates on the validation split after each epoch, and hands out a
+checkpoint only when validation loss strictly improves the best seen so far.
+This module writes no file: :func:`checkpoint_bytes` gives a checkpoint's
+bytes to whoever writes them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .config import (
 from .data import Dataset, NormStats, batches
 from .errors import CheckpointError, CheckpointVersionError, ConfigError, NumericalError
 from .model import Model, build_model, forward
-from .output import write_files
 from .tensor import GradTape, Tensor, backward, record_op
 
 __all__ = [
@@ -39,8 +39,8 @@ __all__ = [
     "infer",
     "score_logits",
     "predict",
-    "train_loop",
-    "save_checkpoint",
+    "epochs",
+    "checkpoint_bytes",
     "load_checkpoint",
     "restore_model",
     "history_to_csv",
@@ -191,51 +191,32 @@ class Checkpoint:
     norm: NormStats
     best_val_loss: float
     epoch: int
-    # the validation logits these weights gave at ``epoch``; kept in memory for
-    # the run's report, never written to the checkpoint file
-    val_logits: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def _snapshot(model: Model) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in model.parameters()}
 
 
-def train_loop(
-    model: Model,
-    cfg: TrainConfig,
-    train_ds: Dataset,
-    val_ds: Dataset,
-    checkpoint_path: Optional[str] = None,
-    norm_stats: Optional[NormStats] = None,
-) -> tuple[Checkpoint, list[EpochStats]]:
-    """Run the full training schedule; return the best checkpoint and history.
+def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
+           norm: NormStats) -> Iterator[tuple[EpochStats, np.ndarray, Optional[Checkpoint]]]:
+    """Train one epoch per ``next()``; yield its stats, its validation logits
+    and, when its validation loss strictly improves on every earlier epoch's,
+    the :class:`Checkpoint` of the current weights with ``norm`` (else None).
 
-    The model config's seed seeds the shuffling and the dropout masks.
-    The checkpoint (in memory, and on disk when a path is given) is replaced
-    only when validation loss strictly improves, and carries the validation
-    logits it was scored on. A non-finite training loss aborts with the
-    offending epoch/batch in the message, a non-finite validation loss with
-    the epoch.
+    The model config's seed seeds the shuffling and the dropout masks. A
+    non-finite training loss aborts with the offending epoch/batch in the
+    message, a non-finite validation loss with the epoch.
     """
     violations = cfg.validate()
     if violations:
         raise ConfigError(violations)
-    stats = norm_stats or NormStats(
-        mean=np.zeros(model.config.input_len),
-        std=np.ones(model.config.input_len),
-        mode="standard",
-        fitted_on="identity",
-    )
     seed = model.config.seed
     flat_grad = np.zeros_like(model.flat_data)
     grads = model.views(flat_grad)
     optimizer = Adam(model.flat_data, flat_grad, lr=cfg.lr, beta1=cfg.beta1,
                      beta2=cfg.beta2, eps=cfg.eps)
     dropout_rng = np.random.default_rng([seed, 0xD0])
-
-    # set by epoch 0, whose finite validation loss always improves on none
-    best: Optional[Checkpoint] = None
-    history: list[EpochStats] = []
+    best = math.inf
 
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
@@ -263,22 +244,14 @@ def train_loop(
         val_loss, val_acc = score_logits(val_logits, val_ds.labels)
         if not math.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss {val_loss} at epoch {epoch}")
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=epoch_loss / train_ds.n,
-                val_loss=val_loss,
-                train_acc=epoch_correct / train_ds.n,
-                val_acc=val_acc,
-            )
-        )
-        if best is None or val_loss < best.best_val_loss:
-            best = Checkpoint(config=model.config, params=_snapshot(model), norm=stats,
-                              best_val_loss=val_loss, epoch=epoch, val_logits=val_logits)
-            if checkpoint_path is not None:
-                save_checkpoint(best, checkpoint_path)
-
-    return best, history
+        stats = EpochStats(epoch=epoch, train_loss=epoch_loss / train_ds.n, val_loss=val_loss,
+                           train_acc=epoch_correct / train_ds.n, val_acc=val_acc)
+        checkpoint = None
+        if val_loss < best:
+            best = val_loss
+            checkpoint = Checkpoint(config=model.config, params=_snapshot(model), norm=norm,
+                                    best_val_loss=val_loss, epoch=epoch)
+        yield stats, val_logits, checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +273,9 @@ META_CASTERS = {**{f.name: SCHEMA[f.name][0] for f in fields(ModelConfig)},
                 "normalization": str, "norm_fitted_on": str}
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Write ``ckpt`` to ``path`` with ``output.write_files``. A meta value that
-    would not read back raises ``ConfigError``, writing nothing."""
+def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    """The file bytes of ``ckpt``. A meta value that would not read back
+    raises ``ConfigError``."""
     values = {**vars(ckpt.config), "best_val_loss": float(ckpt.best_val_loss).hex(),
               "epoch": ckpt.epoch, "normalization": ckpt.norm.mode,
               "norm_fitted_on": ckpt.norm.fitted_on}
@@ -326,8 +299,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         blob += arr.astype("<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(blob))
-
-    write_files(os.path.dirname(path), {os.path.basename(path): blob})
+    return bytes(blob)
 
 
 class _Reader:
@@ -391,6 +363,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         except (ValueError, OverflowError):
             raise CheckpointError(f"meta key {key}: cannot parse {text!r}",
                                   offset=meta_offset + at) from None
+    if not math.isfinite(values["best_val_loss"]):
+        text, _, at = meta["best_val_loss"]
+        raise CheckpointError(f"meta key best_val_loss: {text!r} is not finite",
+                              offset=meta_offset + at)
     config = build_config(ModelConfig, values)
     violations = (config.validate()
                   + RunConfig(normalization=values["normalization"]).validate())
@@ -414,7 +390,17 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"tensor {name} has rank {rank} > 3", offset=reader.offset)
         dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank, f"dims of {name}"))
         raw = reader.take(8 * math.prod(dims), f"data of {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        flat = np.frombuffer(raw, dtype="<f8")
+        # refuse what would reach a forward as nan: a value that is not
+        # finite, or a std that is not > 0
+        positive = name == "norm.std"
+        ok = np.isfinite(flat) & (flat > 0 if positive else True)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise CheckpointError(f"tensor {name}: element {i} is {float(flat[i])!r}, must be "
+                                  f"finite{' and > 0' if positive else ''}",
+                                  offset=reader.offset - len(raw) + 8 * i)
+        tensors[name] = flat.reshape(dims).copy()
     if reader.offset != reader.end:
         raise CheckpointError("trailing bytes after final tensor", offset=reader.offset)
     for required in ("norm.mean", "norm.std"):

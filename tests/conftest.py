@@ -15,10 +15,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from beatformer.data import Dataset, NormStats, normalize
+from beatformer.data import Dataset, NormStats, fit_normalizer, normalize
 from beatformer.tensor import Tensor, record_op
+from beatformer.train import epochs
 from bench import corpus as bench_corpus
+
+
+# every property test draws the same seeded examples on every run
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
 
 def synthetic_beats(n: int, seed: int, proportions=None, source: str = "synthetic",
@@ -36,6 +42,18 @@ def synthetic_beats(n: int, seed: int, proportions=None, source: str = "syntheti
 def normalized(ds: Dataset, stats: NormStats) -> Dataset:
     """``ds`` with its features normalized by ``stats``, as ``train`` does to its splits."""
     return replace(ds, features=normalize(ds.features, stats))
+
+
+def train_to_end(model, cfg, train_ds: Dataset, val_ds: Dataset, norm: NormStats = None):
+    """Run every epoch of :func:`beatformer.train.epochs`; return the last
+    checkpoint it yielded, which is the best epoch's, and the history.
+    ``norm`` defaults to stats fitted on ``train_ds``."""
+    best, history = None, []
+    for stats, _, ckpt in epochs(model, cfg, train_ds, val_ds, norm or fit_normalizer(train_ds)):
+        history.append(stats)
+        if ckpt is not None:
+            best = ckpt
+    return best, history
 
 
 def grad_arrays(*tensors: Tensor) -> dict:

@@ -6,8 +6,12 @@ reruns on them, ingestion fidelity) run when ``$ECG_DATA_DIR`` points at
 stand-ins exercising the identical code paths always run and gate the build.
 """
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,13 +36,12 @@ from beatformer.model import (
 )
 from beatformer.tensor import Tensor, attention, grad_check
 from beatformer.train import (
+    checkpoint_bytes,
     infer,
     load_checkpoint,
     restore_model,
-    save_checkpoint,
     score_logits,
     sparse_ce_loss,
-    train_loop,
 )
 
 from bench.corpus import REAL_TEST_COUNTS, REAL_TRAIN_COUNTS
@@ -47,8 +50,11 @@ from conftest import (
     real_data_dir,
     requires_real_data,
     synthetic_beats,
+    train_to_end,
     write_beats_csv,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # majority share of the real test split; the desk-scale bar is this plus 5pp
 REAL_MAJORITY_BASELINE = REAL_TEST_COUNTS[0] / sum(REAL_TEST_COUNTS)
@@ -164,7 +170,7 @@ def test_c4_overfit_oracle():
     # close the gap within the 300-epoch bound on this tiny budget
     cfg = TrainConfig(epochs=300, batch_size=32, lr=1e-3)
     # validation set == the training subset: val_acc is eval-mode train accuracy
-    _, history = train_loop(model, cfg, normed, normed)
+    _, history = train_to_end(model, cfg, normed, normed, stats)
     best = max(h.val_acc for h in history)
     reached = next((h.epoch for h in history if h.val_acc == 1.0), None)
     elapsed = time.perf_counter() - started
@@ -203,7 +209,7 @@ def _desk_protocol(train_source, test_source, epochs, seed=11):
 
     model = build_model(ModelConfig(seed=seed))
     cfg = TrainConfig(epochs=epochs, batch_size=32, lr=1e-4)
-    ckpt, history = train_loop(model, cfg, train_part, val_part)
+    ckpt, history = train_to_end(model, cfg, train_part, val_part, stats)
     best = restore_model(ckpt)
     loss, acc = score_logits(infer(best, test_part.features), test_part.labels)
     return acc, test_part, history
@@ -240,21 +246,28 @@ def test_c5_desk_scale_training_synthetic_stand_in():
 
 
 def _determinism_runs(tmp_path, train_csv, subset, epochs):
-    from beatformer.cli import main
-
-    outputs = []
-    for tag in ("a", "b"):
-        out = tmp_path / f"run_{tag}"
-        code = main([
-            "train",
-            "--data-train", str(train_csv),
-            "--out", str(out),
-            "--seed", "11",
-            "--subset", str(subset),
-            "--epochs", str(epochs),
-        ])
-        assert code == 0
-        outputs.append(out)
+    """Train the same seeded run twice, as two ``beatformer train`` child
+    processes at once, each with OpenBLAS at one thread so the two do not
+    oversubscribe the cores; return their output directories."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+    outputs = [tmp_path / f"run_{tag}" for tag in ("a", "b")]
+    children = [subprocess.Popen(
+        [sys.executable, "-m", "beatformer.cli", "train",
+         "--data-train", str(train_csv),
+         "--out", str(out),
+         "--seed", "11",
+         "--subset", str(subset),
+         "--epochs", str(epochs)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) for out in outputs]
+    try:
+        errors = [child.communicate(timeout=900)[1] for child in children]
+    finally:
+        for child in children:
+            child.kill()  # a no-op once it has ended
+            child.communicate()  # reaps it and closes its pipe
+    for child, err in zip(children, errors):
+        assert child.returncode == 0, err.decode(errors="replace")
     return outputs
 
 
@@ -290,13 +303,13 @@ def test_c7_checkpoint_semantics(tmp_path):
     val_n = normalized(val, stats)
     model = build_model(tiny_config(seed=3))
     cfg = TrainConfig(epochs=5, batch_size=32, lr=1e-3)
-    ckpt, history = train_loop(model, cfg, train_n, val_n, norm_stats=stats)
+    ckpt, history = train_to_end(model, cfg, train_n, val_n, stats)
 
     val_losses = [h.val_loss for h in history]
     assert ckpt.best_val_loss == min(val_losses)
 
     path = tmp_path / "best.bin"
-    save_checkpoint(ckpt, str(path))
+    path.write_bytes(checkpoint_bytes(ckpt))
     loaded = load_checkpoint(str(path))
     probe = np.random.default_rng(0).normal(size=(4, 187))
     before = forward(restore_model(ckpt), probe).data

@@ -3,7 +3,9 @@
 import contextlib
 import errno
 import io
+import math
 import os
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from beatformer.config import (
 from beatformer.data import Dataset
 from beatformer.errors import ConfigError
 
-from conftest import resealed, synthetic_beats, write_beats_csv
+from conftest import PROPERTY_SETTINGS, resealed, synthetic_beats, write_beats_csv
 
 TINY_MODEL_LINES = """
 # small model for fast CLI runs
@@ -398,12 +400,41 @@ class TestTrainCommand:
         from beatformer.errors import NumericalError
         import beatformer.cli as cli_mod
 
-        def exploding_train_loop(*args, **kwargs):
+        def exploding_epochs(*args, **kwargs):
             raise NumericalError("non-finite training loss inf at epoch 0, batch 1")
 
-        monkeypatch.setattr(cli_mod, "train_loop", exploding_train_loop)
+        monkeypatch.setattr(cli_mod, "epochs", exploding_epochs)
         out = corpus["dir"] / "boom"
         assert run_train(corpus, out) == 3
+
+    def test_aborted_run_keeps_the_epochs_it_finished(self, corpus, monkeypatch, capsys):
+        # validation losses 0.5, 0.4, then nan: epoch 2 aborts, and the run
+        # directory describes epoch 1, the best, in every file
+        import beatformer.train as train_mod
+        from beatformer.cli import REPORT_NAMES, _report_files
+        from beatformer.train import load_checkpoint
+
+        fake_losses = iter([0.5, 0.4, float("nan")])
+        scored = []
+        real_score = train_mod.score_logits
+
+        def fake_score(logits, labels):
+            scored.append((logits, labels))
+            return next(fake_losses), real_score(logits, labels)[1]
+
+        monkeypatch.setattr(train_mod, "score_logits", fake_score)
+        out = corpus["dir"] / "aborted"
+        assert run_train(corpus, out, extra=["--epochs", "3"]) == 3
+        assert "non-finite validation loss nan at epoch 2" in capsys.readouterr().err
+        rows = [row.split(",") for row in (out / "history.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[2]) for row in rows] == [("0", "0.5"), ("1", "0.4")]
+        ckpt = load_checkpoint(str(out / "checkpoint.bin"))
+        assert (ckpt.epoch, ckpt.best_val_loss) == (1, float(rows[1][2]))
+        logits, labels = scored[1]
+        for name, text in _report_files(np.argmax(logits, axis=1), labels, 5).items():
+            assert (out / name).read_text() == text, name
+        assert sorted(os.listdir(out)) == sorted(
+            ["config.resolved", "history.csv", "checkpoint.bin", *REPORT_NAMES])
 
 
 class TestEvalCommand:
@@ -564,7 +595,7 @@ class TestShapeFromModelConfig:
 
 
 def test_checkpoint_tensor_its_config_does_not_name_exits_2(corpus, tmp_path, capsys):
-    from beatformer.train import load_checkpoint, save_checkpoint
+    from beatformer.train import checkpoint_bytes, load_checkpoint
 
     cfg = tmp_path / "two_blocks.cfg"
     cfg.write_text(TINY_MODEL_LINES.replace("encoder_layers = 1", "encoder_layers = 2")
@@ -580,8 +611,8 @@ def test_checkpoint_tensor_its_config_does_not_name_exits_2(corpus, tmp_path, ca
     ckpt = load_checkpoint(str(out / "checkpoint.bin"))
     assert ckpt.config.positional == "learned"
     sinusoidal = tmp_path / "sinusoidal.bin"
-    save_checkpoint(replace(ckpt, config=replace(ckpt.config, positional="sinusoidal")),
-                    str(sinusoidal))
+    sinusoidal.write_bytes(checkpoint_bytes(
+        replace(ckpt, config=replace(ckpt.config, positional="sinusoidal"))))
     capsys.readouterr()  # drain the training output
     for bad, tensor in ((fewer_blocks, "block1.attn.w_qkv"), (sinusoidal, "pos.table")):
         for argv in (["eval", str(bad), "--data-test", corpus["test"],
@@ -729,6 +760,58 @@ def test_norm_stats_that_disagree_with_input_len_exit_2(corpus, tmp_path, capsys
         assert main(argv) == 2
         assert "tensor norm.mean has shape (187,), expected (186,) for input_len 186" in \
             capsys.readouterr().err
+
+
+def tensor_data_offset(blob: bytes, name: str) -> int:
+    """Byte offset of the first float64 of tensor ``name`` in a checkpoint."""
+    encoded = name.encode("utf-8")
+    at = blob.index(len(encoded).to_bytes(4, "little") + encoded) + 4 + len(encoded)
+    return at + 4 + 8 * int.from_bytes(blob[at:at + 4], "little")  # past rank and dims
+
+
+def with_tensor_value(blob: bytes, name: str, element: int, value: float):
+    """A checkpoint with one float64 of a tensor set, and that value's offset."""
+    at = tensor_data_offset(blob, name) + 8 * element
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8:], at
+
+
+def with_meta_value(blob: bytes, key: str, value: str):
+    """A checkpoint with one meta line's value replaced, and that line's offset."""
+    at = blob.index(f"\n{key} = ".encode()) + 1
+    end = blob.index(b"\n", at) + 1
+    line = f"{key} = {value}\n".encode()
+    meta_len = int.from_bytes(blob[12:20], "little") + len(line) - (end - at)
+    return blob[:12] + meta_len.to_bytes(8, "little") + blob[20:at] + line + blob[end:], at
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("damage, message", [
+    (lambda b: with_tensor_value(b, "embed.w", 3, float("nan")),
+     "tensor embed.w: element 3 is nan, must be finite"),
+    (lambda b: with_tensor_value(b, "head.out.b", 0, float("-inf")),
+     "tensor head.out.b: element 0 is -inf, must be finite"),
+    (lambda b: with_tensor_value(b, "norm.std", 0, 0.0),
+     "tensor norm.std: element 0 is 0.0, must be finite and > 0"),
+    (lambda b: with_tensor_value(b, "norm.std", 5, -1.0),
+     "tensor norm.std: element 5 is -1.0, must be finite and > 0"),
+    (lambda b: with_meta_value(b, "best_val_loss", "nan"),
+     "meta key best_val_loss: 'nan' is not finite"),
+    (lambda b: with_meta_value(b, "best_val_loss", "inf"),
+     "meta key best_val_loss: 'inf' is not finite"),
+], ids=["nan-weight", "inf-bias", "zero-std", "negative-std", "nan-loss", "inf-loss"])
+def test_checkpoint_that_would_feed_non_finite_numbers_exits_2(tiny_checkpoint, capsys,
+                                                              command, damage, message):
+    blob, rows, tmp = tiny_checkpoint
+    damaged, at = damage(blob)
+    path = tmp / "non_finite.bin"
+    path.write_bytes(resealed(damaged))
+    out = tmp / "non_finite_eval"
+    argv = {"eval": ["eval", str(path), "--data-test", rows, "--out", str(out)],
+            "predict": ["predict", str(path), rows]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message} (at byte offset {at})" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_missing_input_file_exits_2_naming_the_path(corpus, tmp_path, capsys):
@@ -914,7 +997,7 @@ def test_train_output_that_cannot_be_written_exits_2_naming_it(corpus, capsys, m
     def no_training(*args, **kwargs):
         raise AssertionError("train ran an epoch before it checked its output paths")
 
-    monkeypatch.setattr(cli_mod, "train_loop", no_training)
+    monkeypatch.setattr(cli_mod, "epochs", no_training)
     out = corpus["dir"] / f"blocked_{name}"
     (out / name).mkdir(parents=True)
     assert run_train(corpus, out) == 2
@@ -1151,7 +1234,6 @@ class TestGradcheckCommand:
 
 
 # generated config files and overrides; seeded, so every run tries the same cases
-PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 STRING_KEYS = ["out", "data_train", "data_test"]
 # any character, with the ones a config line treats specially drawn often
 config_text = st.text(st.one_of(st.sampled_from("#=\n\r \t\x0b\x1c\x85\u2028\udcff"),
@@ -1224,16 +1306,15 @@ def tiny_checkpoint(tmp_path_factory):
     it, and a scratch directory."""
     from beatformer.data import fit_normalizer
     from beatformer.model import build_model, tiny_config
-    from beatformer.train import Checkpoint, save_checkpoint
+    from beatformer.train import Checkpoint, checkpoint_bytes
 
     tmp = tmp_path_factory.mktemp("tiny_checkpoint")
     rows = synthetic_beats(3, seed=58)
     write_beats_csv(tmp / "rows.csv", rows)
     model = build_model(tiny_config(encoder_layers=1, seed=58))
-    save_checkpoint(Checkpoint(config=model.config,
-                               params={name: t.data for name, t in model.parameters()},
-                               norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0),
-                    str(tmp / "tiny.bin"))
+    (tmp / "tiny.bin").write_bytes(checkpoint_bytes(Checkpoint(
+        config=model.config, params={name: t.data for name, t in model.parameters()},
+        norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0)))
     assert main(["predict", str(tmp / "tiny.bin"), str(tmp / "rows.csv")]) == 0
     return (tmp / "tiny.bin").read_bytes(), str(tmp / "rows.csv"), tmp
 
@@ -1429,16 +1510,16 @@ def test_eval_and_predict_hold_one_copy_of_the_weights(tmp_path, monkeypatch, co
     import beatformer.train as train_mod
     from beatformer.data import fit_normalizer
     from beatformer.model import build_model
-    from beatformer.train import Checkpoint, save_checkpoint
+    from beatformer.train import Checkpoint, checkpoint_bytes
 
     ckpt, csv = str(tmp_path / "ckpt.bin"), str(tmp_path / "rows.csv")
     rows = synthetic_beats(4, seed=61)
     write_beats_csv(csv, rows)
     model = build_model(ModelConfig(seed=61))
     weights = model.flat_data.nbytes
-    save_checkpoint(Checkpoint(config=model.config,
-                               params={name: t.data for name, t in model.parameters()},
-                               norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0), ckpt)
+    Path(ckpt).write_bytes(checkpoint_bytes(Checkpoint(
+        config=model.config, params={name: t.data for name, t in model.parameters()},
+        norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0)))
     del model
     held = []
     original = train_mod.forward
@@ -1536,13 +1617,13 @@ def write_sets(tmp_path_factory):
     in the order it writes them."""
     import beatformer.cli as cli_mod
     import beatformer.output as output_mod
-    import beatformer.train as train_mod
 
     tmp = tmp_path_factory.mktemp("write_faults")
     data = str(tmp / "train.csv")
     write_beats_csv(data, synthetic_beats(60, seed=61, proportions=[0.2] * 5))
     cfg = tmp / "run.cfg"
-    cfg.write_text(TINY_MODEL_LINES + f"\ndata_train = {data}\n")
+    # a rate so high that epoch 1 does not improve, so train writes both kinds of epoch set
+    cfg.write_text(TINY_MODEL_LINES + f"\ndata_train = {data}\nlr = 0.3\n")
     ckpt = str(tmp / "model" / "checkpoint.bin")
     argv = {
         "train": lambda out: ["train", "--config", str(cfg), "--out", out, "--epochs", "2",
@@ -1562,12 +1643,27 @@ def write_sets(tmp_path_factory):
             output_mod.write_files(directory, files)
 
         with pytest.MonkeyPatch.context() as mp:
-            for module in (cli_mod, train_mod):
-                mp.setattr(module, "write_files", recording)
+            mp.setattr(cli_mod, "write_files", recording)
             # the --out the property reuses, since config.resolved names it
             assert run_main_silently(make_argv(str(tmp / command)))[0] == 0
         assert sorted({name for files in sets[command] for name in files}) == sorted(
             COMMAND_OUTPUTS[command])
+    assert [len(sets["eval"]), len(sets["predict"])] == [1, 1]
+    # train: config.resolved, then one set per epoch, each with the history so
+    # far, and with the checkpoint and reports exactly when the epoch improved
+    resolved, *epoch_sets = sets["train"]
+    assert list(resolved) == ["config.resolved"]
+    history = epoch_sets[-1]["history.csv"].splitlines(keepends=True)
+    assert len(epoch_sets) == len(history) - 1 == 2
+    best, improved = math.inf, []
+    for epoch, files in enumerate(epoch_sets):
+        assert files["history.csv"] == b"".join(history[:epoch + 2])
+        val_loss = float(history[epoch + 1].split(b",")[2])
+        improved.append(val_loss < best)
+        best = min(best, val_loss)
+        assert sorted(files) == sorted(
+            ["history.csv"] + improved[-1] * ["checkpoint.bin", *cli_mod.REPORT_NAMES])
+    assert improved == [True, False]
     return tmp, argv, sets
 
 

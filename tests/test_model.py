@@ -5,11 +5,20 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from beatformer.cli import GRADCHECK_TOL
 from beatformer.config import SCHEMA, ModelConfig, build_config, format_pairs, read_pairs
 from beatformer.errors import ConfigError, ShapeError
-from beatformer.tensor import GradTape, backward
-from beatformer.train import sparse_ce_loss
+from beatformer.data import NormStats
+from beatformer.tensor import GradTape, backward, grad_check
+from beatformer.train import (
+    Checkpoint,
+    checkpoint_bytes,
+    load_checkpoint,
+    restore_model,
+    sparse_ce_loss,
+)
 from beatformer.model import (
     REFERENCE_PARAM_COUNT,
     build_model,
@@ -20,7 +29,7 @@ from beatformer.model import (
     tiny_config,
 )
 
-from conftest import grad_arrays
+from conftest import PROPERTY_SETTINGS, grad_arrays
 from reference import reference_forward
 
 
@@ -291,6 +300,76 @@ class TestForward:
         model = build_model(tiny_config(seed=11))
         out = forward(model, np.zeros(187))
         assert out.shape == (1, 5)
+
+
+@st.composite
+def small_configs(draw) -> ModelConfig:
+    """A small valid config whose ``input_len`` ``patch_len`` does not divide,
+    so the last patch of every signal is zero-padded."""
+    patch_len = draw(st.integers(2, 5))
+    n_tokens = draw(st.integers(2, 4))
+    return ModelConfig(
+        input_len=(n_tokens - 1) * patch_len + draw(st.integers(1, patch_len - 1)),
+        patch_len=patch_len,
+        d_model=draw(st.integers(2, 6)),
+        d_head=draw(st.integers(1, 3)),
+        heads=draw(st.integers(1, 2)),
+        encoder_layers=draw(st.integers(1, 2)),
+        d_ff=draw(st.integers(2, 6)),
+        mlp_units=tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))),
+        n_classes=draw(st.integers(2, 5)),
+        positional=draw(st.sampled_from(["learned", "sinusoidal"])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def blocks(draw, n: int) -> list[int]:
+    """Sizes of a split of ``n >= 2`` rows into blocks of two or more rows."""
+    sizes = []
+    while n >= 4 and draw(st.booleans()):
+        sizes.append(draw(st.integers(2, n - 2)))
+        n -= sizes[-1]
+    return sizes + [n]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(cfg=small_configs(), data=st.data())
+def test_forward_across_the_config_space(tmp_path_factory, cfg, data):
+    """Each drawn config matches the reference, passes the gradient check,
+    gives the same logit bits in any split into blocks, and restores them
+    bit for bit from its checkpoint bytes."""
+    model = build_model(cfg)
+    # perturb the zero/one-initialized biases, norms and positional rows, as
+    # the fixed-config reference test does
+    rng = np.random.default_rng(cfg.seed)
+    for name, t in model.parameters():
+        if t.data.ndim == 1 or name == "pos.table":
+            t.data += rng.normal(scale=0.1, size=t.shape)
+    b = data.draw(st.integers(2, 7), label="rows")
+    batch = rng.normal(size=(b, cfg.input_len))
+    logits = forward(model, batch).data
+    np.testing.assert_allclose(logits, reference_forward(model, batch), rtol=0, atol=1e-12)
+
+    labels = rng.integers(0, cfg.n_classes, size=2)
+    report = grad_check(lambda: sparse_ce_loss(forward(model, batch[:2]), labels),
+                        model.param_tensors(), eps=1e-5, tol=GRADCHECK_TOL,
+                        names=[name for name, _ in model.parameters()])
+    assert report.passed, report.summary()
+
+    ends = np.cumsum(data.draw(blocks(b), label="blocks"))
+    split = np.vstack([forward(model, batch[end - size:end]).data
+                       for end, size in zip(ends, np.diff(ends, prepend=0))])
+    assert split.tobytes() == logits.tobytes()
+
+    path = tmp_path_factory.getbasetemp() / "property.bin"
+    norm = NormStats(mean=np.zeros(cfg.input_len), std=np.ones(cfg.input_len),
+                     mode="standard", fitted_on="property")
+    path.write_bytes(checkpoint_bytes(Checkpoint(
+        config=cfg, params={name: t.data for name, t in model.parameters()}, norm=norm,
+        best_val_loss=1.0, epoch=0)))
+    restored = restore_model(load_checkpoint(str(path)))
+    assert forward(restored, batch).data.tobytes() == logits.tobytes()
 
 
 def test_default_train_step_tape_and_parameter_counts():

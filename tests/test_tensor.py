@@ -863,6 +863,12 @@ def test_the_settings_stay_in_config():
     assert "SCHEMA" not in assigned
 
 
+def test_training_writes_no_file():
+    """``train`` hands out checkpoints and their bytes and never imports the
+    writer, so only ``cli`` lands a training file, in its epoch's set."""
+    assert "output" not in _package_imports("train")
+
+
 # calls that create, replace or write a file; ``open`` counts in a write mode
 WRITE_CALLS = {("os", "replace"), ("os", "rename"), ("os", "open"), ("os", "fdopen"),
                ("tempfile", "mkstemp"), ("tempfile", "NamedTemporaryFile"),

@@ -1,4 +1,4 @@
-"""Tests for the loss, Adam, evaluation, the training loop, and checkpoints."""
+"""Tests for the loss, Adam, evaluation, the epoch iterator, and checkpoints."""
 
 import math
 import os
@@ -20,21 +20,22 @@ from beatformer.errors import (
     NumericalError,
 )
 from beatformer.model import build_model, forward, tiny_config
+from beatformer.output import write_files
 from beatformer.tensor import GradTape, Tensor, backward
 from beatformer.train import (
     Adam,
     Checkpoint,
+    checkpoint_bytes,
+    epochs,
     history_to_csv,
     infer,
     load_checkpoint,
     restore_model,
-    save_checkpoint,
     score_logits,
     sparse_ce_loss,
-    train_loop,
 )
 
-from conftest import grad_arrays, resealed, synthetic_beats
+from conftest import grad_arrays, resealed, synthetic_beats, train_to_end
 from reference import per_tensor_adam_step, sum_then_add_backward
 
 
@@ -315,22 +316,35 @@ def quick_sets(n_train=96, n_val=32):
 
 
 class TestTrainLoop:
+    """The epoch iterator, :func:`beatformer.train.epochs`."""
+
     def test_history_and_checkpoint_semantics(self, tmp_path):
         train, val = quick_sets()
         model = build_model(tiny_config(seed=4))
         cfg = TrainConfig(epochs=4, batch_size=32, lr=1e-3)
-        path = str(tmp_path / "ckpt.bin")
-        ckpt, history = train_loop(model, cfg, train, val, checkpoint_path=path)
+        ckpt, history = train_to_end(model, cfg, train, val)
         assert len(history) == 4
         val_losses = [h.val_loss for h in history]
         assert ckpt.best_val_loss == min(val_losses)
         assert ckpt.epoch == val_losses.index(min(val_losses))
-        assert os.path.exists(path)
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(checkpoint_bytes(ckpt))
+        loaded = load_checkpoint(str(path))
+        assert (loaded.epoch, loaded.best_val_loss) == (ckpt.epoch, ckpt.best_val_loss)
         # the running minimum property
         running = math.inf
         for h in history:
             running = min(running, h.val_loss)
         assert ckpt.best_val_loss == running
+
+    def test_one_epoch_per_next(self):
+        train, val = quick_sets()
+        model = build_model(tiny_config(seed=4))
+        run = epochs(model, TrainConfig(epochs=3, batch_size=32), train, val,
+                     fit_normalizer(train))
+        assert [next(run)[0].epoch for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(StopIteration):
+            next(run)
 
     def test_determinism_end_to_end(self):
         train, val = quick_sets()
@@ -338,7 +352,7 @@ class TestTrainLoop:
         for _ in range(2):
             model = build_model(tiny_config(seed=5))
             cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3)
-            _, history = train_loop(model, cfg, train, val)
+            _, history = train_to_end(model, cfg, train, val)
             histories.append(history)
         assert histories[0] == histories[1]
 
@@ -346,7 +360,7 @@ class TestTrainLoop:
         train, val = quick_sets(n_train=128)
         model = build_model(tiny_config(seed=6))
         cfg = TrainConfig(epochs=8, batch_size=32, lr=3e-3)
-        _, history = train_loop(model, cfg, train, val)
+        _, history = train_to_end(model, cfg, train, val)
         assert history[-1].train_loss < history[0].train_loss
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
@@ -356,7 +370,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=32)
         with np.errstate(invalid="ignore"):  # the injected inf is the point
             with pytest.raises(NumericalError, match=r"epoch 0, batch 0"):
-                train_loop(model, cfg, train, val)
+                train_to_end(model, cfg, train, val)
 
     def test_non_finite_validation_loss_aborts_with_the_epoch(self):
         train, val = quick_sets()
@@ -365,28 +379,31 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=2, batch_size=32)
         with np.errstate(invalid="ignore"):  # the injected inf is the point
             with pytest.raises(NumericalError, match=r"validation loss nan at epoch 0"):
-                train_loop(model, cfg, train, val)
+                train_to_end(model, cfg, train, val)
 
     def test_best_checkpoint_carries_its_validation_logits(self):
         train, val = quick_sets()
         model = build_model(tiny_config(seed=4))
         cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3)
-        ckpt, history = train_loop(model, cfg, train, val)
-        logits = infer(restore_model(ckpt), val.features)
-        np.testing.assert_array_equal(ckpt.val_logits, logits)
-        assert score_logits(ckpt.val_logits, val.labels)[0] == ckpt.best_val_loss
+        yielded = list(epochs(model, cfg, train, val, fit_normalizer(train)))
+        assert yielded[0][2] is not None  # epoch 0 always improves
+        for stats, logits, ckpt in yielded:
+            assert score_logits(logits, val.labels) == (stats.val_loss, stats.val_acc)
+            if ckpt is not None:
+                # a snapshot: later epochs leave the weights it holds alone
+                np.testing.assert_array_equal(logits, infer(restore_model(ckpt), val.features))
+                assert (ckpt.epoch, ckpt.best_val_loss) == (stats.epoch, stats.val_loss)
 
     def test_invalid_train_config_rejected(self):
         train, val = quick_sets()
         model = build_model(tiny_config(seed=8))
         with pytest.raises(ConfigError) as err:
-            train_loop(model, TrainConfig(epochs=0, lr=-1.0), train, val)
+            next(epochs(model, TrainConfig(epochs=0, lr=-1.0), train, val, fit_normalizer(train)))
         assert "epochs" in str(err.value) and "lr" in str(err.value)
 
-    def test_checkpoint_written_only_on_strict_improvement(self, tmp_path, monkeypatch):
+    def test_checkpoint_written_only_on_strict_improvement(self, monkeypatch):
         train, val = quick_sets()
         model = build_model(tiny_config(seed=9))
-        recorded = []
         import beatformer.train as train_mod
 
         fake_losses = iter([0.5, 0.4, 0.45])
@@ -397,16 +414,16 @@ class TestTrainLoop:
             return next(fake_losses), acc
 
         monkeypatch.setattr(train_mod, "score_logits", fake_score)
-        original_save = train_mod.save_checkpoint
-        monkeypatch.setattr(
-            train_mod, "save_checkpoint",
-            lambda ckpt, path: (recorded.append(ckpt.epoch), original_save(ckpt, path))[1],
-        )
         cfg = TrainConfig(epochs=3, batch_size=32)
-        ckpt, _ = train_loop(model, cfg, train, val, checkpoint_path=str(tmp_path / "c.bin"))
-        assert recorded == [0, 1]  # epoch 2 (0.45) does not improve on 0.4
-        assert ckpt.epoch == 1
-        assert ckpt.best_val_loss == 0.4
+        run = epochs(model, cfg, train, val, fit_normalizer(train))
+        checkpoints = [ckpt for _, _, ckpt in run]
+        # epoch 2 (0.45) does not improve on 0.4
+        assert [c.epoch if c else None for c in checkpoints] == [0, 1, None]
+        assert checkpoints[1].best_val_loss == 0.4
+
+
+def save(ckpt: Checkpoint, path) -> None:
+    Path(path).write_bytes(checkpoint_bytes(ckpt))
 
 
 class TestCheckpointIO:
@@ -415,13 +432,13 @@ class TestCheckpointIO:
         stats = fit_normalizer(train)
         model = build_model(tiny_config(seed=seed))
         cfg = TrainConfig(epochs=2, batch_size=16)
-        ckpt, _ = train_loop(model, cfg, train, val, norm_stats=stats)
+        ckpt, _ = train_to_end(model, cfg, train, val, stats)
         return ckpt, model
 
     def test_roundtrip_forward_bit_identical(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
-        save_checkpoint(ckpt, path)
+        save(ckpt, path)
         loaded = load_checkpoint(path)
         assert loaded.best_val_loss == ckpt.best_val_loss
         assert loaded.epoch == ckpt.epoch
@@ -441,7 +458,7 @@ class TestCheckpointIO:
         fitted_on = "beats\x0bform\x1cfeed\u2028.csv"
         ckpt = replace(ckpt, norm=replace(ckpt.norm, fitted_on=fitted_on))
         path = str(tmp_path / "model.bin")
-        save_checkpoint(ckpt, path)
+        save(ckpt, path)
         assert load_checkpoint(path).norm.fitted_on == fitted_on
 
     @pytest.mark.parametrize("fitted_on", ["tr\nain.csv", "tr\rain.csv", "tr#1.csv",
@@ -450,11 +467,10 @@ class TestCheckpointIO:
         # a file that its own loader would refuse is never written
         ckpt, _ = self.make_checkpoint()
         path = tmp_path / "model.bin"
-        save_checkpoint(ckpt, str(path))
+        save(ckpt, path)
         before = path.read_bytes()
         with pytest.raises(ConfigError, match="config key norm_fitted_on: .* would not read back"):
-            save_checkpoint(replace(ckpt, norm=replace(ckpt.norm, fitted_on=fitted_on)),
-                            str(path))
+            save(replace(ckpt, norm=replace(ckpt.norm, fitted_on=fitted_on)), path)
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["model.bin"]
 
@@ -462,7 +478,7 @@ class TestCheckpointIO:
         # such a violation belongs to no one line, so it names the block
         ckpt, _ = self.make_checkpoint()
         path = tmp_path / "model.bin"
-        save_checkpoint(ckpt, str(path))
+        save(ckpt, path)
         blob = path.read_bytes()
         assert blob.count(b"input_len = 187\n") == 1
         path.write_bytes(resealed(blob.replace(b"input_len = 187\n", b"input_len = 007\n")))
@@ -473,7 +489,7 @@ class TestCheckpointIO:
     def test_truncated_file_fails_closed(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
-        save_checkpoint(ckpt, path)
+        save(ckpt, path)
         blob = Path(path).read_bytes()
         for cut in (4, 11, len(blob) // 2, len(blob) - 3):
             with open(path, "wb") as fh:
@@ -485,7 +501,7 @@ class TestCheckpointIO:
     def test_meta_holds_each_setting_once(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         path = tmp_path / "model.bin"
-        save_checkpoint(ckpt, str(path))
+        save(ckpt, path)
         blob = path.read_bytes()
         meta_len = int.from_bytes(blob[12:20], "little")  # after the magic and the version
         keys = [line.split(" = ")[0] for line in blob[20:20 + meta_len].decode().splitlines()]
@@ -496,7 +512,7 @@ class TestCheckpointIO:
     def test_flipped_byte_fails_the_checksum(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         path = tmp_path / "model.bin"
-        save_checkpoint(ckpt, str(path))
+        save(ckpt, path)
         blob = path.read_bytes()
         assert int.from_bytes(blob[-4:], "little") == zlib.crc32(blob[:-4])
         for at in (20, len(blob) // 2, len(blob) - 5, len(blob) - 1):
@@ -517,7 +533,7 @@ class TestCheckpointIO:
     def test_version_mismatch(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
-        save_checkpoint(ckpt, path)
+        save(ckpt, path)
         blob = bytearray(Path(path).read_bytes())
         blob[8:12] = (99).to_bytes(4, "little")
         with open(path, "wb") as fh:
@@ -530,7 +546,7 @@ class TestCheckpointIO:
         # when the model is rebuilt from it
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
-        save_checkpoint(ckpt, path)
+        save(ckpt, path)
         blob = Path(path).read_bytes()
         assert blob.count(b"d_model = 8\n") == 1
         with open(path, "wb") as fh:
@@ -540,12 +556,12 @@ class TestCheckpointIO:
         with pytest.raises(ConfigMismatchError, match="embed.w"):
             restore_model(loaded)
         # the untouched file restores fine
-        save_checkpoint(ckpt, path)
+        save(ckpt, path)
         restore_model(load_checkpoint(path))
 
     def test_no_temp_files_left_behind(self, tmp_path):
         ckpt, _ = self.make_checkpoint()
-        save_checkpoint(ckpt, str(tmp_path / "model.bin"))
+        write_files(str(tmp_path), {"model.bin": checkpoint_bytes(ckpt)})
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
 
@@ -569,7 +585,7 @@ def test_evaluating_restored_checkpoint_reproduces_best_val_loss(tmp_path):
     val_part, _ = stratified_split(rest, max(5, rest.n - 1), seed=2)
     model = build_model(tiny_config(seed=17))
     cfg = TrainConfig(epochs=3, batch_size=32, lr=1e-3)
-    ckpt, history = train_loop(model, cfg, train_part, val_part)
+    ckpt, history = train_to_end(model, cfg, train_part, val_part)
     restored = restore_model(ckpt)
     loss, _ = score_logits(infer(restored, val_part.features), val_part.labels)
     assert loss == pytest.approx(ckpt.best_val_loss, abs=1e-9)
