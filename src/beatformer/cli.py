@@ -189,8 +189,8 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     seed = resolve(args.config, {"seed": args.seed})["seed"]
 
-    # small verification variant: 4 tokens; a forward without a generator
-    # applies no dropout
+    # small verification variant: 4 tokens; a forward without masks applies
+    # no dropout
     cfg = tiny_config(input_len=44, seed=seed)
     model = build_model(cfg)
     rng = np.random.default_rng(seed)

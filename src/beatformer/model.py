@@ -32,7 +32,7 @@ __all__ = [
     "format_param_report",
     "REFERENCE_PARAM_COUNT",
     "LN_EPS",
-    "dropout_mask",
+    "draw_masks",
     "sinusoidal_table",
 ]
 
@@ -86,21 +86,24 @@ class Model:
         return out
 
 
-def dropout_mask(shape: tuple, p: float,
-                 rng: np.random.Generator | None) -> np.ndarray | None:
-    """Boolean dropout mask: True (keep) with prob 1-p, one byte per entry.
+def draw_masks(cfg: ModelConfig, b: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """A training step's dropout keep-masks for ``b`` samples, keyed by the
+    layer they hit and drawn from ``rng`` in this order: per block
+    ``block<i>.ln1`` then ``block<i>.ln2``, each ``(b * n_tokens, d_model)``;
+    then ``head.dense<j>``, each ``(b, units)``. At p = 0: none, no draw.
 
-    The ops that take it (:func:`~beatformer.tensor.relu`,
-    :func:`~beatformer.tensor.add_layer_norm`) scale kept entries by 1/(1-p),
-    rebuilding the float mask ``keep / (1 - p)`` where they need it.
-    ``None`` (no dropout) when there is no generator or p is 0; no draw is
-    made then.
+    Each is True (keep) with probability 1 - p, one byte per entry; ``relu``
+    and ``add_layer_norm`` scale kept entries by 1/(1-p). Token rows are
+    stacked sample after sample, so the masks of samples ``[s, e)`` are rows
+    ``[s*t, e*t)`` of each block mask and rows ``[s, e)`` of each head mask.
     """
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must lie in [0, 1), got {p}")
-    if rng is None or p == 0.0:
-        return None
-    return rng.random(shape) >= p
+    if cfg.dropout == 0.0:
+        return {}
+    tokens = (b * cfg.n_tokens, cfg.d_model)
+    shapes = [(f"block{i}.{norm}", tokens)
+              for i in range(cfg.encoder_layers) for norm in ("ln1", "ln2")]
+    shapes += [(f"head.dense{j}", (b, units)) for j, units in enumerate(cfg.mlp_units)]
+    return {name: rng.random(shape) >= cfg.dropout for name, shape in shapes}
 
 
 def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
@@ -223,13 +226,14 @@ def _patches(features: np.ndarray, patch_len: int) -> np.ndarray:
 
 
 def _encoder_block(model: Model, i: int, x: Tensor, b: int,
-                   rng: np.random.Generator | None = None) -> Tensor:
+                   masks: dict[str, np.ndarray]) -> Tensor:
     """Post-norm encoder block ``i``: LN(x + MHA(x)) then LN(a + FFN(a)).
 
     ``x`` stacks the token rows of ``b`` samples; tokens attend only within
     their own sample. One packed projection gives every head's queries, keys
-    and values. With a generator, dropout hits each sublayer output inside
-    its residual step, LN(x + Dropout(sublayer(x))).
+    and values. Where ``masks`` holds ``block<i>.ln1`` and ``block<i>.ln2``,
+    dropout hits each sublayer output inside its residual step,
+    LN(x + Dropout(sublayer(x))).
     """
     cfg = model.config
     w, k = model.tensors, f"block{i}."
@@ -237,24 +241,25 @@ def _encoder_block(model: Model, i: int, x: Tensor, b: int,
                       b, x.shape[0] // b, cfg.heads, cfg.d_head)
     y = linear(heads, w[k + "attn.w_o"], w[k + "attn.b_o"])
     a = add_layer_norm(x, y, w[k + "ln1.gamma"], w[k + "ln1.beta"], LN_EPS,
-                       dropout_mask(y.shape, cfg.dropout, rng), cfg.dropout)
+                       masks.get(k + "ln1"), cfg.dropout)
     y = linear(relu(linear(a, w[k + "ffn.w1"], w[k + "ffn.b1"])),
                w[k + "ffn.w2"], w[k + "ffn.b2"])
     return add_layer_norm(a, y, w[k + "ln2.gamma"], w[k + "ln2.beta"], LN_EPS,
-                          dropout_mask(y.shape, cfg.dropout, rng), cfg.dropout)
+                          masks.get(k + "ln2"), cfg.dropout)
 
 
-def forward(model: Model, features, rng: np.random.Generator | None = None) -> Tensor:
+def forward(model: Model, features, masks: dict[str, np.ndarray] | None = None) -> Tensor:
     """Batch forward pass: (B, input_len) features to (B, n_classes) logits.
 
     Samples are processed independently (attention only ever mixes tokens of
     the same sample), so each row's logits depend only on that row and the
-    parameters; a single sample is a batch of one. With a generator this is a
-    training forward, which draws its dropout masks from it; without one it is
-    deterministic.
+    parameters; a single sample is a batch of one. With ``masks`` (a step's
+    :func:`draw_masks` for these rows) this is a training forward that applies
+    each mask at the layer it names. It draws nothing: it is deterministic.
     """
     cfg = model.config
     p = model.tensors
+    masks = masks or {}
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim == 1:
         feats = feats[None, :]
@@ -267,12 +272,12 @@ def forward(model: Model, features, rng: np.random.Generator | None = None) -> T
     x = embed_tokens(Tensor(_patches(feats, cfg.patch_len)), p["embed.w"], p["embed.b"],
                      p["pos.table"])
     for i in range(cfg.encoder_layers):
-        x = _encoder_block(model, i, x, b, rng)
+        x = _encoder_block(model, i, x, b, masks)
 
     h = mean_tokens(x, b)
     for j in range(len(cfg.mlp_units)):
         h = linear(h, p[f"head.dense{j}.w"], p[f"head.dense{j}.b"])
-        h = relu(h, dropout_mask(h.shape, cfg.dropout, rng), cfg.dropout)
+        h = relu(h, masks.get(f"head.dense{j}"), cfg.dropout)
     return linear(h, p["head.out.w"], p["head.out.b"])
 
 

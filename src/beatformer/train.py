@@ -28,7 +28,7 @@ from .config import (
 )
 from .data import Dataset, NormStats, batches
 from .errors import CheckpointError, CheckpointVersionError, ConfigError, NumericalError
-from .model import Model, build_model, forward
+from .model import Model, build_model, draw_masks, forward
 from .tensor import GradTape, Tensor, backward, record_op
 
 __all__ = [
@@ -226,7 +226,8 @@ def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
         ):
             flat_grad.fill(0.0)
             with GradTape() as tape:
-                logits = forward(model, features, dropout_rng)
+                logits = forward(model, features,
+                                 draw_masks(model.config, len(labels), dropout_rng))
                 loss = sparse_ce_loss(logits, labels, cfg.class_weights or None)
             loss_value = loss.item()
             if not math.isfinite(loss_value):

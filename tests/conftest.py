@@ -56,6 +56,14 @@ def train_to_end(model, cfg, train_ds: Dataset, val_ds: Dataset, norm: NormStats
     return best, history
 
 
+def mask_rows(masks: dict, start: int, end: int, n_tokens: int) -> dict:
+    """The dropout masks of samples ``[start, end)`` of a step's ``draw_masks``:
+    rows ``[start*t, end*t)`` of each token (``block``) mask, rows
+    ``[start, end)`` of each head mask."""
+    return {name: (m[start * n_tokens:end * n_tokens] if name.startswith("block")
+                   else m[start:end]) for name, m in masks.items()}
+
+
 def grad_arrays(*tensors: Tensor) -> dict:
     """A zeroed gradient array for each tensor: the ``grads`` that backward fills."""
     return {t: np.zeros_like(t.data) for t in tensors}

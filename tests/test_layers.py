@@ -5,6 +5,7 @@ block ``i``'s weights from the model's tensor table by name.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from beatformer.model import (
     _encoder_block,
     _patches,
     build_model,
-    dropout_mask,
+    draw_masks,
     forward,
     sinusoidal_table,
     tiny_config,
@@ -230,7 +231,7 @@ class TestMultiHeadAttention:
         x = np.array([[0.3, -0.7, 1.1, 0.2]])
         expected = layer_norm(layer_norm(x + x @ w["attn.w_o"].data + w["attn.b_o"].data,
                                          1.0, 0.0), 1.0, 0.0)
-        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1).data, expected,
+        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1, {}).data, expected,
                                    rtol=0, atol=1e-12)
 
     def test_zero_projections_give_zero_output(self):
@@ -242,7 +243,7 @@ class TestMultiHeadAttention:
         x = np.random.default_rng(1).normal(size=(5, 8))
         a = layer_norm(x, 1.0, 0.0)
         ffn = np.maximum(a @ w["ffn.w1"].data + 0.1, 0.0) @ w["ffn.w2"].data
-        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1).data,
+        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1, {}).data,
                                    layer_norm(a + ffn, 1.0, 0.0), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("heads,d_head", [(1, 4), (2, 3), (4, 2)])
@@ -252,7 +253,7 @@ class TestMultiHeadAttention:
         assert w["attn.w_qkv"].shape == (6, 3 * heads * d_head)
         assert w["attn.w_o"].shape == (heads * d_head, 6)
         x = Tensor(np.random.default_rng(heads).normal(size=(7, 6)))
-        assert _encoder_block(model, 0, x, 1).shape == (7, 6)
+        assert _encoder_block(model, 0, x, 1, {}).shape == (7, 6)
 
     def test_output_projection_width_validated(self):
         # a stored output projection must take heads * d_head input rows
@@ -270,9 +271,9 @@ class TestMultiHeadAttention:
         model = build_model(tiny_config(seed=12))
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3 * 5, 8))
-        batched = _encoder_block(model, 0, Tensor(x), 3).data
+        batched = _encoder_block(model, 0, Tensor(x), 3, {}).data
         for i in range(3):
-            alone = _encoder_block(model, 0, Tensor(x[i * 5:(i + 1) * 5]), 1).data
+            alone = _encoder_block(model, 0, Tensor(x[i * 5:(i + 1) * 5]), 1, {}).data
             np.testing.assert_allclose(batched[i * 5:(i + 1) * 5], alone, rtol=0, atol=1e-12)
 
 
@@ -287,7 +288,7 @@ class TestFeedForward:
         x = np.random.default_rng(2).normal(size=(4, 8))
         weights = lambda name: w[name].data
         a = layer_norm(x + reference_attention(x, weights, 2, 4), 1.0, 0.0)
-        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1).data,
+        np.testing.assert_allclose(_encoder_block(model, 0, Tensor(x), 1, {}).data,
                                    layer_norm(a, 1.0, 0.0), rtol=0, atol=1e-12)
 
     def test_position_wise_permutation(self):
@@ -296,8 +297,8 @@ class TestFeedForward:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
-        out = _encoder_block(model, 0, Tensor(x), 1).data
-        out_p = _encoder_block(model, 0, Tensor(x[perm]), 1).data
+        out = _encoder_block(model, 0, Tensor(x), 1, {}).data
+        out_p = _encoder_block(model, 0, Tensor(x[perm]), 1, {}).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 
@@ -306,24 +307,29 @@ class TestEncoderBlock:
         for seed, (t, d) in enumerate([(3, 8), (17, 8), (5, 8)]):
             model = build_model(tiny_config(seed=seed))
             x = Tensor(np.random.default_rng(seed).normal(size=(t, d)))
-            assert _encoder_block(model, 0, x, 1).shape == (t, d)
+            assert _encoder_block(model, 0, x, 1, {}).shape == (t, d)
 
     def test_eval_mode_deterministic(self):
-        # no generator, no dropout: the same output, also for a high dropout
+        # no masks, no dropout: the same output, also for a high dropout
         model = build_model(tiny_config(seed=5, dropout=0.5))
         x = Tensor(np.random.default_rng(8).normal(size=(4, 8)))
-        a = _encoder_block(model, 0, x, 1).data
-        b = _encoder_block(model, 0, x, 1).data
+        a = _encoder_block(model, 0, x, 1, {}).data
+        b = _encoder_block(model, 0, x, 1, {}).data
         np.testing.assert_array_equal(a, b)
         no_dropout = build_model(tiny_config(seed=5, dropout=0.0))
-        np.testing.assert_array_equal(a, _encoder_block(no_dropout, 0, x, 1).data)
+        np.testing.assert_array_equal(a, _encoder_block(no_dropout, 0, x, 1, {}).data)
+        # block 0 applies its own two masks and no other layer's
+        masks = draw_masks(replace(model.config, input_len=44), 1, np.random.default_rng(0))
+        assert not np.array_equal(a, _encoder_block(model, 0, x, 1, masks).data)
+        other = {name: m for name, m in masks.items() if not name.startswith("block0.")}
+        np.testing.assert_array_equal(a, _encoder_block(model, 0, x, 1, other).data)
 
     def test_zero_sublayers_reduce_to_double_layer_norm(self):
         model = build_model(tiny_config(seed=6))
         w = block_weights(model)
         zero(*(t for name, t in w.items() if name.startswith(("attn.", "ffn."))))
         x = Tensor(np.random.default_rng(10).normal(size=(4, 8)))
-        got = _encoder_block(model, 0, x, 1).data
+        got = _encoder_block(model, 0, x, 1, {}).data
         ones = Tensor(np.ones(8))
         zeros = Tensor(np.zeros(8))
         no_residual = Tensor(np.zeros((4, 8)))
@@ -356,54 +362,72 @@ class TestClassificationHead:
 
 class TestDropout:
     def test_eval_mode_identity(self):
-        # without a generator there is no mask, whatever p is
-        assert dropout_mask((20, 20), 0.9, None) is None
+        # without masks there is no dropout, whatever p is
+        x = np.random.default_rng(17).normal(size=(3, 187))
+        high, none = (build_model(tiny_config(seed=4, dropout=p)) for p in (0.9, 0.0))
+        assert forward(high, x).data.tobytes() == forward(none, x).data.tobytes()
 
     def test_p_zero_identity(self):
         rng = np.random.default_rng(0)
-        assert dropout_mask((3, 3), 0.0, rng) is None
+        assert draw_masks(tiny_config(dropout=0.0), 3, rng) == {}
         # and no draw was made
         assert rng.random() == np.random.default_rng(0).random()
 
+    def test_names_order_and_draws(self):
+        # key by key, these draws in this order (the order the seeded digests
+        # pin): per block ln1 then ln2 over the token rows, then each head layer
+        cfg = tiny_config(input_len=44, mlp_units=(6, 3), dropout=0.3)
+        masks = draw_masks(cfg, 5, np.random.default_rng(14))
+        rng = np.random.default_rng(14)
+        expected = [("block0.ln1", rng.random((20, 8)) >= 0.3),
+                    ("block0.ln2", rng.random((20, 8)) >= 0.3),
+                    ("block1.ln1", rng.random((20, 8)) >= 0.3),
+                    ("block1.ln2", rng.random((20, 8)) >= 0.3),
+                    ("head.dense0", rng.random((5, 6)) >= 0.3),
+                    ("head.dense1", rng.random((5, 3)) >= 0.3)]
+        assert list(masks) == [name for name, _ in expected]
+        for name, mask in expected:
+            assert masks[name].tobytes() == mask.tobytes(), name
+
     def test_inverted_scaling_preserves_mean(self):
         # one byte per entry; the ops scale kept entries by 1 / (1 - p)
-        mask = dropout_mask((200, 200), 0.5, np.random.default_rng(15))
-        assert mask.dtype == np.bool_ and mask.nbytes == 200 * 200
-        scaled = mask / (1 - 0.5)
+        masks = draw_masks(tiny_config(dropout=0.5, mlp_units=(200,)), 200,
+                           np.random.default_rng(15))
+        for mask in masks.values():
+            assert mask.dtype == np.bool_ and mask.nbytes == mask.size
+        scaled = masks["head.dense0"] / (1 - 0.5)
         assert set(np.unique(scaled)) == {0.0, 2.0}
         assert abs(scaled.mean() - 1.0) < 0.05
 
     def test_rebuilt_mask_is_bit_equal_to_the_float_mask(self):
-        # the float mask as dropout_mask made it before it went to one byte
+        # the float mask as it was made before it went to one byte
         for p in (0.15, 0.3, 0.5):
-            mask = dropout_mask((40, 30), p, np.random.default_rng(16))
-            old = (np.random.default_rng(16).random((40, 30)) >= p).astype(np.float64) / (1.0 - p)
+            mask = draw_masks(tiny_config(dropout=p), 2, np.random.default_rng(16))["block0.ln1"]
+            old = (np.random.default_rng(16).random((34, 8)) >= p).astype(np.float64) / (1.0 - p)
             assert (mask / (1 - p)).tobytes() == old.tobytes()
 
-    def test_invalid_p(self):
-        for p in (-0.1, 1.0, 1.5):
-            with pytest.raises(ConfigError):
-                dropout_mask((3,), p, np.random.default_rng(0))
-            with pytest.raises(ConfigError):
-                dropout_mask((3,), p, None)
-
     def test_seeded_mask_reproducible(self):
-        a = dropout_mask((10, 10), 0.3, np.random.default_rng(42))
-        b = dropout_mask((10, 10), 0.3, np.random.default_rng(42))
-        assert a.dtype == np.bool_
-        np.testing.assert_array_equal(a, b)
+        cfg = tiny_config(dropout=0.3)
+        a = draw_masks(cfg, 3, np.random.default_rng(42))
+        b = draw_masks(cfg, 3, np.random.default_rng(42))
+        assert list(a) == list(b)
+        for name in a:
+            assert a[name].dtype == np.bool_
+            np.testing.assert_array_equal(a[name], b[name])
 
 
 def test_whole_stack_gradient_check():
-    """Analytic vs central-difference gradients through the full tiny stack."""
-    cfg = tiny_config(input_len=44)  # 4 tokens of 11 samples
+    """Analytic vs central-difference gradients through the full tiny stack,
+    in a training forward with drawn dropout masks."""
+    cfg = tiny_config(input_len=44, dropout=0.3)  # 4 tokens of 11 samples
     model = build_model(cfg)
     rng = np.random.default_rng(99)
     batch = rng.normal(size=(2, 44))
     weight = Tensor(rng.normal(size=(2, 5)))
+    masks = draw_masks(cfg, 2, rng)  # a training forward
 
     def f():
-        return sum_all(mul(forward(model, batch), weight))
+        return sum_all(mul(forward(model, batch, masks), weight))
 
     params = model.param_tensors()
     names = [n for n, _ in model.parameters()]

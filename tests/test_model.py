@@ -23,13 +23,14 @@ from beatformer.model import (
     REFERENCE_PARAM_COUNT,
     build_model,
     count_params,
+    draw_masks,
     format_param_report,
     forward,
     parameter_breakdown,
     tiny_config,
 )
 
-from conftest import PROPERTY_SETTINGS, grad_arrays
+from conftest import PROPERTY_SETTINGS, grad_arrays, mask_rows
 from reference import reference_forward
 
 
@@ -256,9 +257,13 @@ class TestForward:
     def test_train_mode_reproducible_with_seeded_rng(self):
         model = build_model(tiny_config(seed=7))
         batch = np.random.default_rng(3).normal(size=(3, 187))
-        a = forward(model, batch, rng=np.random.default_rng(11)).data
-        b = forward(model, batch, rng=np.random.default_rng(11)).data
+        masks = draw_masks(model.config, 3, np.random.default_rng(11))
+        a = forward(model, batch, masks).data
+        b = forward(model, batch, draw_masks(model.config, 3, np.random.default_rng(11))).data
         np.testing.assert_array_equal(a, b)
+        # the forward draws nothing: the same masks give the same bits again
+        assert forward(model, batch, masks).data.tobytes() == a.tobytes()
+        assert not np.array_equal(a, forward(model, batch).data)
 
     def test_wrong_width_rejected(self):
         model = build_model(tiny_config(seed=8))
@@ -337,8 +342,9 @@ def blocks(draw, n: int) -> list[int]:
 @given(cfg=small_configs(), data=st.data())
 def test_forward_across_the_config_space(tmp_path_factory, cfg, data):
     """Each drawn config matches the reference, passes the gradient check,
-    gives the same logit bits in any split into blocks, and restores them
-    bit for bit from its checkpoint bytes."""
+    gives the same logit bits in any split into blocks, also in a training
+    forward with sliced masks, and restores them bit for bit from its
+    checkpoint bytes."""
     model = build_model(cfg)
     # perturb the zero/one-initialized biases, norms and positional rows, as
     # the fixed-config reference test does
@@ -358,9 +364,16 @@ def test_forward_across_the_config_space(tmp_path_factory, cfg, data):
     assert report.passed, report.summary()
 
     ends = np.cumsum(data.draw(blocks(b), label="blocks"))
-    split = np.vstack([forward(model, batch[end - size:end]).data
-                       for end, size in zip(ends, np.diff(ends, prepend=0))])
+    starts = ends - np.diff(ends, prepend=0)
+    split = np.vstack([forward(model, batch[s:e]).data for s, e in zip(starts, ends)])
     assert split.tobytes() == logits.tobytes()
+    # a training forward over the same split, each block with its rows of
+    # the whole batch's masks
+    masks = draw_masks(cfg, b, rng)
+    trained = forward(model, batch, masks).data
+    split = np.vstack([forward(model, batch[s:e], mask_rows(masks, s, e, cfg.n_tokens)).data
+                       for s, e in zip(starts, ends)])
+    assert split.tobytes() == trained.tobytes()
 
     path = tmp_path_factory.getbasetemp() / "property.bin"
     norm = NormStats(mean=np.zeros(cfg.input_len), std=np.ones(cfg.input_len),
@@ -390,5 +403,5 @@ def test_default_train_step_tape_and_parameter_counts():
     batch = rng.normal(size=(32, 187))
     labels = rng.integers(0, 5, size=32)
     with GradTape() as tape:
-        sparse_ce_loss(forward(model, batch, rng=rng), labels)
+        sparse_ce_loss(forward(model, batch, draw_masks(model.config, 32, rng)), labels)
     assert len(tape) == 40

@@ -784,9 +784,9 @@ def test_every_public_name_is_reached_from_the_package(module):
     assert not exported - refs, f"{module} exports names nothing uses: {sorted(exported - refs)}"
 
 
-class _UnseededGenerators(ast.NodeVisitor):
-    """Collects ``module.function`` for each ``default_rng()`` call with no
-    seed (or a ``None`` seed) in one module."""
+class _Scoped(ast.NodeVisitor):
+    """Walks one module keeping the ``module.function`` scope of each node;
+    subclasses add the scopes of what they look for to ``found``."""
 
     def __init__(self, module: str):
         self.scope = [module]
@@ -799,6 +799,21 @@ class _UnseededGenerators(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_scope
 
+
+def _found_in_src(finder: type) -> list:
+    """The scopes that ``finder`` reports over every module of ``src``."""
+    found = []
+    for path in sorted(Path(tensor_mod.__file__).parent.glob("*.py")):
+        visitor = finder(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    return found
+
+
+class _UnseededGenerators(_Scoped):
+    """Collects ``module.function`` for each ``default_rng()`` call with no
+    seed (or a ``None`` seed) in one module."""
+
     def visit_Call(self, node):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -810,14 +825,28 @@ class _UnseededGenerators(ast.NodeVisitor):
 
 
 def test_no_src_function_draws_from_an_unseeded_generator():
-    """Every generator in ``src`` is seeded: a train forward draws its dropout
-    masks only from the generator it is passed, never from a fresh OS-seeded one."""
-    found = []
-    for path in sorted(Path(tensor_mod.__file__).parent.glob("*.py")):
-        finder = _UnseededGenerators(path.stem)
-        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found += finder.found
+    """Every generator in ``src`` is seeded: a training step's dropout masks
+    come from the seeded generator ``draw_masks`` is given, never from a fresh
+    OS-seeded one."""
+    found = _found_in_src(_UnseededGenerators)
     assert not found, f"unseeded np.random.default_rng() in {sorted(found)}"
+
+
+class _RandomDraws(_Scoped):
+    """Collects ``module.function`` for each ``<generator>.random(...)`` call
+    in one module."""
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "random":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_draw_masks_draws_dropout_masks():
+    """``model.draw_masks`` is the only ``.random(`` call in ``src``, so every
+    mask of a step is drawn, named and ordered in one place and no op of the
+    forward draws its own."""
+    assert _found_in_src(_RandomDraws) == ["model.draw_masks"]
 
 
 def test_no_cli_command_catches_an_error():
@@ -875,20 +904,9 @@ WRITE_CALLS = {("os", "replace"), ("os", "rename"), ("os", "open"), ("os", "fdop
                ("tempfile", "TemporaryFile"), ("shutil", "copyfile"), ("shutil", "move")}
 
 
-class _FileWrites(ast.NodeVisitor):
+class _FileWrites(_Scoped):
     """Collects ``module.function`` for each call in one module that writes a
     file, and each import that would hide such a call from the check."""
-
-    def __init__(self, module: str):
-        self.scope = [module]
-        self.found = []
-
-    def _visit_scope(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_scope
 
     def visit_ImportFrom(self, node):
         if any((node.module, alias.name) in WRITE_CALLS for alias in node.names):
@@ -914,10 +932,6 @@ class _FileWrites(ast.NodeVisitor):
 def test_every_file_is_written_by_the_one_writer():
     """Only ``output.write_files`` creates, writes or renames a file, so every
     output lands whole, by rename, and a new output cannot add a second path."""
-    found = []
-    for path in sorted(Path(tensor_mod.__file__).parent.glob("*.py")):
-        finder = _FileWrites(path.stem)
-        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found += finder.found
+    found = _found_in_src(_FileWrites)
     assert "output.write_files" in found
     assert set(found) == {"output.write_files"}, sorted(found)

@@ -19,7 +19,7 @@ from beatformer.errors import (
     ConfigMismatchError,
     NumericalError,
 )
-from beatformer.model import build_model, forward, tiny_config
+from beatformer.model import build_model, draw_masks, forward, tiny_config
 from beatformer.output import write_files
 from beatformer.tensor import GradTape, Tensor, backward
 from beatformer.train import (
@@ -35,7 +35,7 @@ from beatformer.train import (
     sparse_ce_loss,
 )
 
-from conftest import grad_arrays, resealed, synthetic_beats, train_to_end
+from conftest import grad_arrays, mask_rows, resealed, synthetic_beats, train_to_end
 from reference import per_tensor_adam_step, sum_then_add_backward
 
 
@@ -200,9 +200,9 @@ class TestGradientBuffer:
         # the earlier rule summed a leaf's contributions, then added the sum
         model = build_model(ModelConfig(seed=5))
         batch = synthetic_beats(32, seed=5)
+        masks = draw_masks(model.config, 32, np.random.default_rng(5))
         with GradTape() as tape:
-            loss = sparse_ce_loss(forward(model, batch.features, np.random.default_rng(5)),
-                                  batch.labels)
+            loss = sparse_ce_loss(forward(model, batch.features, masks), batch.labels)
         assert len(tape) == 40
         buffers = []
         for rule in (backward, sum_then_add_backward):
@@ -222,8 +222,11 @@ class TestGradientBuffer:
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
+            # drawn and dropped inside the window, as when the forward drew them
+            masks = draw_masks(model.config, 32, rng)
             with GradTape() as tape:
-                loss = sparse_ce_loss(forward(model, batch.features, rng), batch.labels)
+                loss = sparse_ce_loss(forward(model, batch.features, masks), batch.labels)
+            del masks
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             backward(tape, loss, grads)
@@ -234,6 +237,32 @@ class TestGradientBuffer:
         # masks, kept 24.3 MiB live and peaked at 27.9 MiB
         assert live <= 20 * 2**20, live / 2**20
         assert peak <= 24 * 2**20, peak / 2**20
+
+    def test_half_batch_steps_with_sliced_masks_sum_to_the_whole_step(self):
+        # two 16-row shards, each with its rows of the step's masks and its
+        # gradient scaled by its share of the batch's class weight, sum to the
+        # whole batch's gradient (not bit for bit: X^T G sums in another order)
+        model = build_model(ModelConfig(seed=7))
+        batch = synthetic_beats(32, seed=7)
+        weights = [1.0, 2.0, 3.0, 4.0, 5.0]
+        masks = draw_masks(model.config, 32, np.random.default_rng(7))
+
+        def step(s, e):
+            flat_grad = np.zeros_like(model.flat_data)
+            with GradTape() as tape:
+                loss = sparse_ce_loss(
+                    forward(model, batch.features[s:e],
+                            mask_rows(masks, s, e, model.config.n_tokens)),
+                    batch.labels[s:e], weights)
+            backward(tape, loss, model.views(flat_grad))
+            return flat_grad
+
+        whole = step(0, 32)
+        label_w = np.asarray(weights)[batch.labels]
+        shards = sum(step(s, e) * (label_w[s:e].sum() / label_w.sum())
+                     for s, e in ((0, 16), (16, 32)))
+        assert np.abs(whole).max() > 0.1
+        np.testing.assert_allclose(shards, whole, rtol=0, atol=1e-12)
 
     def test_restored_model_holds_weights_only(self):
         source = build_model(ModelConfig(seed=6))
