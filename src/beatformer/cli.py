@@ -3,13 +3,14 @@
 This module holds the argument parser, the commands and :func:`main`; every
 file a command writes goes through :func:`beatformer.output.write_files`.
 The settings, their config files and ``config.resolved`` are
-:mod:`beatformer.config`'s: command-line flags override file values. Each
-command reads and checks all its input before it writes anything: ``train``
-writes its fully resolved config to the output directory once the training
-data is loaded, split and normalized and no output path is a directory, before
-training, so a bad input writes nothing and a completed run is reproducible
-from that file plus the input CSVs. After each epoch ``train`` writes that
-epoch's files as one set, so a run that aborts keeps the epochs it finished.
+:mod:`beatformer.config`'s: a command-line flag overrides the file value of
+the config key its dest names. Each command reads and checks all its input
+before it writes anything: ``train`` writes its fully resolved config to the
+output directory once the training data is loaded, split and normalized and
+no output path is a directory, before training, so a bad input writes nothing
+and a completed run is reproducible from that file plus the input CSVs. After
+each epoch ``train`` writes that epoch's files as one set, so a run that
+aborts keeps the epochs it finished.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 3 numerical abort. The commands raise; :func:`main` alone maps an error to
@@ -36,7 +37,7 @@ from .metrics import (
     format_report,
     report_to_csv,
 )
-from .model import build_model, count_params, format_param_report, forward, tiny_config
+from .model import build_model, format_param_report, forward, tiny_config
 from .output import refuse_directories, write_files
 from .tensor import grad_check
 from .train import (
@@ -56,7 +57,6 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-GRADCHECK_TOL = 1e-4
 REPORT_NAMES = ("report.txt", "report.csv", "confusion.csv")
 
 
@@ -98,14 +98,7 @@ def _training_splits(run, model_cfg):
 
 
 def cmd_train(args) -> int:
-    resolved = resolve(args.config, {
-        "seed": args.seed,
-        "subset": args.subset,
-        "epochs": args.epochs,
-        "out": args.out,
-        "data_train": args.data_train,
-        "data_test": args.data_test,
-    })
+    resolved = resolve(args.config, vars(args))
     model_cfg, train_cfg, run = (build_config(cls, resolved) for cls in CONFIGS)
     if not run.data_train:
         return _fail("no training CSV given (set data_train or pass --data-train)")
@@ -187,7 +180,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = resolve(args.config, {"seed": args.seed})["seed"]
+    seed = resolve(args.config, vars(args))["seed"]
 
     # small verification variant: 4 tokens; a forward without masks applies
     # no dropout
@@ -200,13 +193,10 @@ def cmd_gradcheck(args) -> int:
     def target():
         return sparse_ce_loss(forward(model, batch), labels)
 
-    names = [name for name, _ in model.parameters()]
-    report = grad_check(target, model.param_tensors(), eps=1e-5, tol=GRADCHECK_TOL,
-                        names=names)
-    print(
-        f"checked {report.n_elements} parameter elements of {count_params(model)} "
-        f"({len(names)} tensors)"
-    )
+    names, params = zip(*model.parameters())
+    report = grad_check(target, params, names=names)
+    print(f"checked {report.n_elements} parameter elements of {model.flat_data.size} "
+          f"({len(names)} tensors)")
     print(report.summary())
     if not report.passed:
         return EXIT_VERIFICATION

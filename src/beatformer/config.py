@@ -229,7 +229,9 @@ def parse_config_file(path: str) -> tuple[dict, list[str]]:
 
 
 def resolve_config(file_values: dict, overrides: dict) -> tuple[dict, list[str]]:
-    """Defaults < config file < command line; returns typed values + violations."""
+    """Defaults < config file < command line; returns typed values + violations.
+
+    An override that is ``None`` or whose key is not a config key is ignored."""
     resolved, violations = {}, []
     merged = {**file_values, **{k: v for k, v in overrides.items() if v is not None}}
     for key, (caster, default) in SCHEMA.items():

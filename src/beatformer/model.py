@@ -20,18 +20,14 @@ logger = logging.getLogger(__name__)
 # positional scheme, so the count is reported with a delta, never asserted.
 REFERENCE_PARAM_COUNT = 36_301
 
-LN_EPS = 1e-6
-
 __all__ = [
     "Model",
     "tiny_config",
     "build_model",
     "forward",
-    "count_params",
     "parameter_breakdown",
     "format_param_report",
     "REFERENCE_PARAM_COUNT",
-    "LN_EPS",
     "draw_masks",
     "sinusoidal_table",
 ]
@@ -71,19 +67,24 @@ class Model:
         """Trainable tensors in a stable, documented order."""
         return [(name, t) for name, t in self.tensors.items() if t.needs_grad]
 
-    def param_tensors(self) -> list[Tensor]:
-        return [t for _, t in self.parameters()]
-
     def views(self, flat: np.ndarray) -> dict[Tensor, np.ndarray]:
         """Each trainable tensor mapped to its reshaped slice of ``flat``, a
         buffer laid out like ``flat_data``: the weights are these views of
         ``flat_data``, and a training step's ``grads`` for ``backward`` are
         these views of one gradient buffer."""
         out, offset = {}, 0
-        for t in self.param_tensors():
+        for _, t in self.parameters():
             out[t] = flat[offset:offset + t.size].reshape(t.shape)
             offset += t.size
         return out
+
+
+def _mask_shapes(cfg: ModelConfig, b: int) -> list[tuple[str, tuple[int, int]]]:
+    """``(name, shape)`` of each dropout mask of a ``b``-sample step, in draw order."""
+    tokens = (b * cfg.n_tokens, cfg.d_model)
+    shapes = [(f"block{i}.{norm}", tokens)
+              for i in range(cfg.encoder_layers) for norm in ("ln1", "ln2")]
+    return shapes + [(f"head.dense{j}", (b, units)) for j, units in enumerate(cfg.mlp_units)]
 
 
 def draw_masks(cfg: ModelConfig, b: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -96,14 +97,13 @@ def draw_masks(cfg: ModelConfig, b: int, rng: np.random.Generator) -> dict[str, 
     and ``add_layer_norm`` scale kept entries by 1/(1-p). Token rows are
     stacked sample after sample, so the masks of samples ``[s, e)`` are rows
     ``[s*t, e*t)`` of each block mask and rows ``[s, e)`` of each head mask.
+    :func:`forward` refuses a missing, unknown or misshapen mask, but one drawn
+    at another rate cannot be told from a bool array: it is scaled by the
+    model's p.
     """
     if cfg.dropout == 0.0:
         return {}
-    tokens = (b * cfg.n_tokens, cfg.d_model)
-    shapes = [(f"block{i}.{norm}", tokens)
-              for i in range(cfg.encoder_layers) for norm in ("ln1", "ln2")]
-    shapes += [(f"head.dense{j}", (b, units)) for j, units in enumerate(cfg.mlp_units)]
-    return {name: rng.random(shape) >= cfg.dropout for name, shape in shapes}
+    return {name: rng.random(shape) >= cfg.dropout for name, shape in _mask_shapes(cfg, b)}
 
 
 def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
@@ -186,7 +186,7 @@ def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None
         t.data = view
     if params is not None:
         _load_params(model, params)
-    total = count_params(model)
+    total = model.flat_data.size
     logger.info(
         "built model: %d trainable parameters (reference variant reports %d, delta %+d)",
         total, REFERENCE_PARAM_COUNT, total - REFERENCE_PARAM_COUNT,
@@ -240,12 +240,12 @@ def _encoder_block(model: Model, i: int, x: Tensor, b: int,
     heads = attention(linear(x, w[k + "attn.w_qkv"], w[k + "attn.b_qkv"]),
                       b, x.shape[0] // b, cfg.heads, cfg.d_head)
     y = linear(heads, w[k + "attn.w_o"], w[k + "attn.b_o"])
-    a = add_layer_norm(x, y, w[k + "ln1.gamma"], w[k + "ln1.beta"], LN_EPS,
-                       masks.get(k + "ln1"), cfg.dropout)
+    a = add_layer_norm(x, y, w[k + "ln1.gamma"], w[k + "ln1.beta"],
+                       keep=masks.get(k + "ln1"), p=cfg.dropout)
     y = linear(relu(linear(a, w[k + "ffn.w1"], w[k + "ffn.b1"])),
                w[k + "ffn.w2"], w[k + "ffn.b2"])
-    return add_layer_norm(a, y, w[k + "ln2.gamma"], w[k + "ln2.beta"], LN_EPS,
-                          masks.get(k + "ln2"), cfg.dropout)
+    return add_layer_norm(a, y, w[k + "ln2.gamma"], w[k + "ln2.beta"],
+                          keep=masks.get(k + "ln2"), p=cfg.dropout)
 
 
 def forward(model: Model, features, masks: dict[str, np.ndarray] | None = None) -> Tensor:
@@ -255,7 +255,8 @@ def forward(model: Model, features, masks: dict[str, np.ndarray] | None = None) 
     the same sample), so each row's logits depend only on that row and the
     parameters; a single sample is a batch of one. With ``masks`` (a step's
     :func:`draw_masks` for these rows) this is a training forward that applies
-    each mask at the layer it names. It draws nothing: it is deterministic.
+    each mask at the layer it names; a key it does not name, or a missing one,
+    raises ``ShapeError``. It draws nothing: it is deterministic.
     """
     cfg = model.config
     p = model.tensors
@@ -268,6 +269,12 @@ def forward(model: Model, features, masks: dict[str, np.ndarray] | None = None) 
             f"expected features of width {cfg.input_len}, got shape {feats.shape}"
         )
     b = feats.shape[0]
+    if masks:
+        names = [name for name, _ in _mask_shapes(cfg, b)]
+        odd = [f"unknown {n}" for n in masks if n not in names]
+        odd += [f"missing {n}" for n in names if n not in masks]
+        if odd:
+            raise ShapeError(f"dropout masks do not fit the model: {odd[0]}")
 
     x = embed_tokens(Tensor(_patches(feats, cfg.patch_len)), p["embed.w"], p["embed.b"],
                      p["pos.table"])
@@ -279,10 +286,6 @@ def forward(model: Model, features, masks: dict[str, np.ndarray] | None = None) 
         h = linear(h, p[f"head.dense{j}.w"], p[f"head.dense{j}.b"])
         h = relu(h, masks.get(f"head.dense{j}"), cfg.dropout)
     return linear(h, p["head.out.w"], p["head.out.b"])
-
-
-def count_params(model: Model) -> int:
-    return model.flat_data.size
 
 
 # report component of each tensor-name prefix other than ``block<i>``
@@ -306,7 +309,7 @@ def parameter_breakdown(model: Model) -> list[tuple[str, int]]:
 def format_param_report(model: Model) -> str:
     """Reconciliation table: per-component counts, total, and reference delta."""
     rows = parameter_breakdown(model)
-    total = count_params(model)
+    total = model.flat_data.size
     width = max(len(name) for name, _ in rows) + 2
     lines = ["parameter reconciliation:"]
     for name, count in rows:

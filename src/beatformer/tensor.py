@@ -51,6 +51,8 @@ __all__ = [
 # serial numbers for Tensor.key; unlike id(), never handed out twice
 _KEYS = itertools.count()
 
+LN_EPS = 1e-6  # add_layer_norm's default variance floor
+
 
 class Tensor:
     """Dense float64 array, hashed by identity.
@@ -360,7 +362,7 @@ def relu(a: Tensor, keep: Optional[np.ndarray] = None, p: float = 0.0) -> Tensor
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
-                   eps: float = 1e-6, keep: Optional[np.ndarray] = None,
+                   eps: float = LN_EPS, keep: Optional[np.ndarray] = None,
                    p: float = 0.0) -> Tensor:
     """Residual sum then LayerNorm over the last axis, gamma * x_hat + beta of x + y.
 
@@ -429,6 +431,7 @@ def mean_tokens(x: Tensor, b: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 _REL_GUARD = 1e-6  # denominator floor so near-zero gradients compare sanely
+GRADCHECK_TOL = 1e-4  # grad_check's default bound on the worst relative error
 
 
 @dataclass
@@ -457,7 +460,7 @@ def grad_check(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
     eps: float = 1e-5,
-    tol: float = 1e-4,
+    tol: float = GRADCHECK_TOL,
     names: Optional[Sequence[str]] = None,
 ) -> GradCheckReport:
     """Compare analytic gradients of ``f`` against central finite differences.

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from beatformer.model import LN_EPS
+from beatformer.tensor import LN_EPS
 
 
 def layer_norm(x, gamma, beta):

@@ -28,7 +28,6 @@ from beatformer.metrics import classification_report, confusion_matrix
 from beatformer.model import (
     REFERENCE_PARAM_COUNT,
     build_model,
-    count_params,
     format_param_report,
     forward,
     parameter_breakdown,
@@ -79,7 +78,7 @@ def test_c1_gradient_correctness():
 
     report = grad_check(
         target,
-        model.param_tensors(),
+        [t for _, t in model.parameters()],
         eps=1e-5,
         tol=1e-4,
         names=[name for name, _ in model.parameters()],
@@ -347,7 +346,7 @@ def test_c9_parameter_count_report(caplog):
 
     with caplog.at_level(logging.INFO, logger="beatformer.model"):
         model = build_model(ModelConfig())
-    total = count_params(model)
+    total = model.flat_data.size
     delta = total - REFERENCE_PARAM_COUNT
     assert str(REFERENCE_PARAM_COUNT) in caplog.text.replace(",", "")
 

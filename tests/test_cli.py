@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beatformer.cli import main
+from beatformer.cli import build_parser, main
 from beatformer.config import (
     SCHEMA,
     ModelConfig,
@@ -241,6 +241,14 @@ class TestSchema:
         names = [f.name for cls in (ModelConfig, TrainConfig, RunConfig) for f in fields(cls)]
         assert sorted(SCHEMA) == sorted(names)
         assert len(SCHEMA) == len(names) == 25
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_every_flag_names_a_config_key(self, command):
+        # a flag overrides the config key its dest names, so a dest that names
+        # no key would be dropped silently
+        dests = set(vars(build_parser().parse_args([command]))) - {"config", "command", "fn"}
+        assert "seed" in dests
+        assert dests <= set(SCHEMA), sorted(dests - set(SCHEMA))
 
     def test_a_field_shared_by_two_configs_has_one_default(self):
         defaults = {}  # field name -> its default in each config that has it

@@ -13,7 +13,6 @@ import pytest
 from beatformer.config import ModelConfig
 from beatformer.errors import ConfigError, ConfigMismatchError, ShapeError
 from beatformer.model import (
-    LN_EPS,
     _encoder_block,
     _patches,
     build_model,
@@ -23,6 +22,7 @@ from beatformer.model import (
     tiny_config,
 )
 from beatformer.tensor import (
+    LN_EPS,
     Tensor,
     add_layer_norm,
     attention,
@@ -429,7 +429,7 @@ def test_whole_stack_gradient_check():
     def f():
         return sum_all(mul(forward(model, batch, masks), weight))
 
-    params = model.param_tensors()
+    params = [t for _, t in model.parameters()]
     names = [n for n, _ in model.parameters()]
     report = grad_check(f, params, eps=1e-5, tol=1e-4, names=names)
     assert report.passed, report.summary()

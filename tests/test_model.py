@@ -1,17 +1,16 @@
 """Tests for config validation, model building, and the batch forward pass."""
 
 import logging
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beatformer.cli import GRADCHECK_TOL
 from beatformer.config import SCHEMA, ModelConfig, build_config, format_pairs, read_pairs
 from beatformer.errors import ConfigError, ShapeError
 from beatformer.data import NormStats
-from beatformer.tensor import GradTape, backward, grad_check
+from beatformer.tensor import GRADCHECK_TOL, GradTape, backward, grad_check
 from beatformer.train import (
     Checkpoint,
     checkpoint_bytes,
@@ -22,7 +21,6 @@ from beatformer.train import (
 from beatformer.model import (
     REFERENCE_PARAM_COUNT,
     build_model,
-    count_params,
     draw_masks,
     format_param_report,
     forward,
@@ -109,7 +107,7 @@ class TestParamCounts:
         cfg = ModelConfig(input_len=44, patch_len=11, d_model=4, d_head=4, heads=1,
                           encoder_layers=1, d_ff=8, mlp_units=(8,), n_classes=5)
         model = build_model(cfg)
-        assert count_params(model) == 48 + 16 + 172 + 85 == 321
+        assert model.flat_data.size == 48 + 16 + 172 + 85 == 321
 
     def test_dense_layer_count_formula(self):
         cfg = ModelConfig(d_model=187, mlp_units=(128, 64))
@@ -120,7 +118,7 @@ class TestParamCounts:
     def test_default_config_logs_reference_delta(self, caplog):
         with caplog.at_level(logging.INFO, logger="beatformer.model"):
             model = build_model(ModelConfig())
-        total = count_params(model)
+        total = model.flat_data.size
         assert str(REFERENCE_PARAM_COUNT) in caplog.text.replace(",", "")
         report = format_param_report(model)
         assert f"{total:,}" in report
@@ -129,7 +127,7 @@ class TestParamCounts:
     def test_breakdown_sums_to_total(self):
         model = build_model(ModelConfig())
         rows = parameter_breakdown(model)
-        assert sum(count for _, count in rows) == count_params(model)
+        assert sum(count for _, count in rows) == model.flat_data.size
         assert len([r for r in rows if r[0].startswith("encoder block")]) == 4
 
 
@@ -140,7 +138,7 @@ class TestFlatBuffers:
     @staticmethod
     def assert_views_in_checkpoint_order(model, flat_grad):
         views = model.views(flat_grad)
-        assert list(views) == model.param_tensors()
+        assert list(views) == [t for _, t in model.parameters()]
         offset = 0
         for name, t in model.parameters():
             for view, flat in ((t.data, model.flat_data), (views[t], flat_grad)):
@@ -218,7 +216,7 @@ class TestFlatBuffers:
         self.assert_views_in_checkpoint_order(model, flat_grad)
         assert np.count_nonzero(flat_grad) > flat_grad.size // 2
         # the same pass into one separate array per tensor
-        separate = grad_arrays(*model.param_tensors())
+        separate = grad_arrays(*(t for _, t in model.parameters()))
         backward(tape, loss, separate)
         assert flat_grad.tobytes() == np.concatenate(
             [separate[t].ravel() for _, t in model.parameters()]).tobytes()
@@ -264,6 +262,32 @@ class TestForward:
         # the forward draws nothing: the same masks give the same bits again
         assert forward(model, batch, masks).data.tobytes() == a.tobytes()
         assert not np.array_equal(a, forward(model, batch).data)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("misspelled", "unknown block0.LN1"),
+        ("three_blocks", "unknown block2.ln1"),
+        ("no_head", "missing head.dense0"),
+    ])
+    def test_masks_that_are_not_the_models_are_refused(self, edit, message):
+        model = build_model(tiny_config(seed=7, dropout=0.3))
+        batch = np.random.default_rng(3).normal(size=(3, 187))
+        rng = np.random.default_rng(11)
+        masks = draw_masks(model.config, 3, rng)
+        if edit == "misspelled":
+            masks["block0.LN1"] = masks.pop("block0.ln1")
+        elif edit == "three_blocks":
+            masks = draw_masks(replace(model.config, encoder_layers=3), 3, rng)
+        else:
+            del masks["head.dense0"]
+        with pytest.raises(ShapeError, match=f"dropout masks do not fit the model: {message}"):
+            forward(model, batch, masks)
+
+    def test_no_masks_and_empty_masks_apply_no_dropout(self):
+        model = build_model(tiny_config(seed=7, dropout=0.3))
+        batch = np.random.default_rng(3).normal(size=(3, 187))
+        plain = forward(model, batch).data.tobytes()
+        assert forward(model, batch, None).data.tobytes() == plain
+        assert forward(model, batch, {}).data.tobytes() == plain
 
     def test_wrong_width_rejected(self):
         model = build_model(tiny_config(seed=8))
@@ -359,7 +383,7 @@ def test_forward_across_the_config_space(tmp_path_factory, cfg, data):
 
     labels = rng.integers(0, cfg.n_classes, size=2)
     report = grad_check(lambda: sparse_ce_loss(forward(model, batch[:2]), labels),
-                        model.param_tensors(), eps=1e-5, tol=GRADCHECK_TOL,
+                        [t for _, t in model.parameters()], eps=1e-5, tol=GRADCHECK_TOL,
                         names=[name for name, _ in model.parameters()])
     assert report.passed, report.summary()
 
@@ -398,7 +422,7 @@ def test_default_train_step_tape_and_parameter_counts():
     """
     model = build_model(ModelConfig())
     assert len(model.parameters()) == 57
-    assert count_params(model) == model.flat_data.size == 218_949
+    assert sum(t.size for _, t in model.parameters()) == model.flat_data.size == 218_949
     rng = np.random.default_rng(0)
     batch = rng.normal(size=(32, 187))
     labels = rng.integers(0, 5, size=32)

@@ -935,3 +935,30 @@ def test_every_file_is_written_by_the_one_writer():
     found = _found_in_src(_FileWrites)
     assert "output.write_files" in found
     assert set(found) == {"output.write_files"}, sorted(found)
+
+
+def test_each_name_has_one_home():
+    """The package root holds nothing but its docstring, so every name is
+    imported from the one module that defines it; and each entry of a
+    module's ``__all__`` is defined there, so a deleted name leaves no
+    export behind."""
+    src = Path(tensor_mod.__file__).parent
+    root = ast.parse((src / "__init__.py").read_text(encoding="utf-8")).body
+    assert len(root) == 1 and isinstance(root[0], ast.Expr)
+    assert isinstance(root[0].value, ast.Constant) and isinstance(root[0].value.value, str)
+    exported = {}
+    for path in sorted(src.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        defined = {node.name for node in body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target])
+                    if isinstance(target, ast.Name)}
+        for node in body:
+            if isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", None)
+                                                              for t in node.targets]:
+                names = ast.literal_eval(node.value)
+                exported[path.stem] = [name for name in names if name not in defined]
+    assert {"model", "tensor", "train"} <= set(exported)
+    assert not any(exported.values()), {m: bad for m, bad in exported.items() if bad}
