@@ -60,9 +60,9 @@ EXIT_NUMERIC = 3
 REPORT_NAMES = ("report.txt", "report.csv", "confusion.csv")
 
 
-def _fail(message: str, code: int = EXIT_USAGE) -> int:
+def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return EXIT_USAGE
 
 
 def _report_files(preds, labels, n_classes: int) -> dict:
@@ -101,7 +101,7 @@ def cmd_train(args) -> int:
     resolved = resolve(args.config, vars(args))
     model_cfg, train_cfg, run = (build_config(cls, resolved) for cls in CONFIGS)
     if not run.data_train:
-        return _fail("no training CSV given (set data_train or pass --data-train)")
+        raise DataError("no training CSV given (set data_train or pass --data-train)")
 
     # every input is read and checked before anything is written
     train_part, val_part, stats = _training_splits(run, model_cfg)
@@ -140,7 +140,7 @@ def _restore(path: str):
 
 def cmd_eval(args) -> int:
     if not args.data_test:
-        return _fail("no test CSV given (pass --data-test)")
+        raise DataError("no test CSV given (pass --data-test)")
     model, norm = _restore(args.checkpoint)
     cfg = model.config
     test_ds = data_mod.load_csv(args.data_test, cfg.input_len, cfg.n_classes)
@@ -193,7 +193,7 @@ def cmd_gradcheck(args) -> int:
     def target():
         return sparse_ce_loss(forward(model, batch), labels)
 
-    names, params = zip(*model.parameters())
+    names, params = zip(*model.tensors.items())
     report = grad_check(target, params, names=names)
     print(f"checked {report.n_elements} parameter elements of {model.flat_data.size} "
           f"({len(names)} tensors)")

@@ -153,6 +153,10 @@ def _parse_lines(path: str, widths: tuple[int, ...]) -> np.ndarray:
                             f"expected {' or '.join(map(str, widths))}")
         widths = (len(fields),)
         try:
+            # Python's float also reads 1_0, non-ASCII digits and a field padded
+            # with \v or \f, which no CSV writer writes
+            if "_" in line or not (line.isascii() and line.replace("\t", "").isprintable()):
+                raise ValueError
             rows.append(np.array(fields, dtype=np.float64))
         except ValueError:
             raise DataError(f"{path}: row {lineno} contains a non-numeric field") from None

@@ -29,14 +29,6 @@ class CheckpointError(ValueError):
         super().__init__(message)
 
 
-class CheckpointVersionError(CheckpointError):
-    """The checkpoint was written by an incompatible format version."""
-
-
-class ConfigMismatchError(CheckpointError):
-    """The checkpoint's stored config does not match the expected one."""
-
-
 class OutputError(RuntimeError):
     """An output file or directory could not be written; the message names its path."""
 
@@ -46,7 +38,3 @@ class OutputError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """A non-finite value appeared where finite math was required."""
-
-
-class InvalidCheckError(RuntimeError):
-    """A verification run was invalid (e.g. the checked function is not deterministic)."""

@@ -131,48 +131,36 @@ def _round2(x: float) -> str:
     return str(Decimal(repr(float(x))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
+def _rows(report: MetricsReport) -> list[tuple]:
+    """``(name, precision, recall, f1, support)`` of each class, then of the
+    accuracy, macro-average and weighted-average rows (accuracy fills only f1)."""
+    r, total = report, report.total
+    return [(c.name, c.precision, c.recall, c.f1, c.support) for c in r.classes] + [
+        ("accuracy", None, None, r.accuracy, total),
+        ("macro avg", r.macro_precision, r.macro_recall, r.macro_f1, total),
+        ("weighted avg", r.weighted_precision, r.weighted_recall, r.weighted_f1, total)]
+
+
 def format_report(report: MetricsReport) -> str:
     """Fixed-width table: per-class rows, then accuracy / macro / weighted."""
-    header = f"{'':>12}{'precision':>11}{'recall':>9}{'f1-score':>10}{'support':>9}"
-    lines = [header, ""]
-    flagged = []
-    for c in report.classes:
-        lines.append(
-            f"{c.name:>12}{_round2(c.precision):>11}{_round2(c.recall):>9}"
-            f"{_round2(c.f1):>10}{c.support:>9}"
-        )
-        if c.undefined:
-            flagged.append(f"{c.name}: {', '.join(c.undefined)}")
-    lines.append("")
-    lines.append(f"{'accuracy':>12}{'':>11}{'':>9}{_round2(report.accuracy):>10}{report.total:>9}")
-    lines.append(
-        f"{'macro avg':>12}{_round2(report.macro_precision):>11}"
-        f"{_round2(report.macro_recall):>9}{_round2(report.macro_f1):>10}{report.total:>9}"
-    )
-    lines.append(
-        f"{'weighted avg':>12}{_round2(report.weighted_precision):>11}"
-        f"{_round2(report.weighted_recall):>9}{_round2(report.weighted_f1):>10}{report.total:>9}"
-    )
+    lines = [f"{'':>12}{'precision':>11}{'recall':>9}{'f1-score':>10}{'support':>9}", ""]
+    for name, *metrics, support in _rows(report):
+        cells = ("" if v is None else _round2(v) for v in metrics)
+        lines.append(f"{name:>12}" + "".join(f"{c:>{w}}" for c, w in zip(cells, (11, 9, 10)))
+                     + f"{support:>9}")
+    lines.insert(-3, "")  # a blank line before the three summary rows
+    flagged = [f"{c.name}: {', '.join(c.undefined)}" for c in report.classes if c.undefined]
     if flagged:
-        lines.append("")
-        lines.append("zero-denominator metrics reported as 0 for: " + "; ".join(flagged))
+        lines += ["", "zero-denominator metrics reported as 0 for: " + "; ".join(flagged)]
     return "\n".join(lines)
 
 
 def report_to_csv(report: MetricsReport) -> str:
     """Machine-readable report, full precision."""
     lines = ["class,precision,recall,f1,support"]
-    for c in report.classes:
-        lines.append(f"{c.name},{c.precision!r},{c.recall!r},{c.f1!r},{c.support}")
-    lines.append(f"accuracy,,,{report.accuracy!r},{report.total}")
-    lines.append(
-        f"macro avg,{report.macro_precision!r},{report.macro_recall!r},"
-        f"{report.macro_f1!r},{report.total}"
-    )
-    lines.append(
-        f"weighted avg,{report.weighted_precision!r},{report.weighted_recall!r},"
-        f"{report.weighted_f1!r},{report.total}"
-    )
+    for name, *metrics, support in _rows(report):
+        lines.append(",".join([name, *("" if v is None else repr(v) for v in metrics),
+                               str(support)]))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, ConfigMismatchError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import Tensor, add_layer_norm, attention, embed_tokens, linear, mean_tokens, relu
 
 logger = logging.getLogger(__name__)
@@ -52,10 +52,9 @@ def tiny_config(input_len: int = 187, **overrides) -> ModelConfig:
 class Model:
     """A config and its weights: one table of named tensors in checkpoint order.
 
-    Every trainable tensor's ``data`` is a view into ``flat_data``, laid out
-    in the order of :meth:`parameters`, so an optimizer updates every weight
-    with whole-buffer ops. A sinusoidal ``pos.table`` is fixed: it is in the
-    table but not in the buffer. The model holds no gradients; training
+    Every tensor is a trainable weight whose ``data`` is a view into
+    ``flat_data``, laid out in table order, so an optimizer updates every
+    weight with whole-buffer ops. The model holds no gradients; training
     places them with :meth:`views`.
     """
 
@@ -63,17 +62,13 @@ class Model:
     tensors: dict[str, Tensor]
     flat_data: np.ndarray
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        """Trainable tensors in a stable, documented order."""
-        return [(name, t) for name, t in self.tensors.items() if t.needs_grad]
-
     def views(self, flat: np.ndarray) -> dict[Tensor, np.ndarray]:
-        """Each trainable tensor mapped to its reshaped slice of ``flat``, a
-        buffer laid out like ``flat_data``: the weights are these views of
-        ``flat_data``, and a training step's ``grads`` for ``backward`` are
-        these views of one gradient buffer."""
+        """Each tensor mapped to its reshaped slice of ``flat``, a buffer laid
+        out like ``flat_data``: the weights are these views of ``flat_data``,
+        and a training step's ``grads`` for ``backward`` are these views of
+        one gradient buffer."""
         out, offset = {}, 0
-        for _, t in self.parameters():
+        for t in self.tensors.values():
             out[t] = flat[offset:offset + t.size].reshape(t.shape)
             offset += t.size
         return out
@@ -127,28 +122,24 @@ def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None
     """Initialize all weights from the config's seed; deterministic per seed.
 
     Weight matrices are uniform in +/- sqrt(6 / (fan_in + fan_out)), drawn
-    in checkpoint order; biases, and the learned positional table, start at
-    zero. Logs the total trainable parameter count and its delta from the
+    in checkpoint order; biases, and a learned positional table, start at
+    zero. A sinusoidal model has no ``pos.table``: :func:`forward` makes its
+    fixed table. Logs the total parameter count and its delta from the
     reference variant's count.
 
-    With ``params``, a checkpoint's trainable tensors by name, the weights
-    are copied from them bit for bit and nothing is drawn: no generator is
-    made. A missing, misshapen or unnamed tensor raises
-    ``ConfigMismatchError``.
+    With ``params``, a checkpoint's weights by name, the weights are copied
+    from them bit for bit and nothing is drawn: no generator is made. A
+    missing, misshapen or unnamed tensor raises ``CheckpointError``.
     """
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
     rng = np.random.default_rng(config.seed) if params is None else None
     d, width = config.d_model, config.heads * config.d_head
-    learned = config.positional == "learned"
 
-    init = {
-        "embed.w": _glorot(rng, config.patch_len, d),
-        "embed.b": np.zeros(d),
-        "pos.table": (np.zeros((config.n_tokens, d)) if learned
-                      else sinusoidal_table(config.n_tokens, d)),
-    }
+    init = {"embed.w": _glorot(rng, config.patch_len, d), "embed.b": np.zeros(d)}
+    if config.positional == "learned":
+        init["pos.table"] = np.zeros((config.n_tokens, d))
     for i in range(config.encoder_layers):
         block = {
             # one Glorot draw per head and projection, q heads then k then v,
@@ -176,12 +167,9 @@ def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None
     init["head.out.w"] = _glorot(rng, fan_in, config.n_classes)
     init["head.out.b"] = np.zeros(config.n_classes)
 
-    trainable = {name: value for name, value in init.items()
-                 if learned or name != "pos.table"}
     model = Model(config=config,
-                  tensors={name: Tensor(value, needs_grad=name in trainable)
-                           for name, value in init.items()},
-                  flat_data=np.concatenate([value.ravel() for value in trainable.values()]))
+                  tensors={name: Tensor(value, needs_grad=True) for name, value in init.items()},
+                  flat_data=np.concatenate([value.ravel() for value in init.values()]))
     for t, view in model.views(model.flat_data).items():
         t.data = view
     if params is not None:
@@ -195,22 +183,21 @@ def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None
 
 
 def _load_params(model: Model, params: dict[str, np.ndarray]) -> None:
-    """Copy ``params`` into the model's trainable tensors, checking that they
-    name exactly those tensors, each with its shape."""
-    named = dict(model.parameters())
-    for name, tensor in named.items():
+    """Copy ``params`` into the model's tensors, checking that they name
+    exactly those tensors, each with its shape."""
+    for name, tensor in model.tensors.items():
         if name not in params:
-            raise ConfigMismatchError(f"checkpoint lacks parameter {name}")
+            raise CheckpointError(f"checkpoint lacks parameter {name}")
         stored = params[name]
         if stored.shape != tensor.data.shape:
-            raise ConfigMismatchError(
+            raise CheckpointError(
                 f"parameter {name} has shape {stored.shape}, expected {tensor.data.shape}"
             )
         tensor.data[...] = stored
-    leftover = [name for name in params if name not in named]
+    leftover = [name for name in params if name not in model.tensors]
     if leftover:
-        raise ConfigMismatchError(f"checkpoint holds tensor {leftover[0]}, which its config "
-                                  f"does not name")
+        raise CheckpointError(f"checkpoint holds tensor {leftover[0]}, which its config "
+                              f"does not name")
 
 
 def _patches(features: np.ndarray, patch_len: int) -> np.ndarray:
@@ -276,8 +263,10 @@ def forward(model: Model, features, masks: dict[str, np.ndarray] | None = None) 
         if odd:
             raise ShapeError(f"dropout masks do not fit the model: {odd[0]}")
 
-    x = embed_tokens(Tensor(_patches(feats, cfg.patch_len)), p["embed.w"], p["embed.b"],
-                     p["pos.table"])
+    # a sinusoidal model's table is a constant, which backward skips
+    pos = (p["pos.table"] if "pos.table" in p
+           else Tensor(sinusoidal_table(cfg.n_tokens, cfg.d_model)))
+    x = embed_tokens(Tensor(_patches(feats, cfg.patch_len)), p["embed.w"], p["embed.b"], pos)
     for i in range(cfg.encoder_layers):
         x = _encoder_block(model, i, x, b, masks)
 
@@ -300,9 +289,7 @@ def parameter_breakdown(model: Model) -> list[tuple[str, int]]:
         prefix = name.split(".", 1)[0]
         component = (f"encoder block {prefix[len('block'):]}" if prefix.startswith("block")
                      else _COMPONENTS[prefix])
-        if not t.needs_grad:
-            component += " (fixed)"
-        rows[component] = rows.get(component, 0) + (t.size if t.needs_grad else 0)
+        rows[component] = rows.get(component, 0) + t.size
     return list(rows.items())
 
 

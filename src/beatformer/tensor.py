@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCheckError, ShapeError
+from .errors import ConfigError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -477,7 +477,7 @@ def grad_check(
 
     base = f().item()
     if f().item() != base:
-        raise InvalidCheckError(
+        raise ValueError(
             "gradient check target is not deterministic (does it draw dropout masks?)"
         )
 

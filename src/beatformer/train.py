@@ -27,7 +27,7 @@ from .config import (
     read_pairs,
 )
 from .data import Dataset, NormStats, batches
-from .errors import CheckpointError, CheckpointVersionError, ConfigError, NumericalError
+from .errors import CheckpointError, ConfigError, NumericalError
 from .model import Model, build_model, draw_masks, forward
 from .tensor import GradTape, Tensor, backward, record_op
 
@@ -194,7 +194,7 @@ class Checkpoint:
 
 
 def _snapshot(model: Model) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in model.parameters()}
+    return {name: t.data.copy() for name, t in model.tensors.items()}
 
 
 def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
@@ -339,7 +339,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"bad magic {magic!r}, not a checkpoint file", offset=0)
     version = reader.u32("version")
     if version != CKPT_VERSION:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"checkpoint format version {version} unsupported (expected {CKPT_VERSION})",
             offset=len(CKPT_MAGIC))
     # check the CRC before parsing, so a flipped weight byte cannot load
@@ -353,6 +353,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     if problems:
         _, at, problem = problems[0]
         raise CheckpointError(f"meta block: {problem}", offset=meta_offset + at)
+    for key, (_, _, at) in meta.items():
+        if key not in META_CASTERS:
+            raise CheckpointError(f"meta block: unknown key {key!r}", offset=meta_offset + at)
     missing = [key for key in META_CASTERS if key not in meta]
     if missing:
         raise CheckpointError(f"meta block missing keys: {', '.join(missing)}")
@@ -386,6 +389,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError("tensor name is not valid UTF-8", offset=name_offset) from None
         if name in tensors:
             raise CheckpointError(f"duplicate tensor name {name!r}", offset=name_offset)
+        if name.startswith("norm.") and name not in ("norm.mean", "norm.std"):
+            raise CheckpointError(f"unknown normalization tensor {name!r}", offset=name_offset)
         rank = reader.u32(f"rank of {name}")
         if rank > 3:
             raise CheckpointError(f"tensor {name} has rank {rank} > 3", offset=reader.offset)

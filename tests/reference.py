@@ -56,17 +56,28 @@ def reference_attention(x, w, heads, d_head):
     return np.hstack(outputs) @ w("attn.w_o") + w("attn.b_o")
 
 
+def sinusoidal_positions(t_max, d):
+    """The fixed positional table from its formula, entry by entry:
+    sin(t / 10000^(j/d)) in even column j, cos(t / 10000^((j-1)/d)) in odd j."""
+    return np.array([[math.sin(t / 10000 ** (j / d)) if j % 2 == 0
+                      else math.cos(t / 10000 ** ((j - 1) / d)) for j in range(d)]
+                     for t in range(t_max)])
+
+
 def reference_forward(model, features) -> np.ndarray:
-    """Eval-mode (B, n_classes) logits, sample by sample and head by head."""
+    """Eval-mode (B, n_classes) logits, sample by sample and head by head. A
+    sinusoidal model's table comes from :func:`sinusoidal_positions`."""
     cfg = model.config
     p = {name: t.data for name, t in model.tensors.items()}
+    pos = (p["pos.table"] if cfg.positional == "learned"
+           else sinusoidal_positions(cfg.n_tokens, cfg.d_model))
     logits = []
     for signal in np.atleast_2d(np.asarray(features, dtype=np.float64)):
         padded = np.zeros(cfg.n_tokens * cfg.patch_len)
         padded[: cfg.input_len] = signal
         patches = padded.reshape(cfg.n_tokens, cfg.patch_len)
         x = patches @ p["embed.w"] + p["embed.b"]
-        x = x + p["pos.table"][: cfg.n_tokens]
+        x = x + pos
         for i in range(cfg.encoder_layers):
             w = lambda name, i=i: p[f"block{i}.{name}"]
             a = layer_norm(x + reference_attention(x, w, cfg.heads, cfg.d_head),

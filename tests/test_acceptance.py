@@ -78,10 +78,10 @@ def test_c1_gradient_correctness():
 
     report = grad_check(
         target,
-        [t for _, t in model.parameters()],
+        list(model.tensors.values()),
         eps=1e-5,
         tol=1e-4,
-        names=[name for name, _ in model.parameters()],
+        names=list(model.tensors),
     )
     elapsed = time.perf_counter() - started
     assert report.passed, report.summary()

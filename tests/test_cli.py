@@ -338,6 +338,15 @@ class TestTrainCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_no_training_csv_exits_2_without_outputs(self, corpus, capsys):
+        cfg = corpus["dir"] / "no_data.cfg"
+        cfg.write_text(TINY_MODEL_LINES)
+        out = corpus["dir"] / "run_no_data"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: no training CSV given "
+                                           "(set data_train or pass --data-train)\n")
+        assert not out.exists()
+
     def test_invalid_config_lists_all_violations(self, corpus, capsys):
         cfg = corpus["dir"] / "bad.cfg"
         cfg.write_text("d_model = 0\nheads = -2\nlr = -1\n")
@@ -502,6 +511,11 @@ class TestEvalCommand:
                       "--out", str(tmp_path / "retrain")]):
             assert main(argv) == 2
             assert "row 5 column 21 holds non-finite value nan" in capsys.readouterr().err
+
+    def test_empty_test_csv_exits_2(self, tmp_path, capsys):
+        # refused before the checkpoint is read, so none need exist
+        assert main(["eval", str(tmp_path / "absent.bin"), "--data-test", ""]) == 2
+        assert capsys.readouterr().err == "error: no test CSV given (pass --data-test)\n"
 
     def test_bad_checkpoint_exits_2(self, corpus, tmp_path):
         junk = tmp_path / "junk.bin"
@@ -943,7 +957,8 @@ def with_meta_line(blob: bytes, before: bytes, line: bytes) -> tuple[bytes, int]
 @pytest.mark.parametrize("line,message", [
     (b"stray text\n", "meta block: expected 'key = value', got 'stray text'"),
     (b"d_model = 8\n", "meta block: key 'd_model' repeats line 3"),
-], ids=["no-equals", "repeated-key"])
+    (b"bogus = 1\n", "meta block: unknown key 'bogus'"),
+], ids=["no-equals", "repeated-key", "unknown-key"])
 def test_malformed_meta_line_exits_2_naming_its_offset(corpus, tmp_path, capsys, line, message):
     out = corpus["dir"] / "run21"
     assert run_train(corpus, out) == 0
@@ -1321,7 +1336,7 @@ def tiny_checkpoint(tmp_path_factory):
     write_beats_csv(tmp / "rows.csv", rows)
     model = build_model(tiny_config(encoder_layers=1, seed=58))
     (tmp / "tiny.bin").write_bytes(checkpoint_bytes(Checkpoint(
-        config=model.config, params={name: t.data for name, t in model.parameters()},
+        config=model.config, params={name: t.data for name, t in model.tensors.items()},
         norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0)))
     assert main(["predict", str(tmp / "tiny.bin"), str(tmp / "rows.csv")]) == 0
     return (tmp / "tiny.bin").read_bytes(), str(tmp / "rows.csv"), tmp
@@ -1526,7 +1541,7 @@ def test_eval_and_predict_hold_one_copy_of_the_weights(tmp_path, monkeypatch, co
     model = build_model(ModelConfig(seed=61))
     weights = model.flat_data.nbytes
     Path(ckpt).write_bytes(checkpoint_bytes(Checkpoint(
-        config=model.config, params={name: t.data for name, t in model.parameters()},
+        config=model.config, params={name: t.data for name, t in model.tensors.items()},
         norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0)))
     del model
     held = []

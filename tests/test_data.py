@@ -77,6 +77,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"row 3 column {column} holds non-finite"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\f2", "4\v"],
+                             ids=["underscore", "arabic-indic-digit", "form-feed", "vertical-tab"])
+    def test_field_that_no_csv_writer_writes_is_refused(self, tmp_path, value):
+        # Python's float reads these as 10.0, 1.0, 2.0 and 4.0
+        path = tmp_path / "odd.csv"
+        path.write_text(f"0.5,0.5,0.5,0.5,1\n0.5,{value},0.5,0.5,1\n", encoding="utf-8")
+        with pytest.raises(DataError, match="row 2 contains a non-numeric field"):
+            load_csv(str(path), input_len=4)
+
     def test_bad_label_names_the_file_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("\n" + ",".join(map(str, make_row(0.0))) + "\n"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from beatformer.config import ModelConfig
-from beatformer.errors import ConfigError, ConfigMismatchError, ShapeError
+from beatformer.errors import CheckpointError, ConfigError, ShapeError
 from beatformer.model import (
     _encoder_block,
     _patches,
@@ -58,7 +58,7 @@ def restore_with(model, name, value):
     from beatformer.data import NormStats
     from beatformer.train import Checkpoint, restore_model
 
-    params = {n: t.data for n, t in model.parameters()}
+    params = {n: t.data for n, t in model.tensors.items()}
     params[name] = value
     n = model.config.input_len
     norm = NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard", fitted_on="x")
@@ -128,7 +128,8 @@ class TestPositionalEmbedding:
         # the table has exactly n_tokens rows; a checkpoint with any other
         # count is refused instead of being sliced or padded
         model = build_model(tiny_config(input_len=44))
-        with pytest.raises(ConfigMismatchError, match="pos.table"):
+        with pytest.raises(CheckpointError,
+                           match=r"parameter pos.table has shape \(5, 8\), expected \(4, 8\)"):
             restore_with(model, "pos.table", np.zeros((5, 8)))
 
     def test_sinusoidal_table_shape_and_range(self):
@@ -258,13 +259,13 @@ class TestMultiHeadAttention:
     def test_output_projection_width_validated(self):
         # a stored output projection must take heads * d_head input rows
         model = build_model(tiny_config())
-        with pytest.raises(ConfigMismatchError, match=r"block0.attn.w_o has shape \(3, 8\)"):
+        with pytest.raises(CheckpointError, match=r"block0.attn.w_o has shape \(3, 8\)"):
             restore_with(model, "block0.attn.w_o", np.zeros((3, 8)))
 
     def test_packed_width_must_split_into_heads(self):
         # a stored packed projection must be 3 * heads * d_head wide
         model = build_model(tiny_config())
-        with pytest.raises(ConfigMismatchError, match=r"block1.attn.w_qkv has shape \(8, 15\)"):
+        with pytest.raises(CheckpointError, match=r"block1.attn.w_qkv has shape \(8, 15\)"):
             restore_with(model, "block1.attn.w_qkv", np.zeros((8, 15)))
 
     def test_batch_of_samples_matches_each_alone(self):
@@ -429,7 +430,7 @@ def test_whole_stack_gradient_check():
     def f():
         return sum_all(mul(forward(model, batch, masks), weight))
 
-    params = [t for _, t in model.parameters()]
-    names = [n for n, _ in model.parameters()]
+    params = list(model.tensors.values())
+    names = list(model.tensors)
     report = grad_check(f, params, eps=1e-5, tol=1e-4, names=names)
     assert report.passed, report.summary()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beatformer.config import SCHEMA, ModelConfig, build_config, format_pairs, read_pairs
-from beatformer.errors import ConfigError, ShapeError
+from beatformer.errors import CheckpointError, ConfigError, ShapeError
 from beatformer.data import NormStats
 from beatformer.tensor import GRADCHECK_TOL, GradTape, backward, grad_check
 from beatformer.train import (
@@ -25,6 +25,7 @@ from beatformer.model import (
     format_param_report,
     forward,
     parameter_breakdown,
+    sinusoidal_table,
     tiny_config,
 )
 
@@ -65,7 +66,7 @@ class TestBuildModel:
     def test_same_seed_bit_identical(self):
         a = build_model(ModelConfig(seed=5))
         b = build_model(ModelConfig(seed=5))
-        for (name_a, ta), (name_b, tb) in zip(a.parameters(), b.parameters()):
+        for (name_a, ta), (name_b, tb) in zip(a.tensors.items(), b.tensors.items()):
             assert name_a == name_b
             np.testing.assert_array_equal(ta.data, tb.data)
 
@@ -81,17 +82,24 @@ class TestBuildModel:
         np.testing.assert_array_equal(model.tensors["block0.ln1.gamma"].data, 1.0)
 
     def test_sinusoidal_positional_is_fixed(self):
+        # the fixed table is no tensor of the model and takes no room in its buffer
+        learned = build_model(tiny_config())
         model = build_model(tiny_config(positional="sinusoidal"))
-        table = model.tensors["pos.table"]
-        assert not table.needs_grad
-        assert "pos.table" not in dict(model.parameters())
-        assert table.data.max() <= 1.0
-        assert not np.shares_memory(table.data, model.flat_data)
+        cfg = model.config
+        assert "pos.table" not in model.tensors
+        assert model.flat_data.size == learned.flat_data.size - cfg.n_tokens * cfg.d_model
+        assert "positional table" not in dict(parameter_breakdown(model))
+        # the forward adds the fixed table, as a learned model that holds it does
+        params = {name: t.data for name, t in model.tensors.items()}
+        params["pos.table"] = sinusoidal_table(cfg.n_tokens, cfg.d_model)
+        twin = build_model(replace(cfg, positional="learned"), params)
+        batch = np.random.default_rng(2).normal(size=(3, cfg.input_len))
+        assert forward(model, batch).data.tobytes() == forward(twin, batch).data.tobytes()
 
     def test_learned_positional_is_trainable(self):
         model = build_model(tiny_config())
         assert model.tensors["pos.table"].needs_grad
-        assert "pos.table" in dict(model.parameters())
+        assert "pos.table" in model.tensors
 
 
 class TestParamCounts:
@@ -132,15 +140,16 @@ class TestParamCounts:
 
 
 class TestFlatBuffers:
-    """Each trainable tensor's data is a view into the model's buffer, and the
+    """Each tensor's data is a view into the model's buffer, and the
     model's views of a training gradient buffer follow the same layout."""
 
     @staticmethod
     def assert_views_in_checkpoint_order(model, flat_grad):
         views = model.views(flat_grad)
-        assert list(views) == [t for _, t in model.parameters()]
+        assert list(views) == list(model.tensors.values())
         offset = 0
-        for name, t in model.parameters():
+        for name, t in model.tensors.items():
+            assert t.needs_grad, name
             for view, flat in ((t.data, model.flat_data), (views[t], flat_grad)):
                 assert view.shape == t.shape, name
                 assert np.shares_memory(view, flat), name
@@ -156,7 +165,7 @@ class TestFlatBuffers:
         assert not any("grad" in f for f in vars(model))
         self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
         np.testing.assert_array_equal(
-            model.flat_data, np.concatenate([t.data.ravel() for _, t in model.parameters()]))
+            model.flat_data, np.concatenate([t.data.ravel() for t in model.tensors.values()]))
 
     def test_restore_model_writes_into_the_buffers(self):
         from beatformer.data import NormStats
@@ -166,7 +175,7 @@ class TestFlatBuffers:
         source.flat_data += np.random.default_rng(3).normal(size=source.flat_data.size)
         n = source.config.input_len
         ckpt = Checkpoint(config=source.config,
-                          params={name: t.data.copy() for name, t in source.parameters()},
+                          params={name: t.data.copy() for name, t in source.tensors.items()},
                           norm=NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard",
                                          fitted_on="x"),
                           best_val_loss=1.0, epoch=0)
@@ -176,7 +185,7 @@ class TestFlatBuffers:
 
     def test_weights_from_params_make_no_generator(self, monkeypatch):
         source = build_model(tiny_config(seed=5))
-        params = {name: t.data.copy() for name, t in source.parameters()}
+        params = {name: t.data.copy() for name, t in source.tensors.items()}
 
         def no_generator(*args):
             raise AssertionError("a restore drew weights")
@@ -192,17 +201,15 @@ class TestFlatBuffers:
         ("extra", "checkpoint holds tensor block9.ffn.w1, which its config does not name"),
     ])
     def test_params_that_disagree_with_the_config_are_refused(self, edit, message):
-        from beatformer.errors import ConfigMismatchError
-
         source = build_model(tiny_config(seed=5))
-        params = {name: t.data.copy() for name, t in source.parameters()}
+        params = {name: t.data.copy() for name, t in source.tensors.items()}
         if edit == "drop":
             del params["block1.ffn.w1"]
         elif edit == "reshape":
             params["block1.ffn.w1"] = params["block1.ffn.w1"].T.copy()
         else:
             params["block9.ffn.w1"] = params["block1.ffn.w1"]
-        with pytest.raises(ConfigMismatchError, match=message):
+        with pytest.raises(CheckpointError, match=message):
             build_model(source.config, params)
 
     def test_backward_accumulates_into_the_gradient_buffer(self):
@@ -216,10 +223,10 @@ class TestFlatBuffers:
         self.assert_views_in_checkpoint_order(model, flat_grad)
         assert np.count_nonzero(flat_grad) > flat_grad.size // 2
         # the same pass into one separate array per tensor
-        separate = grad_arrays(*(t for _, t in model.parameters()))
+        separate = grad_arrays(*model.tensors.values())
         backward(tape, loss, separate)
         assert flat_grad.tobytes() == np.concatenate(
-            [separate[t].ravel() for _, t in model.parameters()]).tobytes()
+            [separate[t].ravel() for t in model.tensors.values()]).tobytes()
 
 
 class TestForward:
@@ -318,7 +325,7 @@ class TestForward:
         # perturb the zero/one-initialized biases, norms and positional rows,
         # so every parameter shapes the logits
         rng = np.random.default_rng(6)
-        for name, t in model.parameters():
+        for name, t in model.tensors.items():
             if t.data.ndim == 1 or name == "pos.table":
                 t.data += rng.normal(scale=0.1, size=t.shape)
         batch = rng.normal(size=(b, cfg.input_len))
@@ -373,7 +380,7 @@ def test_forward_across_the_config_space(tmp_path_factory, cfg, data):
     # perturb the zero/one-initialized biases, norms and positional rows, as
     # the fixed-config reference test does
     rng = np.random.default_rng(cfg.seed)
-    for name, t in model.parameters():
+    for name, t in model.tensors.items():
         if t.data.ndim == 1 or name == "pos.table":
             t.data += rng.normal(scale=0.1, size=t.shape)
     b = data.draw(st.integers(2, 7), label="rows")
@@ -383,8 +390,8 @@ def test_forward_across_the_config_space(tmp_path_factory, cfg, data):
 
     labels = rng.integers(0, cfg.n_classes, size=2)
     report = grad_check(lambda: sparse_ce_loss(forward(model, batch[:2]), labels),
-                        [t for _, t in model.parameters()], eps=1e-5, tol=GRADCHECK_TOL,
-                        names=[name for name, _ in model.parameters()])
+                        list(model.tensors.values()), eps=1e-5, tol=GRADCHECK_TOL,
+                        names=list(model.tensors))
     assert report.passed, report.summary()
 
     ends = np.cumsum(data.draw(blocks(b), label="blocks"))
@@ -403,7 +410,7 @@ def test_forward_across_the_config_space(tmp_path_factory, cfg, data):
     norm = NormStats(mean=np.zeros(cfg.input_len), std=np.ones(cfg.input_len),
                      mode="standard", fitted_on="property")
     path.write_bytes(checkpoint_bytes(Checkpoint(
-        config=cfg, params={name: t.data for name, t in model.parameters()}, norm=norm,
+        config=cfg, params={name: t.data for name, t in model.tensors.items()}, norm=norm,
         best_val_loss=1.0, epoch=0)))
     restored = restore_model(load_checkpoint(str(path)))
     assert forward(restored, batch).data.tobytes() == logits.tobytes()
@@ -421,8 +428,8 @@ def test_default_train_step_tape_and_parameter_counts():
     loss (1).
     """
     model = build_model(ModelConfig())
-    assert len(model.parameters()) == 57
-    assert sum(t.size for _, t in model.parameters()) == model.flat_data.size == 218_949
+    assert len(model.tensors) == 57
+    assert sum(t.size for t in model.tensors.values()) == model.flat_data.size == 218_949
     rng = np.random.default_rng(0)
     batch = rng.normal(size=(32, 187))
     labels = rng.integers(0, 5, size=32)

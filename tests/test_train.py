@@ -12,13 +12,7 @@ import pytest
 
 from beatformer.config import ModelConfig, TrainConfig
 from beatformer.data import Dataset, fit_normalizer, stratified_split
-from beatformer.errors import (
-    CheckpointError,
-    CheckpointVersionError,
-    ConfigError,
-    ConfigMismatchError,
-    NumericalError,
-)
+from beatformer.errors import CheckpointError, ConfigError, NumericalError
 from beatformer.model import build_model, draw_masks, forward, tiny_config
 from beatformer.output import write_files
 from beatformer.tensor import GradTape, Tensor, backward
@@ -172,8 +166,8 @@ class TestAdam:
         model = build_model(ModelConfig(seed=8))
         rng = np.random.default_rng(8)
         model.flat_data += rng.normal(scale=0.1, size=model.flat_data.size)
-        names = [name for name, _ in model.parameters()]
-        params = [t.data.copy() for _, t in model.parameters()]
+        names = list(model.tensors)
+        params = [t.data.copy() for t in model.tensors.values()]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
         flat_grad = np.zeros_like(model.flat_data)
@@ -184,10 +178,10 @@ class TestAdam:
             flat_grad[...] = rng.normal(size=flat_grad.size) * 10.0 ** rng.integers(
                 -3, 3, size=flat_grad.size)
             flat_grad[::97] = 0.0
-            grads = [views[t].copy() for _, t in model.parameters()]
+            grads = [views[t].copy() for t in model.tensors.values()]
             opt.step()
             per_tensor_adam_step(params, grads, m, v, step, 1e-3, 0.8, 0.99, 1e-7)
-        tensors = dict(model.parameters())
+        tensors = model.tensors
         for name, p in zip(names, params):
             assert tensors[name].data.tobytes() == p.tobytes(), name
         assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
@@ -267,7 +261,7 @@ class TestGradientBuffer:
     def test_restored_model_holds_weights_only(self):
         source = build_model(ModelConfig(seed=6))
         ckpt = Checkpoint(config=source.config,
-                          params={name: t.data.copy() for name, t in source.parameters()},
+                          params={name: t.data.copy() for name, t in source.tensors.items()},
                           norm=fit_normalizer(synthetic_beats(8, seed=6)),
                           best_val_loss=1.0, epoch=0)
         tracemalloc.start()
@@ -283,7 +277,7 @@ class TestGradientBuffer:
 class TestEvaluate:
     def test_constant_logits_accuracy_is_class_frequency(self):
         model = build_model(tiny_config(seed=1))
-        for _, t in model.parameters():
+        for t in model.tensors.values():
             t.data[...] = 0.0
         model.tensors["head.out.b"].data[...] = [0.0, 0.0, 1.0, 0.0, 0.0]  # always predicts V
         ds = synthetic_beats(200, seed=5)
@@ -552,6 +546,16 @@ class TestCheckpointIO:
                 load_checkpoint(str(path))
             assert err.value.offset == len(blob) - 4
 
+    def test_unknown_normalization_tensor_is_refused_at_its_name(self, tmp_path):
+        # a norm.* tensor that the format does not name is refused, not dropped
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.bin"
+        save(replace(ckpt, params={**ckpt.params, "norm.var": np.ones(187)}), path)
+        blob = path.read_bytes()
+        with pytest.raises(CheckpointError, match="unknown normalization tensor 'norm.var'") as err:
+            load_checkpoint(str(path))
+        assert err.value.offset == blob.index(b"norm.var")
+
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "junk.bin")
         with open(path, "wb") as fh:
@@ -567,7 +571,8 @@ class TestCheckpointIO:
         blob[8:12] = (99).to_bytes(4, "little")
         with open(path, "wb") as fh:
             fh.write(blob)
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError,
+                           match=r"format version 99 unsupported \(expected 3\) \(at byte offset 8\)"):
             load_checkpoint(path)
 
     def test_config_mismatch_on_load(self, tmp_path):
@@ -582,7 +587,8 @@ class TestCheckpointIO:
             fh.write(resealed(blob.replace(b"d_model = 8\n", b"d_model = 9\n")))
         loaded = load_checkpoint(path)
         assert loaded.config.d_model == 9
-        with pytest.raises(ConfigMismatchError, match="embed.w"):
+        with pytest.raises(CheckpointError,
+                           match=r"parameter embed.w has shape \(11, 8\), expected \(11, 9\)"):
             restore_model(loaded)
         # the untouched file restores fine
         save(ckpt, path)
