@@ -12,9 +12,11 @@ and a completed run is reproducible from that file plus the input CSVs. After
 each epoch ``train`` writes that epoch's files as one set, so a run that
 aborts keeps the epochs it finished.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/input error,
-3 numerical abort. The commands raise; :func:`main` alone maps an error to
-its exit code.
+Exit codes: 0 success, 1 verification failure, 2 usage/input error (running
+out of memory included), 3 numerical abort. The commands raise; :func:`main`
+alone maps an error to its exit code. The ``--seed``, ``--subset`` and
+``--epochs`` flags are read as text and parsed with their config keys, so a
+flag and a config file value follow one number grammar.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def cmd_train(args) -> int:
     write_files(run.out, {"config.resolved": format_resolved(resolved)})
 
     model = build_model(model_cfg)
-    print(format_param_report(model))
+    print(format_param_report(model_cfg))
     print(f"training on {train_part.n} samples, validating on {val_part.n}")
     # each epoch lands as one set: the history so far and, when the epoch
     # improved (epoch 0 always does), its checkpoint and reports
@@ -212,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a model and write run artifacts")
     train.add_argument("--config", help="flat key = value config file")
-    train.add_argument("--seed", type=int, help="run seed (init, shuffling, subsets)")
-    train.add_argument("--subset", type=int, help="stratified subset size of the train CSV")
-    train.add_argument("--epochs", type=int, help="override epoch count")
+    train.add_argument("--seed", help="run seed (init, shuffling, subsets)")
+    train.add_argument("--subset", help="stratified subset size of the train CSV")
+    train.add_argument("--epochs", help="override epoch count")
     train.add_argument("--out", help="output directory")
     train.add_argument("--data-train", dest="data_train", help="training CSV path")
     train.add_argument("--data-test", dest="data_test", help="test CSV path (recorded only)")
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     gc.add_argument("--config", help="config file: every key is checked, only seed is used")
-    gc.add_argument("--seed", type=int, help="seed for the check model and probe batch")
+    gc.add_argument("--seed", help="seed for the check model and probe batch")
     gc.set_defaults(fn=cmd_gradcheck)
     return parser
 
@@ -278,6 +280,8 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as err:
+        return _fail(f"{args.command}: out of memory: {err}")
 
 
 if __name__ == "__main__":

@@ -12,28 +12,60 @@ from __future__ import annotations
 import math
 import re
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
 # per-feature training stats, or each row standardized on its own
 NORM_MODES = ("standard", "per_sample")
 
+# Most trainable weights a model may hold. Training keeps four float64 copies
+# of them (weights, gradients and Adam's two moments), so at the cap that is
+# 4 GiB; the default model (218,949) has about 600 times this room.
+MAX_PARAMS = 1 << 27
+
+# The number grammar of every config value, flag and checkpoint meta value:
+# ASCII digits only, no digit separators. A float is a decimal with an
+# optional exponent (every form ``repr`` writes), or inf or nan, which
+# ``validate`` refuses where a value must be finite.
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)")
+
+
+def parse_int(text) -> int:
+    """An integer of the form ``[+-]?[0-9]+``; anything else raises ``ValueError``."""
+    if not _INT.fullmatch(str(text)):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def parse_float(text) -> float:
+    """A float in ASCII decimal or exponent form, or ``inf``/``nan``; anything
+    else raises ``ValueError``."""
+    if not _FLOAT.fullmatch(str(text)):
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
+_PARSERS = {int: parse_int, float: parse_float, str: str}
+
 
 def field_casters(cls) -> dict:
     """Field name -> parser of the field's text form, taken from its type.
 
-    ``int``, ``float`` and ``str`` fields parse with the type itself; a
+    ``int`` and ``float`` fields parse with :func:`parse_int` and
+    :func:`parse_float`, ``str`` fields take the text as it is; a
     ``tuple[T, ...]`` field parses a comma list of ``T`` (empty text is ``()``).
     """
     casters = {}
     for name, tp in typing.get_type_hints(cls).items():
         if typing.get_origin(tp) is tuple:
-            elem = typing.get_args(tp)[0]
-            casters[name] = lambda text, elem=elem: tuple(elem(u) for u in str(text).split(",")
+            elem = _PARSERS[typing.get_args(tp)[0]]
+            casters[name] = lambda text, elem=elem: tuple(elem(u.strip())
+                                                          for u in str(text).split(",")
                                                           if u.strip())
         else:
-            casters[name] = tp
+            casters[name] = _PARSERS[tp]
     return casters
 
 
@@ -64,6 +96,38 @@ class ModelConfig:
     def n_tokens(self) -> int:
         return -(-self.input_len // self.patch_len)
 
+    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """``(name, shape)`` of each trainable weight, in checkpoint order: the
+        patch embedding, the learned positional table (a sinusoidal model has
+        none), each encoder block's packed q/k/v projection of every head,
+        output projection, FFN and two layer norms, then the head's dense
+        layers and its output layer."""
+        d, width, ff = self.d_model, self.heads * self.d_head, self.d_ff
+        shapes = [("embed.w", (self.patch_len, d)), ("embed.b", (d,))]
+        if self.positional == "learned":
+            shapes.append(("pos.table", (self.n_tokens, d)))
+        for i in range(self.encoder_layers):
+            shapes += [(f"block{i}.{name}", shape) for name, shape in (
+                ("attn.w_qkv", (d, 3 * width)), ("attn.b_qkv", (3 * width,)),
+                ("attn.w_o", (width, d)), ("attn.b_o", (d,)), ("ffn.w1", (d, ff)),
+                ("ffn.b1", (ff,)), ("ffn.w2", (ff, d)), ("ffn.b2", (d,)), ("ln1.gamma", (d,)),
+                ("ln1.beta", (d,)), ("ln2.gamma", (d,)), ("ln2.beta", (d,)))]
+        fan_in = d
+        for j, units in enumerate(self.mlp_units):
+            shapes += [(f"head.dense{j}.w", (fan_in, units)), (f"head.dense{j}.b", (units,))]
+            fan_in = units
+        return shapes + [("head.out.w", (fan_in, self.n_classes)),
+                         ("head.out.b", (self.n_classes,))]
+
+    def n_params(self) -> int:
+        """The count of trainable weights, in Python ints: the table without
+        blocks plus ``encoder_layers`` times one block's, so that a huge block
+        count costs nothing to count."""
+        def count(layers: int) -> int:
+            return sum(math.prod(shape) for _, shape in
+                       replace(self, encoder_layers=layers).param_shapes())
+        return count(0) + self.encoder_layers * (count(1) - count(0))
+
     def validate(self) -> list[str]:
         """Return every constraint violation (empty list when valid)."""
         bad = []
@@ -87,6 +151,9 @@ class ModelConfig:
             bad.append(f"positional must be 'learned' or 'sinusoidal', got {self.positional!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             bad.append(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not bad and self.n_params() > MAX_PARAMS:
+            bad.append(f"the model would hold {self.n_params():,} parameters, more than "
+                       f"the {MAX_PARAMS:,} a model may hold")
         return bad
 
 
@@ -216,15 +283,25 @@ def read_pairs(data: bytes) -> tuple[dict, list]:
 
 
 def parse_config_file(path: str) -> tuple[dict, list[str]]:
-    """A config file's raw string values, plus violations that name ``path:line``."""
+    """A config file's raw string values, plus violations that name ``path:line``:
+    a line that does not read, an unknown key, or a value its key's caster
+    refuses (which is then left out)."""
     try:
         with open(path, "rb") as fh:
             pairs, problems = read_pairs(fh.read())
     except OSError as err:
         return {}, [f"cannot read config file {path}: {err}"]
-    problems += [(line, at, f"unknown key {key!r}")
-                 for key, (_, line, at) in pairs.items() if key not in SCHEMA]
-    values = {key: value for key, (value, _, _) in pairs.items() if key in SCHEMA}
+    values = {}
+    for key, (value, line, at) in pairs.items():
+        if key not in SCHEMA:
+            problems.append((line, at, f"unknown key {key!r}"))
+            continue
+        try:
+            SCHEMA[key][0](value)
+        except ValueError:
+            problems.append((line, at, f"config key {key}: cannot parse {value!r}"))
+            continue
+        values[key] = value
     return values, [f"{path}:{line}: {problem}" for line, _, problem in sorted(problems)]
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor, add_layer_norm, attention, embed_tokens, linear, mean_tokens, relu
 
 logger = logging.getLogger(__name__)
@@ -67,11 +67,8 @@ class Model:
         out like ``flat_data``: the weights are these views of ``flat_data``,
         and a training step's ``grads`` for ``backward`` are these views of
         one gradient buffer."""
-        out, offset = {}, 0
-        for t in self.tensors.values():
-            out[t] = flat[offset:offset + t.size].reshape(t.shape)
-            offset += t.size
-        return out
+        return dict(zip(self.tensors.values(),
+                        _split(flat, [t.shape for t in self.tensors.values()])))
 
 
 def _mask_shapes(cfg: ModelConfig, b: int) -> list[tuple[str, tuple[int, int]]]:
@@ -111,70 +108,41 @@ def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
     return table
 
 
-def _glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> np.ndarray:
-    if rng is None:  # the weights come from a checkpoint
-        return np.empty((fan_in, fan_out))
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None) -> Model:
-    """Initialize all weights from the config's seed; deterministic per seed.
+    """The model of ``config``: one tensor per entry of
+    :meth:`~beatformer.config.ModelConfig.param_shapes`, each a view of
+    ``flat_data`` in table order. Logs the total parameter count and its
+    delta from the reference variant's count.
 
-    Weight matrices are uniform in +/- sqrt(6 / (fan_in + fan_out)), drawn
-    in checkpoint order; biases, and a learned positional table, start at
-    zero. A sinusoidal model has no ``pos.table``: :func:`forward` makes its
-    fixed table. Logs the total parameter count and its delta from the
-    reference variant's count.
-
-    With ``params``, a checkpoint's weights by name, the weights are copied
-    from them bit for bit and nothing is drawn: no generator is made. A
-    missing, misshapen or unnamed tensor raises ``CheckpointError``.
+    With ``params``, a checkpoint's weights by name in the shapes of that
+    table (as :func:`~beatformer.train.load_checkpoint` gives them), each is
+    copied bit for bit and nothing is drawn: no generator is made. Without,
+    the weights are drawn from the config's seed, deterministic per seed, in
+    table order: each rank-2 weight but the positional table is uniform in
+    +/- sqrt(6 / (fan_in + fan_out)), the packed q/k/v projection drawn as
+    ``3 * heads`` column blocks of ``d_head`` (q heads, then k, then v); layer
+    norm gains start at one; biases and a learned positional table at zero.
     """
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
+    shapes = config.param_shapes()
+    flat_data = np.zeros(config.n_params())
+    model = Model(config=config, tensors={}, flat_data=flat_data)
     rng = np.random.default_rng(config.seed) if params is None else None
-    d, width = config.d_model, config.heads * config.d_head
-
-    init = {"embed.w": _glorot(rng, config.patch_len, d), "embed.b": np.zeros(d)}
-    if config.positional == "learned":
-        init["pos.table"] = np.zeros((config.n_tokens, d))
-    for i in range(config.encoder_layers):
-        block = {
-            # one Glorot draw per head and projection, q heads then k then v,
-            # packed side by side in that order
-            "attn.w_qkv": np.hstack([_glorot(rng, d, config.d_head)
-                                     for _ in range(3 * config.heads)]),
-            "attn.b_qkv": np.zeros(3 * width),
-            "attn.w_o": _glorot(rng, width, d),
-            "attn.b_o": np.zeros(d),
-            "ffn.w1": _glorot(rng, d, config.d_ff),
-            "ffn.b1": np.zeros(config.d_ff),
-            "ffn.w2": _glorot(rng, config.d_ff, d),
-            "ffn.b2": np.zeros(d),
-            "ln1.gamma": np.ones(d),
-            "ln1.beta": np.zeros(d),
-            "ln2.gamma": np.ones(d),
-            "ln2.beta": np.zeros(d),
-        }
-        init.update((f"block{i}.{name}", value) for name, value in block.items())
-    fan_in = d
-    for j, units in enumerate(config.mlp_units):
-        init[f"head.dense{j}.w"] = _glorot(rng, fan_in, units)
-        init[f"head.dense{j}.b"] = np.zeros(units)
-        fan_in = units
-    init["head.out.w"] = _glorot(rng, fan_in, config.n_classes)
-    init["head.out.b"] = np.zeros(config.n_classes)
-
-    model = Model(config=config,
-                  tensors={name: Tensor(value, needs_grad=True) for name, value in init.items()},
-                  flat_data=np.concatenate([value.ravel() for value in init.values()]))
-    for t, view in model.views(model.flat_data).items():
-        t.data = view
-    if params is not None:
-        _load_params(model, params)
-    total = model.flat_data.size
+    for (name, shape), view in zip(shapes, _split(flat_data, [s for _, s in shapes])):
+        model.tensors[name] = Tensor(view, needs_grad=True)
+        if params is not None:
+            view[...] = params[name]
+        elif name.endswith(".gamma"):
+            view[...] = 1.0
+        elif len(shape) == 2 and name != "pos.table":
+            blocks = 3 * config.heads if name.endswith("attn.w_qkv") else 1
+            fan_in, fan_out = shape[0], shape[1] // blocks
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            view.reshape(fan_in, blocks, fan_out)[...] = rng.uniform(
+                -limit, limit, size=(blocks, fan_in, fan_out)).transpose(1, 0, 2)
+    total = flat_data.size
     logger.info(
         "built model: %d trainable parameters (reference variant reports %d, delta %+d)",
         total, REFERENCE_PARAM_COUNT, total - REFERENCE_PARAM_COUNT,
@@ -182,22 +150,14 @@ def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None
     return model
 
 
-def _load_params(model: Model, params: dict[str, np.ndarray]) -> None:
-    """Copy ``params`` into the model's tensors, checking that they name
-    exactly those tensors, each with its shape."""
-    for name, tensor in model.tensors.items():
-        if name not in params:
-            raise CheckpointError(f"checkpoint lacks parameter {name}")
-        stored = params[name]
-        if stored.shape != tensor.data.shape:
-            raise CheckpointError(
-                f"parameter {name} has shape {stored.shape}, expected {tensor.data.shape}"
-            )
-        tensor.data[...] = stored
-    leftover = [name for name in params if name not in model.tensors]
-    if leftover:
-        raise CheckpointError(f"checkpoint holds tensor {leftover[0]}, which its config "
-                              f"does not name")
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one of each shape in ``shapes``."""
+    out, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return out
 
 
 def _patches(features: np.ndarray, patch_len: int) -> np.ndarray:
@@ -282,21 +242,22 @@ _COMPONENTS = {"embed": "patch embedding", "pos": "positional table",
                "head": "classification head"}
 
 
-def parameter_breakdown(model: Model) -> list[tuple[str, int]]:
-    """Component-level parameter counts for the reconciliation report."""
+def parameter_breakdown(config: ModelConfig) -> list[tuple[str, int]]:
+    """Component-level parameter counts of ``config``'s weight table, for the
+    reconciliation report."""
     rows: dict[str, int] = {}
-    for name, t in model.tensors.items():
+    for name, shape in config.param_shapes():
         prefix = name.split(".", 1)[0]
         component = (f"encoder block {prefix[len('block'):]}" if prefix.startswith("block")
                      else _COMPONENTS[prefix])
-        rows[component] = rows.get(component, 0) + t.size
+        rows[component] = rows.get(component, 0) + math.prod(shape)
     return list(rows.items())
 
 
-def format_param_report(model: Model) -> str:
+def format_param_report(config: ModelConfig) -> str:
     """Reconciliation table: per-component counts, total, and reference delta."""
-    rows = parameter_breakdown(model)
-    total = model.flat_data.size
+    rows = parameter_breakdown(config)
+    total = sum(count for _, count in rows)
     width = max(len(name) for name, _ in rows) + 2
     lines = ["parameter reconciliation:"]
     for name, count in rows:

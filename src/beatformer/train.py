@@ -24,6 +24,7 @@ from .config import (
     TrainConfig,
     build_config,
     format_pairs,
+    parse_int,
     read_pairs,
 )
 from .data import Dataset, NormStats, batches
@@ -270,7 +271,7 @@ def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
 
 # meta key -> caster, in the order the keys are written
 META_CASTERS = {**{f.name: SCHEMA[f.name][0] for f in fields(ModelConfig)},
-                "best_val_loss": float.fromhex, "epoch": int,
+                "best_val_loss": float.fromhex, "epoch": parse_int,
                 "normalization": str, "norm_fitted_on": str}
 
 
@@ -378,23 +379,34 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"meta block holds an invalid config: {'; '.join(violations)}",
                               offset=meta_offset)
 
+    # the stored table must be the config's weight table, then the stats:
+    # each name, rank and shape is checked before its data is read
+    expected = config.param_shapes() + [("norm.mean", (config.input_len,)),
+                                        ("norm.std", (config.input_len,))]
+    count_offset = reader.offset
     n_tensors = reader.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
+    for position, (name, shape) in enumerate(expected):
+        if position == n_tensors:
+            raise CheckpointError(f"tensor count {n_tensors} leaves out {name}: the config "
+                                  f"names {len(expected)} tensors", offset=count_offset)
         name_len = reader.u32("tensor name length")
         name_offset = reader.offset
         try:
-            name = reader.take(name_len, "tensor name").decode("utf-8")
+            stored = reader.take(name_len, "tensor name").decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError("tensor name is not valid UTF-8", offset=name_offset) from None
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor name {name!r}", offset=name_offset)
-        if name.startswith("norm.") and name not in ("norm.mean", "norm.std"):
-            raise CheckpointError(f"unknown normalization tensor {name!r}", offset=name_offset)
+        if stored != name:
+            raise CheckpointError(f"checkpoint holds tensor {stored!r} where its config "
+                                  f"names {name}", offset=name_offset)
         rank = reader.u32(f"rank of {name}")
-        if rank > 3:
-            raise CheckpointError(f"tensor {name} has rank {rank} > 3", offset=reader.offset)
+        if rank != len(shape):
+            raise CheckpointError(f"tensor {name} has rank {rank}, expected {len(shape)}",
+                                  offset=name_offset)
         dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank, f"dims of {name}"))
+        if dims != shape:
+            raise CheckpointError(f"tensor {name} has shape {dims}, expected {shape}",
+                                  offset=name_offset)
         raw = reader.take(8 * math.prod(dims), f"data of {name}")
         flat = np.frombuffer(raw, dtype="<f8")
         # refuse what would reach a forward as nan: a value that is not
@@ -407,15 +419,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                                   f"finite{' and > 0' if positive else ''}",
                                   offset=reader.offset - len(raw) + 8 * i)
         tensors[name] = flat.reshape(dims).copy()
+    if n_tensors != len(expected):
+        raise CheckpointError(f"tensor count {n_tensors} exceeds the {len(expected)} tensors "
+                              f"the config names", offset=count_offset)
     if reader.offset != reader.end:
         raise CheckpointError("trailing bytes after final tensor", offset=reader.offset)
-    for required in ("norm.mean", "norm.std"):
-        if required not in tensors:
-            raise CheckpointError(f"checkpoint lacks the {required} tensor")
-        if tensors[required].shape != (config.input_len,):
-            raise CheckpointError(f"tensor {required} has shape {tensors[required].shape}, "
-                                  f"expected ({config.input_len},) for input_len "
-                                  f"{config.input_len}")
 
     return Checkpoint(
         config=config,
@@ -428,5 +436,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint) -> Model:
-    """Rebuild the model from the stored config and load weights bit-exactly."""
+    """Rebuild the model from the stored config and load weights bit-exactly.
+    ``ckpt.params`` must hold the config's weight table, as every checkpoint
+    :func:`load_checkpoint` gives does."""
     return build_model(ckpt.config, ckpt.params)

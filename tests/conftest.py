@@ -19,7 +19,7 @@ from hypothesis import settings
 
 from beatformer.data import Dataset, NormStats, fit_normalizer, normalize
 from beatformer.tensor import Tensor, record_op
-from beatformer.train import epochs
+from beatformer.train import Checkpoint, checkpoint_bytes, epochs
 from bench import corpus as bench_corpus
 
 
@@ -100,6 +100,21 @@ def resealed(blob: bytes) -> bytes:
     gets past the checksum to whatever the edit broke."""
     body = bytes(blob[:-4])
     return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def params_bytes(config, params: dict) -> bytes:
+    """The bytes of a checkpoint of ``config`` that stores ``params`` as its
+    weights, in the dict's order, with unit normalization stats."""
+    n = config.input_len
+    norm = NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard", fitted_on="x")
+    return checkpoint_bytes(Checkpoint(config=config, params=params, norm=norm,
+                                       best_val_loss=1.0, epoch=0))
+
+
+def name_offset(blob: bytes, name: str) -> int:
+    """Byte offset of the first stored name ``name`` in a checkpoint's tensor table."""
+    encoded = name.encode("utf-8")
+    return blob.index(len(encoded).to_bytes(4, "little") + encoded) + 4
 
 
 def write_beats_csv(path, ds: Dataset) -> None:

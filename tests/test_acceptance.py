@@ -350,8 +350,8 @@ def test_c9_parameter_count_report(caplog):
     delta = total - REFERENCE_PARAM_COUNT
     assert str(REFERENCE_PARAM_COUNT) in caplog.text.replace(",", "")
 
-    report = format_param_report(model)
-    rows = parameter_breakdown(model)
+    report = format_param_report(model.config)
+    rows = parameter_breakdown(model.config)
     assert sum(count for _, count in rows) == total
     for component in ("patch embedding", "positional table", "encoder block 0",
                       "classification head"):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from beatformer.cli import build_parser, main
 from beatformer.config import (
+    MAX_PARAMS,
     SCHEMA,
     ModelConfig,
     RunConfig,
@@ -28,7 +29,13 @@ from beatformer.config import (
 from beatformer.data import Dataset
 from beatformer.errors import ConfigError
 
-from conftest import PROPERTY_SETTINGS, resealed, synthetic_beats, write_beats_csv
+from conftest import (
+    PROPERTY_SETTINGS,
+    name_offset,
+    resealed,
+    synthetic_beats,
+    write_beats_csv,
+)
 
 TINY_MODEL_LINES = """
 # small model for fast CLI runs
@@ -617,6 +624,8 @@ class TestShapeFromModelConfig:
 
 
 def test_checkpoint_tensor_its_config_does_not_name_exits_2(corpus, tmp_path, capsys):
+    # every stored table other than the meta's config's is refused at the
+    # stored name that departs from it
     from beatformer.train import checkpoint_bytes, load_checkpoint
 
     cfg = tmp_path / "two_blocks.cfg"
@@ -626,23 +635,47 @@ def test_checkpoint_tensor_its_config_does_not_name_exits_2(corpus, tmp_path, ca
     assert main(["train", "--config", str(cfg), "--out", str(out),
                  "--epochs", "1", "--seed", "7"]) == 0
     blob = (out / "checkpoint.bin").read_bytes()
-    assert blob.count(b"encoder_layers = 2\n") == 1
-    fewer_blocks = tmp_path / "one_block.bin"
-    fewer_blocks.write_bytes(resealed(blob.replace(b"encoder_layers = 2\n",
-                                                   b"encoder_layers = 1\n")))
     ckpt = load_checkpoint(str(out / "checkpoint.bin"))
-    assert ckpt.config.positional == "learned"
-    sinusoidal = tmp_path / "sinusoidal.bin"
-    sinusoidal.write_bytes(checkpoint_bytes(
-        replace(ckpt, config=replace(ckpt.config, positional="sinusoidal"))))
+    assert ckpt.config.positional == "learned" and ckpt.config.encoder_layers == 2
+
+    def with_params(edit):
+        return checkpoint_bytes(replace(ckpt, params=edit(ckpt.params)))
+
+    def with_config(**changes):
+        return checkpoint_bytes(replace(ckpt, config=replace(ckpt.config, **changes)))
+
+    assert blob.count(b"encoder_layers = 2\n") == 1
+    fewer_blocks = resealed(blob.replace(b"encoder_layers = 2\n", b"encoder_layers = 1\n"))
+    cases = {
+        # the file, the tensor its config names where it departs, the one stored
+        "meta names 1 of 2 blocks": (fewer_blocks, "head.dense0.w", "block1.attn.w_qkv"),
+        "meta names 3 of 2 blocks": (with_config(encoder_layers=3), "block2.attn.w_qkv",
+                                     "head.dense0.w"),
+        "pos.table under sinusoidal": (with_config(positional="sinusoidal"),
+                                       "block0.attn.w_qkv", "pos.table"),
+        "missing": (with_params(lambda p: {k: v for k, v in p.items() if k != "block0.ffn.w2"}),
+                    "block0.ffn.w2", "block0.ffn.b2"),
+        "extra": (with_params(lambda p: {**p, "block2.ffn.w2": p["block0.ffn.w2"]}),
+                  "norm.mean", "block2.ffn.w2"),
+        # pos.table moved before embed.b
+        "reordered": (with_params(lambda p: {"embed.w": p["embed.w"],
+                                             "pos.table": p["pos.table"], **p}),
+                      "embed.b", "pos.table"),
+        "norm.var": (with_params(lambda p: {**p, "norm.var": np.ones(187)}),
+                     "norm.mean", "norm.var"),
+    }
     capsys.readouterr()  # drain the training output
-    for bad, tensor in ((fewer_blocks, "block1.attn.w_qkv"), (sinusoidal, "pos.table")):
+    for case, (bad_blob, expected, stored) in cases.items():
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bad_blob)
+        at = name_offset(bad_blob, stored)
         for argv in (["eval", str(bad), "--data-test", corpus["test"],
                       "--out", str(tmp_path / "eval")],
                      ["predict", str(bad), corpus["test"]]):
-            assert main(argv) == 2
-            assert f"checkpoint holds tensor {tensor}, which its config does not name" in \
-                capsys.readouterr().err
+            assert main(argv) == 2, case
+            assert (f"checkpoint holds tensor {stored!r} where its config names {expected} "
+                    f"(at byte offset {at})") in capsys.readouterr().err, case
+    assert not (tmp_path / "eval").exists()
 
 
 def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch):
@@ -762,7 +795,8 @@ def test_checkpoint_config_that_disagrees_with_its_tensors_exits_2(corpus, tmp_p
     for argv in (["eval", str(bad), "--data-test", corpus["test"]],
                  ["predict", str(bad), corpus["test"]]):
         assert main(argv) == 2
-        assert "parameter embed.w has shape (11, 8), expected (11, 9)" in capsys.readouterr().err
+        assert (f"tensor embed.w has shape (11, 8), expected (11, 9) (at byte offset "
+                f"{name_offset(blob, 'embed.w')})") in capsys.readouterr().err
 
 
 def test_norm_stats_that_disagree_with_input_len_exit_2(corpus, tmp_path, capsys):
@@ -780,14 +814,13 @@ def test_norm_stats_that_disagree_with_input_len_exit_2(corpus, tmp_path, capsys
     for argv in (["eval", str(bad), "--data-test", str(short)],
                  ["predict", str(bad), str(short)]):
         assert main(argv) == 2
-        assert "tensor norm.mean has shape (187,), expected (186,) for input_len 186" in \
-            capsys.readouterr().err
+        assert (f"tensor norm.mean has shape (187,), expected (186,) (at byte offset "
+                f"{name_offset(blob, 'norm.mean')})") in capsys.readouterr().err
 
 
 def tensor_data_offset(blob: bytes, name: str) -> int:
     """Byte offset of the first float64 of tensor ``name`` in a checkpoint."""
-    encoded = name.encode("utf-8")
-    at = blob.index(len(encoded).to_bytes(4, "little") + encoded) + 4 + len(encoded)
+    at = name_offset(blob, name) + len(name.encode("utf-8"))
     return at + 4 + 8 * int.from_bytes(blob[at:at + 4], "little")  # past rank and dims
 
 
@@ -834,6 +867,92 @@ def test_checkpoint_that_would_feed_non_finite_numbers_exits_2(tiny_checkpoint, 
     captured = capsys.readouterr()
     assert f"error: {message} (at byte offset {at})" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_model_too_big_to_build_exits_2_writing_nothing(corpus, tiny_checkpoint, tmp_path,
+                                                       capsys):
+    # refused by its parameter count before anything is allocated or written
+    too_big = f"parameters, more than the {MAX_PARAMS:,} a model may hold"
+    _, violations = resolve_config({"heads": "100000000000000"}, {})
+    assert violations == [f"the model would hold {ModelConfig(heads=10**14).n_params():,} "
+                          + too_big]
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(TINY_MODEL_LINES.replace("d_model = 8", "d_model = 1000000000000")
+                   + f"\ndata_train = {corpus['train']}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--epochs", "1"]) == 2
+    assert too_big in capsys.readouterr().err
+    assert not out.exists()
+
+    blob, rows, tmp = tiny_checkpoint
+    huge, _ = with_meta_value(blob, "d_model", "1000000000000")
+    path = tmp / "huge.bin"
+    path.write_bytes(resealed(huge))
+    eval_out = tmp / "huge_eval"
+    for argv in (["eval", str(path), "--data-test", rows, "--out", str(eval_out)],
+                 ["predict", str(path), rows]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: meta block holds an invalid config: the model would hold" in captured.err
+        assert "(at byte offset 20)" in captured.err  # the meta block's
+        assert captured.out == "" and not eval_out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_running_out_of_memory_exits_2_naming_the_command(corpus, tmp_path, capsys,
+                                                         monkeypatch, command):
+    import beatformer.cli as cli_mod
+    import beatformer.train as train_mod
+
+    def no_room(*args):
+        # what numpy raises for an allocation the host cannot give
+        raise MemoryError("Unable to allocate 80.0 TiB for an array with shape "
+                          "(10995116277760,) and data type float64")
+
+    out = tmp_path / "run"
+    assert run_train(corpus, out) == 0
+    capsys.readouterr()  # drain the training output
+    # the weight buffer of a build, or of a restore, cannot be allocated
+    monkeypatch.setattr(cli_mod if command == "train" else train_mod, "build_model", no_room)
+    argv = {"train": ["train", "--config", corpus["cfg"], "--out", str(tmp_path / "again")],
+            "eval": ["eval", str(out / "checkpoint.bin"), "--data-test", corpus["test"],
+                     "--out", str(tmp_path / "eval")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: out of memory: Unable to allocate")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0666\u0664", "1_0e-4"])
+def test_number_outside_the_ascii_grammar_exits_2(corpus, tiny_checkpoint, tmp_path, capsys,
+                                                  value):
+    # Python's int and float read digit separators and other scripts' digits,
+    # so each would have read as 10, 64 or 0.001
+    for key in ("epochs", "d_model", "lr"):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"# numbers\n{key} = {value}\n", encoding="utf-8")
+        values, violations = parse_config_file(str(cfg))
+        assert key not in values
+        assert violations == [f"{cfg}:2: config key {key}: cannot parse {value!r}"]
+        assert resolve_config({key: value}, {})[1] == [
+            f"config key {key}: cannot parse {value!r}"]
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:2: config key {key}: cannot parse {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+    for flag in ("--seed", "--subset", "--epochs"):
+        out = tmp_path / "out"
+        assert main(["train", "--config", corpus["cfg"], "--out", str(out), flag, value]) == 2
+        assert f"config key {flag[2:]}: cannot parse {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+    blob, rows, tmp = tiny_checkpoint
+    for key in ("epoch", "d_model", "dropout"):
+        bad, at = with_meta_value(blob, key, value)
+        path = tmp / "grammar.bin"
+        path.write_bytes(resealed(bad))
+        assert main(["predict", str(path), rows]) == 2
+        assert (f"meta key {key}: cannot parse {value!r} (at byte offset {at})"
+                in capsys.readouterr().err)
 
 
 def test_missing_input_file_exits_2_naming_the_path(corpus, tmp_path, capsys):
@@ -1119,7 +1238,8 @@ def test_duplicate_tensor_name_exits_2_naming_the_offset(corpus, tmp_path, capsy
                  ["predict", str(bad), corpus["test"]]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "duplicate tensor name 'block0.ffn.b1'" in err and f"byte offset {start}" in err
+        assert (f"checkpoint holds tensor 'block0.ffn.b1' where its config names block0.ffn.b2 "
+                f"(at byte offset {start})") in err
 
 
 def test_per_sample_checkpoint_eval_and_predict_reapply_the_row_transform(corpus, tmp_path,

@@ -31,7 +31,7 @@ from beatformer.tensor import (
     mean_tokens,
 )
 
-from conftest import mul, sum_all
+from conftest import mul, name_offset, params_bytes, sum_all
 from reference import layer_norm, reference_attention
 
 
@@ -53,17 +53,19 @@ def zero(*tensors):
         t.data[...] = 0.0
 
 
-def restore_with(model, name, value):
-    """restore_model of ``model``'s weights with tensor ``name`` replaced by ``value``."""
-    from beatformer.data import NormStats
-    from beatformer.train import Checkpoint, restore_model
+def refusal_of(tmp_path, model, name, value) -> CheckpointError:
+    """The error of loading ``model``'s checkpoint with tensor ``name`` stored
+    as ``value``; its offset is checked to be that of the stored name."""
+    from beatformer.train import load_checkpoint
 
     params = {n: t.data for n, t in model.tensors.items()}
     params[name] = value
-    n = model.config.input_len
-    norm = NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard", fitted_on="x")
-    return restore_model(Checkpoint(config=model.config, params=params, norm=norm,
-                                    best_val_loss=1.0, epoch=0))
+    path = tmp_path / "model.bin"
+    path.write_bytes(params_bytes(model.config, params))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(str(path))
+    assert err.value.offset == name_offset(path.read_bytes(), name)
+    return err.value
 
 
 class TestPatchEmbed:
@@ -124,13 +126,12 @@ class TestPositionalEmbedding:
                                 Tensor(np.zeros(2)), table).data
         assert not np.array_equal(embedded[0], embedded[1])
 
-    def test_too_many_rows(self):
+    def test_too_many_rows(self, tmp_path):
         # the table has exactly n_tokens rows; a checkpoint with any other
         # count is refused instead of being sliced or padded
         model = build_model(tiny_config(input_len=44))
-        with pytest.raises(CheckpointError,
-                           match=r"parameter pos.table has shape \(5, 8\), expected \(4, 8\)"):
-            restore_with(model, "pos.table", np.zeros((5, 8)))
+        assert "tensor pos.table has shape (5, 8), expected (4, 8)" in \
+            str(refusal_of(tmp_path, model, "pos.table", np.zeros((5, 8))))
 
     def test_sinusoidal_table_shape_and_range(self):
         t = sinusoidal_table(17, 8)
@@ -256,17 +257,17 @@ class TestMultiHeadAttention:
         x = Tensor(np.random.default_rng(heads).normal(size=(7, 6)))
         assert _encoder_block(model, 0, x, 1, {}).shape == (7, 6)
 
-    def test_output_projection_width_validated(self):
+    def test_output_projection_width_validated(self, tmp_path):
         # a stored output projection must take heads * d_head input rows
         model = build_model(tiny_config())
-        with pytest.raises(CheckpointError, match=r"block0.attn.w_o has shape \(3, 8\)"):
-            restore_with(model, "block0.attn.w_o", np.zeros((3, 8)))
+        assert "tensor block0.attn.w_o has shape (3, 8), expected (8, 8)" in \
+            str(refusal_of(tmp_path, model, "block0.attn.w_o", np.zeros((3, 8))))
 
-    def test_packed_width_must_split_into_heads(self):
+    def test_packed_width_must_split_into_heads(self, tmp_path):
         # a stored packed projection must be 3 * heads * d_head wide
         model = build_model(tiny_config())
-        with pytest.raises(CheckpointError, match=r"block1.attn.w_qkv has shape \(8, 15\)"):
-            restore_with(model, "block1.attn.w_qkv", np.zeros((8, 15)))
+        assert "tensor block1.attn.w_qkv has shape (8, 15), expected (8, 24)" in \
+            str(refusal_of(tmp_path, model, "block1.attn.w_qkv", np.zeros((8, 15))))
 
     def test_batch_of_samples_matches_each_alone(self):
         model = build_model(tiny_config(seed=12))

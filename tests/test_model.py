@@ -1,13 +1,21 @@
 """Tests for config validation, model building, and the batch forward pass."""
 
 import logging
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beatformer.config import SCHEMA, ModelConfig, build_config, format_pairs, read_pairs
+from beatformer.config import (
+    MAX_PARAMS,
+    SCHEMA,
+    ModelConfig,
+    build_config,
+    format_pairs,
+    read_pairs,
+)
 from beatformer.errors import CheckpointError, ConfigError, ShapeError
 from beatformer.data import NormStats
 from beatformer.tensor import GRADCHECK_TOL, GradTape, backward, grad_check
@@ -29,7 +37,7 @@ from beatformer.model import (
     tiny_config,
 )
 
-from conftest import PROPERTY_SETTINGS, grad_arrays, mask_rows
+from conftest import PROPERTY_SETTINGS, grad_arrays, mask_rows, name_offset, params_bytes
 from reference import reference_forward
 
 
@@ -46,6 +54,25 @@ class TestModelConfig:
             build_model(cfg)
         for key in ("d_model", "heads", "mlp_units", "n_classes", "dropout", "positional"):
             assert key in str(err.value)
+
+    def test_parameter_cap_is_inclusive(self):
+        # each class adds 5 weights to the output layer of a (4,) head
+        base = tiny_config(mlp_units=(4,), n_classes=2)
+        at_cap = replace(base, n_classes=2 + (MAX_PARAMS - base.n_params()) // 5)
+        assert at_cap.n_params() == MAX_PARAMS == sum(
+            math.prod(shape) for _, shape in at_cap.param_shapes())
+        assert at_cap.validate() == []
+        over = replace(at_cap, n_classes=at_cap.n_classes + 1)
+        assert over.validate() == [f"the model would hold {MAX_PARAMS + 5:,} parameters, "
+                                   f"more than the {MAX_PARAMS:,} a model may hold"]
+
+    def test_a_huge_block_count_is_refused_without_listing_its_blocks(self):
+        # the default's 218,949 weights: 18,757 outside its blocks, 4 blocks of 50,048
+        assert ModelConfig().n_params() == 18_757 + 4 * 50_048 == 218_949
+        cfg = ModelConfig(encoder_layers=10**15)
+        assert cfg.n_params() == 18_757 + 10**15 * 50_048
+        assert cfg.validate() == [f"the model would hold {cfg.n_params():,} parameters, "
+                                  f"more than the {MAX_PARAMS:,} a model may hold"]
 
     def test_token_count(self):
         assert ModelConfig(input_len=187, patch_len=11).n_tokens == 17
@@ -88,7 +115,7 @@ class TestBuildModel:
         cfg = model.config
         assert "pos.table" not in model.tensors
         assert model.flat_data.size == learned.flat_data.size - cfg.n_tokens * cfg.d_model
-        assert "positional table" not in dict(parameter_breakdown(model))
+        assert "positional table" not in dict(parameter_breakdown(cfg))
         # the forward adds the fixed table, as a learned model that holds it does
         params = {name: t.data for name, t in model.tensors.items()}
         params["pos.table"] = sinusoidal_table(cfg.n_tokens, cfg.d_model)
@@ -128,13 +155,13 @@ class TestParamCounts:
             model = build_model(ModelConfig())
         total = model.flat_data.size
         assert str(REFERENCE_PARAM_COUNT) in caplog.text.replace(",", "")
-        report = format_param_report(model)
+        report = format_param_report(model.config)
         assert f"{total:,}" in report
         assert f"{total - REFERENCE_PARAM_COUNT:+,}" in report
 
     def test_breakdown_sums_to_total(self):
         model = build_model(ModelConfig())
-        rows = parameter_breakdown(model)
+        rows = parameter_breakdown(model.config)
         assert sum(count for _, count in rows) == model.flat_data.size
         assert len([r for r in rows if r[0].startswith("encoder block")]) == 4
 
@@ -195,22 +222,47 @@ class TestFlatBuffers:
         assert model.flat_data.tobytes() == source.flat_data.tobytes()
         self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
 
-    @pytest.mark.parametrize("edit, message", [
-        ("drop", "checkpoint lacks parameter block1.ffn.w1"),
-        ("reshape", r"parameter block1.ffn.w1 has shape \(16, 8\), expected \(8, 16\)"),
-        ("extra", "checkpoint holds tensor block9.ffn.w1, which its config does not name"),
+    @pytest.mark.parametrize("edit, stored, message", [
+        pytest.param("drop", "block1.ffn.b1", "checkpoint holds tensor 'block1.ffn.b1' where "
+                     "its config names block1.ffn.w1", id="drop-checkpoint skips a weight"),
+        pytest.param("reshape", "block1.ffn.w1",
+                     r"tensor block1.ffn.w1 has shape \(16, 8\), expected \(8, 16\)",
+                     id="reshape-parameter transposed"),
+        pytest.param("extra", "block9.ffn.w1", "checkpoint holds tensor 'block9.ffn.w1' where "
+                     "its config names norm.mean", id="extra-checkpoint adds a weight"),
+        pytest.param("reorder", "block1.ffn.b1", "checkpoint holds tensor 'block1.ffn.b1' "
+                     "where its config names block1.ffn.w1", id="reorder-checkpoint swaps two"),
+        pytest.param("rank", "block1.ffn.w1", "tensor block1.ffn.w1 has rank 3, expected 2",
+                     id="rank-checkpoint adds an axis"),
+        pytest.param("flatten", "block1.ffn.w1", "tensor block1.ffn.w1 has rank 1, expected 2",
+                     id="flatten-checkpoint drops an axis"),
     ])
-    def test_params_that_disagree_with_the_config_are_refused(self, edit, message):
+    def test_params_that_disagree_with_the_config_are_refused(self, tmp_path, edit, stored,
+                                                              message):
+        # the stored table is the config's table, name by name and shape by
+        # shape: any other is refused at the stored name, before its data
         source = build_model(tiny_config(seed=5))
         params = {name: t.data.copy() for name, t in source.tensors.items()}
         if edit == "drop":
             del params["block1.ffn.w1"]
         elif edit == "reshape":
             params["block1.ffn.w1"] = params["block1.ffn.w1"].T.copy()
-        else:
+        elif edit == "extra":
             params["block9.ffn.w1"] = params["block1.ffn.w1"]
-        with pytest.raises(CheckpointError, match=message):
-            build_model(source.config, params)
+        elif edit == "reorder":
+            names = list(params)
+            at = names.index("block1.ffn.w1")
+            names[at], names[at + 1] = names[at + 1], names[at]
+            params = {name: params[name] for name in names}
+        elif edit == "rank":
+            params["block1.ffn.w1"] = params["block1.ffn.w1"][None]
+        else:
+            params["block1.ffn.w1"] = params["block1.ffn.w1"].ravel()
+        path = tmp_path / "model.bin"
+        path.write_bytes(params_bytes(source.config, params))
+        with pytest.raises(CheckpointError, match=message) as err:
+            load_checkpoint(str(path))
+        assert err.value.offset == name_offset(path.read_bytes(), stored)
 
     def test_backward_accumulates_into_the_gradient_buffer(self):
         model = build_model(tiny_config(seed=4))

@@ -259,6 +259,14 @@ class TestLayerNorm:
             add_layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)),
                            Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("gamma, beta", [((1,), (3,)), ((3,), (1,)), ((3,), (2, 3))],
+                             ids=["gamma", "beta", "beta-rank-2"])
+    def test_gamma_and_beta_must_each_match_the_width(self, gamma, beta):
+        # a (1,) beta would broadcast over the width, not refuse
+        with pytest.raises(ShapeError, match=r"gamma/beta must have shape \(3,\)"):
+            add_layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                           Tensor(np.ones(gamma)), Tensor(np.zeros(beta)))
+
     def test_fused_op_is_bit_equal_to_add_then_unfused_layer_norm(self):
         # the unfused formulas with np.mean / np.var, as an add op followed by a
         # LayerNorm op computed them; the fused op must not change a single bit
@@ -634,6 +642,14 @@ class TestGradCheck:
         w = Tensor(np.asarray(1.0), needs_grad=True)
         with pytest.raises(ValueError):
             grad_check(lambda: mul(w, w), [w], eps=1e-2)
+
+    def test_eps_bounds_are_inclusive(self):
+        # each bound is accepted, and the next float beyond it is refused
+        w = Tensor(np.asarray(1.0), needs_grad=True)
+        for bound, beyond in ((1e-6, 0.0), (1e-4, 1.0)):
+            assert grad_check(lambda: mul(w, w), [w], eps=bound).passed
+            with pytest.raises(ValueError, match="grad_check eps must lie in"):
+                grad_check(lambda: mul(w, w), [w], eps=float(np.nextafter(bound, beyond)))
 
     def test_nondeterministic_target_flagged(self):
         w = Tensor(np.asarray(1.0), needs_grad=True)

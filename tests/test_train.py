@@ -29,7 +29,14 @@ from beatformer.train import (
     sparse_ce_loss,
 )
 
-from conftest import grad_arrays, mask_rows, resealed, synthetic_beats, train_to_end
+from conftest import (
+    grad_arrays,
+    mask_rows,
+    name_offset,
+    resealed,
+    synthetic_beats,
+    train_to_end,
+)
 from reference import per_tensor_adam_step, sum_then_add_backward
 
 
@@ -552,9 +559,27 @@ class TestCheckpointIO:
         path = tmp_path / "model.bin"
         save(replace(ckpt, params={**ckpt.params, "norm.var": np.ones(187)}), path)
         blob = path.read_bytes()
-        with pytest.raises(CheckpointError, match="unknown normalization tensor 'norm.var'") as err:
+        with pytest.raises(CheckpointError, match="checkpoint holds tensor 'norm.var' where its "
+                                                  "config names norm.mean") as err:
             load_checkpoint(str(path))
         assert err.value.offset == blob.index(b"norm.var")
+
+    @pytest.mark.parametrize("change, message", [
+        (-1, "tensor count 32 leaves out norm.std: the config names 33 tensors"),
+        (+1, "tensor count 34 exceeds the 33 tensors the config names"),
+    ])
+    def test_tensor_count_other_than_the_tables_is_refused_at_the_count(self, tmp_path,
+                                                                         change, message):
+        ckpt, _ = self.make_checkpoint()
+        path = tmp_path / "model.bin"
+        save(ckpt, path)
+        blob = path.read_bytes()
+        at = 20 + int.from_bytes(blob[12:20], "little")  # past the meta block
+        count = int.from_bytes(blob[at:at + 4], "little") + change
+        path.write_bytes(resealed(blob[:at] + count.to_bytes(4, "little") + blob[at + 4:]))
+        with pytest.raises(CheckpointError, match=message) as err:
+            load_checkpoint(str(path))
+        assert err.value.offset == at
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "junk.bin")
@@ -577,7 +602,7 @@ class TestCheckpointIO:
 
     def test_config_mismatch_on_load(self, tmp_path):
         # a stored config that disagrees with the stored tensors is refused
-        # when the model is rebuilt from it
+        # by the load, at the first tensor it misshapes
         ckpt, _ = self.make_checkpoint()
         path = str(tmp_path / "model.bin")
         save(ckpt, path)
@@ -585,11 +610,10 @@ class TestCheckpointIO:
         assert blob.count(b"d_model = 8\n") == 1
         with open(path, "wb") as fh:
             fh.write(resealed(blob.replace(b"d_model = 8\n", b"d_model = 9\n")))
-        loaded = load_checkpoint(path)
-        assert loaded.config.d_model == 9
-        with pytest.raises(CheckpointError,
-                           match=r"parameter embed.w has shape \(11, 8\), expected \(11, 9\)"):
-            restore_model(loaded)
+        with pytest.raises(CheckpointError, match=r"tensor embed.w has shape \(11, 8\), "
+                                                  r"expected \(11, 9\)") as err:
+            load_checkpoint(path)
+        assert err.value.offset == name_offset(blob, "embed.w")
         # the untouched file restores fine
         save(ckpt, path)
         restore_model(load_checkpoint(path))
