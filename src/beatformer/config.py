@@ -56,13 +56,14 @@ def field_casters(cls) -> dict:
     ``int`` and ``float`` fields parse with :func:`parse_int` and
     :func:`parse_float`, ``str`` fields take the text as it is; a
     ``tuple[T, ...]`` field parses a comma list of ``T`` (empty text is ``()``).
+    Each gives a value it returned back unchanged.
     """
     casters = {}
     for name, tp in typing.get_type_hints(cls).items():
         if typing.get_origin(tp) is tuple:
             elem = _PARSERS[typing.get_args(tp)[0]]
             casters[name] = lambda text, elem=elem: tuple(elem(u.strip())
-                                                          for u in str(text).split(",")
+                                                          for u in field_text(text).split(",")
                                                           if u.strip())
         else:
             casters[name] = _PARSERS[tp]
@@ -251,58 +252,61 @@ def format_pairs(pairs) -> str:
     return "".join(lines)
 
 
-def read_pairs(data: bytes) -> tuple[dict, list]:
+def read_pairs(data: bytes, casters: dict) -> tuple[dict, list]:
     """``{key: (value, line, offset)}`` of the ``key = value`` lines of ``data``
-    (1-based line number, byte offset of the line), and ``(line, offset,
-    problem)`` for each line that is not UTF-8, has no ``=`` or repeats a key.
+    (1-based line number, byte offset of the line), each value parsed by its
+    key's caster in ``casters``, and a ``(line, offset, key, problem)`` for
+    each line that does not give one: ``key`` is None for a line that is not
+    UTF-8, has no ``=``, repeats a key or names a key ``casters`` lacks, and
+    is the key whose value its caster refuses.
 
     Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` only, so a value may hold any
     other separator. ``#`` starts a comment; keys and values are stripped.
     """
-    pairs: dict[str, tuple[str, int, int]] = {}
-    problems: list[tuple[int, int, str]] = []
+    pairs: dict[str, tuple[object, int, int]] = {}
+    first_line: dict[str, int] = {}
+    problems: list[tuple[int, int, str | None, str]] = []
     offset = 0
     for lineno, raw in enumerate(_LINE_ENDS.split(data), start=1):
         at, offset = offset, offset + len(raw)
         try:
             line = raw.decode("utf-8").split("#", 1)[0].strip()
         except UnicodeDecodeError:
-            problems.append((lineno, at, "not valid UTF-8"))
+            problems.append((lineno, at, None, "not valid UTF-8"))
             continue
         if not line:
             continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
+        key, sep, text = line.partition("=")
+        key, text = key.strip(), text.strip()
         if not sep:
-            problems.append((lineno, at, f"expected 'key = value', got {line!r}"))
-        elif key in pairs:
-            problems.append((lineno, at, f"key {key!r} repeats line {pairs[key][1]}"))
+            problems.append((lineno, at, None, f"expected 'key = value', got {line!r}"))
+        elif key in first_line:
+            problems.append((lineno, at, None, f"key {key!r} repeats line {first_line[key]}"))
+        elif key not in casters:
+            first_line[key] = lineno
+            problems.append((lineno, at, None, f"unknown key {key!r}"))
         else:
-            pairs[key] = (value.strip(), lineno, at)
+            first_line[key] = lineno
+            try:
+                pairs[key] = (casters[key](text), lineno, at)
+            except (ValueError, OverflowError):
+                problems.append((lineno, at, key, f"cannot parse {text!r}"))
     return pairs, problems
 
 
 def parse_config_file(path: str) -> tuple[dict, list[str]]:
-    """A config file's raw string values, plus violations that name ``path:line``:
-    a line that does not read, an unknown key, or a value its key's caster
-    refuses (which is then left out)."""
+    """A config file's values, each parsed by its key's caster, plus
+    violations that name ``path:line``: a line that does not read, an unknown
+    key, or a value its key's caster refuses (which is then left out)."""
+    casters = {key: caster for key, (caster, _) in SCHEMA.items()}
     try:
         with open(path, "rb") as fh:
-            pairs, problems = read_pairs(fh.read())
+            pairs, problems = read_pairs(fh.read(), casters)
     except OSError as err:
         return {}, [f"cannot read config file {path}: {err}"]
-    values = {}
-    for key, (value, line, at) in pairs.items():
-        if key not in SCHEMA:
-            problems.append((line, at, f"unknown key {key!r}"))
-            continue
-        try:
-            SCHEMA[key][0](value)
-        except ValueError:
-            problems.append((line, at, f"config key {key}: cannot parse {value!r}"))
-            continue
-        values[key] = value
-    return values, [f"{path}:{line}: {problem}" for line, _, problem in sorted(problems)]
+    return ({key: value for key, (value, _, _) in pairs.items()},
+            [f"{path}:{line}: " + (f"config key {key}: {problem}" if key else problem)
+             for line, _, key, problem in problems])
 
 
 def resolve_config(file_values: dict, overrides: dict) -> tuple[dict, list[str]]:

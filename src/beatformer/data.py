@@ -312,19 +312,14 @@ def stratified_subset(ds: Dataset, n: int, seed: int) -> Dataset:
     return picked
 
 
-def batches(ds: Dataset, batch_size: int, shuffle: bool = False,
-            seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(features, labels)`` pairs that cover all rows exactly once; the final
-    pair may be short.
-
-    With shuffle=True the permutation is drawn from ``seed`` alone, so pass a
-    per-epoch seed to reshuffle between epochs.
+def batches(ds: Dataset, batch_size: int, seed) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(features, labels)`` pairs that cover all rows exactly once, in the
+    order of a permutation drawn from ``seed`` alone (pass a per-epoch seed to
+    reshuffle between epochs); the final pair may be short.
     """
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.arange(ds.n)
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(ds.n)
+    order = np.random.default_rng(seed).permutation(ds.n)
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]
         yield ds.features[idx], ds.labels[idx]

@@ -30,6 +30,7 @@ __all__ = [
     "REFERENCE_PARAM_COUNT",
     "draw_masks",
     "sinusoidal_table",
+    "weight_views",
 ]
 
 
@@ -64,11 +65,28 @@ class Model:
 
     def views(self, flat: np.ndarray) -> dict[Tensor, np.ndarray]:
         """Each tensor mapped to its reshaped slice of ``flat``, a buffer laid
-        out like ``flat_data``: the weights are these views of ``flat_data``,
-        and a training step's ``grads`` for ``backward`` are these views of
-        one gradient buffer."""
-        return dict(zip(self.tensors.values(),
-                        _split(flat, [t.shape for t in self.tensors.values()])))
+        out like ``flat_data`` (see :func:`weight_views`): the weights are
+        these views of ``flat_data``, and a training step's ``grads`` for
+        ``backward`` are these views of one gradient buffer."""
+        return dict(zip(self.tensors.values(), weight_views(self.config, flat).values()))
+
+
+def weight_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each weight's name mapped to its view of ``flat``, a float64 buffer of
+    shape ``(config.n_params(),)`` laid out in the order of
+    :meth:`~beatformer.config.ModelConfig.param_shapes`. Any other buffer
+    raises ``ShapeError``: none is broadcast or cast."""
+    n = config.n_params()
+    if not isinstance(flat, np.ndarray) or flat.dtype != np.float64 or flat.shape != (n,):
+        raise ShapeError(f"the weights of this config are a float64 buffer of shape ({n},), "
+                         f"got {getattr(flat, 'dtype', type(flat).__name__)} of shape "
+                         f"{np.shape(flat)}")
+    views, offset = {}, 0
+    for name, shape in config.param_shapes():
+        size = math.prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def _mask_shapes(cfg: ModelConfig, b: int) -> list[tuple[str, tuple[int, int]]]:
@@ -108,15 +126,15 @@ def sinusoidal_table(t_max: int, d_model: int) -> np.ndarray:
     return table
 
 
-def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None) -> Model:
+def build_model(config: ModelConfig, weights: np.ndarray | None = None) -> Model:
     """The model of ``config``: one tensor per entry of
     :meth:`~beatformer.config.ModelConfig.param_shapes`, each a view of
-    ``flat_data`` in table order. Logs the total parameter count and its
-    delta from the reference variant's count.
+    ``flat_data`` in table order (see :func:`weight_views`). Logs the total
+    parameter count and its delta from the reference variant's count.
 
-    With ``params``, a checkpoint's weights by name in the shapes of that
-    table (as :func:`~beatformer.train.load_checkpoint` gives them), each is
-    copied bit for bit and nothing is drawn: no generator is made. Without,
+    With ``weights``, a flat buffer in that layout (a checkpoint's), the
+    model holds a bit-exact copy of it and nothing is drawn: no generator is
+    made. A buffer of another dtype or shape raises ``ShapeError``. Without,
     the weights are drawn from the config's seed, deterministic per seed, in
     table order: each rank-2 weight but the positional table is uniform in
     +/- sqrt(6 / (fan_in + fan_out)), the packed q/k/v projection drawn as
@@ -126,38 +144,28 @@ def build_model(config: ModelConfig, params: dict[str, np.ndarray] | None = None
     violations = config.validate()
     if violations:
         raise ConfigError(violations)
-    shapes = config.param_shapes()
-    flat_data = np.zeros(config.n_params())
-    model = Model(config=config, tensors={}, flat_data=flat_data)
-    rng = np.random.default_rng(config.seed) if params is None else None
-    for (name, shape), view in zip(shapes, _split(flat_data, [s for _, s in shapes])):
-        model.tensors[name] = Tensor(view, needs_grad=True)
-        if params is not None:
-            view[...] = params[name]
-        elif name.endswith(".gamma"):
-            view[...] = 1.0
-        elif len(shape) == 2 and name != "pos.table":
-            blocks = 3 * config.heads if name.endswith("attn.w_qkv") else 1
-            fan_in, fan_out = shape[0], shape[1] // blocks
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            view.reshape(fan_in, blocks, fan_out)[...] = rng.uniform(
-                -limit, limit, size=(blocks, fan_in, fan_out)).transpose(1, 0, 2)
+    # a copy keeps the dtype and shape that weight_views checks
+    flat_data = np.zeros(config.n_params()) if weights is None else weights.copy()
+    views = weight_views(config, flat_data)
+    model = Model(config=config, flat_data=flat_data,
+                  tensors={name: Tensor(view, needs_grad=True) for name, view in views.items()})
+    if weights is None:
+        rng = np.random.default_rng(config.seed)
+        for name, view in views.items():
+            if name.endswith(".gamma"):
+                view[...] = 1.0
+            elif view.ndim == 2 and name != "pos.table":
+                blocks = 3 * config.heads if name.endswith("attn.w_qkv") else 1
+                fan_in, fan_out = view.shape[0], view.shape[1] // blocks
+                limit = math.sqrt(6.0 / (fan_in + fan_out))
+                view.reshape(fan_in, blocks, fan_out)[...] = rng.uniform(
+                    -limit, limit, size=(blocks, fan_in, fan_out)).transpose(1, 0, 2)
     total = flat_data.size
     logger.info(
         "built model: %d trainable parameters (reference variant reports %d, delta %+d)",
         total, REFERENCE_PARAM_COUNT, total - REFERENCE_PARAM_COUNT,
     )
     return model
-
-
-def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``flat``, one of each shape in ``shapes``."""
-    out, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    return out
 
 
 def _patches(features: np.ndarray, patch_len: int) -> np.ndarray:

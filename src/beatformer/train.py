@@ -28,8 +28,8 @@ from .config import (
     read_pairs,
 )
 from .data import Dataset, NormStats, batches
-from .errors import CheckpointError, ConfigError, NumericalError
-from .model import Model, build_model, draw_masks, forward
+from .errors import CheckpointError, ConfigError, NumericalError, ShapeError
+from .model import Model, build_model, draw_masks, forward, weight_views
 from .tensor import GradTape, Tensor, backward, record_op
 
 __all__ = [
@@ -102,7 +102,8 @@ def sparse_ce_loss(logits: Tensor, labels, class_weights=None) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction over one flat parameter buffer.
+    """Adam with bias correction over one flat parameter buffer, with the
+    ``lr``, ``beta1``, ``beta2`` and ``eps`` of a :class:`TrainConfig`.
 
     ``params`` and ``grads`` are same-shaped float64 arrays, such as a model's
     ``flat_data`` and a gradient buffer laid out like it (see
@@ -112,29 +113,26 @@ class Adam:
     buffer equals one made tensor by tensor, bit for bit.
     """
 
-    def __init__(self, params: np.ndarray, grads: np.ndarray, lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7):
+    def __init__(self, params: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
         self.params = params
         self.grads = grads
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.cfg = cfg
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
 
     def step(self) -> None:
         """One update: t += 1, moment updates, bias correction, parameter step."""
+        lr, beta1, beta2, eps = self.cfg.lr, self.cfg.beta1, self.cfg.beta2, self.cfg.eps
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - beta1**self.t
+        c2 = 1.0 - beta2**self.t
         g = self.grads
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        self.params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        self.m *= beta1
+        self.m += (1.0 - beta1) * g
+        self.v *= beta2
+        self.v += (1.0 - beta2) * g * g
+        self.params -= lr * (self.m / c1) / (np.sqrt(self.v / c2) + eps)
 
 
 @dataclass(frozen=True)
@@ -185,17 +183,15 @@ def predict(model: Model, features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Checkpoint:
-    """Best-so-far model state plus everything needed to reproduce its run."""
+    """Best-so-far model state plus everything needed to reproduce its run:
+    ``weights`` is a flat float64 buffer laid out as
+    :func:`~beatformer.model.weight_views` lays out ``config``'s weights."""
 
     config: ModelConfig
-    params: dict[str, np.ndarray]
+    weights: np.ndarray
     norm: NormStats
     best_val_loss: float
     epoch: int
-
-
-def _snapshot(model: Model) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in model.tensors.items()}
 
 
 def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
@@ -214,8 +210,7 @@ def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
     seed = model.config.seed
     flat_grad = np.zeros_like(model.flat_data)
     grads = model.views(flat_grad)
-    optimizer = Adam(model.flat_data, flat_grad, lr=cfg.lr, beta1=cfg.beta1,
-                     beta2=cfg.beta2, eps=cfg.eps)
+    optimizer = Adam(model.flat_data, flat_grad, cfg)
     dropout_rng = np.random.default_rng([seed, 0xD0])
     best = math.inf
 
@@ -223,7 +218,7 @@ def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
         epoch_loss = 0.0
         epoch_correct = 0
         for batch_idx, (features, labels) in enumerate(
-            batches(train_ds, cfg.batch_size, shuffle=True, seed=[seed, epoch])
+            batches(train_ds, cfg.batch_size, [seed, epoch])
         ):
             flat_grad.fill(0.0)
             with GradTape() as tape:
@@ -251,8 +246,8 @@ def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
         checkpoint = None
         if val_loss < best:
             best = val_loss
-            checkpoint = Checkpoint(config=model.config, params=_snapshot(model), norm=norm,
-                                    best_val_loss=val_loss, epoch=epoch)
+            checkpoint = Checkpoint(config=model.config, weights=model.flat_data.copy(),
+                                    norm=norm, best_val_loss=val_loss, epoch=epoch)
         yield stats, val_logits, checkpoint
 
 
@@ -275,16 +270,26 @@ META_CASTERS = {**{f.name: SCHEMA[f.name][0] for f in fields(ModelConfig)},
                 "normalization": str, "norm_fitted_on": str}
 
 
+def _tensor_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
+    """The tensors a checkpoint stores, by name in file order: the weights as
+    :func:`~beatformer.model.weight_views` gives them, then ``norm.mean`` and
+    ``norm.std`` of ``input_len`` values; any other layout raises ``ShapeError``."""
+    n = ckpt.config.input_len
+    if np.shape(ckpt.norm.mean) != (n,) or np.shape(ckpt.norm.std) != (n,):
+        raise ShapeError(f"normalization stats of this config hold {n} values each, got "
+                         f"{np.shape(ckpt.norm.mean)} and {np.shape(ckpt.norm.std)}")
+    return {**weight_views(ckpt.config, ckpt.weights),
+            "norm.mean": ckpt.norm.mean, "norm.std": ckpt.norm.std}
+
+
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    """The file bytes of ``ckpt``. A meta value that would not read back
-    raises ``ConfigError``."""
+    """The file bytes of ``ckpt``, its tensors as :func:`_tensor_table` gives
+    them. A meta value that would not read back raises ``ConfigError``."""
     values = {**vars(ckpt.config), "best_val_loss": float(ckpt.best_val_loss).hex(),
               "epoch": ckpt.epoch, "normalization": ckpt.norm.mode,
               "norm_fitted_on": ckpt.norm.fitted_on}
     meta = format_pairs((key, values[key]) for key in META_CASTERS).encode("utf-8")
-    tensors = dict(ckpt.params)
-    tensors["norm.mean"] = ckpt.norm.mean
-    tensors["norm.std"] = ckpt.norm.std
+    tensors = _tensor_table(ckpt)
 
     blob = bytearray()
     blob += CKPT_MAGIC
@@ -350,28 +355,19 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError("checksum does not match the file's contents", offset=reader.end)
     meta_len = reader.u64("meta length")
     meta_offset = reader.offset
-    meta, problems = read_pairs(reader.take(meta_len, "meta"))
+    meta, problems = read_pairs(reader.take(meta_len, "meta"), META_CASTERS)
     if problems:
-        _, at, problem = problems[0]
-        raise CheckpointError(f"meta block: {problem}", offset=meta_offset + at)
-    for key, (_, _, at) in meta.items():
-        if key not in META_CASTERS:
-            raise CheckpointError(f"meta block: unknown key {key!r}", offset=meta_offset + at)
+        _, at, key, problem = problems[0]
+        raise CheckpointError(f"meta key {key}: {problem}" if key else f"meta block: {problem}",
+                              offset=meta_offset + at)
     missing = [key for key in META_CASTERS if key not in meta]
     if missing:
         raise CheckpointError(f"meta block missing keys: {', '.join(missing)}")
-    values = {}
-    for key, caster in META_CASTERS.items():
-        text, _, at = meta[key]
-        try:
-            values[key] = caster(text)
-        except (ValueError, OverflowError):
-            raise CheckpointError(f"meta key {key}: cannot parse {text!r}",
-                                  offset=meta_offset + at) from None
+    values = {key: value for key, (value, _, _) in meta.items()}
     if not math.isfinite(values["best_val_loss"]):
-        text, _, at = meta["best_val_loss"]
-        raise CheckpointError(f"meta key best_val_loss: {text!r} is not finite",
-                              offset=meta_offset + at)
+        _, _, at = meta["best_val_loss"]
+        raise CheckpointError(f"meta key best_val_loss: '{values['best_val_loss']}' is not "
+                              f"finite", offset=meta_offset + at)
     config = build_config(ModelConfig, values)
     violations = (config.validate()
                   + RunConfig(normalization=values["normalization"]).validate())
@@ -379,17 +375,20 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"meta block holds an invalid config: {'; '.join(violations)}",
                               offset=meta_offset)
 
-    # the stored table must be the config's weight table, then the stats:
-    # each name, rank and shape is checked before its data is read
-    expected = config.param_shapes() + [("norm.mean", (config.input_len,)),
-                                        ("norm.std", (config.input_len,))]
+    # the stored table must be the one the writer walks: each name, rank and
+    # shape is checked before its data is read into its view of fresh buffers
+    n = config.input_len
+    norm = NormStats(mean=np.empty(n), std=np.empty(n), mode=values["normalization"],
+                     fitted_on=values["norm_fitted_on"])
+    ckpt = Checkpoint(config=config, weights=np.empty(config.n_params()), norm=norm,
+                      best_val_loss=values["best_val_loss"], epoch=values["epoch"])
+    table = _tensor_table(ckpt)
     count_offset = reader.offset
     n_tensors = reader.u32("tensor count")
-    tensors: dict[str, np.ndarray] = {}
-    for position, (name, shape) in enumerate(expected):
+    for position, (name, view) in enumerate(table.items()):
         if position == n_tensors:
             raise CheckpointError(f"tensor count {n_tensors} leaves out {name}: the config "
-                                  f"names {len(expected)} tensors", offset=count_offset)
+                                  f"names {len(table)} tensors", offset=count_offset)
         name_len = reader.u32("tensor name length")
         name_offset = reader.offset
         try:
@@ -400,14 +399,14 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"checkpoint holds tensor {stored!r} where its config "
                                   f"names {name}", offset=name_offset)
         rank = reader.u32(f"rank of {name}")
-        if rank != len(shape):
-            raise CheckpointError(f"tensor {name} has rank {rank}, expected {len(shape)}",
+        if rank != view.ndim:
+            raise CheckpointError(f"tensor {name} has rank {rank}, expected {view.ndim}",
                                   offset=name_offset)
         dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank, f"dims of {name}"))
-        if dims != shape:
-            raise CheckpointError(f"tensor {name} has shape {dims}, expected {shape}",
+        if dims != view.shape:
+            raise CheckpointError(f"tensor {name} has shape {dims}, expected {view.shape}",
                                   offset=name_offset)
-        raw = reader.take(8 * math.prod(dims), f"data of {name}")
+        raw = reader.take(8 * view.size, f"data of {name}")
         flat = np.frombuffer(raw, dtype="<f8")
         # refuse what would reach a forward as nan: a value that is not
         # finite, or a std that is not > 0
@@ -418,25 +417,15 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"tensor {name}: element {i} is {float(flat[i])!r}, must be "
                                   f"finite{' and > 0' if positive else ''}",
                                   offset=reader.offset - len(raw) + 8 * i)
-        tensors[name] = flat.reshape(dims).copy()
-    if n_tensors != len(expected):
-        raise CheckpointError(f"tensor count {n_tensors} exceeds the {len(expected)} tensors "
+        view[...] = flat.reshape(dims)
+    if n_tensors != len(table):
+        raise CheckpointError(f"tensor count {n_tensors} exceeds the {len(table)} tensors "
                               f"the config names", offset=count_offset)
     if reader.offset != reader.end:
         raise CheckpointError("trailing bytes after final tensor", offset=reader.offset)
-
-    return Checkpoint(
-        config=config,
-        params={k: v for k, v in tensors.items() if not k.startswith("norm.")},
-        norm=NormStats(mean=tensors["norm.mean"], std=tensors["norm.std"],
-                       mode=values["normalization"], fitted_on=values["norm_fitted_on"]),
-        best_val_loss=values["best_val_loss"],
-        epoch=values["epoch"],
-    )
+    return ckpt
 
 
 def restore_model(ckpt: Checkpoint) -> Model:
-    """Rebuild the model from the stored config and load weights bit-exactly.
-    ``ckpt.params`` must hold the config's weight table, as every checkpoint
-    :func:`load_checkpoint` gives does."""
-    return build_model(ckpt.config, ckpt.params)
+    """Rebuild the model from the stored config and load weights bit-exactly."""
+    return build_model(ckpt.config, ckpt.weights)

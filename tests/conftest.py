@@ -9,6 +9,7 @@ imbalance as the real training split.
 """
 
 import os
+import struct
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -102,13 +103,30 @@ def resealed(blob: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def params_bytes(config, params: dict) -> bytes:
-    """The bytes of a checkpoint of ``config`` that stores ``params`` as its
-    weights, in the dict's order, with unit normalization stats."""
+def unit_norm(config) -> NormStats:
+    """Normalization stats that leave a row of ``config`` as it is."""
     n = config.input_len
-    norm = NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard", fitted_on="x")
-    return checkpoint_bytes(Checkpoint(config=config, params=params, norm=norm,
-                                       best_val_loss=1.0, epoch=0))
+    return NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard", fitted_on="x")
+
+
+def params_bytes(config, params: dict) -> bytes:
+    """A checkpoint of ``config`` whose tensor table is ``params``, in the
+    dict's order, then unit normalization stats, framed as
+    ``checkpoint_bytes`` frames a table and with its CRC resealed. The table
+    may be any ``{name: array}``, so the file may be one its loader refuses."""
+    norm = unit_norm(config)
+    head = checkpoint_bytes(Checkpoint(config=config, weights=np.zeros(config.n_params()),
+                                       norm=norm, best_val_loss=1.0, epoch=0))
+    head = head[:20 + int.from_bytes(head[12:20], "little")]  # magic, version, meta
+    tensors = {**params, "norm.mean": norm.mean, "norm.std": norm.std}
+    blob = bytearray(head) + struct.pack("<I", len(tensors))
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        encoded = name.encode("utf-8")
+        blob += struct.pack(f"<I{len(encoded)}sI{arr.ndim}Q", len(encoded), encoded, arr.ndim,
+                            *arr.shape)
+        blob += arr.astype("<f8").tobytes()
+    return resealed(bytes(blob) + bytes(4))
 
 
 def name_offset(blob: bytes, name: str) -> int:

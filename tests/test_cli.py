@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from beatformer.cli import build_parser, main
 from beatformer.config import (
@@ -28,10 +28,13 @@ from beatformer.config import (
 )
 from beatformer.data import Dataset
 from beatformer.errors import ConfigError
+from beatformer.model import weight_views
+from beatformer.train import META_CASTERS
 
 from conftest import (
     PROPERTY_SETTINGS,
     name_offset,
+    params_bytes,
     resealed,
     synthetic_beats,
     write_beats_csv,
@@ -110,7 +113,7 @@ class TestConfigHandling:
         cfg.write_text("epochs = 3\n# a comment\nlr = 1e-3\nepochs = 5\n")
         values, violations = parse_config_file(str(cfg))
         assert violations == [f"{cfg}:4: key 'epochs' repeats line 1"]
-        assert values["epochs"] == "3"
+        assert values["epochs"] == 3
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert "key 'epochs' repeats line 1" in capsys.readouterr().err
@@ -270,17 +273,18 @@ class TestSchema:
 class TestCodec:
     def test_lines_end_at_crlf_cr_or_lf_only(self):
         data = "a = 1\r\nb = x\x0by\x1cz\u2028w\rc = 3 # note\n\n  d=4".encode("utf-8")
-        pairs, problems = read_pairs(data)
+        pairs, problems = read_pairs(data, dict.fromkeys("abcd", str))
         assert problems == []
         assert pairs == {"a": ("1", 1, 0), "b": ("x\x0by\x1cz\u2028w", 2, 7),
                          "c": ("3", 3, 21), "d": ("4", 5, 35)}
 
     def test_problems_name_their_line_and_byte_offset(self):
-        pairs, problems = read_pairs(b"a = 1\nno equals # x\na = 2\nb = \xff\n")
+        pairs, problems = read_pairs(b"a = 1\nno equals # x\na = 2\nb = \xff\n",
+                                     dict.fromkeys("ab", str))
         assert pairs == {"a": ("1", 1, 0)}
-        assert problems == [(2, 6, "expected 'key = value', got 'no equals'"),
-                            (3, 20, "key 'a' repeats line 1"),
-                            (4, 26, "not valid UTF-8")]
+        assert problems == [(2, 6, None, "expected 'key = value', got 'no equals'"),
+                            (3, 20, None, "key 'a' repeats line 1"),
+                            (4, 26, None, "not valid UTF-8")]
 
     def test_writer_refuses_every_value_that_would_not_read_back(self):
         assert format_pairs([("a", (1, 2)), ("b", ""), ("c", 0.5)]) == "a = 1,2\nb = \nc = 0.5\n"
@@ -626,7 +630,7 @@ class TestShapeFromModelConfig:
 def test_checkpoint_tensor_its_config_does_not_name_exits_2(corpus, tmp_path, capsys):
     # every stored table other than the meta's config's is refused at the
     # stored name that departs from it
-    from beatformer.train import checkpoint_bytes, load_checkpoint
+    from beatformer.train import load_checkpoint
 
     cfg = tmp_path / "two_blocks.cfg"
     cfg.write_text(TINY_MODEL_LINES.replace("encoder_layers = 1", "encoder_layers = 2")
@@ -638,11 +642,14 @@ def test_checkpoint_tensor_its_config_does_not_name_exits_2(corpus, tmp_path, ca
     ckpt = load_checkpoint(str(out / "checkpoint.bin"))
     assert ckpt.config.positional == "learned" and ckpt.config.encoder_layers == 2
 
+    # the writer walks the config's own table, so a file whose table is not
+    # its config's is framed by hand
     def with_params(edit):
-        return checkpoint_bytes(replace(ckpt, params=edit(ckpt.params)))
+        return params_bytes(ckpt.config, edit(weight_views(ckpt.config, ckpt.weights)))
 
     def with_config(**changes):
-        return checkpoint_bytes(replace(ckpt, config=replace(ckpt.config, **changes)))
+        return params_bytes(replace(ckpt.config, **changes),
+                            weight_views(ckpt.config, ckpt.weights))
 
     assert blob.count(b"encoder_layers = 2\n") == 1
     fewer_blocks = resealed(blob.replace(b"encoder_layers = 2\n", b"encoder_layers = 1\n"))
@@ -1439,7 +1446,7 @@ def test_written_value_reads_back_or_is_refused(value):
         text = format_pairs([("key", value)])
     except ConfigError:
         return
-    pairs, problems = read_pairs(text.encode("utf-8"))
+    pairs, problems = read_pairs(text.encode("utf-8"), {"key": str})
     assert problems == [] and pairs["key"][0] == value
 
 
@@ -1456,8 +1463,8 @@ def tiny_checkpoint(tmp_path_factory):
     write_beats_csv(tmp / "rows.csv", rows)
     model = build_model(tiny_config(encoder_layers=1, seed=58))
     (tmp / "tiny.bin").write_bytes(checkpoint_bytes(Checkpoint(
-        config=model.config, params={name: t.data for name, t in model.tensors.items()},
-        norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0)))
+        config=model.config, weights=model.flat_data, norm=fit_normalizer(rows),
+        best_val_loss=1.0, epoch=0)))
     assert main(["predict", str(tmp / "tiny.bin"), str(tmp / "rows.csv")]) == 0
     return (tmp / "tiny.bin").read_bytes(), str(tmp / "rows.csv"), tmp
 
@@ -1535,6 +1542,102 @@ def test_generated_csv_exits_0_or_2(tiny_checkpoint, text):
                       "--out", str(tmp / "eval_out")],
                      ["predict", str(tmp / "tiny.bin"), str(csv)]):
             assert run_main_quietly(argv)[0] in (0, 2)
+
+
+# a value of each kind a settings line may hold: small, huge, negative and
+# malformed numbers, odd strings, and comma lists of numbers
+setting_value = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "0.5", "0.999", "1e-300", "-0.0"]),
+    st.sampled_from(["1000000000000", "9" * 30, "1e300", "1e999", "0x1p99"]),
+    st.sampled_from(["-1", "-3", "-0.5", "-1e300", "-inf"]),
+    st.sampled_from(["1_0", "\u0666\u0664", "1e", ".", "0x10", "1.5.2", "nan", "inf", "",
+                     "3,", "2,,1", "1 2"]),
+    st.sampled_from(["learned", "sinusoidal", "standard", "per_sample", "x", "#", "a=b",
+                     "\u2028", "\udcff", "\x00"]),
+    st.lists(st.sampled_from(["1", "2", "0", "-1", "1000000000000", "x"]), min_size=1,
+             max_size=3).map(",".join),
+)
+
+
+class Overdue(BaseException):
+    """A command ran past its deadline. It is no ``Exception``, so no handler
+    in the program can take it for an input error."""
+
+
+def run_by_deadline(argv, seconds: float = 10.0) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr; it must return within
+    ``seconds`` and print no traceback."""
+    import signal
+
+    def expire(*_):
+        raise Overdue(f"{argv[0]} did not exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, err = run_main_quietly(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a huge lr overflows the weights
+@settings(PROPERTY_SETTINGS, max_examples=120)
+@given(values=st.dictionaries(st.sampled_from(sorted(SCHEMA)), setting_value, max_size=3))
+def test_generated_config_file_exits_0_2_or_3(tiny_checkpoint, values):
+    import shutil
+
+    _, _, tmp = tiny_checkpoint
+    csv = tmp / "settings_train.csv"
+    if not csv.exists():
+        write_beats_csv(csv, synthetic_beats(30, seed=60, proportions=[0.2] * 5))
+    cfg = tmp / "settings.cfg"
+    cfg.write_bytes(b"".join(f"{key} = {value}\n".encode("utf-8", "surrogatepass")
+                             for key, value in values.items()))
+    out = tmp / "settings_out"
+    shutil.rmtree(out, ignore_errors=True)
+    code, err = run_by_deadline(["train", "--config", str(cfg), "--epochs", "1",
+                                 "--data-train", str(csv), "--out", str(out)])
+    event(f"exit {code}")
+    # a valid but huge lr overflows the weights: the documented numerical abort
+    assert code in (0, 2, 3), err
+    assert code != 2 or not out.exists()
+    assert code != 3 or err.startswith("numerical abort: ")
+
+
+def with_meta_lines(blob: bytes, edits: dict) -> bytes:
+    """A checkpoint whose meta line of each key in ``edits`` holds that value,
+    or is left out where the value is None, with its CRC resealed."""
+    meta_len = int.from_bytes(blob[12:20], "little")  # after the magic and the version
+    meta = b""
+    for line in blob[20:20 + meta_len].splitlines(keepends=True):
+        key = line.split(b" = ")[0].decode("utf-8")
+        if key not in edits:
+            meta += line
+        elif edits[key] is not None:
+            meta += f"{key} = {edits[key]}\n".encode("utf-8", "surrogatepass")
+    return resealed(blob[:12] + len(meta).to_bytes(8, "little") + meta
+                    + blob[20 + meta_len:])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(edits=st.dictionaries(st.sampled_from(list(META_CASTERS)),
+                             st.one_of(st.none(), setting_value), max_size=2))
+def test_generated_checkpoint_meta_exits_0_or_2(tiny_checkpoint, edits):
+    import shutil
+
+    blob, rows, tmp = tiny_checkpoint
+    path = tmp / "edited_meta.bin"
+    path.write_bytes(with_meta_lines(blob, edits))
+    out = tmp / "edited_meta_eval"
+    shutil.rmtree(out, ignore_errors=True)
+    code, err = run_by_deadline(["eval", str(path), "--data-test", rows, "--out", str(out)])
+    event(f"exit {code}")
+    assert code in (0, 2), err
+    assert out.exists() == (code == 0)
 
 
 # padding that Python's float and numpy's C reader strip differently, and
@@ -1661,8 +1764,8 @@ def test_eval_and_predict_hold_one_copy_of_the_weights(tmp_path, monkeypatch, co
     model = build_model(ModelConfig(seed=61))
     weights = model.flat_data.nbytes
     Path(ckpt).write_bytes(checkpoint_bytes(Checkpoint(
-        config=model.config, params={name: t.data for name, t in model.tensors.items()},
-        norm=fit_normalizer(rows), best_val_loss=1.0, epoch=0)))
+        config=model.config, weights=model.flat_data, norm=fit_normalizer(rows),
+        best_val_loss=1.0, epoch=0)))
     del model
     held = []
     original = train_mod.forward

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,9 +36,17 @@ from beatformer.model import (
     parameter_breakdown,
     sinusoidal_table,
     tiny_config,
+    weight_views,
 )
 
-from conftest import PROPERTY_SETTINGS, grad_arrays, mask_rows, name_offset, params_bytes
+from conftest import (
+    PROPERTY_SETTINGS,
+    grad_arrays,
+    mask_rows,
+    name_offset,
+    params_bytes,
+    unit_norm,
+)
 from reference import reference_forward
 
 
@@ -83,9 +92,10 @@ class TestModelConfig:
         # every field's text form reads back through the codec and SCHEMA's casters
         cfg = ModelConfig(d_model=12, mlp_units=(7, 3), seed=42, positional="sinusoidal")
         text = format_pairs((f.name, getattr(cfg, f.name)) for f in fields(cfg))
-        pairs, problems = read_pairs(text.encode("utf-8"))
+        pairs, problems = read_pairs(text.encode("utf-8"),
+                                     {f.name: SCHEMA[f.name][0] for f in fields(cfg)})
         assert problems == []
-        assert build_config(ModelConfig, {key: SCHEMA[key][0](value)
+        assert build_config(ModelConfig, {key: value
                                           for key, (value, _, _) in pairs.items()}) == cfg
 
 
@@ -117,9 +127,13 @@ class TestBuildModel:
         assert model.flat_data.size == learned.flat_data.size - cfg.n_tokens * cfg.d_model
         assert "positional table" not in dict(parameter_breakdown(cfg))
         # the forward adds the fixed table, as a learned model that holds it does
-        params = {name: t.data for name, t in model.tensors.items()}
-        params["pos.table"] = sinusoidal_table(cfg.n_tokens, cfg.d_model)
-        twin = build_model(replace(cfg, positional="learned"), params)
+        twin_cfg = replace(cfg, positional="learned")
+        weights = np.zeros(twin_cfg.n_params())
+        views = weight_views(twin_cfg, weights)
+        for name, t in model.tensors.items():
+            views[name][...] = t.data
+        views["pos.table"][...] = sinusoidal_table(cfg.n_tokens, cfg.d_model)
+        twin = build_model(twin_cfg, weights)
         batch = np.random.default_rng(2).normal(size=(3, cfg.input_len))
         assert forward(model, batch).data.tobytes() == forward(twin, batch).data.tobytes()
 
@@ -195,31 +209,24 @@ class TestFlatBuffers:
             model.flat_data, np.concatenate([t.data.ravel() for t in model.tensors.values()]))
 
     def test_restore_model_writes_into_the_buffers(self):
-        from beatformer.data import NormStats
-        from beatformer.train import Checkpoint, restore_model
-
         source = build_model(tiny_config(seed=3))
         source.flat_data += np.random.default_rng(3).normal(size=source.flat_data.size)
-        n = source.config.input_len
-        ckpt = Checkpoint(config=source.config,
-                          params={name: t.data.copy() for name, t in source.tensors.items()},
-                          norm=NormStats(mean=np.zeros(n), std=np.ones(n), mode="standard",
-                                         fitted_on="x"),
-                          best_val_loss=1.0, epoch=0)
+        ckpt = Checkpoint(config=source.config, weights=source.flat_data.copy(),
+                          norm=unit_norm(source.config), best_val_loss=1.0, epoch=0)
         model = restore_model(ckpt)
         self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
         np.testing.assert_array_equal(model.flat_data, source.flat_data)
 
     def test_weights_from_params_make_no_generator(self, monkeypatch):
         source = build_model(tiny_config(seed=5))
-        params = {name: t.data.copy() for name, t in source.tensors.items()}
 
         def no_generator(*args):
             raise AssertionError("a restore drew weights")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        model = build_model(source.config, params)
+        model = build_model(source.config, source.flat_data)
         assert model.flat_data.tobytes() == source.flat_data.tobytes()
+        assert not np.shares_memory(model.flat_data, source.flat_data)
         self.assert_views_in_checkpoint_order(model, np.zeros_like(model.flat_data))
 
     @pytest.mark.parametrize("edit, stored, message", [
@@ -263,6 +270,35 @@ class TestFlatBuffers:
         with pytest.raises(CheckpointError, match=message) as err:
             load_checkpoint(str(path))
         assert err.value.offset == name_offset(path.read_bytes(), stored)
+
+    @pytest.mark.parametrize("shape", ["1", "n-1", "n+1", "n,1"])
+    @pytest.mark.parametrize("call", ["weight_views", "build_model", "checkpoint_bytes"])
+    def test_weight_buffer_of_another_shape_is_refused(self, call, shape):
+        # nothing is broadcast: a one-element buffer must not fill a whole bias
+        cfg = tiny_config(seed=5)
+        n = cfg.n_params()
+        weights = np.full({"1": (1,), "n-1": (n - 1,), "n+1": (n + 1,), "n,1": (n, 1)}[shape],
+                          7.0)
+        refusal = rf"float64 buffer of shape \({n},\), got float64 of shape " + re.escape(
+            str(weights.shape))
+        with pytest.raises(ShapeError, match=refusal):
+            if call == "weight_views":
+                weight_views(cfg, weights)
+            elif call == "build_model":
+                build_model(cfg, weights)
+            else:
+                checkpoint_bytes(Checkpoint(config=cfg, weights=weights, norm=unit_norm(cfg),
+                                            best_val_loss=1.0, epoch=0))
+
+    def test_weight_buffer_of_another_dtype_is_refused(self):
+        cfg = tiny_config(seed=5)
+        weights = build_model(cfg).flat_data
+        for other in (weights.astype(np.float32), weights.astype(">f8")):
+            with pytest.raises(ShapeError, match=f"got {re.escape(str(other.dtype))} of shape"):
+                restore_model(Checkpoint(config=cfg, weights=other, norm=unit_norm(cfg),
+                                         best_val_loss=1.0, epoch=0))
+        with pytest.raises(ShapeError, match="got list of shape"):
+            weight_views(cfg, weights.tolist())
 
     def test_backward_accumulates_into_the_gradient_buffer(self):
         model = build_model(tiny_config(seed=4))
@@ -461,9 +497,8 @@ def test_forward_across_the_config_space(tmp_path_factory, cfg, data):
     path = tmp_path_factory.getbasetemp() / "property.bin"
     norm = NormStats(mean=np.zeros(cfg.input_len), std=np.ones(cfg.input_len),
                      mode="standard", fitted_on="property")
-    path.write_bytes(checkpoint_bytes(Checkpoint(
-        config=cfg, params={name: t.data for name, t in model.tensors.items()}, norm=norm,
-        best_val_loss=1.0, epoch=0)))
+    path.write_bytes(checkpoint_bytes(Checkpoint(config=cfg, weights=model.flat_data, norm=norm,
+                                                 best_val_loss=1.0, epoch=0)))
     restored = restore_model(load_checkpoint(str(path)))
     assert forward(restored, batch).data.tobytes() == logits.tobytes()
 

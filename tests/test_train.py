@@ -12,8 +12,8 @@ import pytest
 
 from beatformer.config import ModelConfig, TrainConfig
 from beatformer.data import Dataset, fit_normalizer, stratified_split
-from beatformer.errors import CheckpointError, ConfigError, NumericalError
-from beatformer.model import build_model, draw_masks, forward, tiny_config
+from beatformer.errors import CheckpointError, ConfigError, NumericalError, ShapeError
+from beatformer.model import build_model, draw_masks, forward, tiny_config, weight_views
 from beatformer.output import write_files
 from beatformer.tensor import GradTape, Tensor, backward
 from beatformer.train import (
@@ -33,9 +33,11 @@ from conftest import (
     grad_arrays,
     mask_rows,
     name_offset,
+    params_bytes,
     resealed,
     synthetic_beats,
     train_to_end,
+    unit_norm,
 )
 from reference import per_tensor_adam_step, sum_then_add_backward
 
@@ -130,14 +132,14 @@ class TestSparseCeLoss:
 class TestAdam:
     def test_first_step_closed_form(self):
         p = np.zeros(4)
-        opt = Adam(p, np.ones(4), lr=1e-4, eps=1e-7)
+        opt = Adam(p, np.ones(4), TrainConfig(lr=1e-4, eps=1e-7))
         opt.step()
         expected = -1e-4 / (1.0 + 1e-7)  # m_hat = v_hat = 1 on the first step
         np.testing.assert_allclose(p, expected, rtol=1e-12)
 
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0])
-        opt = Adam(p, np.zeros(2))
+        opt = Adam(p, np.zeros(2), TrainConfig())
         opt.step()
         np.testing.assert_array_equal(p, [1.0, -2.0])
 
@@ -147,7 +149,7 @@ class TestAdam:
         trajectories = []
         for _ in range(2):
             p, g = np.ones((3, 2)), np.zeros((3, 2))
-            opt = Adam(p, g, lr=1e-2)
+            opt = Adam(p, g, TrainConfig(lr=1e-2))
             for step_grad in grads:
                 g[...] = step_grad
                 opt.step()
@@ -155,7 +157,7 @@ class TestAdam:
         np.testing.assert_array_equal(trajectories[0], trajectories[1])
 
     def test_step_counter_increments(self):
-        opt = Adam(np.ones(2), np.zeros(2))
+        opt = Adam(np.ones(2), np.zeros(2), TrainConfig())
         for expected_t in (1, 2, 3):
             opt.step()
             assert opt.t == expected_t
@@ -163,7 +165,7 @@ class TestAdam:
     def test_finite_updates_from_finite_grads(self):
         rng = np.random.default_rng(4)
         p, g = rng.normal(size=8), np.zeros(8)
-        opt = Adam(p, g, lr=0.1)
+        opt = Adam(p, g, TrainConfig(lr=0.1))
         for _ in range(50):
             g[...] = rng.normal(scale=1e3, size=8)
             opt.step()
@@ -179,7 +181,8 @@ class TestAdam:
         v = [np.zeros_like(p) for p in params]
         flat_grad = np.zeros_like(model.flat_data)
         views = model.views(flat_grad)
-        opt = Adam(model.flat_data, flat_grad, lr=1e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        opt = Adam(model.flat_data, flat_grad,
+                   TrainConfig(lr=1e-3, beta1=0.8, beta2=0.99, eps=1e-7))
         for step in range(1, 6):
             # gradients over six orders of magnitude, some exactly zero
             flat_grad[...] = rng.normal(size=flat_grad.size) * 10.0 ** rng.integers(
@@ -267,8 +270,7 @@ class TestGradientBuffer:
 
     def test_restored_model_holds_weights_only(self):
         source = build_model(ModelConfig(seed=6))
-        ckpt = Checkpoint(config=source.config,
-                          params={name: t.data.copy() for name, t in source.tensors.items()},
+        ckpt = Checkpoint(config=source.config, weights=source.flat_data.copy(),
                           norm=fit_normalizer(synthetic_beats(8, seed=6)),
                           best_val_loss=1.0, epoch=0)
         tracemalloc.start()
@@ -504,6 +506,17 @@ class TestCheckpointIO:
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["model.bin"]
 
+    @pytest.mark.parametrize("stat, shapes", [("mean", r"\(186,\) and \(187,\)"),
+                                              ("std", r"\(187,\) and \(186,\)")])
+    def test_norm_stats_of_another_length_are_never_written(self, stat, shapes):
+        # the writer walks the table its loader checks, the stats included
+        cfg = tiny_config(seed=13)
+        norm = unit_norm(cfg)
+        short = replace(norm, **{stat: getattr(norm, stat)[:-1]})
+        with pytest.raises(ShapeError, match=f"hold 187 values each, got {shapes}"):
+            checkpoint_bytes(Checkpoint(config=cfg, weights=build_model(cfg).flat_data,
+                                        norm=short, best_val_loss=1.0, epoch=0))
+
     def test_violation_across_fields_names_the_meta_block(self, tmp_path):
         # such a violation belongs to no one line, so it names the block
         ckpt, _ = self.make_checkpoint()
@@ -557,7 +570,8 @@ class TestCheckpointIO:
         # a norm.* tensor that the format does not name is refused, not dropped
         ckpt, _ = self.make_checkpoint()
         path = tmp_path / "model.bin"
-        save(replace(ckpt, params={**ckpt.params, "norm.var": np.ones(187)}), path)
+        weights = weight_views(ckpt.config, ckpt.weights)
+        path.write_bytes(params_bytes(ckpt.config, {**weights, "norm.var": np.ones(187)}))
         blob = path.read_bytes()
         with pytest.raises(CheckpointError, match="checkpoint holds tensor 'norm.var' where its "
                                                   "config names norm.mean") as err:
