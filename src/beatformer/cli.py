@@ -95,7 +95,7 @@ def _training_splits(run, model_cfg):
     del working
     stats = data_mod.fit_normalizer(train_part, run.normalization)
     for ds in (train_part, val_part):
-        data_mod.normalize(ds.features, stats, out=ds.features)
+        data_mod.normalize(ds.features, stats)
     return train_part, val_part, stats
 
 
@@ -147,7 +147,7 @@ def cmd_eval(args) -> int:
     cfg = model.config
     test_ds = data_mod.load_csv(args.data_test, cfg.input_len, cfg.n_classes)
 
-    data_mod.normalize(test_ds.features, norm, out=test_ds.features)
+    data_mod.normalize(test_ds.features, norm)
     logits = infer(model, test_ds.features)
     loss, acc = score_logits(logits, test_ds.labels)
     preds = np.argmax(logits, axis=1)
@@ -166,7 +166,7 @@ def cmd_predict(args) -> int:
     features, _ = data_mod.load_features(args.data, model.config.input_len,
                                          model.config.n_classes)
 
-    probs = predict(model, data_mod.normalize(features, norm, out=features))
+    probs = predict(model, data_mod.normalize(features, norm))
     preds = np.argmax(probs, axis=1)
 
     lines = ["index,predicted_class," + ",".join(f"p{c}" for c in range(probs.shape[1]))]

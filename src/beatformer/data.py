@@ -236,21 +236,19 @@ def fit_normalizer(train: Dataset, mode: str = "standard") -> NormStats:
     return NormStats(mean=mean, std=std, mode=mode, fitted_on=train.source or "unnamed")
 
 
-def normalize(features: np.ndarray, stats: NormStats,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Apply ``stats``: each row standardized on its own in ``per_sample`` mode
-    (a constant row's std floored), else each column with the stored mean and std.
-
-    The result goes to ``out`` when given, as in numpy's ufuncs; ``out`` may
-    be ``features`` itself, which normalizes in place with the same bits.
-    """
+def normalize(features: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Apply ``stats`` to ``features`` in place and return it: each row
+    standardized on its own in ``per_sample`` mode (a constant row's std
+    floored), else each column with the stored mean and std."""
     if stats.mode == "per_sample":
         mean = features.mean(axis=1, keepdims=True)
         std = features.std(axis=1, keepdims=True)
-        centred = np.subtract(features, mean, out=out)
-        return np.divide(centred, np.where(std > 0.0, std, STD_FLOOR), out=centred)
-    centred = np.subtract(features, stats.mean, out=out)
-    return np.divide(centred, stats.std, out=centred)
+        features -= mean
+        features /= np.where(std > 0.0, std, STD_FLOOR)
+        return features
+    features -= stats.mean
+    features /= stats.std
+    return features
 
 
 def class_counts(ds: Dataset) -> np.ndarray:

@@ -148,7 +148,7 @@ def build_model(config: ModelConfig, weights: np.ndarray | None = None) -> Model
     flat_data = np.zeros(config.n_params()) if weights is None else weights.copy()
     views = weight_views(config, flat_data)
     model = Model(config=config, flat_data=flat_data,
-                  tensors={name: Tensor(view, needs_grad=True) for name, view in views.items()})
+                  tensors={name: Tensor(view) for name, view in views.items()})
     if weights is None:
         rng = np.random.default_rng(config.seed)
         for name, view in views.items():
@@ -231,7 +231,7 @@ def forward(model: Model, features, masks: dict[str, np.ndarray] | None = None) 
         if odd:
             raise ShapeError(f"dropout masks do not fit the model: {odd[0]}")
 
-    # a sinusoidal model's table is a constant, which backward skips
+    # a sinusoidal model's table is a constant: no weight, so no gradient lands
     pos = (p["pos.table"] if "pos.table" in p
            else Tensor(sinusoidal_table(cfg.n_tokens, cfg.d_model)))
     x = embed_tokens(Tensor(_patches(feats, cfg.patch_len)), p["embed.w"], p["embed.b"], pos)

@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "Tensor",
@@ -51,27 +51,25 @@ __all__ = [
 # serial numbers for Tensor.key; unlike id(), never handed out twice
 _KEYS = itertools.count()
 
-LN_EPS = 1e-6  # add_layer_norm's default variance floor
+LN_EPS = 1e-6  # add_layer_norm's variance floor
 
 
 class Tensor:
     """Dense float64 array, hashed by identity.
 
-    ``needs_grad`` marks trainable parameters; op outputs inherit it from
-    their inputs so backward can skip constants (input patches, a fixed
-    positional table) entirely. ``key`` is a serial number no other tensor
-    of the process gets, even after this one is freed; tape records name
-    tensors by it.
+    Every tensor is differentiable: what gets a gradient is what
+    :func:`backward`'s ``grads`` maps. ``key`` is a serial number no other
+    tensor of the process gets, even after this one is freed; tape records
+    name tensors by it.
     """
 
-    __slots__ = ("data", "needs_grad", "key")
+    __slots__ = ("data", "key")
 
-    def __init__(self, data, needs_grad: bool = False):
+    def __init__(self, data):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim > 3:
             raise ShapeError(f"rank {arr.ndim} tensor not supported (max rank 3)")
         self.data = arr
-        self.needs_grad = needs_grad
         self.key = next(_KEYS)
 
     @property
@@ -88,16 +86,16 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, needs_grad={self.needs_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 @dataclass
 class _OpRecord:
-    # the output's key, and each input's key or None where it needs no
-    # gradient: no tensor is kept, so the tape pins no array a rule does not read
+    # the output's key and each input's key: no tensor is kept, so the tape
+    # pins no array a rule does not read
     out: int
     inputs: tuple
-    # maps d(loss)/d(out) to a tuple of d(loss)/d(input), None where skipped
+    # maps d(loss)/d(out) to a tuple of d(loss)/d(input), None where it gives none
     backward_fn: Callable[[np.ndarray], tuple]
 
 
@@ -147,9 +145,8 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> None:
     module (e.g. the cross-entropy loss).
     """
     tape = _active_tape()
-    if tape is not None and out.needs_grad:
-        tape._records.append(_OpRecord(
-            out.key, tuple(t.key if t.needs_grad else None for t in inputs), backward_fn))
+    if tape is not None:
+        tape._records.append(_OpRecord(out.key, tuple(t.key for t in inputs), backward_fn))
 
 
 def backward(tape: GradTape, loss: Tensor, grads: Mapping[Tensor, np.ndarray]) -> None:
@@ -176,7 +173,7 @@ def backward(tape: GradTape, loss: Tensor, grads: Mapping[Tensor, np.ndarray]) -
         if out_adj is None:
             continue  # not on any path to the loss
         for key, g in zip(rec.inputs, rec.backward_fn(out_adj)):
-            if g is None or key is None:
+            if g is None:
                 continue
             dest = dests.get(key)
             if dest is not None:
@@ -192,7 +189,7 @@ def backward(tape: GradTape, loss: Tensor, grads: Mapping[Tensor, np.ndarray]) -
 
 
 def _out(data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    out = Tensor(data, needs_grad=any(t.needs_grad for t in inputs))
+    out = Tensor(data)
     record_op(out, inputs, backward_fn)
     return out
 
@@ -218,10 +215,7 @@ def _affine(x: Tensor, w: Tensor, b: Tensor, op: str):
     y += b.data
 
     def grads(g):
-        gx = g @ w.data.T if x.needs_grad else None
-        gw = x.data.T @ g if w.needs_grad else None
-        gb = g.sum(axis=0) if b.needs_grad else None
-        return gx, gw, gb
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return y, grads
 
@@ -250,8 +244,7 @@ def embed_tokens(patches: Tensor, w: Tensor, b: Tensor, pos: Tensor) -> Tensor:
     tokens += pos.data
 
     def bwd(g):
-        gpos = g.reshape(-1, t, d).sum(axis=0) if pos.needs_grad else None
-        return (*grads(g), gpos)
+        return (*grads(g), g.reshape(-1, t, d).sum(axis=0))
 
     return _out(y, (patches, w, b, pos), bwd)
 
@@ -362,9 +355,9 @@ def relu(a: Tensor, keep: Optional[np.ndarray] = None, p: float = 0.0) -> Tensor
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
-                   eps: float = LN_EPS, keep: Optional[np.ndarray] = None,
-                   p: float = 0.0) -> Tensor:
-    """Residual sum then LayerNorm over the last axis, gamma * x_hat + beta of x + y.
+                   keep: Optional[np.ndarray] = None, p: float = 0.0) -> Tensor:
+    """Residual sum then LayerNorm over the last axis, gamma * x_hat + beta of
+    x + y, with the variance floor :data:`LN_EPS`.
 
     With a boolean dropout mask ``keep`` of rate ``p`` the sum is
     x + (keep / (1 - p)) * y: the post-norm residual step LN(x + Dropout(y)).
@@ -372,8 +365,6 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
     x_hat; the backward works in place on g * gamma and, without a mask,
     hands the same dX array to both inputs. It keeps x_hat, not x or y.
     """
-    if eps <= 0:
-        raise ConfigError(f"add_layer_norm eps must be > 0, got {eps}")
     if x.shape != y.shape:
         raise ShapeError(f"add_layer_norm residual shapes disagree: {x.shape} + {y.shape}")
     if keep is not None and keep.shape != y.shape:
@@ -387,20 +378,16 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
     xhat = x.data + (y.data if keep is None else y.data * (keep / (1.0 - p)))
     xhat -= xhat.sum(axis=-1, keepdims=True) / d
     out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data
-    # flags, not x and y: the rule reads neither input's values
-    inputs_need_grad = x.needs_grad or y.needs_grad
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
         tmp = g * xhat
-        ggamma = tmp.sum(axis=lead) if gamma.needs_grad else None
-        gbeta = g.sum(axis=lead) if beta.needs_grad else None
-        if not inputs_need_grad:
-            return None, None, ggamma, gbeta
+        ggamma = tmp.sum(axis=lead)
+        gbeta = g.sum(axis=lead)
         # dX = inv / d * (d * dX_hat - sum(dX_hat) - x_hat * sum(dX_hat * x_hat))
         gx = g * gamma.data
         sum_gx = gx.sum(axis=-1, keepdims=True)
@@ -431,15 +418,14 @@ def mean_tokens(x: Tensor, b: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 _REL_GUARD = 1e-6  # denominator floor so near-zero gradients compare sanely
-GRADCHECK_TOL = 1e-4  # grad_check's default bound on the worst relative error
+GRADCHECK_EPS = 1e-5  # grad_check's finite-difference step
+GRADCHECK_TOL = 1e-4  # grad_check's bound on the worst relative error
 
 
 @dataclass
 class GradCheckReport:
     passed: bool
     max_rel_error: float
-    tol: float
-    eps: float
     n_elements: int
     worst_param: str
     worst_index: int
@@ -450,7 +436,7 @@ class GradCheckReport:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"{status}: max relative error {self.max_rel_error:.3e} over "
-            f"{self.n_elements} elements (tol {self.tol:.1e}); worst "
+            f"{self.n_elements} elements (tol {GRADCHECK_TOL:.1e}); worst "
             f"{self.worst_param}[{self.worst_index}] analytic={self.analytic:.9e} "
             f"numeric={self.numeric:.9e}"
         )
@@ -459,19 +445,17 @@ class GradCheckReport:
 def grad_check(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
-    eps: float = 1e-5,
-    tol: float = GRADCHECK_TOL,
     names: Optional[Sequence[str]] = None,
 ) -> GradCheckReport:
     """Compare analytic gradients of ``f`` against central finite differences.
 
     ``f`` must be a zero-argument deterministic function (any dropout masks
     drawn once, outside it) returning a scalar Tensor computed from
-    ``params``. Every parameter element is perturbed by +/- eps. The analytic
-    gradients go into arrays of this check's own.
+    ``params``. Every parameter element is perturbed by +/- :data:`GRADCHECK_EPS`,
+    and the check passes when the worst relative error is at most
+    :data:`GRADCHECK_TOL`. The analytic gradients go into arrays of this
+    check's own.
     """
-    if not 1e-6 <= eps <= 1e-4:
-        raise ValueError(f"grad_check eps must lie in [1e-6, 1e-4], got {eps}")
     if names is None:
         names = [f"param{i}" for i in range(len(params))]
 
@@ -495,12 +479,12 @@ def grad_check(
         a_flat = a.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + GRADCHECK_EPS
             f_plus = f().item()
-            flat[i] = orig - eps
+            flat[i] = orig - GRADCHECK_EPS
             f_minus = f().item()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * GRADCHECK_EPS)
             rel = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), _REL_GUARD)
             if rel > max_rel:
                 max_rel = rel
@@ -508,10 +492,8 @@ def grad_check(
             n_elements += 1
 
     return GradCheckReport(
-        passed=max_rel <= tol,
+        passed=max_rel <= GRADCHECK_TOL,
         max_rel_error=max_rel,
-        tol=tol,
-        eps=eps,
         n_elements=n_elements,
         worst_param=worst[0],
         worst_index=worst[1],

@@ -89,8 +89,7 @@ def sparse_ce_loss(logits: Tensor, labels, class_weights=None) -> Tensor:
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     per_sample = lse - z[np.arange(b), labels]
-    out = Tensor(np.asarray((sample_w * per_sample).sum() / total_w),
-                 needs_grad=logits.needs_grad)
+    out = Tensor(np.asarray((sample_w * per_sample).sum() / total_w))
 
     def bwd(g):
         p = np.exp(z - lse[:, None])
@@ -151,15 +150,13 @@ def history_to_csv(history: Sequence[EpochStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def infer(model: Model, features: np.ndarray,
-          batch_size: int = INFER_BLOCK_ROWS) -> np.ndarray:
-    """Deterministic logits, one row per input row, computed ``batch_size`` rows at a time.
-
-    A last block of one row joins the block before it (see
-    :data:`INFER_BLOCK_ROWS`).
+def infer(model: Model, features: np.ndarray) -> np.ndarray:
+    """Deterministic logits, one row per input row, computed
+    :data:`INFER_BLOCK_ROWS` rows at a time; a last block of one row joins
+    the block before it.
     """
     n = features.shape[0]
-    starts = list(range(0, n, batch_size))
+    starts = list(range(0, n, INFER_BLOCK_ROWS))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     ends = starts[1:] + [n]
@@ -202,7 +199,9 @@ def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
 
     The model config's seed seeds the shuffling and the dropout masks. A
     non-finite training loss aborts with the offending epoch/batch in the
-    message, a non-finite validation loss with the epoch.
+    message, as does a non-finite gradient (naming its tensor) before the
+    step that would take it into the weights; a non-finite validation loss
+    aborts with the epoch.
     """
     violations = cfg.validate()
     if violations:
@@ -232,6 +231,11 @@ def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
                     f"batch {batch_idx}"
                 )
             backward(tape, loss, grads)
+            if not np.isfinite(flat_grad).all():
+                name = next(name for name, g in weight_views(model.config, flat_grad).items()
+                            if not np.isfinite(g).all())
+                raise NumericalError(f"non-finite gradient of {name} at epoch {epoch}, "
+                                     f"batch {batch_idx}")
             optimizer.step()
             epoch_loss += loss_value * len(labels)
             preds = np.argmax(logits.data, axis=1)
@@ -285,6 +289,8 @@ def _tensor_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     """The file bytes of ``ckpt``, its tensors as :func:`_tensor_table` gives
     them. A meta value that would not read back raises ``ConfigError``."""
+    if ckpt.epoch < 0:
+        raise ConfigError(f"checkpoint epoch {ckpt.epoch} is negative and would not read back")
     values = {**vars(ckpt.config), "best_val_loss": float(ckpt.best_val_loss).hex(),
               "epoch": ckpt.epoch, "normalization": ckpt.norm.mode,
               "norm_fitted_on": ckpt.norm.fitted_on}
@@ -368,6 +374,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         _, _, at = meta["best_val_loss"]
         raise CheckpointError(f"meta key best_val_loss: '{values['best_val_loss']}' is not "
                               f"finite", offset=meta_offset + at)
+    if values["epoch"] < 0:
+        _, _, at = meta["epoch"]
+        raise CheckpointError(f"meta key epoch: '{values['epoch']}' is negative",
+                              offset=meta_offset + at)
     config = build_config(ModelConfig, values)
     violations = (config.validate()
                   + RunConfig(normalization=values["normalization"]).validate())

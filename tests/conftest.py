@@ -41,8 +41,9 @@ def synthetic_beats(n: int, seed: int, proportions=None, source: str = "syntheti
 
 
 def normalized(ds: Dataset, stats: NormStats) -> Dataset:
-    """``ds`` with its features normalized by ``stats``, as ``train`` does to its splits."""
-    return replace(ds, features=normalize(ds.features, stats))
+    """A copy of ``ds`` with its features normalized by ``stats``, as ``train``
+    normalizes its splits in place."""
+    return replace(ds, features=normalize(ds.features.copy(), stats))
 
 
 def train_to_end(model, cfg, train_ds: Dataset, val_ds: Dataset, norm: NormStats = None):
@@ -72,7 +73,7 @@ def grad_arrays(*tensors: Tensor) -> dict:
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every element as one taped scalar op: the loss most tests backpropagate."""
-    out = Tensor(np.asarray(x.data.sum()), needs_grad=x.needs_grad)
+    out = Tensor(np.asarray(x.data.sum()))
     record_op(out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
     return out
 
@@ -81,17 +82,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b as one taped op. Its backward hands the same array to both inputs,
     as ``add_layer_norm``'s does, which the engine's fan-in tests rely on.
 
-    An operand that needs a gradient must have the output's shape; a constant
-    may broadcast.
+    An operand that ``backward``'s ``grads`` maps must have the output's
+    shape; one it does not map may broadcast.
     """
-    out = Tensor(a.data + b.data, needs_grad=a.needs_grad or b.needs_grad)
+    out = Tensor(a.data + b.data)
     record_op(out, (a, b), lambda g: (g, g))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """a * b (elementwise) as one taped op; the same shape rule as :func:`add`."""
-    out = Tensor(a.data * b.data, needs_grad=a.needs_grad or b.needs_grad)
+    out = Tensor(a.data * b.data)
     record_op(out, (a, b), lambda g: (g * b.data, g * a.data))
     return out
 

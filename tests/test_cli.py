@@ -435,6 +435,20 @@ class TestTrainCommand:
         out = corpus["dir"] / "boom"
         assert run_train(corpus, out) == 3
 
+    def test_non_finite_gradient_exits_3(self, corpus, monkeypatch, capsys):
+        import beatformer.train as train_mod
+
+        real_backward = train_mod.backward
+
+        def poisoned(tape, loss, grads):
+            real_backward(tape, loss, grads)
+            list(grads.values())[-1][0] = np.nan  # the last weight, head.out.b
+
+        monkeypatch.setattr(train_mod, "backward", poisoned)
+        assert run_train(corpus, corpus["dir"] / "nan_grad") == 3
+        assert ("numerical abort: non-finite gradient of head.out.b at epoch 0, batch 0"
+                in capsys.readouterr().err)
+
     def test_aborted_run_keeps_the_epochs_it_finished(self, corpus, monkeypatch, capsys):
         # validation losses 0.5, 0.4, then nan: epoch 2 aborts, and the run
         # directory describes epoch 1, the best, in every file

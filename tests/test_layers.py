@@ -22,7 +22,6 @@ from beatformer.model import (
     tiny_config,
 )
 from beatformer.tensor import (
-    LN_EPS,
     Tensor,
     add_layer_norm,
     attention,
@@ -335,8 +334,8 @@ class TestEncoderBlock:
         ones = Tensor(np.ones(8))
         zeros = Tensor(np.zeros(8))
         no_residual = Tensor(np.zeros((4, 8)))
-        once = add_layer_norm(x, no_residual, ones, zeros, LN_EPS)
-        expected = add_layer_norm(once, no_residual, ones, zeros, LN_EPS).data
+        once = add_layer_norm(x, no_residual, ones, zeros)
+        expected = add_layer_norm(once, no_residual, ones, zeros).data
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -433,5 +432,5 @@ def test_whole_stack_gradient_check():
 
     params = list(model.tensors.values())
     names = list(model.tensors)
-    report = grad_check(f, params, eps=1e-5, tol=1e-4, names=names)
+    report = grad_check(f, params, names=names)
     assert report.passed, report.summary()
