@@ -3,9 +3,10 @@
 This module holds the argument parser, the commands and :func:`main`; every
 file a command writes goes through :func:`beatformer.output.write_files`.
 The settings, their config files and ``config.resolved`` are
-:mod:`beatformer.config`'s: a command-line flag overrides the file value of
-the config key its dest names. Each command reads and checks all its input
-before it writes anything: ``train`` writes its fully resolved config to the
+:mod:`beatformer.config`'s, and one call of its ``resolve`` gives a command
+its configs: a flag overrides the file value of the config key its dest
+names. Each command reads and checks all its input before it writes
+anything: ``train`` writes its fully resolved config to the
 output directory once the training data is loaded, split and normalized and
 no output path is a directory, before training, so a bad input writes nothing
 and a completed run is reproducible from that file plus the input CSVs. After
@@ -13,10 +14,10 @@ each epoch ``train`` writes that epoch's files as one set, so a run that
 aborts keeps the epochs it finished.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error (running
-out of memory included), 3 numerical abort. The commands raise; :func:`main`
-alone maps an error to its exit code. The ``--seed``, ``--subset`` and
-``--epochs`` flags are read as text and parsed with their config keys, so a
-flag and a config file value follow one number grammar.
+out of memory included), 3 numerical abort (non-finite logits included). The
+commands raise; :func:`main` alone maps an error to its exit code. The
+``--seed``, ``--subset`` and ``--epochs`` flags are read as text and parsed
+with their config keys, so a flag and a config file value follow one grammar.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 import numpy as np
 
 from . import data as data_mod
-from .config import CONFIGS, build_config, format_resolved, resolve
+from .config import format_resolved, resolve
 from .errors import CheckpointError, ConfigError, DataError, NumericalError, OutputError
 from .metrics import (
     classification_report,
@@ -45,6 +46,7 @@ from .tensor import grad_check
 from .train import (
     checkpoint_bytes,
     epochs,
+    finite_logits,
     history_to_csv,
     infer,
     load_checkpoint,
@@ -100,8 +102,7 @@ def _training_splits(run, model_cfg):
 
 
 def cmd_train(args) -> int:
-    resolved = resolve(args.config, vars(args))
-    model_cfg, train_cfg, run = (build_config(cls, resolved) for cls in CONFIGS)
+    configs = model_cfg, train_cfg, run = resolve(args.config, vars(args))
     if not run.data_train:
         raise DataError("no training CSV given (set data_train or pass --data-train)")
 
@@ -110,7 +111,7 @@ def cmd_train(args) -> int:
 
     # provenance lands before training, once no output path is a directory
     refuse_directories(run.out, ("checkpoint.bin", "history.csv", *REPORT_NAMES))
-    write_files(run.out, {"config.resolved": format_resolved(resolved)})
+    write_files(run.out, {"config.resolved": format_resolved(configs)})
 
     model = build_model(model_cfg)
     print(format_param_report(model_cfg))
@@ -148,7 +149,7 @@ def cmd_eval(args) -> int:
     test_ds = data_mod.load_csv(args.data_test, cfg.input_len, cfg.n_classes)
 
     data_mod.normalize(test_ds.features, norm)
-    logits = infer(model, test_ds.features)
+    logits = finite_logits(infer(model, test_ds.features))
     loss, acc = score_logits(logits, test_ds.labels)
     preds = np.argmax(logits, axis=1)
 
@@ -182,7 +183,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = resolve(args.config, vars(args))["seed"]
+    seed = resolve(args.config, vars(args))[0].seed
 
     # small verification variant: 4 tokens; a forward without masks applies
     # no dropout
@@ -272,7 +273,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # each command checks its own results for non-finite values, so numpy's
+        # overflow and invalid-value warnings would only precede its message
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ConfigError as err:
         return _fail("invalid configuration:\n  " + "\n  ".join(err.violations))
     except (DataError, CheckpointError, OutputError) as err:

@@ -1,10 +1,10 @@
 """The run's settings and their ``key = value`` text form.
 
 Three dataclasses hold every setting with its type, default and constraints;
-:data:`SCHEMA` maps each config key to its field's caster and default, and a
-run resolves defaults < config file < command-line flags. One codec,
-:func:`format_pairs` and :func:`read_pairs`, writes and reads config files,
-``config.resolved`` and the checkpoint's meta block.
+:data:`SCHEMA` maps each config key to its field's caster, and :func:`resolve`
+builds a run's three configs from defaults < config file < command-line
+flags. One codec, :func:`format_pairs` and :func:`read_pairs`, writes and
+reads config files, ``config.resolved`` and the checkpoint's meta block.
 """
 
 from __future__ import annotations
@@ -32,17 +32,17 @@ _INT = re.compile(r"[+-]?[0-9]+")
 _FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)")
 
 
-def parse_int(text) -> int:
+def parse_int(text: str) -> int:
     """An integer of the form ``[+-]?[0-9]+``; anything else raises ``ValueError``."""
-    if not _INT.fullmatch(str(text)):
+    if not _INT.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
 
-def parse_float(text) -> float:
+def parse_float(text: str) -> float:
     """A float in ASCII decimal or exponent form, or ``inf``/``nan``; anything
     else raises ``ValueError``."""
-    if not _FLOAT.fullmatch(str(text)):
+    if not _FLOAT.fullmatch(text):
         raise ValueError(f"not a number: {text!r}")
     return float(text)
 
@@ -56,23 +56,16 @@ def field_casters(cls) -> dict:
     ``int`` and ``float`` fields parse with :func:`parse_int` and
     :func:`parse_float`, ``str`` fields take the text as it is; a
     ``tuple[T, ...]`` field parses a comma list of ``T`` (empty text is ``()``).
-    Each gives a value it returned back unchanged.
     """
     casters = {}
     for name, tp in typing.get_type_hints(cls).items():
         if typing.get_origin(tp) is tuple:
             elem = _PARSERS[typing.get_args(tp)[0]]
-            casters[name] = lambda text, elem=elem: tuple(elem(u.strip())
-                                                          for u in field_text(text).split(",")
-                                                          if u.strip())
+            casters[name] = lambda text, elem=elem: tuple(
+                elem(u.strip()) for u in text.split(",") if u.strip())
         else:
             casters[name] = _PARSERS[tp]
     return casters
-
-
-def field_text(value) -> str:
-    """Text form of a config value, the inverse of :func:`field_casters`."""
-    return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
 
 
 @dataclass(frozen=True)
@@ -218,14 +211,14 @@ class RunConfig:
 # dataclasses, which holds its type and default.
 CONFIGS = (ModelConfig, TrainConfig, RunConfig)
 
-# key -> (caster, default)
-SCHEMA = {f.name: (casters[f.name], f.default)
-          for cls, casters in zip(CONFIGS, map(field_casters, CONFIGS)) for f in fields(cls)}
+# key -> caster
+SCHEMA = {key: caster for cls in CONFIGS for key, caster in field_casters(cls).items()}
 
 
-def build_config(cls, resolved: dict):
-    """An instance of one of :data:`CONFIGS` from resolved config values."""
-    return cls(**{f.name: resolved[f.name] for f in fields(cls)})
+def build_config(cls, values: dict):
+    """An instance of one of :data:`CONFIGS`: each field that ``values``
+    names takes its value there, the rest their defaults."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 # a zero-width split after each line end: "\r\n", a lone "\r", or "\n"
@@ -237,12 +230,12 @@ _UNREADABLE = re.compile("[#\r\n\ud800-\udfff]")
 
 
 def format_pairs(pairs) -> str:
-    """One ``key = value`` line per ``(key, value)`` pair, the value in its
-    :func:`field_text` form. Raises ``ConfigError`` naming every value that
+    """One ``key = value`` line per ``(key, value)`` pair, a tuple value as a
+    comma list. Raises ``ConfigError`` naming every value that
     :func:`read_pairs` would not give back."""
     lines, bad = [], []
     for key, value in pairs:
-        text = field_text(value)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         if text != text.strip() or _UNREADABLE.search(text):
             bad.append(f"config key {key}: {text!r} would not read back ('#', a line "
                        f"break, surrounding whitespace or invalid UTF-8)")
@@ -294,56 +287,46 @@ def read_pairs(data: bytes, casters: dict) -> tuple[dict, list]:
     return pairs, problems
 
 
-def parse_config_file(path: str) -> tuple[dict, list[str]]:
-    """A config file's values, each parsed by its key's caster, plus
-    violations that name ``path:line``: a line that does not read, an unknown
-    key, or a value its key's caster refuses (which is then left out)."""
-    casters = {key: caster for key, (caster, _) in SCHEMA.items()}
-    try:
-        with open(path, "rb") as fh:
-            pairs, problems = read_pairs(fh.read(), casters)
-    except OSError as err:
-        return {}, [f"cannot read config file {path}: {err}"]
-    return ({key: value for key, (value, _, _) in pairs.items()},
-            [f"{path}:{line}: " + (f"config key {key}: {problem}" if key else problem)
-             for line, _, key, problem in problems])
-
-
-def resolve_config(file_values: dict, overrides: dict) -> tuple[dict, list[str]]:
-    """Defaults < config file < command line; returns typed values + violations.
-
-    An override that is ``None`` or whose key is not a config key is ignored."""
-    resolved, violations = {}, []
-    merged = {**file_values, **{k: v for k, v in overrides.items() if v is not None}}
-    for key, (caster, default) in SCHEMA.items():
-        resolved[key] = default
-        if key in merged:
+def resolve(config_path, flags: dict) -> tuple[ModelConfig, TrainConfig, RunConfig]:
+    """The run's three configs from defaults < ``config_path`` < ``flags``,
+    each value given cast once by its key's caster (a flag that is None or
+    names no config key is ignored). Raises ``ConfigError`` with every
+    violation, a config file's naming ``path:line``."""
+    data, violations = b"", []
+    if config_path:
+        try:
+            with open(config_path, "rb") as fh:
+                data = fh.read()
+        except OSError as err:
+            violations.append(f"cannot read config file {config_path}: {err}")
+    pairs, problems = read_pairs(data, SCHEMA)
+    values = {key: value for key, (value, _, _) in pairs.items()}
+    violations += [f"{config_path}:{line}: " + (f"config key {key}: {problem}" if key else problem)
+                   for line, _, key, problem in problems]
+    for key, caster in SCHEMA.items():
+        if flags.get(key) is not None:
             try:
-                resolved[key] = caster(merged[key])
-            except (TypeError, ValueError):
-                violations.append(f"config key {key}: cannot parse {merged[key]!r}")
+                values[key] = caster(flags[key])
+            except (ValueError, OverflowError):
+                values.pop(key, None)
+                violations.append(f"config key {key}: cannot parse {flags[key]!r}")
+    configs = model, train, _ = tuple(build_config(cls, values) for cls in CONFIGS)
     # config.resolved must give every value back
     try:
-        format_resolved(resolved)
+        format_resolved(configs)
     except ConfigError as err:
-        violations.extend(err.violations)
-    for cls in CONFIGS:
-        violations.extend(build_config(cls, resolved).validate())
-    if resolved["class_weights"] and len(resolved["class_weights"]) != resolved["n_classes"]:
-        violations.append(f"class_weights needs {resolved['n_classes']} entries, got "
-                          f"{len(resolved['class_weights'])}")
-    return resolved, violations
+        violations += err.violations
+    for cfg in configs:
+        violations += cfg.validate()
+    if train.class_weights and len(train.class_weights) != model.n_classes:
+        violations.append(f"class_weights needs {model.n_classes} entries, got "
+                          f"{len(train.class_weights)}")
+    if violations:
+        raise ConfigError(violations)
+    return configs
 
 
-def resolve(config_path, overrides: dict) -> dict:
-    """Defaults < ``config_path`` < ``overrides``; raises ``ConfigError`` with every violation."""
-    file_values, violations = parse_config_file(config_path) if config_path else ({}, [])
-    resolved, more = resolve_config(file_values, overrides)
-    if violations + more:
-        raise ConfigError(violations + more)
-    return resolved
-
-
-def format_resolved(resolved: dict) -> str:
-    """The text of ``config.resolved``: every key, sorted."""
-    return format_pairs((key, resolved[key]) for key in sorted(SCHEMA))
+def format_resolved(configs) -> str:
+    """The text of ``config.resolved``: every field of ``configs``, sorted by key."""
+    values = {key: value for cfg in configs for key, value in vars(cfg).items()}
+    return format_pairs(sorted(values.items()))

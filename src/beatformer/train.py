@@ -38,6 +38,7 @@ __all__ = [
     "Checkpoint",
     "sparse_ce_loss",
     "infer",
+    "finite_logits",
     "score_logits",
     "predict",
     "epochs",
@@ -164,6 +165,16 @@ def infer(model: Model, features: np.ndarray) -> np.ndarray:
                       for start, end in zip(starts, ends)])
 
 
+def finite_logits(logits: np.ndarray) -> np.ndarray:
+    """``logits``, unless a row holds a value that is not finite: that raises
+    ``NumericalError`` naming the first such row."""
+    bad = ~np.isfinite(logits).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"the logits of input row {int(np.argmax(bad))} are not finite "
+                             f"(rows counted from 0)")
+    return logits
+
+
 def score_logits(logits: np.ndarray, labels) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of a set of logits against true labels."""
     loss = sparse_ce_loss(Tensor(logits), labels).item()
@@ -172,8 +183,9 @@ def score_logits(logits: np.ndarray, labels) -> tuple[float, float]:
 
 
 def predict(model: Model, features: np.ndarray) -> np.ndarray:
-    """Deterministic softmax probabilities, one row per input row."""
-    logits = infer(model, features)
+    """Deterministic softmax probabilities, one row per input row; logits
+    that are not finite raise as :func:`finite_logits` does."""
+    logits = finite_logits(infer(model, features))
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -269,7 +281,7 @@ def epochs(model: Model, cfg: TrainConfig, train_ds: Dataset, val_ds: Dataset,
 # bit-exactness), epoch, the normalization mode and the file it was fitted on.
 
 # meta key -> caster, in the order the keys are written
-META_CASTERS = {**{f.name: SCHEMA[f.name][0] for f in fields(ModelConfig)},
+META_CASTERS = {**{f.name: SCHEMA[f.name] for f in fields(ModelConfig)},
                 "best_val_loss": float.fromhex, "epoch": parse_int,
                 "normalization": str, "norm_fitted_on": str}
 

@@ -6,6 +6,7 @@ import io
 import math
 import os
 import struct
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,14 +23,13 @@ from beatformer.config import (
     TrainConfig,
     format_pairs,
     format_resolved,
-    parse_config_file,
     read_pairs,
-    resolve_config,
+    resolve,
 )
 from beatformer.data import Dataset
 from beatformer.errors import ConfigError
 from beatformer.model import weight_views
-from beatformer.train import META_CASTERS
+from beatformer.train import META_CASTERS, checkpoint_bytes, load_checkpoint
 
 from conftest import (
     PROPERTY_SETTINGS,
@@ -77,28 +77,30 @@ class TestConfigHandling:
     def test_parse_and_resolve(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("d_model = 16  # comment\n\nepochs = 3\n")
-        values, violations = parse_config_file(str(cfg))
-        assert violations == []
-        resolved, more = resolve_config(values, {})
-        assert more == []
-        assert resolved["d_model"] == 16 and resolved["epochs"] == 3
-        assert resolved["batch_size"] == 32  # default
+        model_cfg, train_cfg, run = resolve(str(cfg), {})
+        assert model_cfg.d_model == 16 and train_cfg.epochs == 3
+        assert train_cfg.batch_size == 32  # default
+        assert (model_cfg, train_cfg, run) == (ModelConfig(d_model=16), TrainConfig(epochs=3),
+                                               RunConfig())
 
     def test_unknown_key_and_bad_value_all_reported(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("wat = 1\nd_model = banana\nepochs = 0\n")
-        values, violations = parse_config_file(str(cfg))
-        resolved, more = resolve_config(values, {})
-        all_violations = violations + more
-        text = "\n".join(all_violations)
-        assert "wat" in text and "banana" in text and "epochs" in text
+        with pytest.raises(ConfigError) as err:
+            resolve(str(cfg), {})
+        # all three in one error, the file's two naming their lines
+        assert err.value.violations == [
+            f"{cfg}:1: unknown key 'wat'", f"{cfg}:2: config key d_model: cannot parse 'banana'",
+            "epochs must be a positive integer, got 0"]
 
     @pytest.mark.parametrize("key, value", [
         ("lr", "inf"), ("eps", "inf"), ("class_weights", "1,inf,1,1,1"),
         ("class_weights", "1,1,nan,1,1"),
     ])
     def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
-        _, violations = resolve_config({key: value}, {})
+        with pytest.raises(ConfigError) as err:
+            resolve(None, {key: value})
+        violations = err.value.violations
         assert len(violations) == 1 and violations[0].startswith(f"{key} must")
         assert "finite" in violations[0]
         cfg = tmp_path / "a.cfg"
@@ -111,9 +113,11 @@ class TestConfigHandling:
     def test_repeated_key_names_both_lines(self, tmp_path, capsys):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("epochs = 3\n# a comment\nlr = 1e-3\nepochs = 5\n")
-        values, violations = parse_config_file(str(cfg))
-        assert violations == [f"{cfg}:4: key 'epochs' repeats line 1"]
-        assert values["epochs"] == 3
+        with pytest.raises(ConfigError) as err:
+            resolve(str(cfg), {})
+        assert err.value.violations == [f"{cfg}:4: key 'epochs' repeats line 1"]
+        pairs, _ = read_pairs(cfg.read_bytes(), SCHEMA)
+        assert pairs["epochs"] == (3, 1, 0)  # the first line's value is kept
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert "key 'epochs' repeats line 1" in capsys.readouterr().err
@@ -140,10 +144,39 @@ class TestConfigHandling:
     def test_cli_overrides_win(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("epochs = 50\nseed = 1\n")
-        values, _ = parse_config_file(str(cfg))
-        resolved, _ = resolve_config(values, {"epochs": 3, "seed": None})
-        assert resolved["epochs"] == 3  # flag wins
-        assert resolved["seed"] == 1  # unset flag leaves file value
+        model_cfg, train_cfg, _ = resolve(str(cfg), {"epochs": "3", "seed": None})
+        assert train_cfg.epochs == 3  # flag wins
+        assert model_cfg.seed == 1  # unset flag leaves file value
+
+    def test_flag_that_does_not_parse_leaves_the_default(self, tmp_path):
+        # the file's refused epochs = 0 is overridden, so only the flag is named
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("epochs = 0\n")
+        with pytest.raises(ConfigError) as err:
+            resolve(str(cfg), {"epochs": "x", "command": "train", "config": str(cfg)})
+        assert err.value.violations == ["config key epochs: cannot parse 'x'"]
+
+    def test_each_value_given_is_cast_once(self, tmp_path, monkeypatch):
+        calls = dict.fromkeys(SCHEMA, 0)
+
+        def counting(key, caster):
+            def cast(text):
+                calls[key] += 1
+                return caster(text)
+            return cast
+
+        for key, caster in list(SCHEMA.items()):
+            monkeypatch.setitem(SCHEMA, key, counting(key, caster))
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("mlp_units = 16, 8\nclass_weights = 1,2,3,4,5\nlr = 1e-3\nepochs = 5\n"
+                       "out = o\n")
+        model_cfg, train_cfg, run = resolve(str(cfg), {"epochs": "3", "seed": "4",
+                                                       "subset": None, "config": str(cfg)})
+        assert model_cfg.mlp_units == (16, 8) and train_cfg.class_weights == (1, 2, 3, 4, 5)
+        assert (train_cfg.lr, train_cfg.epochs, model_cfg.seed, run.out) == (1e-3, 3, 4, "o")
+        # epochs is given in the file and as a flag: once each
+        assert {key: n for key, n in calls.items() if n} == {
+            "mlp_units": 1, "class_weights": 1, "lr": 1, "epochs": 2, "out": 1, "seed": 1}
 
 
 DEFAULT_RESOLVED = """\
@@ -233,18 +266,14 @@ val_fraction = 0.25
 
 class TestSchema:
     def test_default_resolved_text(self):
-        resolved, violations = resolve_config({}, {})
-        assert violations == []
-        assert format_resolved(resolved) == DEFAULT_RESOLVED
+        assert format_resolved(resolve(None, {})) == DEFAULT_RESOLVED
 
     def test_every_key_resolved_text(self, tmp_path):
         cfg = tmp_path / "every.cfg"
         cfg.write_text(EVERY_KEY)
-        values, violations = parse_config_file(str(cfg))
-        assert violations == [] and len(values) == 25
-        resolved, violations = resolve_config(values, {})
-        assert violations == []
-        assert format_resolved(resolved) == EVERY_KEY_RESOLVED
+        pairs, problems = read_pairs(cfg.read_bytes(), SCHEMA)
+        assert problems == [] and len(pairs) == 25
+        assert format_resolved(resolve(str(cfg), {})) == EVERY_KEY_RESOLVED
 
     def test_keys_are_the_config_fields(self):
         # each key names exactly one field: no rename, no field in two configs
@@ -890,13 +919,64 @@ def test_checkpoint_that_would_feed_non_finite_numbers_exits_2(tiny_checkpoint, 
     assert captured.out == "" and not out.exists()
 
 
+def overflowing_input(tmp, case: str):
+    """A checkpoint path and a labelled input whose forward overflows: every
+    weight of the tiny model finite but 1e200 times larger (all rows), or its
+    own weights and a second row of +-1e300 (that row alone)."""
+    path, rows = tmp / "tiny.bin", tmp / "rows.csv"
+    if case == "huge-weights":
+        ckpt = load_checkpoint(str(path))
+        ckpt.weights *= 1e200
+        assert np.isfinite(ckpt.weights).all()
+        path = tmp / "overflowing.bin"
+        path.write_bytes(checkpoint_bytes(ckpt))
+    else:
+        lines = rows.read_text().splitlines()
+        lines[1] = ",".join(["1e300", "-1e300"] * 93 + ["1e300", "0.0"])
+        rows = tmp / "overflowing_rows.csv"
+        rows.write_text("\n".join(lines) + "\n")
+    return str(path), str(rows)
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("case, row", [("huge-weights", 0), ("huge-row", 1)])
+def test_non_finite_logits_exit_3_writing_nothing(tiny_checkpoint, capsys, command, case, row):
+    _, _, tmp = tiny_checkpoint
+    path, rows = overflowing_input(tmp, case)
+    out = tmp / f"overflowing_{command}"
+    argv = {"eval": ["eval", path, "--data-test", rows, "--out", str(out)],
+            "predict": ["predict", path, rows, "--out", str(out)]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's warnings are silenced
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"numerical abort: the logits of input row {row} are not finite "
+                            "(rows counted from 0)\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_overflowing_training_prints_no_numpy_warning(corpus, tmp_path, capsys):
+    # a valid but huge lr overflows the weights in the first step
+    cfg = tmp_path / "huge_lr.cfg"
+    cfg.write_text(Path(corpus["cfg"]).read_text() + "lr = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "RuntimeWarning" not in err
+    assert err.splitlines()[-1].startswith("numerical abort: ")
+
+
 def test_model_too_big_to_build_exits_2_writing_nothing(corpus, tiny_checkpoint, tmp_path,
                                                        capsys):
     # refused by its parameter count before anything is allocated or written
     too_big = f"parameters, more than the {MAX_PARAMS:,} a model may hold"
-    _, violations = resolve_config({"heads": "100000000000000"}, {})
-    assert violations == [f"the model would hold {ModelConfig(heads=10**14).n_params():,} "
-                          + too_big]
+    with pytest.raises(ConfigError) as err:
+        resolve(None, {"heads": "100000000000000"})
+    assert err.value.violations == [
+        f"the model would hold {ModelConfig(heads=10**14).n_params():,} " + too_big]
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(TINY_MODEL_LINES.replace("d_model = 8", "d_model = 1000000000000")
                    + f"\ndata_train = {corpus['train']}\n")
@@ -952,11 +1032,13 @@ def test_number_outside_the_ascii_grammar_exits_2(corpus, tiny_checkpoint, tmp_p
     for key in ("epochs", "d_model", "lr"):
         cfg = tmp_path / "a.cfg"
         cfg.write_text(f"# numbers\n{key} = {value}\n", encoding="utf-8")
-        values, violations = parse_config_file(str(cfg))
-        assert key not in values
-        assert violations == [f"{cfg}:2: config key {key}: cannot parse {value!r}"]
-        assert resolve_config({key: value}, {})[1] == [
-            f"config key {key}: cannot parse {value!r}"]
+        assert key not in read_pairs(cfg.read_bytes(), SCHEMA)[0]
+        with pytest.raises(ConfigError) as err:
+            resolve(str(cfg), {})
+        assert err.value.violations == [f"{cfg}:2: config key {key}: cannot parse {value!r}"]
+        with pytest.raises(ConfigError) as err:
+            resolve(None, {key: value})
+        assert err.value.violations == [f"config key {key}: cannot parse {value!r}"]
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{cfg}:2: config key {key}: cannot parse {value!r}" in capsys.readouterr().err
@@ -1439,12 +1521,14 @@ def test_generated_config_without_training_data_exits_2(tmp_path_factory, lines,
 @given(key=st.sampled_from(STRING_KEYS), value=config_text)
 def test_override_reads_back_from_config_resolved_or_exits_2(tmp_path_factory, key, value):
     tmp = tmp_path_factory.getbasetemp()
-    resolved, violations = resolve_config({}, {key: value})
-    if not violations:
+    try:
+        configs = resolve(None, {key: value})
+    except ConfigError:
+        pass
+    else:
         cfg = tmp / "resolved.cfg"
-        cfg.write_text(format_resolved(resolved), encoding="utf-8")
-        values, bad = parse_config_file(str(cfg))
-        assert bad == [] and values[key] == value
+        cfg.write_text(format_resolved(configs), encoding="utf-8")
+        assert resolve(str(cfg), {}) == configs and vars(configs[2])[key] == value
         return
     argv = {"--data-train": str(tmp / "absent.csv"), "--out": str(tmp / "override_out")}
     argv["--" + key.replace("_", "-")] = value

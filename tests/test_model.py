@@ -93,7 +93,7 @@ class TestModelConfig:
         cfg = ModelConfig(d_model=12, mlp_units=(7, 3), seed=42, positional="sinusoidal")
         text = format_pairs((f.name, getattr(cfg, f.name)) for f in fields(cfg))
         pairs, problems = read_pairs(text.encode("utf-8"),
-                                     {f.name: SCHEMA[f.name][0] for f in fields(cfg)})
+                                     {f.name: SCHEMA[f.name] for f in fields(cfg)})
         assert problems == []
         assert build_config(ModelConfig, {key: value
                                           for key, (value, _, _) in pairs.items()}) == cfg

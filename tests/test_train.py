@@ -21,6 +21,7 @@ from beatformer.train import (
     Checkpoint,
     checkpoint_bytes,
     epochs,
+    finite_logits,
     history_to_csv,
     infer,
     load_checkpoint,
@@ -334,6 +335,15 @@ class TestEvaluate:
             tracemalloc.stop()
         # about 6.0 MiB in 64-row blocks; 256-row blocks peaked at 23.7 MiB
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_logit_names_its_row(self, bad):
+        logits = np.zeros((4, 5))
+        assert finite_logits(logits) is logits
+        logits[2, 3] = bad
+        logits[3] = bad
+        with pytest.raises(NumericalError, match=r"^the logits of input row 2 are not finite"):
+            finite_logits(logits)
 
     def test_accuracy_bounds(self):
         model = build_model(tiny_config(seed=3))
