@@ -9,10 +9,16 @@ bytes to whoever writes them.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import mmap
+import os
+import signal
 import struct
 import zlib
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -38,6 +44,8 @@ __all__ = [
     "Checkpoint",
     "sparse_ce_loss",
     "infer",
+    "openblas_threads",
+    "blas_threads",
     "finite_logits",
     "score_logits",
     "predict",
@@ -56,8 +64,10 @@ CKPT_VERSION = 3
 # holds 64 * 17 = 1,088 token rows of 3 * 8 * 16 = 384 float64, i.e.
 # 1,088 * 384 * 8 B = 3.2 MiB (256 rows: 12.75 MiB), so a forward's working
 # set stays near cache size and its peak heap is a quarter of what 256-row
-# blocks took. Each row's logits depend only on that row, so any block size of
-# two or more rows gives the same bits. A one-row matmul goes to BLAS gemv,
+# blocks took. Small blocks also give :func:`infer` blocks to share between
+# its two processes: 2,000 rows make 32 blocks, split 16 and 16. Each row's
+# logits depend only on that row, so any block size of two or more rows, and
+# either process, gives the same bits. A one-row matmul goes to BLAS gemv,
 # which rounds differently, so :func:`infer` folds a one-row last block into
 # the block before it; a one-row input still runs gemv.
 INFER_BLOCK_ROWS = 64
@@ -151,18 +161,94 @@ def history_to_csv(history: Sequence[EpochStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the run-time thread setter and getter of the OpenBLAS that numpy wheels bundle
+SET_THREADS = "scipy_openblas_set_num_threads64_"
+GET_THREADS = "scipy_openblas_get_num_threads64_"
+
+
+def openblas_threads():
+    """The (setter, getter) of numpy's bundled OpenBLAS thread count, or None
+    where the library or either symbol is missing."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))
+    if not all(hasattr(lib, name) for name in (SET_THREADS, GET_THREADS)):
+        return None
+    set_threads, get_threads = getattr(lib, SET_THREADS), getattr(lib, GET_THREADS)
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return set_threads, get_threads
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Cap numpy's bundled OpenBLAS at ``n`` threads for the block, then
+    restore its count; where :func:`openblas_threads` finds no setter this
+    does nothing."""
+    calls = openblas_threads()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _block_logits(model: Model, features: np.ndarray, blocks) -> list[np.ndarray]:
+    return [forward(model, features[start:end]).data for start, end in blocks]
+
+
 def infer(model: Model, features: np.ndarray) -> np.ndarray:
     """Deterministic logits, one row per input row, computed
     :data:`INFER_BLOCK_ROWS` rows at a time; a last block of one row joins
     the block before it.
+
+    With two or more blocks, two usable CPUs, ``os.fork`` and an OpenBLAS
+    thread setter, a forked child runs the second half of the blocks while
+    this process runs the first, each with BLAS at one thread; the child
+    writes its logits into a shared anonymous mapping. If the child fails,
+    this process runs its blocks itself; if this process raises, the child is
+    killed and reaped first. Every path gives the serial bits.
     """
     n = features.shape[0]
     starts = list(range(0, n, INFER_BLOCK_ROWS))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    ends = starts[1:] + [n]
-    return np.vstack([forward(model, features[start:end]).data
-                      for start, end in zip(starts, ends)])
+    blocks = list(zip(starts, starts[1:] + [n]))
+    half = len(blocks) // 2
+    if (half == 0 or openblas_threads() is None or not hasattr(os, "fork")
+            or len(os.sched_getaffinity(0)) < 2):
+        return np.vstack(_block_logits(model, features, blocks))
+    mine, theirs = blocks[:half], blocks[half:]
+    shape = (n - theirs[0][0], model.config.n_classes)
+    with blas_threads(1), mmap.mmap(-1, shape[0] * shape[1] * 8) as shared:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                np.concatenate(_block_logits(model, features, theirs),
+                               out=np.frombuffer(shared, dtype=np.float64).reshape(shape))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        try:
+            logits = _block_logits(model, features, mine)
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        # copied out in one expression, so no view still exports the mapping
+        # when it closes
+        tail = (np.frombuffer(shared, dtype=np.float64).reshape(shape).copy()
+                if os.waitstatus_to_exitcode(status) == 0 else None)
+    # a failed child's blocks run here, serially, with BLAS's own thread count
+    return np.vstack(logits + ([tail] if tail is not None
+                               else _block_logits(model, features, theirs)))
 
 
 def finite_logits(logits: np.ndarray) -> np.ndarray:

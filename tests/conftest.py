@@ -20,7 +20,7 @@ from hypothesis import settings
 
 from beatformer.data import Dataset, NormStats, fit_normalizer, normalize
 from beatformer.tensor import Tensor, record_op
-from beatformer.train import Checkpoint, checkpoint_bytes, epochs
+from beatformer.train import Checkpoint, checkpoint_bytes, epochs, openblas_threads
 from bench import corpus as bench_corpus
 
 
@@ -38,6 +38,12 @@ def synthetic_beats(n: int, seed: int, proportions=None, source: str = "syntheti
     features, labels = bench_corpus.synthetic_beats(n, seed, class_proportions=proportions,
                                                     labels=labels)
     return Dataset(features=features, labels=labels, source=source)
+
+
+def infer_forks() -> bool:
+    """Whether ``train.infer`` shares its blocks with a forked child on this
+    host: it needs two usable CPUs and numpy's OpenBLAS thread setter."""
+    return len(os.sched_getaffinity(0)) >= 2 and openblas_threads() is not None
 
 
 def normalized(ds: Dataset, stats: NormStats) -> Dataset:

@@ -33,6 +33,7 @@ from beatformer.train import META_CASTERS, checkpoint_bytes, load_checkpoint
 
 from conftest import (
     PROPERTY_SETTINGS,
+    infer_forks,
     name_offset,
     params_bytes,
     resealed,
@@ -508,6 +509,37 @@ class TestTrainCommand:
             ["config.resolved", "history.csv", "checkpoint.bin", *REPORT_NAMES])
 
 
+def eval_forward_calls(corpus, tmp_path, monkeypatch, capsys) -> tuple[int, int]:
+    """The ``forward`` calls of one ``eval`` of 300 rows, as (this process's,
+    infer's forked child's). Each process adds to its own byte of a shared
+    anonymous mapping, so the child's calls are counted too."""
+    import mmap
+
+    import beatformer.train as train_mod
+
+    out = corpus["dir"] / "run10"
+    assert run_train(corpus, out) == 0
+    big = tmp_path / "big.csv"
+    write_beats_csv(big, synthetic_beats(300, seed=54, proportions=[0.2] * 5))
+    parent = os.getpid()
+    original = train_mod.forward
+    with mmap.mmap(-1, 2) as calls:
+
+        def counting_forward(*args, **kwargs):
+            calls[0 if os.getpid() == parent else 1] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "forward", counting_forward)
+        capsys.readouterr()  # drain the training output
+        assert main(["eval", str(out / "checkpoint.bin"), "--data-test", str(big),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert train_mod.INFER_BLOCK_ROWS == 64
+        assert "test loss " in capsys.readouterr().out
+        # ceil(300 / 64) = 5 in all; a second pass would make 10
+        assert calls[0] + calls[1] == 5
+        return calls[0], calls[1]
+
+
 class TestEvalCommand:
     def test_eval_writes_reports(self, corpus, capsys):
         out = corpus["dir"] / "run5"
@@ -527,26 +559,15 @@ class TestEvalCommand:
         assert counts.sum() == 80  # every test sample scored
 
     def test_one_forward_pass_per_block(self, corpus, tmp_path, monkeypatch, capsys):
-        import beatformer.train as train_mod
+        # 300 rows make 5 blocks; where infer forks, this process runs the
+        # first 2 and the child the other 3
+        assert eval_forward_calls(corpus, tmp_path, monkeypatch, capsys) == (
+            (2, 3) if infer_forks() else (5, 0))
 
-        out = corpus["dir"] / "run10"
-        assert run_train(corpus, out) == 0
-        big = tmp_path / "big.csv"
-        write_beats_csv(big, synthetic_beats(300, seed=54, proportions=[0.2] * 5))
-        calls = []
-        original = train_mod.forward
-
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(train_mod, "forward", counting_forward)
-        capsys.readouterr()  # drain the training output
-        assert main(["eval", str(out / "checkpoint.bin"), "--data-test", str(big),
-                     "--out", str(tmp_path / "eval")]) == 0
-        assert train_mod.INFER_BLOCK_ROWS == 64
-        assert len(calls) == 5  # ceil(300 / 64); a second pass would make 10
-        assert "test loss " in capsys.readouterr().out
+    def test_one_forward_pass_per_block_at_one_cpu(self, corpus, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert eval_forward_calls(corpus, tmp_path, monkeypatch, capsys) == (5, 0)
 
     def test_non_finite_field_exits_2_naming_line_and_column(self, corpus, tmp_path,
                                                              capsys):

@@ -942,6 +942,44 @@ def test_every_file_is_written_by_the_one_writer():
     assert set(found) == {"output.write_files"}, sorted(found)
 
 
+# what starts a thread or a worker process; ``threading.local`` starts none
+THREAD_STARTERS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "start_new_thread",
+                   "Pool", "Process"}
+
+
+class _Concurrency(_Scoped):
+    """Collects ``("thread", scope)`` for each call of a thread or worker
+    starter and ``("fork", scope)`` for each ``fork`` call, in one module;
+    an import of either by name counts too, since it would hide the call."""
+
+    def _found(self, name):
+        if name in THREAD_STARTERS:
+            self.found.append(("thread", ".".join(self.scope)))
+        elif name in ("fork", "forkpty"):
+            self.found.append(("fork", ".".join(self.scope)))
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            self._found(alias.name)
+
+    def visit_Call(self, node):
+        func = node.func
+        self._found(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+        self.generic_visit(node)
+
+
+def test_only_infer_forks_and_nothing_starts_a_thread():
+    """``src`` starts no thread, and only ``train.infer`` forks: the benchmark's
+    tracer keeps one span stack per process, so spans of two threads would
+    interleave and fail a traced run ("closed out of order"). See ROADMAP
+    item 2's note on the bench's single span stack before adding either."""
+    found = _found_in_src(_Concurrency)
+    assert [scope for kind, scope in found if kind == "thread"] == [], (
+        "src starts a thread; see ROADMAP item 2 on the bench's single span stack")
+    assert [scope for kind, scope in found if kind == "fork"] == ["train.infer"], (
+        "only train.infer may fork; see ROADMAP item 2 on the bench's single span stack")
+
+
 def test_each_name_has_one_home():
     """The package root holds nothing but its docstring, so every name is
     imported from the one module that defines it; and each entry of a

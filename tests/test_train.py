@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import tracemalloc
 import zlib
 from dataclasses import fields, replace
@@ -25,6 +26,7 @@ from beatformer.train import (
     history_to_csv,
     infer,
     load_checkpoint,
+    openblas_threads,
     restore_model,
     score_logits,
     sparse_ce_loss,
@@ -32,6 +34,7 @@ from beatformer.train import (
 
 from conftest import (
     grad_arrays,
+    infer_forks,
     mask_rows,
     name_offset,
     params_bytes,
@@ -350,6 +353,100 @@ class TestEvaluate:
         ds = synthetic_beats(64, seed=7)
         _, acc = score_logits(infer(model, ds.features), ds.labels)
         assert 0.0 <= acc <= 1.0
+
+
+def one_cpu_infer(model, features, monkeypatch) -> np.ndarray:
+    """``infer``'s logits on its serial path, with one usable CPU."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return infer(model, features)
+
+
+def forward_calling(hook, in_child: bool):
+    """A ``forward`` that first calls ``hook()`` in infer's forked child (or,
+    with ``in_child`` False, in this process); ``hook`` may raise or exit."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if (os.getpid() != parent) == in_child:
+            hook()
+        return forward(*args)
+
+    return wrapped
+
+
+def no_room():
+    raise MemoryError("Unable to allocate 80.0 TiB")
+
+
+class Overdue(BaseException):
+    """What a deadline's signal handler raises; no ``Exception``."""
+
+
+def overdue():
+    raise Overdue("past the deadline")
+
+
+@pytest.mark.skipif(not infer_forks(), reason="infer forks only with two usable CPUs and "
+                                               "numpy's OpenBLAS thread setter")
+class TestTwoProcessInfer:
+    @pytest.mark.parametrize("n", [128, 129, 193, 300])  # 193 rows make 3 blocks
+    def test_forked_logits_equal_the_one_cpu_logits(self, n, monkeypatch):
+        model = build_model(ModelConfig())
+        features = synthetic_beats(n, seed=13).features
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        forked = infer(model, features)
+        assert forks == [os.getpid()]
+        np.testing.assert_array_equal(forked, one_cpu_infer(model, features, monkeypatch))
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fails", [lambda: os._exit(1), no_room,
+                                       lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                             ids=["exit-1", "memory-error", "killed"])
+    def test_a_failed_child_leaves_its_blocks_to_this_process(self, fails, monkeypatch):
+        import beatformer.train as train_mod
+
+        model = build_model(ModelConfig())
+        features = synthetic_beats(193, seed=14).features
+        expected = one_cpu_infer(model, features, monkeypatch)
+        monkeypatch.setattr(train_mod, "forward", forward_calling(fails, in_child=True))
+        np.testing.assert_array_equal(infer(model, features), expected)
+
+    @pytest.mark.parametrize("fails,error", [(no_room, MemoryError), (overdue, Overdue)])
+    def test_an_error_here_reaps_the_child_before_it_propagates(self, fails, error,
+                                                                monkeypatch):
+        import beatformer.train as train_mod
+
+        model = build_model(ModelConfig())
+        features = synthetic_beats(300, seed=15).features
+        monkeypatch.setattr(train_mod, "forward", forward_calling(fails, in_child=False))
+        with pytest.raises(error):
+            infer(model, features)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_blas_runs_one_thread_per_process_and_gets_its_count_back(self, monkeypatch):
+        import beatformer.train as train_mod
+
+        set_threads, get_threads = openblas_threads()
+        seen = []
+        monkeypatch.setattr(train_mod, "forward",
+                            forward_calling(lambda: seen.append(get_threads()), in_child=False))
+        before = get_threads()
+        set_threads(2)  # not 1, so a count left capped shows
+        try:
+            infer(build_model(ModelConfig()), synthetic_beats(300, seed=16).features)
+            assert seen == [1, 1]
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
 
 
 def quick_sets(n_train=96, n_val=32):
